@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/isa"
-	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/selftest"
@@ -549,22 +548,14 @@ func writeGaArtifact(rc *runContext, g *api.GaSpec, res *api.JobResult, baseCov,
 // each undetected fault: faults untestable even under that relaxation
 // are structurally untestable, the basis of the paper's "test coverage".
 func classifyUndetected(c *dspgate.Core, res *fault.Result) (untestable, aborted int) {
-	n := c.Netlist
-	scanPIs := append(append([]logic.NetID(nil), n.Inputs()...), n.DFFs()...)
-	observe := append([]logic.NetID(nil), n.Outputs()...)
-	for _, q := range n.DFFs() {
-		observe = append(observe, n.Gate(q).In[0])
-	}
+	opts := atpg.FullScan(c.Netlist)
+	opts.MaxBacktracks = 2000
+	solver := atpg.NewSolver(c.Netlist, opts)
 	for i, f := range res.Faults {
 		if res.DetectedAt[i] >= 0 {
 			continue
 		}
-		r := atpg.Generate(n, f, atpg.Options{
-			PIs:           scanPIs,
-			Observe:       observe,
-			MaxBacktracks: 2000,
-		})
-		switch r.Status {
+		switch solver.Generate(f).Status {
 		case atpg.Untestable:
 			untestable++
 		case atpg.Aborted:

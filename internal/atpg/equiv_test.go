@@ -1,0 +1,276 @@
+package atpg
+
+import (
+	"bytes"
+	"compress/gzip"
+	"flag"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/dspgate"
+	"repro/internal/fault"
+	"repro/internal/logic"
+	"repro/internal/logic/logictest"
+	"repro/internal/synth"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/podem_golden.txt.gz from the full-sweep reference engine")
+
+const goldenPath = "testdata/podem_golden.txt.gz"
+
+// goldenJob is one PODEM run of the equivalence golden.
+type goldenJob struct {
+	label string
+	f     fault.Fault
+	extra []logic.NetID
+}
+
+// goldenCase is a batch of runs sharing a netlist and Options, the unit
+// a Solver is reused over.
+type goldenCase struct {
+	n    *logic.Netlist
+	opts Options
+	jobs []goldenJob
+}
+
+// goldenCases lists the runs the golden pins: the three ways the
+// repository drives PODEM, at the sizes the bench and the experiments
+// use.
+func goldenCases(t testing.TB) []goldenCase {
+	t.Helper()
+	core, err := dspgate.Build(dspgate.Options{InsertFanoutBranches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsp := core.Netlist
+	dspFaults, _ := fault.Collapse(dsp, fault.AllFaults(dsp))
+	var cases []goldenCase
+
+	// The bench's atpg_podem sample: 200 strided dsp faults under the
+	// full-scan bound at 200 backtracks.
+	full := FullScan(dsp)
+	full.MaxBacktracks = 200
+	c := goldenCase{n: dsp, opts: full}
+	for k, stride := 0, len(dspFaults)/200; k < 200; k++ {
+		f := dspFaults[k*stride]
+		c.jobs = append(c.jobs, goldenJob{label: faultLabel("dsp", f), f: f})
+	}
+	cases = append(cases, c)
+
+	// The constraint study: every shifter fault with the mode bits fixed.
+	b := logic.NewBuilder()
+	data := b.InputBus("d", 18)
+	amt := b.InputBus("amt", 4)
+	mode := b.InputBus("mode", 2)
+	b.MarkOutputBus(synth.BarrelShifter(b, data, amt, mode), "out")
+	shifter, err := b.Build(logic.BuildOptions{InsertFanoutBranches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shFaults, _ := fault.Collapse(shifter, fault.AllFaults(shifter))
+	for m := 0; m < 3; m++ {
+		c := goldenCase{n: shifter, opts: Options{
+			Fixed:         map[logic.NetID]bool{mode[0]: m&1 == 1, mode[1]: m&2 == 2},
+			MaxBacktracks: 600,
+		}}
+		for _, f := range shFaults {
+			c.jobs = append(c.jobs, goldenJob{label: faultLabel(fmt.Sprintf("shifter%d", m), f), f: f})
+		}
+		cases = append(cases, c)
+	}
+
+	// The sequential baseline: the dsp core unrolled three frames, one
+	// fault site per frame.
+	u, err := Unroll(dsp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = goldenCase{n: u.Netlist, opts: Options{MaxBacktracks: 200}}
+	for i := 0; i < len(dspFaults); i += 60 {
+		f := dspFaults[i]
+		sites := u.Sites(f.Site)
+		c.jobs = append(c.jobs, goldenJob{
+			label: faultLabel("unroll3", f),
+			f:     fault.Fault{Site: sites[0], SA1: f.SA1},
+			extra: sites[1:],
+		})
+	}
+	return append(cases, c)
+}
+
+func faultLabel(batch string, f fault.Fault) string {
+	sa := 0
+	if f.SA1 {
+		sa = 1
+	}
+	return fmt.Sprintf("%s %d/%d", batch, f.Site, sa)
+}
+
+// goldenLine renders what the golden pins of one run: the status
+// (Detected, Untestable, Aborted), the decision, backtrack and
+// implication-pass counts, and the sorted assignment as net=value.
+func goldenLine(label string, r Result) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s %c %d %d %d", label, "DUA"[r.Status], r.Stats.Decisions, r.Stats.Backtracks, r.Stats.Implications)
+	pis := make([]logic.NetID, 0, len(r.Assignment))
+	for pi := range r.Assignment {
+		pis = append(pis, pi)
+	}
+	slices.Sort(pis)
+	for _, pi := range pis {
+		v := 0
+		if r.Assignment[pi] {
+			v = 1
+		}
+		fmt.Fprintf(&sb, " %d=%d", pi, v)
+	}
+	return sb.String()
+}
+
+// TestEquivalenceGolden pins the search itself: per fault the same
+// status, decisions, backtracks, implication passes and assignment as
+// the full-sweep engine produced at the commit before the Solver
+// (testdata/podem_golden.txt.gz, one line per run, was written there by that engine's
+// Generate; -update rewrites it from the copy in reference_test.go).
+// Both forms are held to it: a Solver reused across each case's faults,
+// and the one-shot Generate.
+func TestEquivalenceGolden(t *testing.T) {
+	cases := goldenCases(t)
+	if *update {
+		var out bytes.Buffer
+		for _, c := range cases {
+			for _, j := range c.jobs {
+				opts := c.opts
+				opts.ExtraSites = j.extra
+				fmt.Fprintln(&out, goldenLine(j.label, referenceGenerate(c.n, j.f, opts)))
+			}
+		}
+		var packed bytes.Buffer
+		zw := gzip.NewWriter(&packed)
+		zw.Write(out.Bytes()) // a bytes.Buffer cannot fail
+		zw.Close()
+		if err := os.WriteFile(goldenPath, packed.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := readGolden(t)
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	line := 0
+	for _, c := range cases {
+		s := NewSolver(c.n, c.opts)
+		for k, j := range c.jobs {
+			if line >= len(want) {
+				t.Fatalf("golden has %d lines, fewer than the cases list", len(want))
+			}
+			if got := goldenLine(j.label, s.Generate(j.f, j.extra...)); got != want[line] {
+				t.Fatalf("reused solver, line %d:\n got %s\nwant %s", line+1, got, want[line])
+			}
+			// The one-shot form differs only in building its own solver;
+			// a sample of each case is enough to pin it.
+			if k%8 == 0 {
+				opts := c.opts
+				opts.ExtraSites = j.extra
+				if got := goldenLine(j.label, Generate(c.n, j.f, opts)); got != want[line] {
+					t.Fatalf("one-shot, line %d:\n got %s\nwant %s", line+1, got, want[line])
+				}
+			}
+			line++
+		}
+	}
+	if line != len(want) {
+		t.Fatalf("golden has %d lines, the cases list %d", len(want), line)
+	}
+}
+
+func readGolden(t *testing.T) []byte {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// checkAgainstSweep makes s compare its values with a full re-evaluation
+// of the frame by the reference engine after every implication pass and
+// every undo.
+func checkAgainstSweep(t *testing.T, s *Solver, opts Options) {
+	s.afterPass = func() {
+		ref := &refPodem{
+			n:       s.n,
+			vals:    make([]Value, s.n.NumNets()),
+			isFixed: make([]bool, s.n.NumNets()),
+			sites:   s.sites,
+			siteSet: s.siteSet,
+			sa1:     s.sa1,
+			assign:  map[logic.NetID]bool{},
+		}
+		for net, v := range opts.Fixed {
+			ref.isFixed[net] = true
+			ref.vals[net] = fromBool(v)
+		}
+		for net, v := range s.assign {
+			if v != VX {
+				ref.assign[logic.NetID(net)] = v == V1
+			}
+		}
+		ref.imply()
+		for net, v := range ref.vals {
+			if s.vals[net] != v {
+				t.Fatalf("net %d (%s): incremental %v, full sweep %v",
+					net, s.n.NameOf(logic.NetID(net)), s.vals[net], v)
+			}
+		}
+	}
+}
+
+// TestIncrementalImplicationMatchesSweep runs the Solver on random
+// netlists under the full-scan bound with random fixed sources and
+// extra sites, checks every intermediate state against the full sweep,
+// and holds each run to the reference engine's result.
+func TestIncrementalImplicationMatchesSweep(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, err := logictest.RandomNetlist(rng, seed%2 == 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := FullScan(n)
+		opts.MaxBacktracks = 50
+		opts.Fixed = map[logic.NetID]bool{}
+		for _, pi := range opts.PIs {
+			if rng.Intn(5) == 0 {
+				opts.Fixed[pi] = rng.Intn(2) == 1
+			}
+		}
+		s := NewSolver(n, opts)
+		checkAgainstSweep(t, s, opts)
+		for _, f := range fault.AllFaults(n) {
+			var extra []logic.NetID
+			if rng.Intn(3) == 0 {
+				extra = append(extra, logic.NetID(rng.Intn(n.NumNets())))
+			}
+			got := s.Generate(f, extra...)
+			refOpts := opts
+			refOpts.ExtraSites = extra
+			want := referenceGenerate(n, f, refOpts)
+			if g, w := goldenLine("", got), goldenLine("", want); g != w {
+				t.Fatalf("seed %d fault %v extra %v:\n got %s\nwant %s", seed, f, extra, g, w)
+			}
+		}
+	}
+}

@@ -15,6 +15,7 @@ package atpg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -186,17 +187,36 @@ type Options struct {
 	ExtraSites []logic.NetID
 }
 
+// FullScan returns the full-scan bound for n: every primary input and
+// flip-flop Q net is assignable, and a fault effect counts as detected
+// at a primary output or at a flip-flop's D pin. A fault untestable
+// under these options is structurally untestable.
+func FullScan(n *logic.Netlist) Options {
+	pis := append(append([]logic.NetID(nil), n.Inputs()...), n.DFFs()...)
+	observe := append([]logic.NetID(nil), n.Outputs()...)
+	for _, q := range n.DFFs() {
+		observe = append(observe, n.Gate(q).In[0])
+	}
+	return Options{PIs: pis, Observe: observe}
+}
+
 // Stats counts the search effort of one or more PODEM runs: decisions
 // (PI assignments pushed on the decision stack), backtracks (decision
 // reversals, including second-value retries), aborts (runs that hit the
-// backtrack limit) and implications (full five-valued re-evaluations of
-// the frame). Stats add across runs with Merge, which is how callers
-// like the sequential-ATPG baseline aggregate per-campaign totals.
+// backtrack limit), implications (implication passes: one for the fault
+// injection, one per decision, one per second-value retry and one per
+// popped decision — a pop restores values from the trail and evaluates
+// nothing, but still counts, so the number depends on the search alone)
+// and gate evaluations (five-valued evaluations of one gate, the work
+// the passes actually did). Stats add across runs with Merge, which is
+// how callers like the sequential-ATPG baseline aggregate per-campaign
+// totals.
 type Stats struct {
 	Decisions    int
 	Backtracks   int
 	Aborts       int
 	Implications int
+	GateEvals    int
 }
 
 // Merge accumulates another run's counts.
@@ -205,6 +225,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Backtracks += o.Backtracks
 	s.Aborts += o.Aborts
 	s.Implications += o.Implications
+	s.GateEvals += o.GateEvals
 }
 
 // Result reports a PODEM run.
@@ -213,9 +234,6 @@ type Result struct {
 	// Assignment holds the PI values of the found test (unassigned PIs
 	// are don't-cares and absent).
 	Assignment map[logic.NetID]bool
-	// Backtracks duplicates Stats.Backtracks (kept for callers that
-	// predate Stats).
-	Backtracks int
 	// Stats breaks down the search effort of this run.
 	Stats Stats
 }
@@ -227,42 +245,113 @@ var (
 	ctrBacktracks   = obs.Default().Counter("podem.backtracks")
 	ctrAborts       = obs.Default().Counter("podem.aborts")
 	ctrImplications = obs.Default().Counter("podem.implications")
+	ctrGateEvals    = obs.Default().Counter("podem.gate_evals")
 	ctrRuns         = obs.Default().Counter("podem.runs")
 )
 
-type podem struct {
-	n       *logic.Netlist
-	vals    []Value
-	isPI    []bool
-	isFixed []bool
+// Generate runs PODEM for one stuck-at fault: the one-shot form of
+// NewSolver(n, opts).Generate(f). Loops over many faults of one netlist
+// under one set of options should build the Solver once.
+func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
+	return NewSolver(n, opts).Generate(f)
+}
+
+// Solver runs PODEM for any number of faults of one netlist under one
+// set of Options. Everything that depends only on that pair — the state
+// arrays, the CombOrder rank index, which nets an assignable PI can
+// reach, and the fault-free values implied by the constants and by
+// Options.Fixed — is computed once by NewSolver; each Generate injects
+// its fault into that base state, searches, and undoes its own changes.
+//
+// Implication is event-driven: a changed net schedules only its fanout,
+// gates are evaluated in CombOrder rank order so each runs at most once
+// per pass, and propagation stops where a value does not change. Every
+// change is pushed on a trail, so reversing or popping a decision
+// restores old values instead of implying again.
+//
+// A Solver is not safe for concurrent use.
+type Solver struct {
+	n     *logic.Netlist
+	order []logic.NetID // n.CombOrder()
+	// rank[net] is the net's position in order, -1 for the nets outside
+	// it (frame sources: constants, inputs, DFF Q nets).
+	rank  []int32
+	vals  []Value
+	isPI  []bool
+	isObs []bool
+	// reach[net] reports whether an assignable PI lies in the net's
+	// input cone (guides backtrace away from dead paths).
+	reach []bool
+	extra []logic.NetID // Options.ExtraSites
+	maxBT int
+
+	// assign[pi] is the value decided for pi, VX while undecided.
+	assign []Value
+	stack  []decision
+	trail  []change
+	// events is a min-heap of the ranks of gates waiting for evaluation
+	// in the current pass; queued[rank] keeps each in it once.
+	events []int32
+	queued []bool
+	// front is the D-frontier found by the last faultEffects call, as
+	// ranks in ascending order; seen and walk are that call's visited
+	// stamps (against epoch) and work stack.
+	front []int32
+	seen  []uint32
+	epoch uint32
+	walk  []logic.NetID
+
 	sites   []logic.NetID
 	siteSet []bool
 	sa1     bool
-	observe []logic.NetID
-	// reach[net] reports whether an assignable PI lies in the net's
-	// input cone (computed once; guides backtrace away from dead paths).
-	reach     []bool
-	assign    map[logic.NetID]bool
-	maxBT     int
-	bts       int
-	decisions int
-	implies   int
+
+	bts, decisions, implies, evals int
+
+	// afterPass, when set (tests only), runs after every implication
+	// pass and every undo.
+	afterPass func()
 }
 
-// Generate runs PODEM for one stuck-at fault.
-func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
-	p := &podem{
+type decision struct {
+	pi        logic.NetID
+	value     bool
+	triedBoth bool
+	// mark is the trail length before the decision was applied.
+	mark int
+}
+
+// change records one net's previous value on the trail.
+type change struct {
+	net logic.NetID
+	old Value
+}
+
+// NewSolver prepares PODEM runs on n under opts.
+func NewSolver(n *logic.Netlist, opts Options) *Solver {
+	nets := n.NumNets()
+	p := &Solver{
 		n:       n,
-		vals:    make([]Value, n.NumNets()),
-		isPI:    make([]bool, n.NumNets()),
-		isFixed: make([]bool, n.NumNets()),
-		siteSet: make([]bool, n.NumNets()),
-		sa1:     f.SA1,
-		assign:  map[logic.NetID]bool{},
+		order:   n.CombOrder(),
+		rank:    make([]int32, nets),
+		vals:    make([]Value, nets), // all VX
+		isPI:    make([]bool, nets),
+		isObs:   make([]bool, nets),
+		reach:   make([]bool, nets),
+		extra:   opts.ExtraSites,
 		maxBT:   opts.MaxBacktracks,
+		assign:  make([]Value, nets),
+		queued:  make([]bool, len(n.CombOrder())),
+		seen:    make([]uint32, nets),
+		siteSet: make([]bool, nets),
 	}
 	if p.maxBT <= 0 {
 		p.maxBT = 2000
+	}
+	for i := range p.rank {
+		p.rank[i] = -1
+	}
+	for r, id := range p.order {
+		p.rank[id] = int32(r)
 	}
 	pis := opts.PIs
 	if len(pis) == 0 {
@@ -273,55 +362,40 @@ func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
 			p.isPI[pi] = true
 		}
 	}
-	for net, v := range opts.Fixed {
-		p.isFixed[net] = true
-		p.vals[net] = fromBool(v)
+	observe := opts.Observe
+	if len(observe) == 0 {
+		observe = n.Outputs()
 	}
-	p.sites = append([]logic.NetID{f.Site}, opts.ExtraSites...)
-	for _, s := range p.sites {
-		p.siteSet[s] = true
-	}
-	p.observe = opts.Observe
-	if len(p.observe) == 0 {
-		p.observe = n.Outputs()
+	for _, o := range observe {
+		p.isObs[o] = true
 	}
 	p.computeReach()
-	p.imply()
-	st := p.search()
-	res := Result{
-		Status:     st,
-		Backtracks: p.bts,
-		Stats: Stats{
-			Decisions:    p.decisions,
-			Backtracks:   p.bts,
-			Implications: p.implies,
-		},
-	}
-	if st == Aborted {
-		res.Stats.Aborts = 1
-	}
-	if st == Detected {
-		res.Assignment = p.assign
-	}
-	ctrRuns.Add(1)
-	ctrDecisions.Add(int64(res.Stats.Decisions))
-	ctrBacktracks.Add(int64(res.Stats.Backtracks))
-	ctrImplications.Add(int64(res.Stats.Implications))
-	ctrAborts.Add(int64(res.Stats.Aborts))
-	return res
-}
 
-func (p *podem) computeReach() {
-	p.reach = make([]bool, p.n.NumNets())
-	for id := 0; id < p.n.NumNets(); id++ {
+	// Base implication: with every source at X the whole frame is X, so
+	// the fault-free state follows from the constants and the fixed
+	// sources alone. It is never undone.
+	for id := 0; id < nets; id++ {
 		net := logic.NetID(id)
-		if p.isPI[net] {
-			p.reach[net] = true
+		switch n.Gate(net).Kind {
+		case logic.GateConst0:
+			p.set(net, V0)
+		case logic.GateConst1:
+			p.set(net, V1)
+		case logic.GateInput, logic.GateDFF:
+			if v, fixed := opts.Fixed[net]; fixed {
+				p.set(net, fromBool(v))
+			}
 		}
 	}
-	for _, id := range p.n.CombOrder() {
-		g := p.n.Gate(id)
-		for _, in := range g.In {
+	p.propagate()
+	p.trail = p.trail[:0]
+	return p
+}
+
+func (p *Solver) computeReach() {
+	copy(p.reach, p.isPI)
+	for _, id := range p.order {
+		for _, in := range p.n.Gate(id).In {
 			if p.reach[in] {
 				p.reach[id] = true
 				break
@@ -330,76 +404,205 @@ func (p *podem) computeReach() {
 	}
 }
 
-// imply fully re-evaluates the frame under the current assignment,
-// injecting the fault at every site.
-func (p *podem) imply() {
-	p.implies++
-	n := p.n
-	for id := 0; id < n.NumNets(); id++ {
-		net := logic.NetID(id)
-		var v Value
-		switch n.Gate(net).Kind {
-		case logic.GateConst0:
-			v = V0
-		case logic.GateConst1:
-			v = V1
-		case logic.GateInput, logic.GateDFF:
-			v = VX
-			if p.isFixed[net] {
-				v = p.vals[net].good()
-			} else if b, ok := p.assign[net]; ok {
-				v = fromBool(b)
-			}
-		default:
+// Generate runs PODEM for one stuck-at fault, injected at f.Site, at
+// Options.ExtraSites and at extraSites (the per-fault form of the same
+// thing: one physical fault seen once per unrolled time frame). The
+// solver is back in its base state when Generate returns. The first
+// run's Stats.GateEvals includes the base implication's evaluations, so
+// sums over a solver's runs count all the work done.
+func (p *Solver) Generate(f fault.Fault, extraSites ...logic.NetID) Result {
+	p.sites = append(append(append(p.sites[:0], f.Site), p.extra...), extraSites...)
+	p.sa1 = f.SA1
+	p.bts, p.decisions, p.implies = 0, 0, 0
+	for _, s := range p.sites {
+		p.siteSet[s] = true
+	}
+	for _, s := range p.sites {
+		p.set(s, p.site(s, p.vals[s]))
+	}
+	p.propagate()
+
+	st := p.search()
+	res := Result{
+		Status: st,
+		Stats: Stats{
+			Decisions:    p.decisions,
+			Backtracks:   p.bts,
+			Implications: p.implies,
+			GateEvals:    p.evals,
+		},
+	}
+	if st == Aborted {
+		res.Stats.Aborts = 1
+	}
+	if st == Detected {
+		res.Assignment = make(map[logic.NetID]bool, len(p.stack))
+		for _, d := range p.stack {
+			res.Assignment[d.pi] = d.value
+		}
+	}
+
+	p.undo(0)
+	for _, d := range p.stack {
+		p.assign[d.pi] = VX
+	}
+	p.stack = p.stack[:0]
+	for _, s := range p.sites {
+		p.siteSet[s] = false
+	}
+	p.evals = 0
+
+	ctrRuns.Add(1)
+	ctrDecisions.Add(int64(res.Stats.Decisions))
+	ctrBacktracks.Add(int64(res.Stats.Backtracks))
+	ctrImplications.Add(int64(res.Stats.Implications))
+	ctrGateEvals.Add(int64(res.Stats.GateEvals))
+	ctrAborts.Add(int64(res.Stats.Aborts))
+	return res
+}
+
+// set gives net a new value: the old one goes on the trail and the
+// gates reading net are scheduled.
+func (p *Solver) set(net logic.NetID, v Value) {
+	if p.vals[net] == v {
+		return
+	}
+	p.trail = append(p.trail, change{net, p.vals[net]})
+	p.vals[net] = v
+	for _, out := range p.n.Fanout(net) {
+		r := p.rank[out]
+		if r < 0 || p.queued[r] { // a DFF reads net after the frame settles
 			continue
 		}
-		p.vals[net] = p.site(net, v)
-	}
-	for _, id := range n.CombOrder() {
-		g := n.Gate(id)
-		var v Value
-		switch g.Kind {
-		case logic.GateBuf:
-			v = p.vals[g.In[0]]
-		case logic.GateNot:
-			v = not(p.vals[g.In[0]])
-		case logic.GateAnd, logic.GateNand:
-			v = V1
-			for _, in := range g.In {
-				v = andV(v, p.vals[in])
+		p.queued[r] = true
+		// Sift up.
+		h := append(p.events, r)
+		i := len(h) - 1
+		for i > 0 {
+			parent := (i - 1) / 2
+			if h[parent] <= r {
+				break
 			}
-			if g.Kind == logic.GateNand {
-				v = not(v)
-			}
-		case logic.GateOr, logic.GateNor:
-			v = V0
-			for _, in := range g.In {
-				v = orV(v, p.vals[in])
-			}
-			if g.Kind == logic.GateNor {
-				v = not(v)
-			}
-		case logic.GateXor, logic.GateXnor:
-			v = V0
-			for _, in := range g.In {
-				v = xorV(v, p.vals[in])
-			}
-			if g.Kind == logic.GateXnor {
-				v = not(v)
-			}
-		case logic.GateMux2:
-			sel, a, b := p.vals[g.In[0]], p.vals[g.In[1]], p.vals[g.In[2]]
-			v = muxV(sel, a, b)
-		default:
-			panic(fmt.Sprintf("atpg: unexpected gate kind %v in comb order", g.Kind))
+			h[i] = h[parent]
+			i = parent
 		}
-		p.vals[id] = p.site(id, v)
+		h[i] = r
+		p.events = h
 	}
+}
+
+// next removes the lowest rank from the event heap.
+func (p *Solver) next() int32 {
+	h := p.events
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if last <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	p.events = h
+	return top
+}
+
+// propagate is one implication pass: it evaluates the scheduled gates
+// in rank order until no value changes. A gate's inputs all rank below
+// it, so they are final when it runs and it runs once.
+func (p *Solver) propagate() {
+	for len(p.events) > 0 {
+		r := p.next()
+		p.queued[r] = false
+		id := p.order[r]
+		p.evals++
+		p.set(id, p.site(id, p.eval(p.n.Gate(id))))
+	}
+	p.passDone()
+}
+
+// undo restores the values changed since the trail was mark long.
+func (p *Solver) undo(mark int) {
+	for i := len(p.trail) - 1; i >= mark; i-- {
+		c := p.trail[i]
+		p.vals[c.net] = c.old
+	}
+	p.trail = p.trail[:mark]
+}
+
+// passDone closes an implication pass: a propagation, or the undo that
+// pops a decision (see Stats.Implications).
+func (p *Solver) passDone() {
+	p.implies++
+	if p.afterPass != nil {
+		p.afterPass()
+	}
+}
+
+// decide assigns a PI and implies the consequences. Only a frame source
+// takes the value; on any other net the assignment has no effect.
+func (p *Solver) decide(pi logic.NetID, value bool) {
+	p.assign[pi] = fromBool(value)
+	if p.rank[pi] < 0 {
+		p.set(pi, p.site(pi, fromBool(value)))
+	}
+	p.propagate()
+}
+
+// eval computes a gate's five-valued output from its inputs.
+func (p *Solver) eval(g logic.Gate) Value {
+	var v Value
+	switch g.Kind {
+	case logic.GateBuf:
+		v = p.vals[g.In[0]]
+	case logic.GateNot:
+		v = not(p.vals[g.In[0]])
+	case logic.GateAnd, logic.GateNand:
+		v = V1
+		for _, in := range g.In {
+			v = andV(v, p.vals[in])
+		}
+		if g.Kind == logic.GateNand {
+			v = not(v)
+		}
+	case logic.GateOr, logic.GateNor:
+		v = V0
+		for _, in := range g.In {
+			v = orV(v, p.vals[in])
+		}
+		if g.Kind == logic.GateNor {
+			v = not(v)
+		}
+	case logic.GateXor, logic.GateXnor:
+		v = V0
+		for _, in := range g.In {
+			v = xorV(v, p.vals[in])
+		}
+		if g.Kind == logic.GateXnor {
+			v = not(v)
+		}
+	case logic.GateMux2:
+		v = muxV(p.vals[g.In[0]], p.vals[g.In[1]], p.vals[g.In[2]])
+	default:
+		panic(fmt.Sprintf("atpg: unexpected gate kind %v in comb order", g.Kind))
+	}
+	return v
 }
 
 // site applies fault injection: the faulty projection is forced to the
 // stuck value while the good projection keeps v's good part.
-func (p *podem) site(net logic.NetID, v Value) Value {
+func (p *Solver) site(net logic.NetID, v Value) Value {
 	if !p.siteSet[net] {
 		return v
 	}
@@ -436,17 +639,50 @@ func muxV(sel, a, b Value) Value {
 	return compose(g, bad)
 }
 
-func (p *podem) detected() bool {
-	for _, o := range p.observe {
-		if p.vals[o].hasD() {
-			return true
+// faultEffects walks the nets that carry a D or D̄. Such a net is a
+// site or has an input that carries one, so the walk starts at the
+// activated sites and follows fanout through D values only — it never
+// leaves the sites' fanout cone. It reports whether a fault effect has
+// reached an observation point; if none has, p.front holds the
+// D-frontier (gates with an X output and a D input) in CombOrder order.
+func (p *Solver) faultEffects() (detected bool) {
+	p.epoch++
+	p.front = p.front[:0]
+	walk := p.walk[:0]
+	for _, s := range p.sites {
+		if p.vals[s].hasD() && p.seen[s] != p.epoch {
+			p.seen[s] = p.epoch
+			walk = append(walk, s)
 		}
 	}
+	for len(walk) > 0 {
+		net := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		if p.isObs[net] {
+			p.walk = walk
+			return true
+		}
+		for _, out := range p.n.Fanout(net) {
+			r := p.rank[out]
+			if r < 0 || p.seen[out] == p.epoch {
+				continue
+			}
+			p.seen[out] = p.epoch
+			switch v := p.vals[out]; {
+			case v == VX:
+				p.front = append(p.front, r)
+			case v.hasD():
+				walk = append(walk, out)
+			}
+		}
+	}
+	p.walk = walk
+	slices.Sort(p.front)
 	return false
 }
 
 // activated reports whether some site carries a D.
-func (p *podem) activated() bool {
+func (p *Solver) activated() bool {
 	for _, s := range p.sites {
 		if p.vals[s].hasD() {
 			return true
@@ -460,7 +696,7 @@ func (p *podem) activated() bool {
 // value (good machine agrees with the fault: known, no D), a D (good
 // machine differs), or X (good machine undetermined). Activation is
 // impossible exactly when every site is known — i.e. none is D or X.
-func (p *podem) activationImpossible() bool {
+func (p *Solver) activationImpossible() bool {
 	for _, s := range p.sites {
 		if !p.vals[s].known() {
 			return false
@@ -469,16 +705,9 @@ func (p *podem) activationImpossible() bool {
 	return true
 }
 
-type decision struct {
-	pi        logic.NetID
-	value     bool
-	triedBoth bool
-}
-
-func (p *podem) search() Status {
-	var stack []decision
+func (p *Solver) search() Status {
 	for {
-		if p.detected() {
+		if p.faultEffects() {
 			return Detected
 		}
 		obj, objVal, ok := p.objective()
@@ -486,9 +715,8 @@ func (p *podem) search() Status {
 			pi, piVal, found := p.backtrace(obj, objVal)
 			if found {
 				p.decisions++
-				stack = append(stack, decision{pi: pi, value: piVal})
-				p.assign[pi] = piVal
-				p.imply()
+				p.stack = append(p.stack, decision{pi: pi, value: piVal, mark: len(p.trail)})
+				p.decide(pi, piVal)
 				continue
 			}
 		}
@@ -498,27 +726,28 @@ func (p *podem) search() Status {
 			if p.bts > p.maxBT {
 				return Aborted
 			}
-			if len(stack) == 0 {
+			if len(p.stack) == 0 {
 				return Untestable
 			}
-			top := &stack[len(stack)-1]
+			top := &p.stack[len(p.stack)-1]
 			if !top.triedBoth {
 				top.triedBoth = true
 				top.value = !top.value
-				p.assign[top.pi] = top.value
-				p.imply()
+				p.undo(top.mark)
+				p.decide(top.pi, top.value)
 				break
 			}
-			delete(p.assign, top.pi)
-			stack = stack[:len(stack)-1]
-			p.imply()
+			p.assign[top.pi] = VX
+			p.undo(top.mark)
+			p.stack = p.stack[:len(p.stack)-1]
+			p.passDone()
 		}
 	}
 }
 
 // objective picks the next goal: activate the fault, then extend the
 // D-frontier toward an observe point.
-func (p *podem) objective() (logic.NetID, Value, bool) {
+func (p *Solver) objective() (logic.NetID, Value, bool) {
 	if !p.activated() {
 		if p.activationImpossible() {
 			return 0, VX, false
@@ -530,23 +759,8 @@ func (p *podem) objective() (logic.NetID, Value, bool) {
 		}
 		return 0, VX, false
 	}
-	// D-frontier: gate with X output and a D input, preferring gates
-	// that can reach an observe point (all can, in a connected cone).
-	for _, id := range p.n.CombOrder() {
-		if p.vals[id] != VX {
-			continue
-		}
-		g := p.n.Gate(id)
-		hasD := false
-		for _, in := range g.In {
-			if p.vals[in].hasD() {
-				hasD = true
-				break
-			}
-		}
-		if !hasD {
-			continue
-		}
+	for _, r := range p.front {
+		g := p.n.Gate(p.order[r])
 		// Pick a controllable X input and the value that unblocks
 		// propagation (an X input with no assignable PI in its cone can
 		// never be set, so that gate is dead for propagation).
@@ -557,22 +771,13 @@ func (p *podem) objective() (logic.NetID, Value, bool) {
 			switch g.Kind {
 			case logic.GateAnd, logic.GateNand:
 				return in, V1, true
-			case logic.GateOr, logic.GateNor:
-				return in, V0, true
-			case logic.GateXor, logic.GateXnor:
-				return in, V0, true
 			case logic.GateMux2:
-				if pin == 0 {
-					// Select whichever data input carries the D.
-					if p.vals[g.In[2]].hasD() {
-						return in, V1, true
-					}
-					return in, V0, true
+				// Select whichever data input carries the D.
+				if pin == 0 && p.vals[g.In[2]].hasD() {
+					return in, V1, true
 				}
-				return in, V0, true
-			default:
-				return in, V0, true
 			}
+			return in, V0, true
 		}
 	}
 	return 0, VX, false
@@ -580,19 +785,18 @@ func (p *podem) objective() (logic.NetID, Value, bool) {
 
 // backtrace maps an objective to an unassigned PI assignment along a
 // path of X values, inverting the target value through inverting gates.
-func (p *podem) backtrace(net logic.NetID, val Value) (logic.NetID, bool, bool) {
+func (p *Solver) backtrace(net logic.NetID, val Value) (logic.NetID, bool, bool) {
 	for depth := 0; depth < p.n.NumNets(); depth++ {
 		if p.isPI[net] {
-			if _, done := p.assign[net]; done {
+			if p.assign[net] != VX {
 				return 0, false, false
 			}
 			return net, val == V1, true
 		}
-		g := p.n.Gate(net)
-		if g.Kind == logic.GateInput || g.Kind == logic.GateDFF ||
-			g.Kind == logic.GateConst0 || g.Kind == logic.GateConst1 {
+		if p.rank[net] < 0 {
 			return 0, false, false // non-assignable source
 		}
+		g := p.n.Gate(net)
 		// Choose an X input whose cone contains an assignable PI.
 		next := logic.InvalidNet
 		for _, in := range g.In {
@@ -605,13 +809,11 @@ func (p *podem) backtrace(net logic.NetID, val Value) (logic.NetID, bool, bool) 
 			return 0, false, false
 		}
 		switch g.Kind {
-		case logic.GateNot, logic.GateNand, logic.GateNor:
+		case logic.GateNot, logic.GateNand, logic.GateNor, logic.GateXnor:
 			val = not(val)
-		case logic.GateXnor:
-			val = not(val)
-		case logic.GateBuf, logic.GateAnd, logic.GateOr, logic.GateXor, logic.GateMux2:
-			// Value preserved (heuristically, for XOR/MUX).
 		}
+		// Through the other kinds the value is kept (heuristically, for
+		// XOR and MUX).
 		net = next
 	}
 	return 0, false, false

@@ -106,6 +106,7 @@ func SequentialATPGOpts(n *logic.Netlist, opts SeqATPGOptions) (*ATPGBaselineRes
 	span := obs.NewSpan(opts.Sink, "seqatpg")
 	targets := (len(faults) + sampleEvery - 1) / sampleEvery
 	numInputs := len(n.Inputs())
+	solver := atpg.NewSolver(u.Netlist, atpg.Options{MaxBacktracks: opts.MaxBacktracks})
 	for i := 0; i < len(faults); i += sampleEvery {
 		f := faults[i]
 		res.FaultsTried++
@@ -118,10 +119,7 @@ func SequentialATPGOpts(n *logic.Netlist, opts SeqATPGOptions) (*ATPGBaselineRes
 		if span != nil {
 			faultStart = time.Now()
 		}
-		r := atpg.Generate(u.Netlist, fault.Fault{Site: sites[0], SA1: f.SA1}, atpg.Options{
-			ExtraSites:    sites[1:],
-			MaxBacktracks: opts.MaxBacktracks,
-		})
+		r := solver.Generate(fault.Fault{Site: sites[0], SA1: f.SA1}, sites[1:]...)
 		res.Stats.Merge(r.Stats)
 		switch r.Status {
 		case atpg.Detected:

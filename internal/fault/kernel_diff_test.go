@@ -5,71 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
-// randCircuit builds a random sequential netlist: nIn primary inputs,
-// nDFF flip-flops (D pins resolved to random nets at the end, so state
-// feedback crosses the whole circuit), nGate random combinational gates
-// over random fan-in, and nOut primary outputs over random nets. The
-// returned netlist exercises every compiled-kernel code path: variadic
-// chains, MUXes, DFF-Q fault sites, PI fault sites, and reconvergence.
+// randCircuit builds a random sequential netlist that exercises every
+// compiled-kernel code path (see logictest.RandomNetlist).
 func randCircuit(t *testing.T, rng *rand.Rand, fb bool) *logic.Netlist {
 	t.Helper()
-	b := logic.NewBuilder()
-	nIn := 2 + rng.Intn(5)
-	nDFF := 1 + rng.Intn(4)
-	nGate := 5 + rng.Intn(40)
-	nOut := 1 + rng.Intn(3)
-
-	var nets []logic.NetID
-	for i := 0; i < nIn; i++ {
-		nets = append(nets, b.Input(string(rune('a'+i))))
-	}
-	type pendingDFF struct{ d, q logic.NetID }
-	var dffs []pendingDFF
-	for i := 0; i < nDFF; i++ {
-		d := b.DeferredBuf()
-		q := b.DFF(d, "")
-		dffs = append(dffs, pendingDFF{d, q})
-		nets = append(nets, q)
-	}
-	pick := func() logic.NetID { return nets[rng.Intn(len(nets))] }
-	for i := 0; i < nGate; i++ {
-		var id logic.NetID
-		switch rng.Intn(9) {
-		case 0:
-			id = b.Not(pick())
-		case 1:
-			id = b.Mux2(pick(), pick(), pick())
-		case 2:
-			id = b.Xor(pick(), pick())
-		case 3:
-			id = b.Xnor(pick(), pick())
-		default:
-			in := make([]logic.NetID, 2+rng.Intn(3))
-			for k := range in {
-				in[k] = pick()
-			}
-			switch rng.Intn(4) {
-			case 0:
-				id = b.And(in...)
-			case 1:
-				id = b.Or(in...)
-			case 2:
-				id = b.Nand(in...)
-			default:
-				id = b.Nor(in...)
-			}
-		}
-		nets = append(nets, id)
-	}
-	for _, p := range dffs {
-		b.ResolveBuf(p.d, pick())
-	}
-	for i := 0; i < nOut; i++ {
-		b.MarkOutput(pick(), string(rune('x'+i)))
-	}
-	n, err := b.Build(logic.BuildOptions{InsertFanoutBranches: fb})
+	n, err := logictest.RandomNetlist(rng, fb)
 	if err != nil {
 		t.Fatalf("random netlist build: %v", err)
 	}

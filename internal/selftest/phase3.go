@@ -53,6 +53,18 @@ func ShifterConstraintStudy(sets []ConstraintSet) ([]ConstraintResult, error) {
 		return nil, err
 	}
 	faults, _ := fault.Collapse(n, fault.AllFaults(n))
+	// One PODEM solver per mode value, built on first use and shared by
+	// every set that allows the mode.
+	var solvers [4]*atpg.Solver
+	solverFor := func(m uint8) *atpg.Solver {
+		if solvers[m&3] == nil {
+			solvers[m&3] = atpg.NewSolver(n, atpg.Options{
+				Fixed:         map[logic.NetID]bool{mode[0]: m&1 == 1, mode[1]: m&2 == 2},
+				MaxBacktracks: 8000,
+			})
+		}
+		return solvers[m&3]
+	}
 	results := make([]ConstraintResult, 0, len(sets))
 	for _, set := range sets {
 		res := ConstraintResult{Label: set.Label, Allowed: set.Modes, Total: len(faults)}
@@ -80,11 +92,7 @@ func ShifterConstraintStudy(sets []ConstraintSet) ([]ConstraintResult, error) {
 			}
 			status := atpg.Untestable
 			for _, m := range set.Modes {
-				fixed := map[logic.NetID]bool{
-					mode[0]: m&1 == 1,
-					mode[1]: m&2 == 2,
-				}
-				r := atpg.Generate(n, f, atpg.Options{Fixed: fixed, MaxBacktracks: 8000})
+				r := solverFor(m).Generate(f)
 				if r.Status == atpg.Detected {
 					status = atpg.Detected
 					break
@@ -207,13 +215,18 @@ func TopUp(core *dspgate.Core, undetected []fault.Fault, maxPatterns int) TopUpR
 		{isa.OpMpyShift, isa.AccA}, {isa.OpMpyShiftMac, isa.AccA},
 		{isa.OpMacM, isa.AccA},
 	}
-	fixedFor := make([]map[logic.NetID]bool, len(ops))
+	solvers := make([]*atpg.Solver, len(ops))
 	for i, o := range ops {
 		fixed := ctrlFixed(n, o.op, o.acc)
 		for _, a := range accNets {
 			fixed[a] = false // zeroed accumulators, reachable via preamble
 		}
-		fixedFor[i] = fixed
+		solvers[i] = atpg.NewSolver(n, atpg.Options{
+			PIs:           pis,
+			Fixed:         fixed,
+			Observe:       macOut,
+			MaxBacktracks: 4000,
+		})
 	}
 
 	var res TopUpResult
@@ -223,12 +236,7 @@ func TopUp(core *dspgate.Core, undetected []fault.Fault, maxPatterns int) TopUpR
 		}
 		verdict := atpg.Untestable
 		for oi, o := range ops {
-			r := atpg.Generate(n, f, atpg.Options{
-				PIs:           pis,
-				Fixed:         fixedFor[oi],
-				Observe:       macOut,
-				MaxBacktracks: 4000,
-			})
+			r := solvers[oi].Generate(f)
 			if r.Status == atpg.Aborted && verdict != atpg.Detected {
 				verdict = atpg.Aborted
 			}
