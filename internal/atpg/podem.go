@@ -294,12 +294,15 @@ type Solver struct {
 	events []int32
 	queued []bool
 	// front is the D-frontier found by the last faultEffects call, as
-	// ranks in ascending order; seen and walk are that call's visited
-	// stamps (against epoch) and work stack.
+	// ranks in ascending order, and walk that call's work stack. epoch
+	// numbers the search steps: seen[net] == epoch marks a net the
+	// step's walk visited, dead[net] == epoch one its backtraces found
+	// no way through.
 	front []int32
-	seen  []uint32
-	epoch uint32
 	walk  []logic.NetID
+	seen  []uint32
+	dead  []uint32
+	epoch uint32
 
 	sites   []logic.NetID
 	siteSet []bool
@@ -342,6 +345,7 @@ func NewSolver(n *logic.Netlist, opts Options) *Solver {
 		assign:  make([]Value, nets),
 		queued:  make([]bool, len(n.CombOrder())),
 		seen:    make([]uint32, nets),
+		dead:    make([]uint32, nets),
 		siteSet: make([]bool, nets),
 	}
 	if p.maxBT <= 0 {
@@ -647,6 +651,11 @@ func muxV(sel, a, b Value) Value {
 // D-frontier (gates with an X output and a D input) in CombOrder order.
 func (p *Solver) faultEffects() (detected bool) {
 	p.epoch++
+	if p.epoch == 0 { // wrapped: stamps from 2^32 steps ago would read as current
+		clear(p.seen)
+		clear(p.dead)
+		p.epoch = 1
+	}
 	p.front = p.front[:0]
 	walk := p.walk[:0]
 	for _, s := range p.sites {
@@ -691,34 +700,16 @@ func (p *Solver) activated() bool {
 	return false
 }
 
-// activationImpossible reports whether no site can activate under the
-// current assignment. After injection a site's value is either the stuck
-// value (good machine agrees with the fault: known, no D), a D (good
-// machine differs), or X (good machine undetermined). Activation is
-// impossible exactly when every site is known — i.e. none is D or X.
-func (p *Solver) activationImpossible() bool {
-	for _, s := range p.sites {
-		if !p.vals[s].known() {
-			return false
-		}
-	}
-	return true
-}
-
 func (p *Solver) search() Status {
 	for {
 		if p.faultEffects() {
 			return Detected
 		}
-		obj, objVal, ok := p.objective()
-		if ok {
-			pi, piVal, found := p.backtrace(obj, objVal)
-			if found {
-				p.decisions++
-				p.stack = append(p.stack, decision{pi: pi, value: piVal, mark: len(p.trail)})
-				p.decide(pi, piVal)
-				continue
-			}
+		if pi, value, ok := p.nextDecision(); ok {
+			p.decisions++
+			p.stack = append(p.stack, decision{pi: pi, value: value, mark: len(p.trail)})
+			p.decide(pi, value)
+			continue
 		}
 		// No progress possible: backtrack.
 		for {
@@ -745,76 +736,80 @@ func (p *Solver) search() Status {
 	}
 }
 
-// objective picks the next goal: activate the fault, then extend the
-// D-frontier toward an observe point.
-func (p *Solver) objective() (logic.NetID, Value, bool) {
+// nextDecision picks the next PI assignment: toward activating the
+// fault while no site carries a D, then toward extending the D-frontier
+// to an observe point. Each candidate objective — an X site; an X input
+// of a frontier gate, in CombOrder order, with the value that lets the
+// fault effect through — is backtraced in turn, and the first that
+// leads to an unassigned PI wins. With none, no further assignment can
+// change a site or a frontier gate, and the search must back up.
+func (p *Solver) nextDecision() (pi logic.NetID, value, ok bool) {
 	if !p.activated() {
-		if p.activationImpossible() {
-			return 0, VX, false
-		}
+		// After injection a site is the stuck value (the good machine
+		// agrees with the fault), a D, or X (good machine undetermined):
+		// only an X site can still activate.
 		for _, s := range p.sites {
-			if p.vals[s] == VX {
-				return s, fromBool(!p.sa1), true
+			if p.vals[s] != VX {
+				continue
+			}
+			if pi, value, ok = p.backtrace(s, fromBool(!p.sa1)); ok {
+				return pi, value, true
 			}
 		}
-		return 0, VX, false
+		return 0, false, false
 	}
 	for _, r := range p.front {
 		g := p.n.Gate(p.order[r])
-		// Pick a controllable X input and the value that unblocks
-		// propagation (an X input with no assignable PI in its cone can
-		// never be set, so that gate is dead for propagation).
 		for pin, in := range g.In {
+			// An X input with no assignable PI in its cone can never be
+			// set.
 			if p.vals[in] != VX || !p.reach[in] {
 				continue
 			}
+			want := V0
 			switch g.Kind {
 			case logic.GateAnd, logic.GateNand:
-				return in, V1, true
+				want = V1
 			case logic.GateMux2:
 				// Select whichever data input carries the D.
 				if pin == 0 && p.vals[g.In[2]].hasD() {
-					return in, V1, true
+					want = V1
 				}
 			}
-			return in, V0, true
+			if pi, value, ok = p.backtrace(in, want); ok {
+				return pi, value, true
+			}
 		}
 	}
-	return 0, VX, false
+	return 0, false, false
 }
 
-// backtrace maps an objective to an unassigned PI assignment along a
-// path of X values, inverting the target value through inverting gates.
+// backtrace maps an objective to an unassigned PI along a path of X
+// values, inverting the target value through inverting gates (through
+// XOR and MUX the value is kept, heuristically). A path that ends on a
+// source PODEM may not assign is abandoned for the gate's next X input;
+// a net with no path at all is stamped dead so the current step does
+// not descend into it again.
 func (p *Solver) backtrace(net logic.NetID, val Value) (logic.NetID, bool, bool) {
-	for depth := 0; depth < p.n.NumNets(); depth++ {
-		if p.isPI[net] {
-			if p.assign[net] != VX {
-				return 0, false, false
-			}
-			return net, val == V1, true
-		}
-		if p.rank[net] < 0 {
-			return 0, false, false // non-assignable source
-		}
-		g := p.n.Gate(net)
-		// Choose an X input whose cone contains an assignable PI.
-		next := logic.InvalidNet
-		for _, in := range g.In {
-			if p.vals[in] == VX && p.reach[in] {
-				next = in
-				break
-			}
-		}
-		if next == logic.InvalidNet {
-			return 0, false, false
-		}
-		switch g.Kind {
-		case logic.GateNot, logic.GateNand, logic.GateNor, logic.GateXnor:
-			val = not(val)
-		}
-		// Through the other kinds the value is kept (heuristically, for
-		// XOR and MUX).
-		net = next
+	if p.isPI[net] {
+		return net, val == V1, p.assign[net] == VX
 	}
+	if p.rank[net] < 0 || p.dead[net] == p.epoch {
+		return 0, false, false
+	}
+	g := p.n.Gate(net)
+	switch g.Kind {
+	case logic.GateNot, logic.GateNand, logic.GateNor, logic.GateXnor:
+		val = not(val)
+	}
+	for _, in := range g.In {
+		if p.vals[in] != VX || !p.reach[in] {
+			continue
+		}
+		if pi, value, ok := p.backtrace(in, val); ok {
+			return pi, value, true
+		}
+	}
+	p.dead[net] = p.epoch
 	return 0, false, false
 }
