@@ -134,11 +134,15 @@ func goldenLine(label string, r Result) string {
 
 // TestEquivalenceGolden pins the search itself: per fault the same
 // status, decisions, backtracks, implication passes and assignment as
-// the full-sweep engine produced at the commit before the Solver
-// (testdata/podem_golden.txt.gz, one line per run, was written there by that engine's
-// Generate; -update rewrites it from the copy in reference_test.go).
-// Both forms are held to it: a Solver reused across each case's faults,
-// and the one-shot Generate.
+// the full-sweep engine. The dsp and shifter lines of
+// testdata/podem_golden.txt.gz (one line per run) were written at the
+// commit before the Solver by that engine's own Generate; -update
+// rewrites the file from the copy in reference_test.go and reproduces
+// them byte for byte. The unroll3 lines passed in that form too, and
+// were then rewritten with the multi-site activation fallback that
+// reference_test.go describes (20 of 156 moved). Both forms are held to
+// the golden: a Solver reused across each case's faults, and the
+// one-shot Generate.
 func TestEquivalenceGolden(t *testing.T) {
 	cases := goldenCases(t)
 	if *update {

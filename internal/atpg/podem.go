@@ -690,16 +690,6 @@ func (p *Solver) faultEffects() (detected bool) {
 	return false
 }
 
-// activated reports whether some site carries a D.
-func (p *Solver) activated() bool {
-	for _, s := range p.sites {
-		if p.vals[s].hasD() {
-			return true
-		}
-	}
-	return false
-}
-
 func (p *Solver) search() Status {
 	for {
 		if p.faultEffects() {
@@ -736,28 +726,16 @@ func (p *Solver) search() Status {
 	}
 }
 
-// nextDecision picks the next PI assignment: toward activating the
-// fault while no site carries a D, then toward extending the D-frontier
-// to an observe point. Each candidate objective — an X site; an X input
-// of a frontier gate, in CombOrder order, with the value that lets the
-// fault effect through — is backtraced in turn, and the first that
-// leads to an unassigned PI wins. With none, no further assignment can
-// change a site or a frontier gate, and the search must back up.
+// nextDecision picks the next PI assignment: toward extending the
+// D-frontier to an observe point, and otherwise — no site carries a D
+// yet, or the frontier cannot be advanced while another site of a
+// multi-site fault is still X — toward activating the fault. Each
+// candidate objective (an X input of a frontier gate, in CombOrder
+// order, with the value that lets the fault effect through; then an X
+// site) is backtraced in turn, and the first that leads to an
+// unassigned PI wins. With none, no further assignment can change a
+// frontier gate or a site, and the search must back up.
 func (p *Solver) nextDecision() (pi logic.NetID, value, ok bool) {
-	if !p.activated() {
-		// After injection a site is the stuck value (the good machine
-		// agrees with the fault), a D, or X (good machine undetermined):
-		// only an X site can still activate.
-		for _, s := range p.sites {
-			if p.vals[s] != VX {
-				continue
-			}
-			if pi, value, ok = p.backtrace(s, fromBool(!p.sa1)); ok {
-				return pi, value, true
-			}
-		}
-		return 0, false, false
-	}
 	for _, r := range p.front {
 		g := p.n.Gate(p.order[r])
 		for pin, in := range g.In {
@@ -779,6 +757,17 @@ func (p *Solver) nextDecision() (pi logic.NetID, value, ok bool) {
 			if pi, value, ok = p.backtrace(in, want); ok {
 				return pi, value, true
 			}
+		}
+	}
+	// After injection a site is the stuck value (the good machine
+	// agrees with the fault), a D, or X (good machine undetermined):
+	// only an X site can still activate.
+	for _, s := range p.sites {
+		if p.vals[s] != VX {
+			continue
+		}
+		if pi, value, ok = p.backtrace(s, fromBool(!p.sa1)); ok {
+			return pi, value, true
 		}
 	}
 	return 0, false, false

@@ -7,6 +7,12 @@ package atpg
 // same decisions and backtracks and return the same Status and
 // Assignment wherever every X source is assignable (beyond that the
 // Solver explores backtrace alternatives this engine gives up on).
+//
+// One change to the search: objective falls back to activating a site
+// that is still X when the D-frontier is empty. The parent backtracked
+// there, which for a multi-site fault (ExtraSites) could skip the only
+// tests and report a testable fault untestable; single-site runs never
+// reach the fallback, so for them this is the parent's search verbatim.
 
 import (
 	"fmt"
@@ -323,6 +329,13 @@ func (p *refPodem) objective() (logic.NetID, Value, bool) {
 			default:
 				return in, V0, true
 			}
+		}
+	}
+	// Not in the parent's engine: with no frontier gate to advance, a
+	// site still at X may yet activate (see the header comment).
+	for _, s := range p.sites {
+		if p.vals[s] == VX {
+			return s, fromBool(!p.sa1), true
 		}
 	}
 	return 0, VX, false

@@ -67,12 +67,12 @@ func bruteDetectable(n *logic.Netlist, f fault.Fault, opts Options, extra []logi
 
 // TestPODEMAgainstBruteForceRestricted holds the verdicts to exhaustive
 // five-valued simulation on random netlists where a random subset of the
-// sources may be assigned, some are fixed and the rest stay X:
-// Untestable exactly when no assignment of the assignable sources
-// detects, and every returned test detects.
+// sources may be assigned, some are fixed, the rest stay X, and the
+// fault may sit at a second site: Untestable exactly when no assignment
+// of the assignable sources detects, and every returned test detects.
 func TestPODEMAgainstBruteForceRestricted(t *testing.T) {
 	runs, untestable := 0, 0
-	for seed := int64(0); seed < 80; seed++ {
+	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		n, err := logictest.RandomNetlist(rng, seed%2 == 1)
 		if err != nil {
@@ -99,6 +99,9 @@ func TestPODEMAgainstBruteForceRestricted(t *testing.T) {
 		s := NewSolver(n, opts)
 		for _, f := range fault.AllFaults(n) {
 			var extra []logic.NetID
+			if rng.Intn(3) == 0 {
+				extra = append(extra, logic.NetID(rng.Intn(n.NumNets())))
+			}
 			res := s.Generate(f, extra...)
 			want := bruteDetectable(n, f, opts, extra, opts.PIs)
 			runs++
