@@ -202,10 +202,11 @@ func TestPODEMRestrictedPIs(t *testing.T) {
 	}
 }
 
-func TestShifterConstraintShape(t *testing.T) {
-	// The paper's Section 3.4 observation, reproduced in miniature: with
-	// mode restricted away from "variable" (01), shifter fault coverage
-	// collapses; banning left1/right1 barely matters.
+// buildShifter builds the standalone barrel shifter of the Section 3.4
+// constraint study and returns it with its mode bits and collapsed
+// fault list.
+func buildShifter(t testing.TB) (*logic.Netlist, logic.Bus, []fault.Fault) {
+	t.Helper()
 	b := logic.NewBuilder()
 	data := b.InputBus("d", 18)
 	amt := b.InputBus("amt", 4)
@@ -217,6 +218,14 @@ func TestShifterConstraintShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults, _ := fault.Collapse(n, fault.AllFaults(n))
+	return n, mode, faults
+}
+
+func TestShifterConstraintShape(t *testing.T) {
+	// The paper's Section 3.4 observation, reproduced in miniature: with
+	// mode restricted away from "variable" (01), shifter fault coverage
+	// collapses; banning left1/right1 barely matters.
+	n, mode, faults := buildShifter(t)
 	// Sample the fault list to keep the test quick; the experiments
 	// harness runs the full-size study (E6).
 	sample := faults

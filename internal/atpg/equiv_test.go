@@ -16,7 +16,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/logic/logictest"
-	"repro/internal/synth"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/podem_golden.txt.gz from the full-sweep reference engine")
@@ -63,16 +62,7 @@ func goldenCases(t testing.TB) []goldenCase {
 	cases = append(cases, c)
 
 	// The constraint study: every shifter fault with the mode bits fixed.
-	b := logic.NewBuilder()
-	data := b.InputBus("d", 18)
-	amt := b.InputBus("amt", 4)
-	mode := b.InputBus("mode", 2)
-	b.MarkOutputBus(synth.BarrelShifter(b, data, amt, mode), "out")
-	shifter, err := b.Build(logic.BuildOptions{InsertFanoutBranches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shFaults, _ := fault.Collapse(shifter, fault.AllFaults(shifter))
+	shifter, mode, shFaults := buildShifter(t)
 	for m := 0; m < 3; m++ {
 		c := goldenCase{n: shifter, opts: Options{
 			Fixed:         map[logic.NetID]bool{mode[0]: m&1 == 1, mode[1]: m&2 == 2},
@@ -171,12 +161,16 @@ func TestEquivalenceGolden(t *testing.T) {
 			if line >= len(want) {
 				t.Fatalf("golden has %d lines, fewer than the cases list", len(want))
 			}
-			if got := goldenLine(j.label, s.Generate(j.f, j.extra...)); got != want[line] {
-				t.Fatalf("reused solver, line %d:\n got %s\nwant %s", line+1, got, want[line])
+			// The one-shot form differs only in building its own solver, so
+			// a sample of each case pins it; -short (the race job over the
+			// whole tree) checks the reused solver on that sample only.
+			sampled := k%8 == 0
+			if sampled || !testing.Short() {
+				if got := goldenLine(j.label, s.Generate(j.f, j.extra...)); got != want[line] {
+					t.Fatalf("reused solver, line %d:\n got %s\nwant %s", line+1, got, want[line])
+				}
 			}
-			// The one-shot form differs only in building its own solver;
-			// a sample of each case is enough to pin it.
-			if k%8 == 0 {
+			if sampled {
 				opts := c.opts
 				opts.ExtraSites = j.extra
 				if got := goldenLine(j.label, Generate(c.n, j.f, opts)); got != want[line] {
@@ -209,30 +203,37 @@ func readGolden(t *testing.T) []byte {
 	return data
 }
 
+// fullSweep evaluates the whole frame with the reference engine's imply:
+// sources take their fixed or assigned value (X otherwise) and the
+// sa1/sa0 fault is injected at every net of siteSet.
+func fullSweep(n *logic.Netlist, fixed, assign map[logic.NetID]bool, siteSet []bool, sa1 bool) *refPodem {
+	ref := &refPodem{
+		n:       n,
+		vals:    make([]Value, n.NumNets()),
+		isFixed: make([]bool, n.NumNets()),
+		siteSet: siteSet,
+		sa1:     sa1,
+		assign:  assign,
+	}
+	for net, v := range fixed {
+		ref.isFixed[net] = true
+		ref.vals[net] = fromBool(v)
+	}
+	ref.imply()
+	return ref
+}
+
 // checkAgainstSweep makes s compare its values with a full re-evaluation
-// of the frame by the reference engine after every implication pass and
-// every undo.
+// of the frame after every implication pass.
 func checkAgainstSweep(t *testing.T, s *Solver, opts Options) {
 	s.afterPass = func() {
-		ref := &refPodem{
-			n:       s.n,
-			vals:    make([]Value, s.n.NumNets()),
-			isFixed: make([]bool, s.n.NumNets()),
-			sites:   s.sites,
-			siteSet: s.siteSet,
-			sa1:     s.sa1,
-			assign:  map[logic.NetID]bool{},
-		}
-		for net, v := range opts.Fixed {
-			ref.isFixed[net] = true
-			ref.vals[net] = fromBool(v)
-		}
+		assign := map[logic.NetID]bool{}
 		for net, v := range s.assign {
 			if v != VX {
-				ref.assign[logic.NetID(net)] = v == V1
+				assign[logic.NetID(net)] = v == V1
 			}
 		}
-		ref.imply()
+		ref := fullSweep(s.n, opts.Fixed, assign, s.siteSet, s.sa1)
 		for net, v := range ref.vals {
 			if s.vals[net] != v {
 				t.Fatalf("net %d (%s): incremental %v, full sweep %v",

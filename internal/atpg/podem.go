@@ -1,6 +1,8 @@
 // Package atpg implements combinational test pattern generation with
 // the PODEM algorithm over a five-valued calculus (0, 1, X, D, D̄), plus
-// bounded time-frame unrolling for sequential targets.
+// bounded time-frame unrolling for sequential targets. A Solver holds
+// what depends only on the netlist and the options, so a loop over a
+// fault list pays for it once; Generate is the one-shot form.
 //
 // Three consumers in this repository:
 //   - the Phase-3 "random resistant patterns" top-up, which runs PODEM on
@@ -183,7 +185,7 @@ type Options struct {
 	MaxBacktracks int
 	// ExtraSites injects the same fault at additional nets (used by
 	// time-frame unrolling, where one physical fault appears once per
-	// frame).
+	// frame). Sites that differ per fault go to Solver.Generate instead.
 	ExtraSites []logic.NetID
 }
 
@@ -310,8 +312,8 @@ type Solver struct {
 
 	bts, decisions, implies, evals int
 
-	// afterPass, when set (tests only), runs after every implication
-	// pass and every undo.
+	// afterPass, when set (tests only), runs at the end of every
+	// implication pass.
 	afterPass func()
 }
 

@@ -32,33 +32,29 @@ func TestBacktraceTriesEveryPath(t *testing.T) {
 	}
 }
 
-// bruteDetectable reports whether some assignment of pis puts a D or D̄
-// on an observation point, by five-valued simulation of every
-// assignment with the remaining sources at X (or at their fixed value).
-func bruteDetectable(n *logic.Netlist, f fault.Fault, opts Options, extra []logic.NetID, pis []logic.NetID) bool {
-	for v := 0; v < 1<<len(pis); v++ {
-		ref := &refPodem{
-			n:       n,
-			vals:    make([]Value, n.NumNets()),
-			isFixed: make([]bool, n.NumNets()),
-			siteSet: make([]bool, n.NumNets()),
-			sa1:     f.SA1,
-			assign:  map[logic.NetID]bool{},
-			observe: opts.Observe,
+// sweepDetects reports whether assign puts a D or D̄ on an observation
+// point, by five-valued simulation with the unassigned, unfixed sources
+// at X.
+func sweepDetects(n *logic.Netlist, f fault.Fault, opts Options, extra []logic.NetID, assign map[logic.NetID]bool) bool {
+	siteSet := make([]bool, n.NumNets())
+	siteSet[f.Site] = true
+	for _, s := range extra {
+		siteSet[s] = true
+	}
+	ref := fullSweep(n, opts.Fixed, assign, siteSet, f.SA1)
+	ref.observe = opts.Observe
+	return ref.detected()
+}
+
+// bruteDetectable reports whether some assignment of opts.PIs detects
+// the fault, trying every one.
+func bruteDetectable(n *logic.Netlist, f fault.Fault, opts Options, extra []logic.NetID) bool {
+	for v := 0; v < 1<<len(opts.PIs); v++ {
+		assign := map[logic.NetID]bool{}
+		for i, pi := range opts.PIs {
+			assign[pi] = v>>i&1 == 1
 		}
-		for net, fv := range opts.Fixed {
-			ref.isFixed[net] = true
-			ref.vals[net] = fromBool(fv)
-		}
-		ref.siteSet[f.Site] = true
-		for _, s := range extra {
-			ref.siteSet[s] = true
-		}
-		for i, pi := range pis {
-			ref.assign[pi] = v>>i&1 == 1
-		}
-		ref.imply()
-		if ref.detected() {
+		if sweepDetects(n, f, opts, extra, assign) {
 			return true
 		}
 	}
@@ -103,21 +99,11 @@ func TestPODEMAgainstBruteForceRestricted(t *testing.T) {
 				extra = append(extra, logic.NetID(rng.Intn(n.NumNets())))
 			}
 			res := s.Generate(f, extra...)
-			want := bruteDetectable(n, f, opts, extra, opts.PIs)
+			want := bruteDetectable(n, f, opts, extra)
 			runs++
 			switch res.Status {
 			case Detected:
-				var pis []logic.NetID
-				fixed := map[logic.NetID]bool{}
-				for net, v := range opts.Fixed {
-					fixed[net] = v
-				}
-				for pi, v := range res.Assignment {
-					fixed[pi] = v
-				}
-				check := opts
-				check.Fixed = fixed
-				if !bruteDetectable(n, f, check, extra, pis) {
+				if !sweepDetects(n, f, opts, extra, res.Assignment) {
 					t.Fatalf("seed %d fault %v extra %v: test %v does not detect", seed, f, extra, res.Assignment)
 				}
 			case Untestable:
