@@ -53,17 +53,44 @@ func BenchmarkTable1Metrics(b *testing.B) {
 	}
 }
 
+// reportTrialRate reports behavioural simulations per second: the
+// controllability trials and error injections behind the measured cells.
+func reportTrialRate(b *testing.B, trials, injections int) {
+	b.ReportMetric(float64(trials+injections)/b.Elapsed().Seconds(), "trials/s")
+}
+
 // BenchmarkTable2MetricsRow measures one Table 2 row (E2; the full
 // 24-row table is the same work ×24).
 func BenchmarkTable2MetricsRow(b *testing.B) {
 	eng := metrics.NewEngine(metrics.Config{CTrials: 2000, OGoodRuns: 4, Seed: 1})
+	b.ReportAllocs()
 	b.ResetTimer()
+	trials, injections := 0, 0
 	for i := 0; i < b.N; i++ {
 		cells := eng.MeasureRow(metrics.Row{Op: isa.OpMacP, Acc: isa.AccA, State: metrics.AccRandom})
 		if len(cells) == 0 {
 			b.Fatal("no cells")
 		}
+		t, inj := metrics.TrialCounts(cells)
+		trials, injections = trials+t, injections+inj
 	}
+	reportTrialRate(b, trials, injections)
+}
+
+// BenchmarkMetricsTable builds the whole Table 2 at the configuration
+// the repository benchmark's paper_flow workload uses, so its ns/op is
+// that workload's metrics.engine_s without the harness.
+func BenchmarkMetricsTable(b *testing.B) {
+	eng := metrics.NewEngine(metrics.Config{CTrials: 6000, OGoodRuns: 4, Seed: 33})
+	b.ReportAllocs()
+	b.ResetTimer()
+	trials, injections := 0, 0
+	for i := 0; i < b.N; i++ {
+		tab := eng.BuildTable()
+		t, inj := tab.TrialCounts()
+		trials, injections = trials+t, injections+inj
+	}
+	reportTrialRate(b, trials, injections)
 }
 
 // BenchmarkPhase1Cover runs the greedy covering pass over the metrics
@@ -82,11 +109,17 @@ func BenchmarkPhase1Cover(b *testing.B) {
 // BenchmarkProgramGeneration runs the full generation flow, metrics
 // table included (E4 / Figure 7).
 func BenchmarkProgramGeneration(b *testing.B) {
+	b.ReportAllocs()
+	trials, injections := 0, 0
 	for i := 0; i < b.N; i++ {
 		eng := metrics.NewEngine(metrics.Config{CTrials: 4000, OGoodRuns: 4, Seed: 33})
-		prog, _ := selftest.NewGenerator(eng).Generate()
+		prog, rep := selftest.NewGenerator(eng).Generate()
 		b.ReportMetric(float64(prog.Len()), "instrs/loop")
+		t, inj := rep.Table.TrialCounts()
+		trials += t + rep.Phase2.Trials
+		injections += inj + rep.Phase2.Injections
 	}
+	reportTrialRate(b, trials, injections)
 }
 
 // BenchmarkFaultCoverageBase fault-simulates the base self-test program

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"math/rand"
+	"sync"
 
 	"repro/internal/dsp"
 	"repro/internal/isa"
@@ -141,7 +141,7 @@ func (p portSrc) width() int {
 // controllability metric measures (paper Section 3.2). Register-file
 // read ports, the forwarding register and the accumulators are sampled
 // at the value they deliver/store.
-var compPorts = map[dsp.Component][]portSrc{
+var compPorts = [...][]portSrc{
 	dsp.CompMultiplier: {{sig: dsp.SigOpA}, {sig: dsp.SigOpB}},
 	dsp.CompShifter:    {{sig: dsp.SigAccSel}, {sig: dsp.SigShiftAmt}},
 	dsp.CompAddSub:     {{isComp: true, comp: dsp.CompMuxA}, {isComp: true, comp: dsp.CompMuxB}},
@@ -231,39 +231,101 @@ func (r *recorder) Signal(sig dsp.Signal, value uint32) {
 	r.sigVal[sig] = value
 }
 
-// runTrial executes one randomized trial of the sequence. The returned
-// output trace has one entry per cycle. When inject targets an
-// accumulator, the stored state is corrupted right after the target's
-// execute cycle (errors at a register's output are errors in its
-// contents); other components are overridden through the probe.
-func (e *Engine) runTrial(core *dsp.Core, rec *recorder, seq Sequence, rng *rand.Rand,
+// source is the stream of random words a trial draws its register,
+// accumulator and immediate values from.
+type source interface{ Uint32() uint32 }
+
+// tape is a source that records the words one trial draws from another
+// source and then serves them again, so the error injections of the
+// observability pass repeat their good run's operands without
+// re-seeding a generator per injection.
+type tape struct {
+	from  source // recording from; nil while replaying
+	words []uint32
+	next  int
+}
+
+// record empties the tape and starts recording what is drawn from src.
+func (t *tape) record(src source) { t.from, t.words = src, t.words[:0] }
+
+// rewind switches the tape to replaying, from its first word.
+func (t *tape) rewind() { t.from, t.next = nil, 0 }
+
+// spent reports whether a replay drew every recorded word.
+func (t *tape) spent() bool { return t.next == len(t.words) }
+
+func (t *tape) Uint32() uint32 {
+	if t.from != nil {
+		w := t.from.Uint32()
+		t.words = append(t.words, w)
+		return w
+	}
+	w := t.words[t.next]
+	t.next++
+	return w
+}
+
+// scratch is the working memory of one measurement: the core with its
+// probe, the port histograms of every column, the draw tape and the
+// output traces. One goroutine uses a scratch at a time; the pool hands
+// it on between measurements so the histogram arrays are allocated once.
+type scratch struct {
+	core *dsp.Core
+	rec  recorder
+	// hists[column][port], allocated when a column is first exercised
+	// and empty between measurements; active marks the columns the
+	// running measurement has exercised.
+	hists  [][]*Histogram
+	active []bool
+	tape   tape
+	good   []uint8
+	bad    []uint8
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := &scratch{
+		core:   dsp.New(),
+		hists:  make([][]*Histogram, len(columns)),
+		active: make([]bool, len(columns)),
+	}
+	sc.core.SetProbe(&sc.rec)
+	return sc
+}}
+
+// runTrial executes one randomized trial of the sequence for the given
+// number of cycles and returns the output trace, one entry per cycle,
+// appended to trace[:0]. When inject targets an accumulator, the stored
+// state is corrupted right after the target's execute cycle (errors at
+// a register's output are errors in its contents); other components are
+// overridden through the probe.
+func (sc *scratch) runTrial(seq Sequence, src source, cycles int, trace []uint8,
 	injectAcc dsp.Component, accErr uint32) []uint8 {
 
+	core, rec := sc.core, &sc.rec
 	core.Reset()
 	rec.resetTrial()
 	for i := 0; i < isa.NumRegs; i++ {
-		core.SetReg(i, uint8(rng.Uint32()))
+		core.SetReg(i, uint8(src.Uint32()))
 	}
 	var accA, accB uint32
 	if seq.State == AccRandom {
-		accA = rng.Uint32() & dsp.Mask18
-		accB = rng.Uint32() & dsp.Mask18
+		accA = src.Uint32() & dsp.Mask18
+		accB = src.Uint32() & dsp.Mask18
 	}
 	core.SetAcc(isa.AccA, accA)
 	core.SetAcc(isa.AccB, accB)
 
-	total := len(seq.Instrs) + e.cfg.DrainCycles
-	trace := make([]uint8, 0, total)
+	trace = trace[:0]
 	s2Cycle := seq.Target + 1
 	exCycle := seq.Target + dsp.EXLatency
 
-	for cyc := 0; cyc < total; cyc++ {
+	for cyc := 0; cyc < cycles; cyc++ {
 		word := uint32(0)
 		if cyc < len(seq.Instrs) {
 			in := seq.Instrs[cyc]
 			if in.Op == isa.OpLdi || in.Op == isa.OpLdRnd {
 				if in.RndImm || in.Op == isa.OpLdRnd {
-					in.Imm = uint8(rng.Uint32())
+					in.Imm = uint8(src.Uint32())
 					in.Op = isa.OpLdi
 				}
 			}

@@ -13,16 +13,24 @@
 // reach the core's primary output.
 package metrics
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Histogram accumulates a value distribution for entropy estimation.
-// Widths up to HistArrayBits use a dense array; use one Histogram per
-// signal and Reset between measurements to reuse the allocation.
+// Next to its counts it keeps a bitmap of the values seen, so Reset and
+// Entropy visit the distinct samples instead of the whole value range;
+// use one Histogram per signal and Reset between measurements to reuse
+// the allocation.
 type Histogram struct {
-	width  int
-	total  int
-	counts []uint32       // dense, when width <= HistArrayBits
-	sparse map[uint32]int // fallback for wider signals
+	width    int
+	total    int
+	distinct int
+	counts   []uint32          // dense, when width <= HistArrayBits
+	occupied []uint64          // bit v set when counts[v] != 0
+	wide     map[uint32]uint32 // counts of wider signals
 }
 
 // HistArrayBits is the widest signal backed by a dense count array
@@ -33,9 +41,11 @@ const HistArrayBits = 18
 func NewHistogram(width int) *Histogram {
 	h := &Histogram{width: width}
 	if width <= HistArrayBits {
-		h.counts = make([]uint32, 1<<uint(width))
+		slots := 1 << uint(width)
+		h.counts = make([]uint32, slots)
+		h.occupied = make([]uint64, (slots+63)/64)
 	} else {
-		h.sparse = make(map[uint32]int)
+		h.wide = make(map[uint32]uint32)
 	}
 	return h
 }
@@ -49,24 +59,32 @@ func (h *Histogram) Total() int { return h.total }
 // Add accumulates one sample (masked to the histogram width).
 func (h *Histogram) Add(v uint32) {
 	v &= uint32(1)<<uint(h.width) - 1
-	if h.counts != nil {
-		h.counts[v]++
-	} else {
-		h.sparse[v]++
-	}
 	h.total++
+	if h.counts == nil {
+		c := h.wide[v]
+		if c == 0 {
+			h.distinct++
+		}
+		h.wide[v] = c + 1
+		return
+	}
+	if h.counts[v] == 0 {
+		h.occupied[v>>6] |= 1 << (v & 63)
+		h.distinct++
+	}
+	h.counts[v]++
 }
 
 // Reset clears all counts, keeping the allocation.
 func (h *Histogram) Reset() {
-	if h.counts != nil {
-		for i := range h.counts {
-			h.counts[i] = 0
+	for w, word := range h.occupied {
+		for ; word != 0; word &= word - 1 {
+			h.counts[w<<6|bits.TrailingZeros64(word)] = 0
 		}
-	} else {
-		clear(h.sparse)
+		h.occupied[w] = 0
 	}
-	h.total = 0
+	clear(h.wide)
+	h.total, h.distinct = 0, 0
 }
 
 // Entropy returns the Miller-Madow-corrected plug-in entropy estimate in
@@ -74,30 +92,35 @@ func (h *Histogram) Reset() {
 // the plug-in estimator's downward bias when the sample count is not
 // much larger than the support size — the regime the paper's wide
 // (18-bit) accumulator signals put us in.
+//
+// The terms are summed in ascending value order whatever order the
+// samples arrived in, so equal sample multisets give equal bits.
 func (h *Histogram) Entropy() float64 {
 	if h.total == 0 {
 		return 0
 	}
 	n := float64(h.total)
 	var hPlug float64
-	distinct := 0
-	if h.counts != nil {
-		for _, c := range h.counts {
-			if c == 0 {
-				continue
-			}
-			distinct++
-			p := float64(c) / n
-			hPlug -= p * math.Log2(p)
-		}
-	} else {
-		for _, c := range h.sparse {
-			distinct++
-			p := float64(c) / n
-			hPlug -= p * math.Log2(p)
+	term := func(c uint32) {
+		p := float64(c) / n
+		hPlug -= p * math.Log2(p)
+	}
+	for w, word := range h.occupied {
+		for ; word != 0; word &= word - 1 {
+			term(h.counts[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
-	hMM := hPlug + float64(distinct-1)/(2*n*math.Ln2)
+	if h.counts == nil {
+		values := make([]uint32, 0, len(h.wide))
+		for v := range h.wide {
+			values = append(values, v)
+		}
+		slices.Sort(values)
+		for _, v := range values {
+			term(h.wide[v])
+		}
+	}
+	hMM := hPlug + float64(h.distinct-1)/(2*n*math.Ln2)
 	if hMM < 0 {
 		hMM = 0
 	}

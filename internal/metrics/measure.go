@@ -1,96 +1,137 @@
 package metrics
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"repro/internal/dsp"
 )
+
+// components and columns are the fixed walk orders of a measurement;
+// firstColumn[comp] is the component's mode-0 column, its other modes
+// following in order.
+var (
+	components  = dsp.Components()
+	columns     = StandardColumns()
+	firstColumn = func() []int {
+		first := make([]int, len(components))
+		for i, c := range columns {
+			if c.Mode == 0 {
+				first[c.Comp] = i
+			}
+		}
+		return first
+	}()
+)
+
+// columnIndex finds the column of a component mode, or -1.
+func columnIndex(comp dsp.Component, mode int) int {
+	if mode < 0 || mode >= comp.Modes() {
+		return -1
+	}
+	return firstColumn[comp] + mode
+}
 
 // MeasureSequence computes one metrics-table row for the target
 // instruction of a sequence: controllability from CTrials monitored
 // runs and observability from OGoodRuns × 2×n error injections per
 // component. The returned cells align with StandardColumns().
 func (e *Engine) MeasureSequence(seq Sequence) []Cell {
-	cols := StandardColumns()
-	cells := make([]Cell, len(cols))
-	colIdx := func(comp dsp.Component, mode int) int {
-		for i, c := range cols {
-			if c.Comp == comp && c.Mode == mode {
-				return i
-			}
-		}
-		return -1
-	}
+	sc := scratchPool.Get().(*scratch)
+	cells := e.measure(seq, sc)
+	scratchPool.Put(sc)
+	return cells
+}
 
-	// ---- Controllability pass ----
-	hists := make([][]*Histogram, len(cols))
-	core := dsp.New()
-	rec := &recorder{}
-	core.SetProbe(rec)
+func (e *Engine) measure(seq Sequence, sc *scratch) []Cell {
+	cells := make([]Cell, len(columns))
+	sc.rec = recorder{} // nothing observed by the scratch's last user survives
+	e.controllability(seq, sc, cells)
+	e.observability(seq, sc, cells)
+	return cells
+}
+
+// controllability fills Active, C and CSamples from CTrials monitored
+// trials. It leaves sc's histograms empty again.
+func (e *Engine) controllability(seq Sequence, sc *scratch, cells []Cell) {
+	rec := &sc.rec
 	rng := rand.New(rand.NewSource(e.cfg.Seed))
+	// Nothing is sampled after the last instruction's writeback, and the
+	// draws all happen while instructions are fed, so the drain cycles
+	// past the pipeline depth — there for error propagation — are not run.
+	cycles := len(seq.Instrs) + min(e.cfg.DrainCycles, dsp.PipelineDepth-1)
 	for trial := 0; trial < e.cfg.CTrials; trial++ {
-		e.runTrial(core, rec, seq, rng, noAcc, 0)
-		for _, comp := range dsp.Components() {
+		sc.good = sc.runTrial(seq, rng, cycles, sc.good, noAcc, 0)
+		for _, comp := range components {
 			mode, seen := observedMode(rec, comp)
 			if !seen {
 				continue
 			}
-			ci := colIdx(comp, mode)
+			ci := columnIndex(comp, mode)
 			if ci < 0 {
 				continue
 			}
 			ports := compPorts[comp]
-			if hists[ci] == nil {
-				hists[ci] = make([]*Histogram, len(ports))
+			if sc.hists[ci] == nil {
+				sc.hists[ci] = make([]*Histogram, len(ports))
 				for pi, p := range ports {
-					hists[ci][pi] = NewHistogram(p.width())
+					sc.hists[ci][pi] = NewHistogram(p.width())
 				}
 			}
+			sc.active[ci] = true
 			for pi, p := range ports {
-				v, ok := portValue(rec, p)
-				if !ok {
-					continue
+				if v, ok := portValue(rec, p); ok {
+					sc.hists[ci][pi].Add(v)
 				}
-				hists[ci][pi].Add(v)
 			}
 		}
 	}
-	for ci := range cols {
-		if hists[ci] == nil {
+	for ci, hists := range sc.hists {
+		if !sc.active[ci] {
 			continue
 		}
+		sc.active[ci] = false
 		cells[ci].Active = true
-		cells[ci].C = Controllability(hists[ci]...)
-		cells[ci].CSamples = hists[ci][0].Total()
+		cells[ci].C = Controllability(hists...)
+		cells[ci].CSamples = hists[0].Total()
+		for _, h := range hists {
+			h.Reset()
+		}
 	}
+}
 
-	// ---- Observability pass ----
+// observability fills Injections, Detections and O: each of OGoodRuns
+// good trials is recorded on sc's tape and replayed once per injected
+// error, and an error counts as detected when the output trace differs.
+func (e *Engine) observability(seq Sequence, sc *scratch, cells []Cell) {
+	rec := &sc.rec
 	errRng := rand.New(rand.NewSource(e.cfg.Seed ^ 0x5bd1e995))
+	cycles := len(seq.Instrs) + e.cfg.DrainCycles
 	for g := 0; g < e.cfg.OGoodRuns; g++ {
-		seed := e.cfg.Seed + int64(g)*7919 + 1
-		goodRng := rand.New(rand.NewSource(seed))
-		goodTrace := e.runTrial(core, rec, seq, goodRng, noAcc, 0)
+		sc.tape.record(rand.New(rand.NewSource(e.cfg.Seed + int64(g)*7919 + 1)))
+		sc.good = sc.runTrial(seq, &sc.tape, cycles, sc.good, noAcc, 0)
 		good := *rec // snapshot of observed values and modes
 
-		for _, comp := range dsp.Components() {
+		for _, comp := range components {
 			mode, seen := observedMode(&good, comp)
 			if !seen {
 				continue
 			}
-			ci := colIdx(comp, mode)
+			ci := columnIndex(comp, mode)
 			if ci < 0 {
 				continue
 			}
 			width := comp.Width()
 			correct := good.compVal[comp]
-			isAcc := comp == dsp.CompAccA || comp == dsp.CompAccB
-			if comp == dsp.CompAccA {
-				correct = good.accAAfter
-			}
-			if comp == dsp.CompAccB {
-				correct = good.accBAfter
-			}
-			if comp == dsp.CompOutPort {
+			injectAcc := noAcc
+			switch comp {
+			case dsp.CompAccA:
+				correct, injectAcc = good.accAAfter, comp
+			case dsp.CompAccB:
+				correct, injectAcc = good.accBAfter, comp
+			case dsp.CompOutPort:
 				correct = good.outVal
 			}
 			mask := uint32(1)<<uint(width) - 1
@@ -99,19 +140,19 @@ func (e *Engine) MeasureSequence(seq Sequence) []Cell {
 				for errVal == correct {
 					errVal = errRng.Uint32() & mask
 				}
-				replayRng := rand.New(rand.NewSource(seed))
-				var badTrace []uint8
-				if isAcc {
-					badTrace = e.runTrial(core, rec, seq, replayRng, comp, errVal)
-				} else {
-					rec.inject = true
-					rec.injectComp = comp
-					rec.injectVal = errVal
-					badTrace = e.runTrial(core, rec, seq, replayRng, noAcc, 0)
-					rec.inject = false
+				// Accumulator errors go into the stored state; every
+				// other component is overridden through the probe.
+				rec.inject = injectAcc == noAcc
+				rec.injectComp = comp
+				rec.injectVal = errVal
+				sc.tape.rewind()
+				sc.bad = sc.runTrial(seq, &sc.tape, cycles, sc.bad, injectAcc, errVal)
+				rec.inject = false
+				if !sc.tape.spent() {
+					panic("metrics: an injection run drew fewer random words than its good run")
 				}
 				cells[ci].Injections++
-				if !equalTrace(goodTrace, badTrace) {
+				if !bytes.Equal(sc.good, sc.bad) {
 					cells[ci].Detections++
 				}
 			}
@@ -122,7 +163,6 @@ func (e *Engine) MeasureSequence(seq Sequence) []Cell {
 			cells[ci].O = float64(cells[ci].Detections) / float64(cells[ci].Injections)
 		}
 	}
-	return cells
 }
 
 // observedMode returns the component's active mode in the last recorded
@@ -150,18 +190,6 @@ func portValue(rec *recorder, p portSrc) (uint32, bool) {
 	return rec.sigVal[p.sig], true
 }
 
-func equalTrace(a, b []uint8) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // BuildTable measures the full standard metrics table (the paper's
 // Table 2): every instruction variant × every component mode.
 func (e *Engine) BuildTable() *Table {
@@ -173,9 +201,26 @@ func (e *Engine) BuildTable() *Table {
 		CThreshold: e.cfg.CThreshold,
 		OThreshold: e.cfg.OThreshold,
 	}
-	for r, row := range rows {
-		t.Cells[r] = e.MeasureSequence(StandardSequence(row.Op, row.Acc, row.State))
+	// Rows share nothing — each seeds its own generators from cfg.Seed —
+	// so workers take them one at a time and write their own slot.
+	todo := make(chan int, len(rows))
+	for r := range rows {
+		todo <- r
 	}
+	close(todo)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(rows)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(sc)
+			for r := range todo {
+				t.Cells[r] = e.measure(StandardSequence(rows[r].Op, rows[r].Acc, rows[r].State), sc)
+			}
+		}()
+	}
+	wg.Wait()
 	return t
 }
 

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,53 @@ func TestHistogramSparse(t *testing.T) {
 	// adds its (K−1)/(2N·ln2) ≈ 0.72-bit correction on top.
 	if got := h.Entropy(); got < 12 || got > 12.8 {
 		t.Fatalf("sparse uniform-4096 entropy = %v", got)
+	}
+}
+
+func TestHistogramWideDeterministic(t *testing.T) {
+	// Counts of a signal wider than HistArrayBits live in a map; the sum
+	// must not follow its iteration order.
+	build := func() float64 {
+		h := NewHistogram(24)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 5000; i++ {
+			h.Add(rng.Uint32() >> uint(rng.Intn(20)))
+		}
+		return h.Entropy()
+	}
+	want := build()
+	for i := 0; i < 100; i++ {
+		if got := build(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("rebuild %d: entropy %x, first build %x", i, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
+func TestHistogramOrderAndReuse(t *testing.T) {
+	// The same samples in any order, in a fresh or a Reset histogram,
+	// give the same bits: the sum runs in value order.
+	for _, width := range []int{3, 8, 18, 24} {
+		rng := rand.New(rand.NewSource(int64(width)))
+		samples := make([]uint32, 4000)
+		for i := range samples {
+			samples[i] = rng.Uint32() >> uint(rng.Intn(32))
+		}
+		h := NewHistogram(width)
+		for _, v := range samples {
+			h.Add(v)
+		}
+		want := h.Entropy()
+
+		h.Reset()
+		h.Add(5)
+		h.Reset()
+		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+		for _, v := range samples {
+			h.Add(v)
+		}
+		if got := h.Entropy(); math.Float64bits(got) != math.Float64bits(want) || h.Total() != len(samples) {
+			t.Errorf("width %d: reused histogram gives %v over %d samples, fresh one %v", width, got, h.Total(), want)
+		}
 	}
 }
 
@@ -306,6 +354,62 @@ func TestTableCoveredAndRender(t *testing.T) {
 	}
 	if tab.ColumnIndex(dsp.CompMultiplier, 0) != 0 || tab.ColumnIndex(dsp.CompShifter, 1) != -1 {
 		t.Fatal("ColumnIndex wrong")
+	}
+}
+
+func TestTapeReplayReproducesGoodRun(t *testing.T) {
+	// Replaying a recorded trial with nothing injected is the same trial:
+	// same output trace, same recorder contents, every word consumed.
+	seq := StandardSequence(isa.OpLdi, isa.AccA, AccRandom) // registers, accumulators and an immediate drawn
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	cycles := len(seq.Instrs) + 6
+	for seed := int64(1); seed <= 20; seed++ {
+		sc.rec = recorder{}
+		sc.tape.record(rand.New(rand.NewSource(seed)))
+		sc.good = sc.runTrial(seq, &sc.tape, cycles, sc.good, noAcc, 0)
+		good := sc.rec
+		if want := isa.NumRegs + 2 + 1; len(sc.tape.words) != want {
+			t.Fatalf("good run recorded %d words, want %d", len(sc.tape.words), want)
+		}
+
+		sc.rec = recorder{}
+		sc.tape.rewind()
+		sc.bad = sc.runTrial(seq, &sc.tape, cycles, sc.bad, noAcc, 0)
+		if !sc.tape.spent() {
+			t.Fatalf("seed %d: replay drew %d of %d words", seed, sc.tape.next, len(sc.tape.words))
+		}
+		if string(sc.bad) != string(sc.good) {
+			t.Fatalf("seed %d: replayed trace %v, good trace %v", seed, sc.bad, sc.good)
+		}
+		if sc.rec != good {
+			t.Fatalf("seed %d: replayed recorder %+v, good recorder %+v", seed, sc.rec, good)
+		}
+
+		// And a fresh generator with the same seed is the same trial too.
+		fresh := sc.runTrial(seq, rand.New(rand.NewSource(seed)), cycles, nil, noAcc, 0)
+		if string(fresh) != string(sc.good) || sc.rec != good {
+			t.Fatalf("seed %d: re-seeded run differs from the recorded one", seed)
+		}
+	}
+}
+
+func TestBuildTableGOMAXPROCSInvariant(t *testing.T) {
+	cfg := Config{CTrials: 400, OGoodRuns: 2, Seed: 9}
+	build := func(procs int) *Table {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return NewEngine(cfg).BuildTable()
+	}
+	one, four := build(1), build(4)
+	for r := range one.Cells {
+		// A row measured on its own, outside BuildTable, must agree too.
+		alone := NewEngine(cfg).MeasureRow(one.Rows[r])
+		for c := range one.Cells[r] {
+			if one.Cells[r][c] != four.Cells[r][c] || one.Cells[r][c] != alone[c] {
+				t.Fatalf("%s / %s: GOMAXPROCS=1 %+v, GOMAXPROCS=4 %+v, alone %+v",
+					one.Rows[r].Name, one.Cols[c].Label(), one.Cells[r][c], four.Cells[r][c], alone[c])
+			}
+		}
 	}
 }
 

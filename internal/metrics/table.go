@@ -117,6 +117,26 @@ type Table struct {
 	CThreshold, OThreshold float64
 }
 
+// TrialCounts returns the behavioural simulations behind one measured
+// row: its controllability trials (the largest CSamples, every trial
+// exercising at least that column) and its error injections.
+func TrialCounts(cells []Cell) (trials, injections int) {
+	for _, c := range cells {
+		trials = max(trials, c.CSamples)
+		injections += c.Injections
+	}
+	return trials, injections
+}
+
+// TrialCounts sums TrialCounts over the table's rows.
+func (t *Table) TrialCounts() (trials, injections int) {
+	for _, row := range t.Cells {
+		tr, inj := TrialCounts(row)
+		trials, injections = trials+tr, injections+inj
+	}
+	return trials, injections
+}
+
 // Covered reports whether row r covers column c: both metrics meet their
 // thresholds (the paper's "X" mark).
 func (t *Table) Covered(r, c int) bool {

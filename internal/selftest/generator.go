@@ -67,6 +67,9 @@ func (g *Generator) Table() *metrics.Table {
 		g.table = g.eng.BuildTable()
 		sub.Add("rows", int64(len(g.table.Rows)))
 		sub.Add("cols", int64(len(g.table.Cols)))
+		trials, injections := g.table.TrialCounts()
+		sub.Add("trials", int64(trials))
+		sub.Add("injections", int64(injections))
 		sub.End()
 	}
 	return g.table
@@ -90,6 +93,8 @@ func (g *Generator) Generate() (*Program, *Report) {
 	sub.Add("sequences", int64(len(p2.Sequences)))
 	sub.Add("discarded", int64(len(p2.Discarded)))
 	sub.Add("unresolved", int64(len(p2.Unresolved)))
+	sub.Add("trials", int64(p2.Trials))
+	sub.Add("injections", int64(p2.Injections))
 	sub.End()
 
 	sub = g.span.Child("assemble")

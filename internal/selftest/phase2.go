@@ -25,6 +25,9 @@ type Phase2Result struct {
 	// Unresolved lists columns Phase 2 could not cover; Phase 3's
 	// deterministic patterns are their last resort.
 	Unresolved []int
+	// Trials and Injections count the behavioural simulations spent
+	// validating candidates, accepted or not.
+	Trials, Injections int
 }
 
 // Phase2 targets the columns Phase 1 left uncovered with knowledge-based
@@ -54,6 +57,9 @@ func Phase2Traced(eng *metrics.Engine, t *metrics.Table, p1 *Phase1Result, span 
 			candidates++
 			span.Add("candidates_validated", 1)
 			cells := eng.MeasureSequence(seq)
+			trials, injections := metrics.TrialCounts(cells)
+			res.Trials += trials
+			res.Injections += injections
 			cell := cells[col]
 			if cell.Active && cell.C >= t.CThreshold && cell.O >= t.OThreshold {
 				res.Sequences = append(res.Sequences, ValidatedSeq{Col: col, Seq: seq, Cell: cell})
