@@ -238,21 +238,21 @@ func measureRow(row Row, cfg Config) []Cell {
 	aluP := metrics.NewHistogram(accWidth)
 	aluAcc := metrics.NewHistogram(accWidth)
 	accState := metrics.NewHistogram(accWidth)
+	var prodSeen, accSeen uint32
+	core := &Core{Observe: func(c Comp, v uint32) uint32 {
+		switch c {
+		case CompMult:
+			prodSeen = v
+		case CompAcc:
+			accSeen = v
+		}
+		return v
+	}}
 	for i := 0; i < cfg.CTrials; i++ {
 		a, b := uint8(rng.Uint32()), uint8(rng.Uint32())
-		core := &Core{}
+		core.Acc = 0
 		if row.Random {
 			core.Acc = rng.Uint32() & (1<<accWidth - 1)
-		}
-		var prodSeen, accSeen uint32
-		core.Observe = func(c Comp, v uint32) uint32 {
-			switch c {
-			case CompMult:
-				prodSeen = v
-			case CompAcc:
-				accSeen = v
-			}
-			return v
 		}
 		core.Step(row.Op, a, b)
 		multA.Add(uint32(a))
@@ -276,17 +276,18 @@ func measureRow(row Row, cfg Config) []Cell {
 	// Observability: corrupt each component's output, watch the output
 	// for this and the next few cycles (follow-up adds propagate the
 	// accumulator state).
+	run := newObsRun(row.Op)
 	for _, comp := range Comps() {
 		if !cells[comp].Active {
 			continue
 		}
 		inj, det := 0, 0
 		for g := 0; g < cfg.OGoodRuns; g++ {
-			seed := cfg.Seed*7919 + int64(g)
-			goodTrace := obsTrial(row, seed, comp, false, 0)
+			in := drawObsOperands(row, cfg.Seed*7919+int64(g))
+			goodTrace := run.trial(in, comp, false, 0)
 			for k := 0; k < 2*accWidth; k++ {
 				errVal := uint32(rng.Uint32()) & (1<<accWidth - 1)
-				badTrace := obsTrial(row, seed, comp, true, errVal)
+				badTrace := run.trial(in, comp, true, errVal)
 				inj++
 				if goodTrace != badTrace {
 					det++
@@ -298,29 +299,60 @@ func measureRow(row Row, cfg Config) []Cell {
 	return cells
 }
 
-// obsTrial runs the target instruction then two follow-up adds (the
-// wrapper that exposes accumulator state) and packs the output trace.
-func obsTrial(row Row, seed int64, comp Comp, inject bool, errVal uint32) uint64 {
+// obsOperands are the random values of one observability good run; its
+// error injections repeat them.
+type obsOperands struct {
+	a, b   uint8  // the target instruction's operands
+	acc    uint32 // accumulator before the target (zero on "0" rows)
+	fa, fb uint8  // operands of both follow-up adds
+}
+
+func drawObsOperands(row Row, seed int64) obsOperands {
 	rng := rand.New(rand.NewSource(seed))
-	a, b := uint8(rng.Uint32()), uint8(rng.Uint32())
-	core := &Core{}
+	in := obsOperands{a: uint8(rng.Uint32()), b: uint8(rng.Uint32())}
 	if row.Random {
-		core.Acc = rng.Uint32() & (1<<accWidth - 1)
+		in.acc = rng.Uint32() & (1<<accWidth - 1)
 	}
-	injected := false
-	first := true
-	core.Observe = func(c Comp, v uint32) uint32 {
-		if inject && first && c == comp && comp != CompAcc && !injected {
-			injected = true
-			if errVal == v {
-				errVal = ^v & (1<<accWidth - 1)
-			}
-			return errVal
-		}
+	in.fa, in.fb = uint8(rng.Uint32()), uint8(rng.Uint32())
+	return in
+}
+
+// obsRun runs the observability trials of one row on one core; armed,
+// comp and errVal describe the error the probe plants next.
+type obsRun struct {
+	op     Op
+	core   Core
+	armed  bool
+	comp   Comp
+	errVal uint32
+}
+
+func newObsRun(op Op) *obsRun {
+	r := &obsRun{op: op}
+	r.core.Observe = r.observe
+	return r
+}
+
+func (r *obsRun) observe(c Comp, v uint32) uint32 {
+	if !r.armed || c != r.comp {
 		return v
 	}
-	var trace uint64
-	trace = uint64(core.Step(row.Op, a, b))
+	r.armed = false
+	if r.errVal == v {
+		return ^v & (1<<accWidth - 1)
+	}
+	return r.errVal
+}
+
+// trial runs the target instruction then two follow-up adds (the
+// wrapper that exposes accumulator state) and packs the output trace.
+// With inject set, comp's output in the target's cycle is errVal.
+func (r *obsRun) trial(in obsOperands, comp Comp, inject bool, errVal uint32) uint64 {
+	core := &r.core
+	core.Acc = in.acc
+	r.armed, r.comp, r.errVal = inject && comp != CompAcc, comp, errVal
+	trace := uint64(core.Step(r.op, in.a, in.b))
+	r.armed = false
 	if inject && comp == CompAcc {
 		// A register's output error is an error in its contents.
 		if errVal == core.Acc {
@@ -329,10 +361,8 @@ func obsTrial(row Row, seed int64, comp Comp, inject bool, errVal uint32) uint64
 		core.Acc = errVal
 		trace = uint64(uint8(core.Acc >> 8))
 	}
-	first = false
-	fa, fb := uint8(rng.Uint32()), uint8(rng.Uint32())
-	trace = trace<<8 | uint64(core.Step(OpAdd, fa, fb))
-	trace = trace<<8 | uint64(core.Step(OpAdd, fa, fb))
+	trace = trace<<8 | uint64(core.Step(OpAdd, in.fa, in.fb))
+	trace = trace<<8 | uint64(core.Step(OpAdd, in.fa, in.fb))
 	return trace
 }
 
