@@ -272,21 +272,30 @@ func (t *tape) Uint32() uint32 {
 type scratch struct {
 	core *dsp.Core
 	rec  recorder
-	// hists[column][port], allocated when a column is first exercised
-	// and empty between measurements; active marks the columns the
-	// running measurement has exercised.
-	hists  [][]*Histogram
-	active []bool
-	tape   tape
-	good   []uint8
-	bad    []uint8
+	// hists[column][port] of the columns the running measurement has
+	// exercised; spare holds empty histograms by width, so a row's
+	// columns reuse the arrays of the row before, whichever those were.
+	hists [][]*Histogram
+	spare map[int][]*Histogram
+	tape  tape
+	good  []uint8
+	bad   []uint8
+}
+
+// histogram returns an empty width-bit histogram.
+func (sc *scratch) histogram(width int) *Histogram {
+	if l := sc.spare[width]; len(l) > 0 {
+		sc.spare[width] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+	return NewHistogram(width)
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	sc := &scratch{
-		core:   dsp.New(),
-		hists:  make([][]*Histogram, len(columns)),
-		active: make([]bool, len(columns)),
+		core:  dsp.New(),
+		hists: make([][]*Histogram, len(columns)),
+		spare: make(map[int][]*Histogram),
 	}
 	sc.core.SetProbe(&sc.rec)
 	return sc

@@ -74,13 +74,11 @@ func (e *Engine) controllability(seq Sequence, sc *scratch, cells []Cell) {
 				continue
 			}
 			ports := compPorts[comp]
-			if sc.hists[ci] == nil {
-				sc.hists[ci] = make([]*Histogram, len(ports))
-				for pi, p := range ports {
-					sc.hists[ci][pi] = NewHistogram(p.width())
+			if len(sc.hists[ci]) == 0 {
+				for _, p := range ports {
+					sc.hists[ci] = append(sc.hists[ci], sc.histogram(p.width()))
 				}
 			}
-			sc.active[ci] = true
 			for pi, p := range ports {
 				if v, ok := portValue(rec, p); ok {
 					sc.hists[ci][pi].Add(v)
@@ -89,16 +87,17 @@ func (e *Engine) controllability(seq Sequence, sc *scratch, cells []Cell) {
 		}
 	}
 	for ci, hists := range sc.hists {
-		if !sc.active[ci] {
+		if len(hists) == 0 {
 			continue
 		}
-		sc.active[ci] = false
 		cells[ci].Active = true
 		cells[ci].C = Controllability(hists...)
 		cells[ci].CSamples = hists[0].Total()
 		for _, h := range hists {
 			h.Reset()
+			sc.spare[h.Width()] = append(sc.spare[h.Width()], h)
 		}
+		sc.hists[ci] = hists[:0]
 	}
 }
 
