@@ -13,10 +13,14 @@ type Config struct {
 	// controllability metric. The paper used 2000 for narrow signals and
 	// "much more" (via generated C++) for wide ones; 20000 is a usable
 	// default, 200000+ gives publication-quality wide-signal entropy.
+	// Measured cost: about 1.2 ms of one CPU per 1000 trials per row
+	// (29 ms per 1000 for the 24-row table, divided by its workers).
 	CTrials int
 	// OGoodRuns is the number of good simulations per row for the
 	// observability metric; each spawns 2×n error injections per
-	// component (paper Section 2.2).
+	// component (paper Section 2.2) — up to 384 on this core. Measured
+	// cost: about 0.4 ms of one CPU per good run per row (10 ms per good
+	// run for the table).
 	OGoodRuns int
 	// Seed makes the engine deterministic.
 	Seed int64

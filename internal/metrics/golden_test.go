@@ -74,14 +74,13 @@ func TestTableGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == string(want) {
-		return
-	}
 	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
+	if len(gl) != len(wl) {
+		t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
+	}
+	for i := range gl {
 		if gl[i] != wl[i] {
 			t.Fatalf("line %d differs\n got: %s\nwant: %s", i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
 }
