@@ -16,16 +16,15 @@ import (
 	"repro/internal/obs"
 )
 
-// dist.go turns the executor into a coordinator: instead of simulating
-// fault-sim campaigns in-process, it registers their fault lists with
-// the LeasePool as work units and waits for the worker fleet to merge
-// them. The sequential-ATPG kind (whose inner loop does not partition
-// over faults the same way) keeps running locally; experiment jobs
-// distribute both of their sub-campaigns. RunWorkUnit is the other half
-// of the protocol: the exact per-unit computation a worker performs,
-// kept in this package so coordinator and worker share the fixtures,
-// the n-detect defaulting and the shard arithmetic that make merged
-// results bit-identical to a single-process run.
+// dist.go is the fleet side of the executor's one choice: poolRunner
+// hands a fault-simulation cell to the LeasePool as work units and
+// waits for the worker fleet to merge them, where the local runner
+// would simulate it in-process. The job kinds themselves are written
+// once, in exec.go and ga.go, and do not know which runner they got.
+// RunWorkUnit is the other half of the protocol: the per-unit
+// computation a worker performs, through the same simulateUnit as an
+// in-process cell, which is what makes merged results bit-identical to
+// a single-process run.
 
 // DistOptions configure NewDistExecutor.
 type DistOptions struct {
@@ -61,197 +60,78 @@ func JobIDFromContext(ctx context.Context) string {
 	return id
 }
 
-// traceIDKey carries the job's campaign trace ID the same way.
-type traceIDKey struct{}
-
-func withTraceID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, traceIDKey{}, id)
-}
-
-// TraceIDFromContext returns the campaign trace ID the executor is
-// running under, or "" outside a traced queue job.
-func TraceIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
-}
-
 var distAnonID atomic.Int64
 
-// NewDistExecutor returns the coordinator Executor: fault_sim and
-// n_detect campaigns (and both halves of an experiment) are split into
-// work units on the lease pool and executed by the worker fleet;
-// seq_atpg falls through to the local executor.
+// NewDistExecutor returns the coordinator Executor: the same dispatch
+// as NewExecutor, with every fault-simulation cell split into work
+// units on the lease pool and executed by the worker fleet.
 func NewDistExecutor(cfg ExecConfig, pool *LeasePool, opts DistOptions) Executor {
 	if opts.Units <= 0 {
 		opts.Units = 8
 	}
-	local := NewExecutor(cfg)
-	return func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
-		switch spec.Kind {
-		case JobFaultSim, JobNDetect:
-			return runDistFaultSim(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		case JobExperiment:
-			return runDistExperiment(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		case JobCampaignMatrix:
-			return runDistMatrix(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		case JobGaSearch:
-			return runDistGaSearch(ctx, pool, cfg, opts, distJobID(ctx), spec, update)
-		default:
-			return local(ctx, spec, update)
-		}
-	}
+	return newExecutor(cfg, poolRunner{cfg: cfg, pool: pool, opts: opts})
 }
 
-// distJobID resolves the pool registration ID: the queue's job ID when
-// running under a queue, a fresh synthetic ID otherwise.
-func distJobID(ctx context.Context) string {
+// cellJobID resolves the ID a job's cells run under: the queue's job ID
+// when running under a queue, a fresh synthetic ID otherwise.
+func cellJobID(ctx context.Context) string {
 	if id := JobIDFromContext(ctx); id != "" {
 		return id
 	}
 	return fmt.Sprintf("dist-%04d", distAnonID.Add(1))
 }
 
-// runDistFaultSim distributes one fault-simulation campaign and
-// summarizes the merged bitmaps exactly like the local runFaultSim.
-func runDistFaultSim(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	merge, faults, err := distSimulate(ctx, pool, cfg, opts, jobID, spec, update)
-	if err != nil {
-		return nil, err
-	}
-	res := &fault.Result{
-		Faults:     faults,
-		DetectedAt: merge.DetectedAt,
-		Detections: merge.Detections,
-		Cycles:     merge.Cycles,
-	}
-	if opts.OnMerged != nil {
-		opts.OnMerged(jobID, res)
-	}
-	jr := &JobResult{
-		Faults:   len(res.Faults),
-		Detected: res.Detected(),
-		Cycles:   res.Cycles,
-		Coverage: res.Coverage(),
-	}
-	if ndet := specNDetect(spec); ndet > 1 {
-		jr.NDetect = ndet
-		jr.NDetectCoverage = res.NDetectCoverage(ndet)
-	}
-	return jr, nil
+// poolRunner registers a cell's units on the lease pool under the
+// cell's ID and waits for the fleet.
+type poolRunner struct {
+	cfg  ExecConfig
+	pool *LeasePool
+	opts DistOptions
 }
 
-// distSimulate registers the campaign's units and waits for the fleet.
-func distSimulate(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*UnitMerge, []fault.Fault, error) {
-
-	d, err := GetDesign(spec.Design)
-	if err != nil {
-		return nil, nil, err
-	}
-	faults := d.Faults
-	span := obs.NewSpan(obs.WithTrace(cfg.Sink, spec.TraceID), "engine.dist")
-	span.Add("units", int64(opts.Units))
-	span.Add("faults", int64(len(faults)))
+func (r poolRunner) runCell(ctx context.Context, id string, d *designs.Design, cell JobSpec, update func(Progress)) (*fault.Result, error) {
+	span := obs.NewSpan(obs.WithTrace(r.cfg.Sink, cell.TraceID), "engine.dist")
+	span.Add("units", int64(r.opts.Units))
+	span.Add("faults", int64(len(d.Faults)))
 	defer span.End()
 
-	h, err := pool.Register(jobID, spec, len(faults), opts.Units,
-		opts.ShadowSample, opts.ShadowSeed, update)
+	h, err := r.pool.Register(id, cell, len(d.Faults), r.opts.Units,
+		r.opts.ShadowSample, r.opts.ShadowSeed, update)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	merge, err := h.Wait(ctx)
 	if err != nil {
 		switch {
 		case ctx.Err() != nil:
-			return nil, nil, fmt.Errorf("%w: distributed campaign cancelled", ErrInterrupted)
+			return nil, fmt.Errorf("%w: distributed campaign cancelled", ErrInterrupted)
 		case api.IsRetryable(err):
 			// Pool shutdown or withdrawal: the environment, not the spec,
 			// failed — the queue may retry within the job's budget.
-			return nil, nil, fmt.Errorf("%w: %v", ErrTransient, err)
+			return nil, fmt.Errorf("%w: %v", ErrTransient, err)
 		default:
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	span.Event(obs.EventSummary, map[string]any{
 		"cycles": merge.Cycles,
-		"faults": len(faults),
+		"faults": len(d.Faults),
 	})
-	return merge, faults, nil
+	res := &fault.Result{
+		Faults:     d.Faults,
+		DetectedAt: merge.DetectedAt,
+		Detections: merge.Detections,
+		Cycles:     merge.Cycles,
+	}
+	if r.opts.OnMerged != nil {
+		r.opts.OnMerged(id, res)
+	}
+	return res, nil
 }
 
-// runDistExperiment distributes the paper's composite comparison: the
-// requested stimulus first, then a raw-LFSR BIST baseline of the same
-// length. The baseline's vector count comes from the first phase's
-// merged cycle count, so the coordinator never needs to expand
-// program/selftest stimuli itself.
-func runDistExperiment(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	sub := spec
-	sub.Kind = JobFaultSim
-	main, err := runDistFaultSim(ctx, pool, cfg, opts, jobID, sub, update)
-	if err != nil {
-		return nil, err
-	}
-	seed := spec.Vectors.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	base := sub
-	base.Vectors = VectorSource{Kind: api.VecBIST, Count: main.Cycles, Seed: seed}
-	baseline, err := runDistFaultSim(ctx, pool, cfg, opts, jobID, base, update)
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{
-		Faults:   main.Faults,
-		Detected: main.Detected,
-		Cycles:   main.Cycles,
-		Coverage: main.Coverage,
-		Sub: map[string]*JobResult{
-			"stimulus":      main,
-			"bist_baseline": baseline,
-		},
-	}, nil
-}
-
-// runDistMatrix fans a campaign_matrix job over the fleet: each cell
-// becomes its own lease-pool registration under a derived job ID
-// ("<job>/<design>+s<scheme>"), run sequentially — the fleet-level
-// parallelism is inside each cell's work units, and sequential cells
-// keep every worker's design cache hot on one design at a time.
-// OnMerged fires per cell with the derived ID, which is how the e2e
-// tests pin each cell's bitmaps against a serial oracle.
-func runDistMatrix(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	return runMatrix(ctx, spec, update, func(ctx context.Context, cell JobSpec, d *designs.Design, scheme int, update func(Progress)) (*JobResult, error) {
-		cellID := fmt.Sprintf("%s/%s+s%d", jobID, cell.Design, scheme)
-		return runDistFaultSim(ctx, pool, cfg, opts, cellID, cell, update)
-	})
-}
-
-// runDistGaSearch runs the GA on the coordinator and fans each
-// generation's evaluations out to the fleet: every individual is its
-// own lease-pool registration under a derived job ID
-// ("<job>/g<gen>+i<idx>"), evaluated concurrently — a generation's
-// individuals are independent, so the fleet chews the whole cohort at
-// once while the GA itself stays strictly sequential and determinism
-// rests on fitness values, never on evaluation timing.
-func runDistGaSearch(ctx context.Context, pool *LeasePool, cfg ExecConfig, opts DistOptions,
-	jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
-
-	d, err := GetDesign(spec.Design)
-	if err != nil {
-		return nil, err
-	}
-	return runGaSearch(ctx, d, spec, update, distGaEvaluator(pool, cfg, opts, jobID))
-}
+// Each cell is its own registration, so a cohort in flight together
+// keeps the whole fleet busy.
+func (poolRunner) concurrent() bool { return true }
 
 // RunWorkUnit executes one leased unit: the worker-side half of the
 // protocol. It resolves the unit's design through the registry cache,
@@ -284,43 +164,10 @@ func RunWorkUnit(ctx context.Context, workerID string, u api.WorkUnit,
 	if u.FaultLo < 0 || u.FaultHi > len(faults) || u.FaultLo >= u.FaultHi {
 		return nil, fmt.Errorf("engine: unit %d of job %s has bad fault range [%d,%d)", u.Unit, u.JobID, u.FaultLo, u.FaultHi)
 	}
-	vecs, err := resolveVectors(d, u.Spec.Vectors)
-	if err != nil {
-		return nil, err
-	}
-	workers := u.Spec.Workers
-	if workers == 0 {
-		workers = cfg.Workers
-	}
-	total := vecs.Len()
 	start := time.Now()
-	res, err := Simulate(d.Netlist, vecs, SimOptions{
-		SimOptions: fault.SimOptions{
-			Faults:     faults[u.FaultLo:u.FaultHi],
-			NDetect:    specNDetect(u.Spec),
-			SegmentLen: u.Spec.SegmentLen,
-			Ctx:        ctx,
-			Sink:       obs.WithTrace(cfg.Sink, u.Spec.TraceID),
-			Progress: func(cycles, detected, remaining int) {
-				if progress != nil {
-					progress(api.Progress{
-						Done: cycles, Total: total,
-						Detected: detected, Remaining: remaining,
-						Coverage: safeRatio(detected, detected+remaining),
-					})
-				}
-			},
-		},
-		Workers:      workers,
-		ShadowSample: u.ShadowSample,
-		ShadowSeed:   u.ShadowSeed,
-		DesignHash:   d.Hash,
-	})
+	res, err := simulateUnit(ctx, cfg, d, u.Spec, u.FaultLo, u.FaultHi, u.ShadowSample, u.ShadowSeed, progress)
 	if err != nil {
 		return nil, err
-	}
-	if res.Interrupted {
-		return nil, fmt.Errorf("%w: %d/%d vectors applied", ErrInterrupted, res.Cycles, total)
 	}
 	out := api.NewUnitResult(workerID, res.DetectedAt, res.Detections, res.Cycles, time.Since(start).Seconds())
 	// Chaos point: a result corrupted after checksumming (bad NIC, bad

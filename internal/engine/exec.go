@@ -11,7 +11,6 @@ import (
 	"repro/internal/designs"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
-	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/selftest"
@@ -36,8 +35,8 @@ var (
 // SharedCore exposes the default campaign fixture: the gate-level DSP
 // core and its collapsed fault list. It is now a view over the design
 // cache — GetDesign(designs.DefaultID) — kept because the distributed
-// end-to-end tests and the bench use it as the serial oracle; new code
-// should resolve designs by ID through GetDesign instead.
+// end-to-end tests use it as the serial oracle; new code should resolve
+// designs by ID through GetDesign instead.
 func SharedCore() (*dspgate.Core, []fault.Fault, error) {
 	d, err := GetDesign(designs.DefaultID)
 	if err != nil {
@@ -60,10 +59,38 @@ func specNDetect(spec JobSpec) int {
 	return spec.NDetect
 }
 
+// cellRunner runs one fault-simulation cell: grade cell.Vectors against
+// every fault of d and return the merged result. Every kind below is
+// written once against it; where the cell's faults are simulated is the
+// only thing the two executors disagree on.
+type cellRunner interface {
+	// runCell runs the cell under id — the queue's job ID, or one
+	// derived from it for the cells of a matrix or a GA generation.
+	runCell(ctx context.Context, id string, d *designs.Design, cell JobSpec, update func(Progress)) (*fault.Result, error)
+	// concurrent reports whether independent cells of one job should be
+	// in flight together.
+	concurrent() bool
+}
+
+// localRunner simulates a cell's whole fault list in-process.
+type localRunner struct{ cfg ExecConfig }
+
+func (r localRunner) runCell(ctx context.Context, _ string, d *designs.Design, cell JobSpec, update func(Progress)) (*fault.Result, error) {
+	return simulateUnit(ctx, r.cfg, d, cell, 0, len(d.Faults), 0, 0, update)
+}
+
+// One in-process cell already shards over every core Simulate is given.
+func (localRunner) concurrent() bool { return false }
+
 // NewExecutor returns the production Executor: it resolves the spec's
 // design through the registry cache and runs every job kind against
 // it, sharding fault simulation through Simulate.
-func NewExecutor(cfg ExecConfig) Executor {
+func NewExecutor(cfg ExecConfig) Executor { return newExecutor(cfg, localRunner{cfg}) }
+
+// newExecutor is the one dispatch behind NewExecutor and
+// NewDistExecutor. seq_atpg and online_burst are not fault-simulation
+// cells and run in-process under either runner.
+func newExecutor(cfg ExecConfig, run cellRunner) Executor {
 	return func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		// Chaos point: an executor that crashes, stalls, or fails with a
 		// retryable environment error before the campaign starts.
@@ -74,14 +101,9 @@ func NewExecutor(cfg ExecConfig) Executor {
 				return nil, fmt.Errorf("%w: %v", ErrTransient, ierr)
 			}
 		}
+		id := cellJobID(ctx)
 		if spec.Kind == JobCampaignMatrix {
-			return runMatrix(ctx, spec, update, func(ctx context.Context, cell JobSpec, d *designs.Design, _ int, update func(Progress)) (*JobResult, error) {
-				vecs, err := resolveVectors(d, cell.Vectors)
-				if err != nil {
-					return nil, err
-				}
-				return runFaultSim(ctx, cfg, d, cell, vecs, update)
-			})
+			return runMatrix(ctx, run, id, spec, update)
 		}
 		d, err := GetDesign(spec.Design)
 		if err != nil {
@@ -89,19 +111,15 @@ func NewExecutor(cfg ExecConfig) Executor {
 		}
 		switch spec.Kind {
 		case JobFaultSim, JobNDetect:
-			vecs, err := resolveVectors(d, spec.Vectors)
-			if err != nil {
-				return nil, err
-			}
-			return runFaultSim(ctx, cfg, d, spec, vecs, update)
+			return runFaultSim(ctx, run, id, d, spec, update)
 		case JobSeqATPG:
 			return runSeqATPG(ctx, cfg, d, spec, update)
 		case JobExperiment:
-			return runExperiment(ctx, cfg, d, spec, update)
+			return runExperiment(ctx, run, id, d, spec, update)
 		case JobOnlineBurst:
 			return runOnlineBurst(ctx, d, spec, update)
 		case JobGaSearch:
-			return runGaSearch(ctx, d, spec, update, localGaEvaluator(cfg, d))
+			return runGaSearch(ctx, run, id, d, spec, update)
 		default:
 			return nil, fmt.Errorf("engine: unknown job kind %q", spec.Kind)
 		}
@@ -121,28 +139,14 @@ func resolveVectors(d *designs.Design, src VectorSource) (fault.Vectors, error) 
 			return bist.PseudorandomVectors(src.Count, uint64(src.Seed)), nil
 		}
 		return designs.PseudorandomVectors(len(d.Netlist.Inputs()), src.Count, uint64(src.Seed)), nil
-	case api.VecProgram:
+	case api.VecProgram, api.VecSelfTest:
 		if !d.InstructionDriven() {
-			return nil, fmt.Errorf("engine: design %s has no instruction port; program stimulus needs the dsp design", d.ID)
+			return nil, fmt.Errorf("engine: design %s has no instruction port; %s stimulus needs the dsp design", d.ID, src.Kind)
 		}
-		prog, err := isa.Assemble(src.Program)
+		prog, err := resolveProgram(src)
 		if err != nil {
 			return nil, err
 		}
-		iters := src.Iterations
-		if iters <= 0 {
-			iters = 1000
-		}
-		return selftest.Expand(&selftest.Program{Loop: prog},
-			selftest.ExpandOptions{
-				Iterations: iters, Seed1: uint64(src.Seed), Seed2: uint64(src.Seed2),
-				Taps1: src.Taps, ReseedEvery: src.ReseedEvery, Reseeds: src.Reseeds,
-			}), nil
-	case api.VecSelfTest:
-		if !d.InstructionDriven() {
-			return nil, fmt.Errorf("engine: design %s has no instruction port; selftest stimulus needs the dsp design", d.ID)
-		}
-		prog := generatedProgram(src)
 		iters := src.Iterations
 		if iters <= 0 {
 			iters = 1000
@@ -179,10 +183,18 @@ func generatedProgram(src VectorSource) *selftest.Program {
 	return prog
 }
 
-func runFaultSim(ctx context.Context, cfg ExecConfig, d *designs.Design,
-	spec JobSpec, vecs fault.Vectors, update func(Progress)) (*JobResult, error) {
+// simulateUnit fault-simulates spec's stimulus against d.Faults[lo:hi]:
+// the whole list for an in-process cell, one leased slice on a worker.
+// It is the only place a job reaches Simulate, so the worker
+// defaulting, the n-detect target, the artifact key and the trace
+// stamp cannot differ between the two.
+func simulateUnit(ctx context.Context, cfg ExecConfig, d *designs.Design, spec JobSpec,
+	lo, hi int, shadowSample float64, shadowSeed int64, progress func(Progress)) (*fault.Result, error) {
 
-	ndet := specNDetect(spec)
+	vecs, err := resolveVectors(d, spec.Vectors)
+	if err != nil {
+		return nil, err
+	}
 	workers := spec.Workers
 	if workers == 0 {
 		workers = cfg.Workers
@@ -190,21 +202,25 @@ func runFaultSim(ctx context.Context, cfg ExecConfig, d *designs.Design,
 	total := vecs.Len()
 	res, err := Simulate(d.Netlist, vecs, SimOptions{
 		SimOptions: fault.SimOptions{
-			Faults:     d.Faults,
-			NDetect:    ndet,
+			Faults:     d.Faults[lo:hi],
+			NDetect:    specNDetect(spec),
 			SegmentLen: spec.SegmentLen,
 			Ctx:        ctx,
-			Sink:       cfg.Sink,
+			Sink:       obs.WithTrace(cfg.Sink, spec.TraceID),
 			Progress: func(cycles, detected, remaining int) {
-				update(Progress{
-					Done: cycles, Total: total,
-					Detected: detected, Remaining: remaining,
-					Coverage: safeRatio(detected, detected+remaining),
-				})
+				if progress != nil {
+					progress(Progress{
+						Done: cycles, Total: total,
+						Detected: detected, Remaining: remaining,
+						Coverage: safeRatio(detected, detected+remaining),
+					})
+				}
 			},
 		},
-		Workers:    workers,
-		DesignHash: d.Hash,
+		Workers:      workers,
+		ShadowSample: shadowSample,
+		ShadowSeed:   shadowSeed,
+		DesignHash:   d.Hash,
 	})
 	if err != nil {
 		return nil, err
@@ -212,17 +228,34 @@ func runFaultSim(ctx context.Context, cfg ExecConfig, d *designs.Design,
 	if res.Interrupted {
 		return nil, fmt.Errorf("%w: %d/%d vectors applied", ErrInterrupted, res.Cycles, total)
 	}
+	return res, nil
+}
+
+// summarize reduces a cell's merged result to its headline numbers.
+func summarize(res *fault.Result, spec JobSpec) *JobResult {
 	jr := &JobResult{
 		Faults:   len(res.Faults),
 		Detected: res.Detected(),
 		Cycles:   res.Cycles,
 		Coverage: res.Coverage(),
 	}
-	if ndet > 1 {
+	if ndet := specNDetect(spec); ndet > 1 {
 		jr.NDetect = ndet
 		jr.NDetectCoverage = res.NDetectCoverage(ndet)
 	}
-	return jr, nil
+	return jr
+}
+
+// runFaultSim is the one-cell job: fault_sim and n_detect, and each
+// half of an experiment.
+func runFaultSim(ctx context.Context, run cellRunner, id string, d *designs.Design,
+	spec JobSpec, update func(Progress)) (*JobResult, error) {
+
+	res, err := run.runCell(ctx, id, d, spec, update)
+	if err != nil {
+		return nil, err
+	}
+	return summarize(res, spec), nil
 }
 
 func runSeqATPG(ctx context.Context, cfg ExecConfig, d *designs.Design,
@@ -265,18 +298,16 @@ func runSeqATPG(ctx context.Context, cfg ExecConfig, d *designs.Design,
 }
 
 // runExperiment is the composite campaign behind the paper's headline
-// comparison: fault-simulate the requested stimulus and a raw-LFSR BIST
-// baseline of the same length, reporting both coverages side by side.
-func runExperiment(ctx context.Context, cfg ExecConfig, d *designs.Design,
+// comparison: fault-simulate the requested stimulus, then a raw-LFSR
+// BIST baseline of the same length, reporting both coverages side by
+// side. The baseline's length is the first phase's cycle count, so a
+// coordinator never expands program/selftest stimulus itself.
+func runExperiment(ctx context.Context, run cellRunner, id string, d *designs.Design,
 	spec JobSpec, update func(Progress)) (*JobResult, error) {
 
-	vecs, err := resolveVectors(d, spec.Vectors)
-	if err != nil {
-		return nil, err
-	}
 	sub := spec
 	sub.Kind = JobFaultSim
-	main, err := runFaultSim(ctx, cfg, d, sub, vecs, update)
+	main, err := runFaultSim(ctx, run, id, d, sub, update)
 	if err != nil {
 		return nil, err
 	}
@@ -285,12 +316,8 @@ func runExperiment(ctx context.Context, cfg ExecConfig, d *designs.Design,
 		seed = 1
 	}
 	base := sub
-	base.Vectors = VectorSource{Kind: api.VecBIST, Count: vecs.Len(), Seed: seed}
-	baselineVecs, err := resolveVectors(d, base.Vectors)
-	if err != nil {
-		return nil, err
-	}
-	baseline, err := runFaultSim(ctx, cfg, d, base, baselineVecs, update)
+	base.Vectors = VectorSource{Kind: api.VecBIST, Count: main.Cycles, Seed: seed}
+	baseline, err := runFaultSim(ctx, run, id, d, base, update)
 	if err != nil {
 		return nil, err
 	}
@@ -306,11 +333,6 @@ func runExperiment(ctx context.Context, cfg ExecConfig, d *designs.Design,
 	}, nil
 }
 
-// cellRunner executes one matrix cell — a fault_sim campaign on one
-// design with one stimulus scheme. The local executor simulates
-// in-process; the coordinator registers the cell on the lease pool.
-type cellRunner func(ctx context.Context, cell JobSpec, d *designs.Design, scheme int, update func(Progress)) (*JobResult, error)
-
 // matrixCellScale is the per-cell width of a matrix job's progress
 // axis: cell i occupies [i*scale, (i+1)*scale) of Progress.Done, so a
 // dashboard sees smooth forward motion across cells of very different
@@ -319,11 +341,12 @@ const matrixCellScale = 1000
 
 // runMatrix fans spec.Matrix's designs × schemes cross product into
 // independent fault-sim campaigns (designs-major order), rolling the
-// per-cell results into the JobResult.Matrix table. Cells run through
-// the given runner sequentially; the distributed runner fans each cell
-// out over the worker fleet, so the fleet-level parallelism lives
-// inside the cells.
-func runMatrix(ctx context.Context, spec JobSpec, update func(Progress), run cellRunner) (*JobResult, error) {
+// per-cell results into the JobResult.Matrix table. Each cell runs
+// under the derived ID "<job>/<design>+s<scheme>", one after another:
+// the parallelism is inside a cell (shards, or a fleet's work units),
+// and sequential cells keep every design cache hot on one design at a
+// time.
+func runMatrix(ctx context.Context, run cellRunner, jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {
 	m := spec.Matrix
 	if m == nil || len(m.Designs) == 0 || len(m.Schemes) == 0 {
 		return nil, fmt.Errorf("engine: campaign_matrix job needs matrix designs and schemes")
@@ -343,7 +366,7 @@ func runMatrix(ctx context.Context, spec JobSpec, update func(Progress), run cel
 			cell.Vectors = scheme
 			cell.Matrix = nil
 			base := ci * matrixCellScale
-			r, err := run(ctx, cell, d, si, func(p Progress) {
+			r, err := runFaultSim(ctx, run, fmt.Sprintf("%s/%s+s%d", jobID, d.ID, si), d, cell, func(p Progress) {
 				frac := 0
 				if p.Total > 0 {
 					frac = p.Done * matrixCellScale / p.Total

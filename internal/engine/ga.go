@@ -14,16 +14,15 @@ import (
 
 // ga.go runs ga_search jobs: a deterministic evolutionary search over
 // self-test program skeletons (internal/evolve genomes) whose fitness
-// is fault coverage per test cycle. The coordinator owns the GA state;
-// each individual's evaluation is an ordinary fault_sim campaign —
-// locally through runFaultSim, or fanned out to the worker fleet as a
-// lease-pool registration per individual, so workers need zero GA
-// knowledge. Every completed generation is journaled (recGaGen) and
-// mirrored into the checkpoint, so a kill -9 mid-search resumes from
-// the last completed generation bit-identically to an uninterrupted
-// run: the GA's random draws depend only on the seed and the fitness
-// values fed back, and those fitness values are replayed verbatim from
-// the journal.
+// is fault coverage per test cycle. The executor owns the GA state;
+// each individual's evaluation is an ordinary fault_sim cell handed to
+// the executor's cellRunner under the derived ID "<job>/g<gen>+i<idx>",
+// so a worker fleet needs zero GA knowledge. Every completed generation
+// is journaled (recGaGen) and mirrored into the checkpoint, so a
+// kill -9 mid-search resumes from the last completed generation
+// bit-identically to an uninterrupted run: the GA's random draws depend
+// only on the seed and the fitness values fed back, and those fitness
+// values are replayed verbatim from the journal.
 
 // ga_search defaults, deliberately tiny: a GA burns one full fault-sim
 // campaign per individual per generation.
@@ -86,48 +85,11 @@ type gaOutcome struct {
 	Cycles   int
 }
 
-// gaEvaluator scores phenotypes. run executes one individual's
-// fault_sim cell; parallel lets runGaSearch evaluate a generation
-// concurrently (the distributed evaluator — each individual is its own
-// lease-pool registration, so concurrency keeps the fleet busy).
-// Results are collected by index, so evaluation timing never leaks
-// into the GA's deterministic state.
-type gaEvaluator struct {
-	run      func(ctx context.Context, cell JobSpec, gen, idx int, touch func()) (gaOutcome, error)
-	parallel bool
-}
-
-// localGaEvaluator simulates individuals in-process, sequentially.
-func localGaEvaluator(cfg ExecConfig, d *designs.Design) gaEvaluator {
-	return gaEvaluator{run: func(ctx context.Context, cell JobSpec, gen, idx int, touch func()) (gaOutcome, error) {
-		vecs, err := resolveVectors(d, cell.Vectors)
-		if err != nil {
-			return gaOutcome{}, err
-		}
-		r, err := runFaultSim(ctx, cfg, d, cell, vecs, func(Progress) { touch() })
-		if err != nil {
-			return gaOutcome{}, err
-		}
-		return gaOutcome{Coverage: r.Coverage, Detected: r.Detected, Faults: r.Faults, Cycles: r.Cycles}, nil
-	}}
-}
-
-// distGaEvaluator registers each individual on the lease pool under a
-// derived job ID ("<job>/g<gen>+i<idx>", mirroring the matrix cell
-// scheme) and waits for the fleet to merge it.
-func distGaEvaluator(pool *LeasePool, cfg ExecConfig, opts DistOptions, jobID string) gaEvaluator {
-	return gaEvaluator{parallel: true, run: func(ctx context.Context, cell JobSpec, gen, idx int, touch func()) (gaOutcome, error) {
-		cellID := fmt.Sprintf("%s/g%02d+i%02d", jobID, gen, idx)
-		r, err := runDistFaultSim(ctx, pool, cfg, opts, cellID, cell, func(Progress) { touch() })
-		if err != nil {
-			return gaOutcome{}, err
-		}
-		return gaOutcome{Coverage: r.Coverage, Detected: r.Detected, Faults: r.Faults, Cycles: r.Cycles}, nil
-	}}
-}
-
-// runGaSearch executes one ga_search job against a design.
-func runGaSearch(ctx context.Context, d *designs.Design, spec JobSpec, update func(Progress), eval gaEvaluator) (*JobResult, error) {
+// runGaSearch executes one ga_search job against a design. Where the
+// runner takes concurrent cells a generation's unseen individuals are
+// evaluated together; results are collected by index either way, so
+// evaluation timing never leaks into the GA's deterministic state.
+func runGaSearch(ctx context.Context, run cellRunner, jobID string, d *designs.Design, spec JobSpec, update func(Progress)) (*JobResult, error) {
 	if !d.InstructionDriven() {
 		return nil, fmt.Errorf("engine: design %s has no instruction port; ga_search needs the dsp design", d.ID)
 	}
@@ -257,9 +219,14 @@ func runGaSearch(ctx context.Context, d *designs.Design, spec JobSpec, update fu
 				Reseeds:     append([]uint64(nil), ind.Reseeds...),
 				Iterations:  iters,
 			}
-			outs[i], errs[i] = eval.run(ctx, cell, gen, i, progress)
+			r, err := run.runCell(ctx, fmt.Sprintf("%s/g%02d+i%02d", jobID, gen, i), d, cell, func(Progress) { progress() })
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			outs[i] = gaOutcome{Coverage: r.Coverage(), Detected: r.Detected(), Faults: len(r.Faults), Cycles: r.Cycles}
 		}
-		if eval.parallel {
+		if run.concurrent() {
 			var wg sync.WaitGroup
 			for _, i := range pending {
 				wg.Add(1)

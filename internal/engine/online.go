@@ -21,9 +21,9 @@ const (
 	defOnlineMISRWidth  = 24
 )
 
-// resolveProgram yields the self-test program an online_burst job
-// schedules: an inline assembled program or the metrics-driven
-// generated one.
+// resolveProgram yields the self-test program behind program and
+// selftest stimulus — an inline assembled program or the metrics-driven
+// generated one. online_burst schedules it; resolveVectors expands it.
 func resolveProgram(src VectorSource) (*selftest.Program, error) {
 	switch src.Kind {
 	case api.VecProgram:

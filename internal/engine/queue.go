@@ -553,7 +553,6 @@ func (q *Queue) run(id string) {
 	j.Error = ""
 	jctx, cancel := q.jobContext(j.Spec)
 	jctx = withJobID(jctx, id)
-	jctx = withTraceID(jctx, j.Spec.TraceID)
 	if j.Spec.Kind == JobGaSearch {
 		// Hand the GA executor its journaled generations and a durable
 		// append channel, so a restarted (or retried) search fast-forwards
