@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,8 +96,25 @@ func (r poolRunner) runCell(ctx context.Context, id string, d *designs.Design, c
 	span.Add("faults", int64(len(d.Faults)))
 	defer span.End()
 
+	// The pool reports a unit's progress after it has released Wait, and
+	// a caller's update reads state the caller goes on to write (a
+	// matrix's running totals, a GA's best-so-far). The gate keeps every
+	// update inside this call, as the local runner's already are.
+	var gate sync.Mutex
+	open := true
+	defer func() {
+		gate.Lock()
+		open = false
+		gate.Unlock()
+	}()
 	h, err := r.pool.Register(id, cell, len(d.Faults), r.opts.Units,
-		r.opts.ShadowSample, r.opts.ShadowSeed, update)
+		r.opts.ShadowSample, r.opts.ShadowSeed, func(p Progress) {
+			gate.Lock()
+			defer gate.Unlock()
+			if open {
+				update(p)
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
