@@ -174,12 +174,11 @@ func RunWorkUnit(ctx context.Context, workerID string, u api.WorkUnit,
 	if err != nil {
 		return nil, err
 	}
-	faults := d.Faults
-	if u.TotalFaults != len(faults) {
+	if u.TotalFaults != len(d.Faults) {
 		return nil, fmt.Errorf("engine: unit %d of job %s expects %d faults, this build of design %s collapses %d — refusing mismatched design",
-			u.Unit, u.JobID, u.TotalFaults, d.ID, len(faults))
+			u.Unit, u.JobID, u.TotalFaults, d.ID, len(d.Faults))
 	}
-	if u.FaultLo < 0 || u.FaultHi > len(faults) || u.FaultLo >= u.FaultHi {
+	if u.FaultLo < 0 || u.FaultHi > len(d.Faults) || u.FaultLo >= u.FaultHi {
 		return nil, fmt.Errorf("engine: unit %d of job %s has bad fault range [%d,%d)", u.Unit, u.JobID, u.FaultLo, u.FaultHi)
 	}
 	start := time.Now()

@@ -165,22 +165,17 @@ func resolveVectors(d *designs.Design, src VectorSource) (fault.Vectors, error) 
 // configuration is generated once and shared; explicit CTrials/OGoodRuns
 // produce a fresh program.
 func generatedProgram(src VectorSource) *selftest.Program {
+	generate := func() *selftest.Program {
+		prog, _ := selftest.NewGenerator(metrics.NewEngine(metrics.Config{
+			CTrials: orDefault(src.CTrials, 8000), OGoodRuns: orDefault(src.OGoodRuns, 6), Seed: 1,
+		})).Generate()
+		return prog
+	}
 	if src.CTrials == 0 && src.OGoodRuns == 0 {
-		defProgOnce.Do(func() {
-			eng := metrics.NewEngine(metrics.Config{CTrials: 8000, OGoodRuns: 6, Seed: 1})
-			defProg, _ = selftest.NewGenerator(eng).Generate()
-		})
+		defProgOnce.Do(func() { defProg = generate() })
 		return defProg
 	}
-	cfg := metrics.Config{CTrials: src.CTrials, OGoodRuns: src.OGoodRuns, Seed: 1}
-	if cfg.CTrials <= 0 {
-		cfg.CTrials = 8000
-	}
-	if cfg.OGoodRuns <= 0 {
-		cfg.OGoodRuns = 6
-	}
-	prog, _ := selftest.NewGenerator(metrics.NewEngine(cfg)).Generate()
-	return prog
+	return generate()
 }
 
 // simulateUnit fault-simulates spec's stimulus against d.Faults[lo:hi]:

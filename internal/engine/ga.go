@@ -85,6 +85,22 @@ type gaOutcome struct {
 	Cycles   int
 }
 
+// genomeVectors renders an individual as the program stimulus that
+// grades it — what a cell carries to the runner, and what the result
+// hands back as the winner.
+func genomeVectors(g evolve.Genome, iters int) VectorSource {
+	return VectorSource{
+		Kind:        api.VecProgram,
+		Program:     g.Source(),
+		Seed:        int64(g.Seed1),
+		Seed2:       int64(g.Seed2),
+		Taps:        g.Taps1,
+		ReseedEvery: g.ReseedEvery,
+		Reseeds:     append([]uint64(nil), g.Reseeds...),
+		Iterations:  iters,
+	}
+}
+
 // runGaSearch executes one ga_search job against a design. Where the
 // runner takes concurrent cells a generation's unseen individuals are
 // evaluated together; results are collected by index either way, so
@@ -209,16 +225,7 @@ func runGaSearch(ctx context.Context, run cellRunner, jobID string, d *designs.D
 			cell := spec
 			cell.Kind = JobFaultSim
 			cell.Ga = nil
-			cell.Vectors = VectorSource{
-				Kind:        api.VecProgram,
-				Program:     ind.Source(),
-				Seed:        int64(ind.Seed1),
-				Seed2:       int64(ind.Seed2),
-				Taps:        ind.Taps1,
-				ReseedEvery: ind.ReseedEvery,
-				Reseeds:     append([]uint64(nil), ind.Reseeds...),
-				Iterations:  iters,
-			}
+			cell.Vectors = genomeVectors(ind, iters)
 			r, err := run.runCell(ctx, fmt.Sprintf("%s/g%02d+i%02d", jobID, gen, i), d, cell, func(Progress) { progress() })
 			if err != nil {
 				errs[i] = err
@@ -274,16 +281,7 @@ func runGaSearch(ctx context.Context, run cellRunner, jobID string, d *designs.D
 	res.BestFitness = bestFit
 	res.BestCoverage = bestOut.Coverage
 	res.BestCycles = bestOut.Cycles
-	res.Best = VectorSource{
-		Kind:        api.VecProgram,
-		Program:     bestGenome.Source(),
-		Seed:        int64(bestGenome.Seed1),
-		Seed2:       int64(bestGenome.Seed2),
-		Taps:        bestGenome.Taps1,
-		ReseedEvery: bestGenome.ReseedEvery,
-		Reseeds:     append([]uint64(nil), bestGenome.Reseeds...),
-		Iterations:  iters,
-	}
+	res.Best = genomeVectors(bestGenome, iters)
 	return &JobResult{
 		Faults:   bestOut.Faults,
 		Detected: bestOut.Detected,

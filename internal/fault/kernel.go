@@ -201,11 +201,12 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 // autoLaneWords picks the default EventSim stripe width from the fault
 // list size. One word handles a 63-fault list outright; wider stripes
 // only pay once enough faults exist to fill them — below that the extra
-// words are simulated but carry no lanes. The thresholds follow the
-// BENCH_4 sweep (docs/PERFORMANCE.md): width 8 wins decisively on
-// full-circuit fault lists (and width 16 regresses — the generic stripe
-// loop loses what the extra lanes amortize), widths 2 and 4 cover the
-// mid range where a wider stripe would run mostly-empty words.
+// words are simulated but carry no lanes. The thresholds follow a
+// width sweep on the Table-1 campaign (docs/PERFORMANCE.md): width 8
+// won on full-circuit fault lists (and width 16 regressed — the generic
+// stripe loop loses what the extra lanes amortize), widths 2 and 4
+// cover the mid range where a wider stripe would run mostly-empty
+// words.
 // EffectiveLaneWords reports the stripe width a compiled-kernel run
 // with these options uses on a fault list of the given size: the
 // explicit LaneWords clamped to logic.MaxLaneWords, or the automatic

@@ -59,10 +59,10 @@ type BatchFault struct {
 const DefaultSweepThreshold = 0.2
 
 // sweepThresholdFor is the measured event-abandonment threshold for a
-// stripe width. The BENCH_4 sweep showed the break-even barely moves
-// with width — the event path's scattered operand reconstruction costs
-// per word, not per instruction — so all widths share the single-word
-// threshold.
+// stripe width. A width sweep on the Table-1 campaign showed the
+// break-even barely moves with width — the event path's scattered
+// operand reconstruction costs per word, not per instruction — so all
+// widths share the single-word threshold.
 func sweepThresholdFor(lw int) float64 {
 	return DefaultSweepThreshold
 }
