@@ -147,13 +147,10 @@ func resolveVectors(d *designs.Design, src VectorSource) (fault.Vectors, error) 
 		if err != nil {
 			return nil, err
 		}
-		iters := src.Iterations
-		if iters <= 0 {
-			iters = 1000
-		}
 		return selftest.Expand(prog,
 			selftest.ExpandOptions{
-				Iterations: iters, Seed1: uint64(src.Seed), Seed2: uint64(src.Seed2),
+				Iterations: orDefault(src.Iterations, 1000),
+				Seed1:      uint64(src.Seed), Seed2: uint64(src.Seed2),
 				Taps1: src.Taps, ReseedEvery: src.ReseedEvery, Reseeds: src.Reseeds,
 			}), nil
 	default:

@@ -15,21 +15,20 @@ import (
 	"repro/internal/fault"
 )
 
+type executorGoldenCase struct {
+	name string
+	spec JobSpec
+}
+
 // executorGoldenSpecs is one small spec per kind the two executors
 // both run as fault-simulation cells. Small enough for -short and
 // -race; the experiment uses program stimulus so its baseline length
 // is something the coordinator never expanded itself.
-func executorGoldenSpecs() []struct {
-	name string
-	spec JobSpec
-} {
+func executorGoldenSpecs() []executorGoldenCase {
 	bist := func(count int, seed int64) VectorSource {
 		return VectorSource{Kind: api.VecBIST, Count: count, Seed: seed}
 	}
-	return []struct {
-		name string
-		spec JobSpec
-	}{
+	return []executorGoldenCase{
 		{"fault_sim", JobSpec{Kind: JobFaultSim, Vectors: bist(40, 1)}},
 		{"n_detect", JobSpec{Kind: JobNDetect, NDetect: 3, Vectors: bist(40, 1)}},
 		{"experiment", JobSpec{Kind: JobExperiment, Vectors: VectorSource{

@@ -32,9 +32,9 @@ var ctrKernelDivergence = obs.Default().Counter("kernel.divergence")
 // defaultShadowSample was sized for a <5% overhead budget on the
 // Table-1 workload from a per-fault estimate (the reference kernel
 // costs ~3.4x the compiled kernel per fault, so 0.5% of a shard's
-// faults ≈ 1.7%). The benchmark's engine.shadow_overhead_pct measures
-// ~22% at Workers=2 (docs/PERFORMANCE.md): the estimate misses what a
-// reference run costs however few faults it carries.
+// faults ≈ 1.7%). Measured, it is not: the benchmark's
+// engine.shadow_overhead_pct reads ~22% at Workers=2
+// (docs/PERFORMANCE.md).
 const defaultShadowSample = 0.005
 
 // runShard executes one shard with panic containment, the engine.shard
