@@ -362,8 +362,9 @@ func (q *Queue) adopt(cp *checkpointFile, recs []JournalRecord) error {
 			q.gaGens[id] = append([]GaGenRecord(nil), gens...)
 		}
 	}
+	early := make(map[string][]*JournalRecord)
 	for i := range recs {
-		q.applyRecordLocked(&recs[i])
+		q.applyRecordLocked(&recs[i], early)
 	}
 	pending := 0
 	for _, j := range q.jobs {
@@ -390,12 +391,17 @@ func (q *Queue) adopt(cp *checkpointFile, recs []JournalRecord) error {
 // applyRecordLocked replays one journal record onto the queue state.
 // Idempotent by construction: submits skip existing IDs, everything
 // else is an absolute assignment. Caller holds q.mu.
-func (q *Queue) applyRecordLocked(rec *JournalRecord) {
+//
+// early holds records met before their job. Submit makes a job runnable
+// before it appends the submit record, so a job quicker than that fsync
+// journals its start and finish first; dropping those would re-run a
+// job whose finish was acknowledged. They are applied, in order, when
+// the submit record arrives.
+func (q *Queue) applyRecordLocked(rec *JournalRecord, early map[string][]*JournalRecord) {
 	if rec.NextID > q.nextID {
 		q.nextID = rec.NextID
 	}
-	switch rec.T {
-	case recSubmit:
+	if rec.T == recSubmit {
 		if rec.Job == nil || rec.Job.ID == "" {
 			return
 		}
@@ -415,35 +421,39 @@ func (q *Queue) applyRecordLocked(rec *JournalRecord) {
 		q.jobs[j.ID] = &j
 		q.order = append(q.order, j.ID)
 		q.indexSubmitIDLocked(&j)
+		for _, r := range early[j.ID] {
+			q.applyRecordLocked(r, early)
+		}
+		delete(early, j.ID)
+		return
+	}
+	j, ok := q.jobs[rec.JobID]
+	if !ok {
+		early[rec.JobID] = append(early[rec.JobID], rec)
+		return
+	}
+	terminal := j.State == JobCompleted || j.State == JobFailed
+	switch rec.T {
 	case recState:
-		j, ok := q.jobs[rec.JobID]
-		if !ok || j.State == JobCompleted || j.State == JobFailed {
+		if terminal {
 			return
 		}
 		j.Attempts = rec.Attempts
 		j.Error = rec.Error
-		switch rec.State {
-		case JobRunning:
-			// The run itself did not survive the crash; what the record
-			// proves is that an attempt started. Re-run from queued.
-			j.State = JobQueued
-			if !rec.At.IsZero() {
-				t := rec.At
-				j.Started = &t
-			}
-		default:
-			j.State = JobQueued
+		// A requeue says queued outright. A start says running, but the
+		// run itself did not survive the crash; what the record proves is
+		// that an attempt started. Either way re-run from queued.
+		j.State = JobQueued
+		if rec.State == JobRunning && !rec.At.IsZero() {
+			t := rec.At
+			j.Started = &t
 		}
 	case recProgress:
-		if j, ok := q.jobs[rec.JobID]; ok && rec.Progress != nil {
+		if rec.Progress != nil {
 			j.Progress = *rec.Progress
 		}
 	case recGaGen:
-		if rec.Ga == nil {
-			return
-		}
-		j, ok := q.jobs[rec.JobID]
-		if !ok || j.State == JobCompleted || j.State == JobFailed {
+		if rec.Ga == nil || terminal {
 			return
 		}
 		// Contiguous-append only: a record already covered by the
@@ -453,10 +463,6 @@ func (q *Queue) applyRecordLocked(rec *JournalRecord) {
 			q.gaGens[rec.JobID] = append(q.gaGens[rec.JobID], *rec.Ga)
 		}
 	case recFinish:
-		j, ok := q.jobs[rec.JobID]
-		if !ok {
-			return
-		}
 		delete(q.gaGens, rec.JobID)
 		j.State = rec.State
 		j.Result = rec.Result

@@ -306,6 +306,26 @@ func TestReplayIdempotence(t *testing.T) {
 	}
 }
 
+// TestReplayRunAheadOfSubmit: Submit hands a job to the workers before
+// it appends the submit record, so a job quicker than that fsync has
+// its start and finish journaled first. Replay must still end with the
+// job finished, once or twice over.
+func TestReplayRunAheadOfSubmit(t *testing.T) {
+	recs := replayRecords()[:5]
+	// job-0001's start, progress and finish, then the two submits.
+	early := append(append([]JournalRecord{}, recs[2:]...), recs[:2]...)
+	want := recoverInto(t, recs)
+	if got := recoverInto(t, early); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run journaled ahead of its submit replays as\n%+v\nwant\n%+v", got, want)
+	}
+	if want[0].State != JobCompleted || want[0].Result == nil || want[0].Attempts != 1 {
+		t.Fatalf("reference replay left job-0001 as %+v", want[0])
+	}
+	if got := recoverInto(t, append(append([]JournalRecord{}, early...), early...)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed twice:\n%+v\nwant\n%+v", got, want)
+	}
+}
+
 // TestRecoverCheckpointJournalOverlap is the crash window between a
 // durable checkpoint and its journal truncation: recovering from
 // checkpoint+full-journal must equal recovering from the journal alone.
