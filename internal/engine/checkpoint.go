@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/chaos"
@@ -32,7 +33,35 @@ const crcPrefix = "#crc32c="
 // and wraps this error only when no generation is loadable.
 var ErrCheckpointCorrupt = errors.New("engine: checkpoint corrupt")
 
-var ctrCheckpointSalvaged = obs.Default().Counter("queue.checkpoint_salvaged")
+var (
+	ctrCheckpointSalvaged = obs.Default().Counter("queue.checkpoint_salvaged")
+	ctrCheckpointWrites   = obs.Default().CounterFamily("sbst_checkpoint_writes_total", "Queue snapshots written (journal compactions, drains, and every finish of a journal-less queue).").Counter()
+	ctrCheckpointErrors   = obs.Default().CounterFamily("sbst_checkpoint_errors_total", "Queue snapshot writes that failed.").Counter()
+	gaugeCheckpointBytes  = obs.Default().GaugeFamily("sbst_checkpoint_bytes", "Size of the last queue snapshot written.").Gauge()
+	histCheckpointSeconds = obs.Default().HistogramFamily("sbst_checkpoint_seconds", "Wall time of one snapshot write, journal truncation included.", obs.DefBuckets).Histogram()
+)
+
+// compactionFloor is the least journal growth worth a snapshot rewrite.
+// The compactor runs when the journal reaches max(compactionFloor, size
+// of the last snapshot): the floor keeps a young queue from rewriting a
+// small file every few jobs, and the proportional half keeps the bytes
+// written by compaction within ~2x the bytes journaled however long the
+// history grows (the AOF-rewrite / LSM size-ratio rule). It also bounds
+// what a crash has to replay to that many bytes of records.
+const compactionFloor = 1 << 20
+
+// Steps reported to QueueOptions.compactHook. The compaction steps fire
+// in this order, each after the action it names; stepFinish fires from
+// a queue worker.
+const (
+	stepMark      = "mark"      // journal mark taken
+	stepSnapshot  = "snapshot"  // queue state copied under q.mu
+	stepSynced    = "synced"    // temp file written and fsynced
+	stepRotated   = "rotated"   // live checkpoint moved to .prev
+	stepRenamed   = "renamed"   // temp renamed into place, directory fsynced
+	stepTruncated = "truncated" // journal prefix below the mark dropped
+	stepFinish    = "finish"    // a job's synced finish record appended
+)
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -137,20 +166,85 @@ func splitTrailer(data []byte) (payload []byte, sumHex string, ok bool) {
 
 // Checkpoint durably writes the queue state to the configured path:
 // temp file in the same directory, fsync, rotate the live file to
-// <path>.prev, rename the temp into place, fsync the directory. A crash
-// at any point leaves either the old generation, the new one, or a
-// detectably torn file plus the .prev salvage copy — never a silent
-// mix. A queue without a checkpoint path is a no-op.
+// <path>.prev, rename the temp into place, fsync the directory, then
+// truncate the journal prefix the snapshot covers. A crash at any point
+// leaves either the old generation, the new one, or a detectably torn
+// file plus the .prev salvage copy — never a silent mix. A queue
+// without a checkpoint path is a no-op.
+//
+// Checkpoint is single-flight: the compactor, Drain and direct callers
+// all run the whole sequence under one mutex. A journal mark is an
+// offset into the file as it is now and Truncate rebases the file, so a
+// mark taken by one caller before another caller's truncation would cut
+// the rebased journal in the wrong place; and with two sequences
+// interleaved the older snapshot can be the last one renamed into
+// place, beside a journal already truncated for the newer one. Either
+// way acknowledged finishes disappear from the recoverable state.
 func (q *Queue) Checkpoint() error {
 	if q.opts.Checkpoint == "" {
 		return nil
 	}
+	q.compactMu.Lock()
+	defer q.compactMu.Unlock()
+	start := time.Now()
+	n, err := q.writeSnapshot()
+	if err != nil {
+		ctrCheckpointErrors.Add(1)
+		return err
+	}
+	q.snapshotBytes.Store(int64(n))
+	ctrCheckpointWrites.Add(1)
+	gaugeCheckpointBytes.Set(float64(n))
+	histCheckpointSeconds.Observe(time.Since(start).Seconds())
+	return nil
+}
+
+// checkpointOrReport is Checkpoint for callers with nobody to return
+// the error to: a queue worker after a finish, the compactor.
+func (q *Queue) checkpointOrReport() {
+	if err := q.Checkpoint(); err != nil {
+		obs.Emit(q.opts.Sink, obs.Event{
+			Type: obs.EventPhase, Name: "queue",
+			Fields: map[string]any{"event": "checkpoint_error", "error": err.Error()},
+		})
+	}
+}
+
+// compactor is the one goroutine that rewrites the snapshot of a
+// journaled queue while it runs. Finishes nudge it; it compacts when
+// the journal has reached max(floor, last snapshot) bytes, and exits
+// with the workers when Drain closes q.stop (Drain writes the final
+// snapshot itself).
+func (q *Queue) compactor() {
+	defer q.wg.Done()
+	for {
+		select {
+		case <-q.stop:
+			return
+		case <-q.compactKick:
+		}
+		if q.opts.Journal.Mark() >= max(q.opts.compactFloor, q.snapshotBytes.Load()) {
+			q.checkpointOrReport()
+		}
+	}
+}
+
+func (q *Queue) hook(step, jobID string) {
+	if q.opts.compactHook != nil {
+		q.opts.compactHook(step, jobID)
+	}
+}
+
+// writeSnapshot is the body of Checkpoint; it returns the size of the
+// snapshot it wrote. Caller holds q.compactMu.
+func (q *Queue) writeSnapshot() (int, error) {
 	// Mark the journal BEFORE snapshotting: every record below the mark
 	// was appended after its mutation landed in q.jobs, so the snapshot
 	// taken next covers it and the prefix can be truncated once the
 	// checkpoint is durable. Records appended after the mark survive
 	// truncation and replay idempotently on top of this checkpoint.
 	mark := q.opts.Journal.Mark()
+	q.hook(stepMark, "")
 	q.mu.Lock()
 	cp := checkpointFile{Version: checkpointVersion, NextID: q.nextID}
 	cp.Jobs = make([]Job, 0, len(q.order))
@@ -175,10 +269,11 @@ func (q *Queue) Checkpoint() error {
 	}
 	q.mu.Unlock()
 	cp.EventSeqs = q.opts.Events.Seqs()
+	q.hook(stepSnapshot, "")
 
 	data, err := encodeCheckpoint(&cp)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	dest := q.opts.Checkpoint
 	// Chaos point: a checkpoint write that tears mid-file (shortwrite —
@@ -187,39 +282,42 @@ func (q *Queue) Checkpoint() error {
 	// rename could tear, which is what the injected torn write emulates.
 	if f := chaos.Maybe("engine.checkpoint.write"); f != nil {
 		if ierr := f.Err(); ierr != nil {
-			return fmt.Errorf("engine: write checkpoint: %w", ierr)
+			return 0, fmt.Errorf("engine: write checkpoint: %w", ierr)
 		}
 		if torn, ok := f.ShortWrite(data); ok {
 			rotateCheckpoint(dest)
 			_ = os.WriteFile(dest, torn, 0o644)
-			return nil
+			return len(data), nil
 		}
 	}
 	dir := filepath.Dir(dest)
 	tmp, err := os.CreateTemp(dir, ".sbstd-checkpoint-*")
 	if err != nil {
-		return fmt.Errorf("engine: checkpoint temp: %w", err)
+		return 0, fmt.Errorf("engine: checkpoint temp: %w", err)
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: write checkpoint: %w", err)
+		return 0, fmt.Errorf("engine: write checkpoint: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: sync checkpoint: %w", err)
+		return 0, fmt.Errorf("engine: sync checkpoint: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: close checkpoint: %w", err)
+		return 0, fmt.Errorf("engine: close checkpoint: %w", err)
 	}
+	q.hook(stepSynced, "")
 	rotateCheckpoint(dest)
+	q.hook(stepRotated, "")
 	if err := os.Rename(tmp.Name(), dest); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: rename checkpoint: %w", err)
+		return 0, fmt.Errorf("engine: rename checkpoint: %w", err)
 	}
 	syncDir(dir)
+	q.hook(stepRenamed, "")
 	// The checkpoint is durable: the journal prefix it covers is dead
 	// weight. Truncation failure is non-fatal — the prefix just replays
 	// idempotently next startup.
@@ -229,7 +327,8 @@ func (q *Queue) Checkpoint() error {
 			Fields: map[string]any{"event": "journal_truncate_error", "error": err.Error()},
 		})
 	}
-	return nil
+	q.hook(stepTruncated, "")
+	return len(data), nil
 }
 
 // rotateCheckpoint moves the live checkpoint to its .prev slot
@@ -353,9 +452,7 @@ func (q *Queue) adopt(cp *checkpointFile, recs []JournalRecord) error {
 		// Restored jobs re-plan their units on the next run; a stale
 		// dist snapshot would misreport the new campaign.
 		j.Dist = nil
-		q.jobs[j.ID] = &j
-		q.order = append(q.order, j.ID)
-		q.indexSubmitIDLocked(&j)
+		q.addJobLocked(&j)
 	}
 	for id, gens := range cp.GaGens {
 		if j, ok := q.jobs[id]; ok && j.State != JobCompleted && j.State != JobFailed {
@@ -366,13 +463,7 @@ func (q *Queue) adopt(cp *checkpointFile, recs []JournalRecord) error {
 	for i := range recs {
 		q.applyRecordLocked(&recs[i], early)
 	}
-	pending := 0
-	for _, j := range q.jobs {
-		if j.State == JobQueued {
-			pending++
-		}
-	}
-	if pending > cap(q.work) {
+	if pending := q.counts[JobQueued]; pending > cap(q.work) {
 		// Grow the pending buffer so every resumable job fits.
 		q.work = make(chan string, pending)
 	}
@@ -381,7 +472,6 @@ func (q *Queue) adopt(cp *checkpointFile, recs []JournalRecord) error {
 			q.work <- id
 		}
 	}
-	q.updateGaugesLocked()
 	q.mu.Unlock()
 
 	q.seedEvents(cp.EventSeqs, recs)
@@ -418,9 +508,7 @@ func (q *Queue) applyRecordLocked(rec *JournalRecord, early map[string][]*Journa
 			j.State = JobQueued
 		}
 		j.Dist = nil
-		q.jobs[j.ID] = &j
-		q.order = append(q.order, j.ID)
-		q.indexSubmitIDLocked(&j)
+		q.addJobLocked(&j)
 		for _, r := range early[j.ID] {
 			q.applyRecordLocked(r, early)
 		}
@@ -443,7 +531,7 @@ func (q *Queue) applyRecordLocked(rec *JournalRecord, early map[string][]*Journa
 		// A requeue says queued outright. A start says running, but the
 		// run itself did not survive the crash; what the record proves is
 		// that an attempt started. Either way re-run from queued.
-		j.State = JobQueued
+		q.setStateLocked(j, JobQueued)
 		if rec.State == JobRunning && !rec.At.IsZero() {
 			t := rec.At
 			j.Started = &t
@@ -464,7 +552,7 @@ func (q *Queue) applyRecordLocked(rec *JournalRecord, early map[string][]*Journa
 		}
 	case recFinish:
 		delete(q.gaGens, rec.JobID)
-		j.State = rec.State
+		q.setStateLocked(j, rec.State)
 		j.Result = rec.Result
 		j.Error = rec.Error
 		if rec.Attempts > 0 {

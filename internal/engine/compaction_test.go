@@ -2,12 +2,16 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -195,4 +199,477 @@ func concurrentCheckpointRound(t *testing.T, batches, perBatch int) {
 			t.Errorf("crash image after %d jobs lost %d acknowledged finishes", (b+1)*perBatch, lost)
 		}
 	}
+}
+
+// crashImage is a copy of the state directory taken at one compaction
+// step, with what had been acknowledged when the copy began.
+type crashImage struct {
+	step     string
+	dir      string
+	acked    int              // jobs 1..acked had their Submit return
+	finished []string         // jobs whose synced finish append had returned
+	seqs     map[string]int64 // last SSE sequence number published per job
+}
+
+// TestCompactionCrashSteps takes a crash image after every step of
+// every compaction while two workers keep finishing jobs, recovers each
+// image, and holds it to the durability contract: no acknowledged
+// submit missing, every acknowledged finish terminal with the result
+// the live queue served, no terminal job with any other result, the ID
+// counter and the SSE numbering never behind what had been handed out.
+func TestCompactionCrashSteps(t *testing.T) {
+	const jobs = 240
+	dir := t.TempDir()
+	j, _, err := OpenJournal(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	events := NewJobEventBroker()
+	gates := newAckGates(jobs)
+
+	var mu sync.Mutex // guards acked, finished; images is only touched single-flight
+	var acked int
+	var finished []string
+	var images []crashImage
+	hook := func(step, id string) {
+		if step == stepFinish {
+			mu.Lock()
+			finished = append(finished, id)
+			mu.Unlock()
+			return
+		}
+		mu.Lock()
+		img := crashImage{step: step, dir: filepath.Join(dir, fmt.Sprintf("image-%03d-%s", len(images), step)),
+			acked: acked, finished: append([]string(nil), finished...), seqs: events.Seqs()}
+		mu.Unlock()
+		if err := copyState(dir, img.dir); err != nil {
+			t.Error(err)
+		}
+		images = append(images, img)
+	}
+	q := NewQueue(QueueOptions{Workers: 2, MaxPending: jobs, Journal: j, Events: events,
+		Checkpoint: filepath.Join(dir, "ckpt.json"), compactFloor: 8 << 10, compactHook: hook,
+		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
+			res, err := gates.exec(ctx, spec, update)
+			if spec.Vectors.Count%50 == 0 {
+				return nil, errors.New("planted failure")
+			}
+			return res, err
+		}})
+	q.Start()
+	for n := 1; n <= jobs; n++ {
+		job, err := q.Submit(specN(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("job-%04d", n); job.ID != want {
+			t.Fatalf("submit %d minted %s, want %s", n, job.ID, want)
+		}
+		mu.Lock()
+		acked = n
+		mu.Unlock()
+		close(gates[n])
+		if n == jobs {
+			// Every earlier job has at least started; Drain lets those finish.
+			waitState(t, q, job.ID, JobCompleted)
+		}
+	}
+	// Drain joins the workers and the compactor, then compacts once more
+	// on this goroutine: every image is in before the checks start.
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	compactions := 0
+	for _, img := range images {
+		if img.step == stepTruncated {
+			compactions++
+		}
+	}
+	if compactions < 3 {
+		t.Fatalf("%d compactions in %d images; the floor was meant to force several", compactions, len(images))
+	}
+
+	// What the live queue served is the reference for every image.
+	type outcome struct {
+		state  JobState
+		result string
+		errMsg string
+	}
+	outcomeOf := func(job Job) outcome {
+		res, err := json.Marshal(job.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{job.State, string(res), job.Error}
+	}
+	live := make(map[string]outcome, jobs)
+	for _, job := range q.Jobs() {
+		if job.State != JobCompleted && job.State != JobFailed {
+			t.Fatalf("%s drained in state %s", job.ID, job.State)
+		}
+		live[job.ID] = outcomeOf(job)
+	}
+
+	lastNextID := 0
+	for _, img := range images {
+		got := recoverCopy(t, img.dir)
+		recovered := make(map[string]Job, jobs)
+		for _, job := range got.Jobs() {
+			recovered[job.ID] = job
+			if job.State == JobCompleted || job.State == JobFailed {
+				if o := outcomeOf(job); o != live[job.ID] {
+					t.Errorf("%s: %s recovered as %+v, live queue served %+v", img.dir, job.ID, o, live[job.ID])
+				}
+			}
+		}
+		for n := 1; n <= img.acked; n++ {
+			if _, ok := recovered[fmt.Sprintf("job-%04d", n)]; !ok {
+				t.Errorf("%s: acknowledged submit job-%04d missing", img.dir, n)
+			}
+		}
+		for _, id := range img.finished {
+			if s := recovered[id].State; s != JobCompleted && s != JobFailed {
+				t.Errorf("%s: %s had its finish acknowledged, recovered %q", img.dir, id, s)
+			}
+		}
+		got.mu.Lock()
+		nextID := got.nextID
+		got.mu.Unlock()
+		if nextID < img.acked || nextID < lastNextID {
+			t.Errorf("%s: next_id %d after %d acknowledged submits and %d in the image before", img.dir, nextID, img.acked, lastNextID)
+		}
+		lastNextID = nextID
+		// A job publishes its first event before its submit is journaled;
+		// only an acknowledged job has followers to keep numbering for.
+		seqs := got.opts.Events.Seqs()
+		for n := 1; n <= img.acked; n++ {
+			id := fmt.Sprintf("job-%04d", n)
+			if seqs[id] < img.seqs[id] {
+				t.Errorf("%s: %s resumes SSE numbering at %d, %d was already published", img.dir, id, seqs[id], img.seqs[id])
+			}
+		}
+	}
+}
+
+// TestRecoverJournalOnlyTornTail is the crash the byte-triggered cadence
+// makes the common one: no checkpoint has been written yet, the journal
+// is everything, and the kill lands anywhere inside its last three
+// frames. Whatever the cut, recovery equals a replay of the whole
+// frames before it.
+func TestRecoverJournalOnlyTornTail(t *testing.T) {
+	const jobs = 4
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.wal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := newAckGates(jobs)
+	q := NewQueue(QueueOptions{Workers: 1, Journal: j, Exec: gates.exec, Checkpoint: filepath.Join(dir, "ckpt.json")})
+	q.Start()
+	base := famJournalRecords.Counter(recFinish).Load()
+	for n := 1; n <= jobs; n++ {
+		// One job at a time, its finish record in before the next submit,
+		// so the journal reads submit, start, finish per job.
+		gates.submit(t, q, n)
+		waitFinishAppends(t, j, base, n)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ckpt.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a %d-byte journal was compacted (stat: %v); this test wants journal-only state", len(data), err)
+	}
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	recs, good := decodeJournal(data)
+	if good != int64(len(data)) || len(recs) != 3*jobs {
+		t.Fatalf("journal decodes %d records over %d of %d bytes, want %d records", len(recs), good, len(data), 3*jobs)
+	}
+	// ends[k] is where frame k ends; the last job owns the last three
+	// frames: submit, start, finish.
+	ends := make([]int, len(recs))
+	off := 0
+	for k := range recs {
+		frame, err := encodeFrame(&recs[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += len(frame)
+		ends[k] = off
+	}
+	if off != len(data) {
+		t.Fatalf("re-encoded frames span %d bytes, journal holds %d", off, len(data))
+	}
+	last := fmt.Sprintf("job-%04d", jobs)
+	wantLast := []JobState{"", JobQueued, JobQueued, JobCompleted} // by whole frames of the last job present
+	whole := len(recs) - 3
+	for cut := ends[whole-1]; cut <= len(data); cut++ {
+		for whole < len(recs) && ends[whole] <= cut {
+			whole++
+		}
+		// OpenJournal's own handling of a torn file is TestJournalTornTail's;
+		// this is about what Recover makes of the records that survive.
+		cutRecs, _ := decodeJournal(data[:cut])
+		q := NewQueue(QueueOptions{Exec: instantExec})
+		if err := q.Recover(filepath.Join(dir, "absent", "ckpt.json"), cutRecs); err != nil {
+			t.Fatal(err)
+		}
+		got := q.Jobs()
+		if want := recoverInto(t, recs[:whole]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d of %d: recovered %+v, replay of %d whole frames gives %+v", cut, len(data), got, whole, want)
+		}
+		state := JobState("")
+		for _, job := range got {
+			if job.ID == last {
+				state = job.State
+			} else if job.State != JobCompleted || job.Result == nil {
+				t.Fatalf("cut at %d: %s, finished frames earlier, recovered as %+v", cut, job.ID, job)
+			}
+		}
+		if want := wantLast[whole-(len(recs)-3)]; state != want {
+			t.Fatalf("cut at %d (%d whole frames): %s recovered %q, want %q", cut, whole, last, state, want)
+		}
+	}
+}
+
+// runInstantJobs pushes n instant jobs through q and waits for the last
+// of them to be terminal; with instant jobs and ordered workers that is
+// all of them once the queue is drained, which every caller does next.
+func runInstantJobs(t *testing.T, q *Queue, gates ackGates, n int, traceID string) {
+	t.Helper()
+	for k := 1; k <= n; k++ {
+		spec := specN(k)
+		spec.TraceID = traceID
+		job, err := q.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(gates[k])
+		if k == n {
+			waitState(t, q, job.ID, JobCompleted)
+		}
+	}
+}
+
+// TestFinishPathIsCheckpointFree pins the cadence by counting writes,
+// not by timing them: a journaled queue's finishes write no snapshot
+// and truncate no journal until Drain; a journal-less queue still
+// writes one per finish; and what makes the compactor write is journal
+// bytes, not the number of jobs.
+func TestFinishPathIsCheckpointFree(t *testing.T) {
+	type wiring struct {
+		jobs    int
+		journal bool
+		floor   int64
+		traceID string // padding: journal bytes per job without changing the job count
+		broken  bool   // the journal's file is closed underneath it before the first job
+	}
+	// run reports the snapshot writes and journal truncations before
+	// Drain and in total, and the journal mark each compaction saw with
+	// the trigger it had to reach.
+	type compaction struct{ mark, due int64 }
+	run := func(t *testing.T, w wiring) (before, after, truncBefore, truncAfter int64, seen []compaction) {
+		dir, jobs := t.TempDir(), w.jobs
+		gates := newAckGates(jobs)
+		opts := QueueOptions{Workers: 2, MaxPending: jobs, Exec: gates.exec,
+			Checkpoint: filepath.Join(dir, "ckpt.json"), compactFloor: w.floor}
+		var q *Queue
+		if w.journal {
+			j, _, err := OpenJournal(filepath.Join(dir, "journal.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if w.broken {
+				j.f.Close()
+			}
+			opts.Journal = j
+			opts.compactHook = func(step, _ string) {
+				if step == stepMark {
+					// Read inside the compaction, before it stores its own
+					// snapshot's size. The mark read here can be a record or
+					// two past the one the compaction took; a compaction per
+					// job would be short of the trigger by far more.
+					seen = append(seen, compaction{j.Mark(), max(q.opts.compactFloor, q.snapshotBytes.Load())})
+				}
+			}
+		}
+		q = NewQueue(opts)
+		q.Start()
+		writes0, trunc0 := ctrCheckpointWrites.Load(), ctrJournalTruncate.Load()
+		runInstantJobs(t, q, gates, jobs, w.traceID)
+		// A nudged compactor that is not due takes no lock and writes
+		// nothing, so the counters are final for the jobs seen so far;
+		// one that is due may still be writing — Drain joins it.
+		before, truncBefore = ctrCheckpointWrites.Load()-writes0, ctrJournalTruncate.Load()-trunc0
+		if err := q.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(q.Jobs()); n != jobs {
+			t.Fatalf("%d jobs in the queue, want %d", n, jobs)
+		}
+		for _, job := range q.Jobs() {
+			if job.State != JobCompleted {
+				t.Fatalf("%s drained in state %s", job.ID, job.State)
+			}
+		}
+		return before, ctrCheckpointWrites.Load() - writes0, truncBefore, ctrJournalTruncate.Load() - trunc0, seen
+	}
+
+	t.Run("journaled", func(t *testing.T) {
+		const jobs = 300
+		before, after, truncBefore, truncAfter, _ := run(t, wiring{jobs: jobs, journal: true})
+		if before != 0 || truncBefore != 0 {
+			t.Errorf("%d jobs cost %d snapshot writes and %d journal truncations before Drain, want none", jobs, before, truncBefore)
+		}
+		if after != 1 || truncAfter != 1 {
+			t.Errorf("Drain made it %d snapshot writes and %d truncations, want exactly one of each", after, truncAfter)
+		}
+	})
+	t.Run("no journal", func(t *testing.T) {
+		const jobs = 300
+		_, after, _, _, _ := run(t, wiring{jobs: jobs})
+		if after != jobs+1 {
+			t.Errorf("%d snapshot writes for %d finishes and a drain, want one each", after, jobs)
+		}
+	})
+	t.Run("journal failed", func(t *testing.T) {
+		// Every append fails, so no finish is in the journal and each
+		// falls back to the write a journal-less queue makes.
+		const jobs = 20
+		_, after, _, _, _ := run(t, wiring{jobs: jobs, journal: true, broken: true})
+		if after != jobs+1 {
+			t.Errorf("%d snapshot writes for %d unjournaled finishes and a drain, want one each", after, jobs)
+		}
+	})
+	t.Run("triggered by bytes", func(t *testing.T) {
+		const jobs, floor = 150, 32 << 10
+		_, lean, _, _, leanSeen := run(t, wiring{jobs: jobs, journal: true, floor: floor})
+		_, fat, _, _, fatSeen := run(t, wiring{jobs: jobs, journal: true, floor: floor, traceID: strings.Repeat("f", 16<<10)})
+		for _, seen := range [][]compaction{leanSeen, fatSeen} {
+			// The last one is Drain's, which does not wait to be due.
+			for _, c := range seen[:len(seen)-1] {
+				if c.mark < c.due {
+					t.Errorf("compacted at %d journal bytes, before the %d-byte trigger", c.mark, c.due)
+				}
+			}
+		}
+		if lean < 2 || lean > jobs/20 {
+			t.Errorf("%d snapshot writes for %d lean jobs over a %d-byte floor", lean, jobs, floor)
+		}
+		if fat <= lean {
+			t.Errorf("%d jobs wrote %d snapshots lean and %d with 16 KiB more journal each; want more for more bytes", jobs, lean, fat)
+		}
+	})
+}
+
+// TestStateCountsMatchRecount: the per-state counters behind Counts()
+// and the sbst_queue_jobs gauges are adjusted at every transition
+// instead of recounted; after each kind of transition — completions, a
+// failure, a retry that requeues, a forced drain, a recovery from the
+// journal, the recovered jobs' own runs — they equal a recount.
+func TestStateCountsMatchRecount(t *testing.T) {
+	check := func(q *Queue, when string, want map[JobState]int) {
+		t.Helper()
+		recount := map[JobState]int{}
+		for _, job := range q.Jobs() {
+			recount[job.State]++
+		}
+		if got := q.Counts(); !reflect.DeepEqual(got, recount) {
+			t.Errorf("%s: Counts() %v, recount %v", when, got, recount)
+		}
+		if !reflect.DeepEqual(recount, want) {
+			t.Errorf("%s: recount %v, want %v", when, recount, want)
+		}
+		for state, g := range queueGauges {
+			if int(g.Load()) != recount[state] {
+				t.Errorf("%s: sbst_queue_jobs{state=%q} %v, recount %d", when, state, g.Load(), recount[state])
+			}
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flaked atomic.Bool
+	hold := make(chan struct{})
+	exec := func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
+		switch spec.Vectors.Count {
+		case 3:
+			return nil, errors.New("planted failure")
+		case 4:
+			if !flaked.Swap(true) {
+				return nil, fmt.Errorf("first attempt: %w", ErrTransient)
+			}
+		case 6:
+			select {
+			case <-hold:
+			case <-ctx.Done():
+				return nil, ErrInterrupted
+			}
+		}
+		return instantExec(ctx, spec, update)
+	}
+	q := NewQueue(QueueOptions{Workers: 1, Journal: j, Exec: exec, RetryBase: time.Millisecond})
+	q.Start()
+	var ids []string
+	for n := 1; n <= 7; n++ {
+		job, err := q.Submit(specN(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID)
+	}
+	// One worker: job 6 holds it, job 7 waits behind, and job 4's retry
+	// either ran before job 6 or waits behind it too.
+	waitState(t, q, ids[5], JobRunning)
+	for _, n := range []int{1, 2, 5} {
+		waitState(t, q, ids[n-1], JobCompleted)
+	}
+	waitState(t, q, ids[2], JobFailed)
+	if job, _ := q.Get(ids[3]); job.State == JobCompleted {
+		check(q, "job 6 held", map[JobState]int{JobCompleted: 4, JobFailed: 1, JobRunning: 1, JobQueued: 1})
+	} else {
+		check(q, "job 6 held", map[JobState]int{JobCompleted: 3, JobFailed: 1, JobRunning: 1, JobQueued: 2})
+	}
+
+	// A drain whose deadline has passed cancels job 6 back to queued.
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := q.Drain(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("forced drain returned %v", err)
+	}
+	done := q.Counts()[JobCompleted]
+	check(q, "forced drain", map[JobState]int{JobCompleted: done, JobFailed: 1, JobQueued: 6 - done})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	close(hold)
+	q2 := NewQueue(QueueOptions{Workers: 2, Journal: j2, Exec: exec})
+	if err := q2.Recover("", recs); err != nil {
+		t.Fatal(err)
+	}
+	check(q2, "recovered", map[JobState]int{JobCompleted: done, JobFailed: 1, JobQueued: 6 - done})
+	q2.Start()
+	for _, n := range []int{4, 6, 7} {
+		waitState(t, q2, ids[n-1], JobCompleted)
+	}
+	if err := q2.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check(q2, "recovered jobs ran", map[JobState]int{JobCompleted: 6, JobFailed: 1})
 }

@@ -1,15 +1,16 @@
 // Write-ahead job journal: the durability layer between checkpoints.
 //
-// Checkpoints (checkpoint.go) snapshot the whole queue but are only
-// written on terminal transitions and drain — everything that happens
-// in between (a submit acked to a client, a lease granted to a worker,
-// a progress watermark) dies with a kill -9. The journal closes that
-// window: every state transition is appended as a crc32c-framed record
-// before the queue moves on, fsync-batched so the hot path pays one
-// group commit instead of a sync per record. On startup the journal is
-// replayed on top of the newest loadable checkpoint (Queue.Recover);
+// Checkpoints (checkpoint.go) snapshot the whole queue, which costs in
+// proportion to everything the queue has ever finished — too much to
+// pay per transition. The journal is what makes each transition
+// durable: every one is appended as a crc32c-framed record before the
+// queue moves on, fsync-batched so the hot path pays one group commit
+// instead of a sync per record. On startup the journal is replayed on
+// top of the newest loadable checkpoint (Queue.Recover). The checkpoint
+// is the journal's compaction: the queue's compactor rewrites it when
+// the journal has grown to max(1 MiB, the last snapshot's size), and
 // after every successful checkpoint the covered prefix is truncated
-// away so the journal stays short.
+// away, so the journal — and the replay a crash costs — stays bounded.
 //
 // Frame layout, little-endian:
 //
@@ -285,6 +286,13 @@ func (j *Journal) flusher() {
 // are appended after their mutation), so truncating the prefix at the
 // mark after the checkpoint lands durably can never drop an uncovered
 // transition.
+//
+// A mark is an offset into the file as it is now, not a position in the
+// record stream: Truncate rebases the file to start at its mark, so a
+// mark is valid only until the next Truncate and is meant for exactly
+// one. The journal does not check that — the queue's compaction mutex
+// (Queue.Checkpoint) is what guarantees no second mark is taken between
+// a mark and the Truncate that consumes it.
 func (j *Journal) Mark() int64 {
 	if j == nil {
 		return 0
@@ -299,7 +307,12 @@ func (j *Journal) Mark() int64 {
 // temp file and atomically renamed over the journal, so a crash at any
 // point leaves either the old full journal or the new tail — both
 // replay correctly (the old journal merely replays covered records,
-// which is idempotent). Nil-safe.
+// which is idempotent). mark must be the latest Mark taken, with no
+// other Truncate since (see Mark); after Truncate(Mark()) the journal
+// is empty and Mark is 0 again. The journal mutex is held across the
+// rewrite and its fsyncs, so appends wait — acceptable because the
+// queue compacts once per max(1 MiB, snapshot) of records, not once per
+// job. Nil-safe.
 func (j *Journal) Truncate(mark int64) error {
 	if j == nil {
 		return nil

@@ -38,14 +38,15 @@ var (
 	ctrBreakerTrips     = obs.Default().Counter("queue.breaker_trips")
 	ctrWatchdogTrips    = obs.Default().Counter("queue.watchdog_trips")
 	ctrDeadlineExceeded = obs.Default().Counter("queue.deadline_exceeded")
-	ctrCheckpointErrors = obs.Default().Counter("queue.checkpoint_errors")
 
-	famQueueJobs   = obs.Default().GaugeFamily("sbst_queue_jobs", "Jobs in the queue, by lifecycle state.", "state")
-	gaugeQueued    = famQueueJobs.Gauge("queued")
-	gaugeRunning   = famQueueJobs.Gauge("running")
-	gaugeCompleted = famQueueJobs.Gauge("completed")
-	gaugeFailed    = famQueueJobs.Gauge("failed")
-	gaugeBreaker   = obs.Default().GaugeFamily("sbst_queue_breaker_open", "1 while the consecutive-failure circuit breaker holds workers paused.").Gauge()
+	famQueueJobs = obs.Default().GaugeFamily("sbst_queue_jobs", "Jobs in the queue, by lifecycle state.", "state")
+	queueGauges  = map[JobState]*obs.Gauge{
+		JobQueued:    famQueueJobs.Gauge("queued"),
+		JobRunning:   famQueueJobs.Gauge("running"),
+		JobCompleted: famQueueJobs.Gauge("completed"),
+		JobFailed:    famQueueJobs.Gauge("failed"),
+	}
+	gaugeBreaker = obs.Default().GaugeFamily("sbst_queue_breaker_open", "1 while the consecutive-failure circuit breaker holds workers paused.").Gauge()
 )
 
 // progressEventPeriod throttles SSE progress publication per job.
@@ -72,8 +73,14 @@ type QueueOptions struct {
 	MaxAttempts int
 	// Exec runs jobs; required.
 	Exec Executor
-	// Checkpoint, when non-empty, is the JSON state file written after
-	// every terminal job transition and on drain.
+	// Checkpoint, when non-empty, is the JSON snapshot of the queue state
+	// (see Queue.Checkpoint), always written on drain. With a Journal
+	// wired it is the journal's compaction target: a finished job costs
+	// only its synced journal record, and a background compactor rewrites
+	// the snapshot once the journal has grown to max(1 MiB, the size of
+	// the last snapshot). Without a Journal the checkpoint is the only
+	// durable record, so it is also written after every terminal job
+	// transition, before the worker takes its next job.
 	Checkpoint string
 	// Sink receives queue lifecycle events (job state transitions).
 	Sink obs.Sink
@@ -120,6 +127,14 @@ type QueueOptions struct {
 	// traceID overrides trace-ID minting in tests (golden determinism);
 	// default obs.NewTraceID.
 	traceID func() string
+	// compactFloor overrides compactionFloor in tests, so that a short
+	// run compacts more than once.
+	compactFloor int64
+	// compactHook, when set in tests, is called after each step of a
+	// compaction (the step* names, job "") on the goroutine running it,
+	// and with stepFinish and the job's ID once that job's synced finish
+	// record has been appended.
+	compactHook func(step, jobID string)
 }
 
 // runningJob is the queue's handle on an in-flight execution: the lever
@@ -146,6 +161,10 @@ type Queue struct {
 	jobs   map[string]*Job
 	order  []string
 	nextID int
+	// counts is the number of jobs in each state, adjusted at every
+	// transition (addJobLocked, setStateLocked) so that neither Counts
+	// nor the sbst_queue_jobs gauges ever rescan q.jobs.
+	counts map[JobState]int
 	// submitIDs maps client-supplied idempotency keys to job IDs so a
 	// re-submitted spec (client retry across a coordinator restart) is
 	// served the original job instead of minting a duplicate.
@@ -172,6 +191,16 @@ type Queue struct {
 
 	jobCtx    context.Context
 	jobCancel context.CancelFunc
+
+	// compactMu makes Checkpoint single-flight; see there.
+	compactMu sync.Mutex
+	// snapshotBytes is the size of the last snapshot this queue wrote,
+	// the growing half of the compaction trigger.
+	snapshotBytes atomic.Int64
+	// compactKick wakes the compactor after a finish. One slot: a nudge
+	// is only ever "look at the journal size again", so a pending one
+	// stands for any number and the finish path never blocks on it.
+	compactKick chan struct{}
 }
 
 // NewQueue builds a queue; call Start (after an optional Restore) to
@@ -204,10 +233,14 @@ func NewQueue(opts QueueOptions) *Queue {
 	if opts.traceID == nil {
 		opts.traceID = obs.NewTraceID
 	}
+	if opts.compactFloor <= 0 {
+		opts.compactFloor = compactionFloor
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Queue{
 		opts:      opts,
 		jobs:      make(map[string]*Job),
+		counts:    make(map[JobState]int, 4),
 		submitIDs: make(map[string]string),
 		running:   make(map[string]*runningJob),
 		timers:    make(map[string]*time.Timer),
@@ -217,11 +250,14 @@ func NewQueue(opts QueueOptions) *Queue {
 		stop:      make(chan struct{}),
 		jobCtx:    ctx,
 		jobCancel: cancel,
+
+		compactKick: make(chan struct{}, 1),
 	}
 }
 
-// Start launches the worker pool (and the watchdog when StuckTimeout is
-// set). It is a no-op when already started.
+// Start launches the worker pool, the watchdog when StuckTimeout is set
+// and the compactor when a journal and a checkpoint are both wired. It
+// is a no-op when already started.
 func (q *Queue) Start() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -236,6 +272,10 @@ func (q *Queue) Start() {
 	if q.opts.StuckTimeout > 0 {
 		q.wg.Add(1)
 		go q.watchdog()
+	}
+	if q.opts.Journal != nil && q.opts.Checkpoint != "" {
+		q.wg.Add(1)
+		go q.compactor()
 	}
 }
 
@@ -286,12 +326,9 @@ func (q *Queue) Submit(spec JobSpec) (Job, error) {
 		q.mu.Unlock()
 		return Job{}, ErrQueueFull
 	}
-	q.jobs[j.ID] = j
-	q.order = append(q.order, j.ID)
-	q.indexSubmitIDLocked(j)
+	q.addJobLocked(j)
 	nextID := q.nextID
 	snap := snapshotJob(j)
-	q.updateGaugesLocked()
 	q.mu.Unlock()
 	q.emit(snap, "submitted")
 	seq := q.publishState(snap)
@@ -306,29 +343,53 @@ func (q *Queue) Submit(spec JobSpec) (Job, error) {
 	return snap, nil
 }
 
-// indexSubmitIDLocked records a job's idempotency key. Caller holds
-// q.mu. First writer wins: a key can only ever map to one job.
-func (q *Queue) indexSubmitIDLocked(j *Job) {
+// addJobLocked installs a job the queue has not seen before — submitted
+// or recovered — in its current state. Caller holds q.mu.
+func (q *Queue) addJobLocked(j *Job) {
+	q.jobs[j.ID] = j
+	q.order = append(q.order, j.ID)
+	// First writer wins: an idempotency key can only ever map to one job.
 	if key := j.Spec.SubmitID; key != "" {
 		if _, taken := q.submitIDs[key]; !taken {
 			q.submitIDs[key] = j.ID
 		}
 	}
+	q.countLocked(j.State, +1)
 }
 
-// journal appends a write-ahead record, counting (not propagating)
-// failures: journal trouble must not fail the queue's hot path, it
-// only narrows the recovery window back to the last checkpoint.
-func (q *Queue) journal(rec JournalRecord, sync bool) {
+// setStateLocked is the only way a job already in the queue changes
+// state, which is what keeps q.counts equal to a recount. Caller holds
+// q.mu.
+func (q *Queue) setStateLocked(j *Job, to JobState) {
+	q.countLocked(j.State, -1)
+	j.State = to
+	q.countLocked(to, +1)
+}
+
+// countLocked adjusts one state's count and its gauge. Caller holds
+// q.mu. A state the gauge family does not name (replayed from a record
+// nothing validated) is counted but has no gauge.
+func (q *Queue) countLocked(s JobState, delta int) {
+	q.counts[s] += delta
+	queueGauges[s].Set(float64(q.counts[s]))
+}
+
+// journal appends a write-ahead record and reports whether the record
+// is in the journal. Failures are counted and reported, not propagated:
+// journal trouble must not fail the queue's hot path, it only narrows
+// the recovery window back to the last checkpoint.
+func (q *Queue) journal(rec JournalRecord, sync bool) bool {
 	if q.opts.Journal == nil {
-		return
+		return false
 	}
 	if err := q.opts.Journal.Append(rec, sync); err != nil {
 		obs.Emit(q.opts.Sink, obs.Event{
 			Type: obs.EventPhase, Name: "queue",
 			Fields: map[string]any{"event": "journal_error", "error": err.Error()},
 		})
+		return false
 	}
+	return true
 }
 
 // recordGaGen durably records one completed ga_search generation: the
@@ -347,28 +408,6 @@ func (q *Queue) recordGaGen(id string, rec GaGenRecord) {
 	q.mu.Unlock()
 	r := rec
 	q.journal(JournalRecord{T: recGaGen, JobID: id, Ga: &r}, true)
-}
-
-// updateGaugesLocked refreshes the queue-depth gauges. Caller holds
-// q.mu; the scan is O(jobs), acceptable at queue scale.
-func (q *Queue) updateGaugesLocked() {
-	var counts [4]float64
-	for _, j := range q.jobs {
-		switch j.State {
-		case JobQueued:
-			counts[0]++
-		case JobRunning:
-			counts[1]++
-		case JobCompleted:
-			counts[2]++
-		case JobFailed:
-			counts[3]++
-		}
-	}
-	gaugeQueued.Set(counts[0])
-	gaugeRunning.Set(counts[1])
-	gaugeCompleted.Set(counts[2])
-	gaugeFailed.Set(counts[3])
 }
 
 // publishState emits a lifecycle JobEvent (terminal states publish a
@@ -423,13 +462,16 @@ func (q *Queue) Jobs() []Job {
 	return out
 }
 
-// Counts reports queue occupancy by state.
+// Counts reports queue occupancy by state; states holding no job are
+// left out.
 func (q *Queue) Counts() map[JobState]int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	counts := make(map[JobState]int, 4)
-	for _, j := range q.jobs {
-		counts[j.State]++
+	counts := make(map[JobState]int, len(q.counts))
+	for s, n := range q.counts {
+		if n != 0 {
+			counts[s] = n
+		}
 	}
 	return counts
 }
@@ -441,11 +483,12 @@ func (q *Queue) Draining() bool {
 	return q.draining
 }
 
-// Drain stops accepting submissions, lets running jobs finish, then
-// writes a final checkpoint. If ctx expires first, running jobs are
-// cancelled (they stop at the next segment boundary and return to the
-// queued state) and the checkpoint still captures them for resume. Jobs
-// sitting out a retry backoff stay queued and are likewise captured.
+// Drain stops accepting submissions, lets running jobs finish and the
+// compactor exit, then writes a final checkpoint. If ctx expires first,
+// running jobs are cancelled (they stop at the next segment boundary
+// and return to the queued state) and the checkpoint still captures
+// them for resume. Jobs sitting out a retry backoff stay queued and are
+// likewise captured.
 func (q *Queue) Drain(ctx context.Context) error {
 	q.mu.Lock()
 	if !q.draining {
@@ -547,7 +590,7 @@ func (q *Queue) run(id string) {
 		return
 	}
 	now := q.opts.now().UTC()
-	j.State = JobRunning
+	q.setStateLocked(j, JobRunning)
 	j.Attempts++
 	j.Started = &now
 	j.Error = ""
@@ -573,7 +616,6 @@ func (q *Queue) run(id string) {
 	}
 	q.running[id] = rj
 	snap := snapshotJob(j)
-	q.updateGaugesLocked()
 	q.mu.Unlock()
 	q.emit(snap, "started")
 	seq := q.publishState(snap)
@@ -625,20 +667,20 @@ func (q *Queue) run(id string) {
 		if res != nil {
 			res.Seconds = elapsed
 		}
-		j.State = JobCompleted
+		q.setStateLocked(j, JobCompleted)
 		j.Result = res
 		q.failStreak = 0
 	case q.jobCtx.Err() != nil:
 		// Shutdown cut the campaign short: keep the job queued so a
 		// checkpoint restore re-runs it, and give the attempt back.
-		j.State = JobQueued
+		q.setStateLocked(j, JobQueued)
 		j.Attempts--
 		j.Error = err.Error()
 	case deadlineHit && !rj.stuck.Load() && !rj.injected:
 		// The job's own deadline fired. Terminal: a rerun of the same
 		// spec would only time out again.
 		ctrDeadlineExceeded.Add(1)
-		j.State = JobFailed
+		q.setStateLocked(j, JobFailed)
 		j.Error = fmt.Sprintf("deadline exceeded after %.1fs: %v", elapsed, err)
 	case rj.stuck.Load():
 		retryable = true
@@ -650,59 +692,63 @@ func (q *Queue) run(id string) {
 		retryable = true
 		j.Error = err.Error()
 	default:
-		j.State = JobFailed
+		q.setStateLocked(j, JobFailed)
 		j.Error = err.Error()
 	}
 	if retryable {
 		if j.Attempts < q.opts.MaxAttempts && !q.draining {
-			j.State = JobQueued
+			q.setStateLocked(j, JobQueued)
 			q.scheduleRetryLocked(id, j.Attempts)
 		} else {
-			j.State = JobFailed
+			q.setStateLocked(j, JobFailed)
 			j.Error = fmt.Sprintf("retries exhausted after %d attempts: %s", j.Attempts, j.Error)
 		}
 	}
 	if j.State == JobFailed {
 		q.failStreakLocked()
 	}
-	if j.State == JobCompleted || j.State == JobFailed {
+	terminal := j.State == JobCompleted || j.State == JobFailed
+	if terminal {
 		// A terminal GA job's generation history is dead weight: the
 		// result carries the trajectory, and resume no longer applies.
 		delete(q.gaGens, id)
 	}
 	snap = snapshotJob(j)
-	q.updateGaugesLocked()
 	q.mu.Unlock()
 	q.emit(snap, string(snap.State))
-	if snap.State == JobCompleted || snap.State == JobFailed {
-		seq := q.publishTerminal(snap)
-		// Terminal records are fsynced: the result a client is about to
-		// poll must survive any crash from here on.
-		q.journal(JournalRecord{
-			T: recFinish, JobID: id, Seq: seq, At: fin, State: snap.State,
-			Result: snap.Result, Error: snap.Error, Attempts: snap.Attempts,
-		}, true)
-	} else {
-		seq := q.publishState(snap)
+	if !terminal {
+		seq = q.publishState(snap)
 		q.journal(JournalRecord{
 			T: recState, JobID: id, Seq: seq, State: snap.State,
 			Attempts: snap.Attempts, Error: snap.Error,
 		}, false)
+		return
 	}
-	if snap.State == JobCompleted || snap.State == JobFailed {
-		if q.opts.Checkpoint != "" {
-			if cerr := q.Checkpoint(); cerr != nil {
-				ctrCheckpointErrors.Add(1)
-				obs.Emit(q.opts.Sink, obs.Event{
-					Type: obs.EventPhase,
-					Name: "queue/" + snap.ID,
-					Fields: map[string]any{
-						"event": "checkpoint_error",
-						"error": cerr.Error(),
-					},
-				})
-			}
-		}
+	seq = q.publishTerminal(snap)
+	// Terminal records are fsynced before the worker moves on. (The state
+	// above and the frame just published were visible one fsync earlier:
+	// mutation before append is what lets Checkpoint truncate at its
+	// mark, and a crash inside that fsync re-runs a deterministic job.)
+	// With the record in the journal that is all a finish costs — the
+	// compactor folds it into a snapshot once the journal has grown
+	// enough. Without it (no journal wired, or one that has failed) the
+	// checkpoint is this finish's only durable record and is written
+	// here, before the worker takes its next job.
+	journaled := q.journal(JournalRecord{
+		T: recFinish, JobID: id, Seq: seq, At: fin, State: snap.State,
+		Result: snap.Result, Error: snap.Error, Attempts: snap.Attempts,
+	}, true)
+	if q.opts.Checkpoint == "" {
+		return
+	}
+	if !journaled {
+		q.checkpointOrReport()
+		return
+	}
+	q.hook(stepFinish, id)
+	select {
+	case q.compactKick <- struct{}{}:
+	default:
 	}
 }
 
