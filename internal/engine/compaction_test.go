@@ -371,7 +371,9 @@ func TestRecoverJournalOnlyTornTail(t *testing.T) {
 	base := famJournalRecords.Counter(recFinish).Load()
 	for n := 1; n <= jobs; n++ {
 		// One job at a time, its finish record in before the next submit,
-		// so the journal reads submit, start, finish per job.
+		// so each job owns three consecutive frames: submit and start in
+		// either order (a worker can journal the start before Submit has
+		// journaled the submit), then finish.
 		gates.submit(t, q, n)
 		waitFinishAppends(t, j, base, n)
 	}
@@ -392,7 +394,7 @@ func TestRecoverJournalOnlyTornTail(t *testing.T) {
 		t.Fatalf("journal decodes %d records over %d of %d bytes, want %d records", len(recs), good, len(data), 3*jobs)
 	}
 	// ends[k] is where frame k ends; the last job owns the last three
-	// frames: submit, start, finish.
+	// frames.
 	ends := make([]int, len(recs))
 	off := 0
 	for k := range recs {
@@ -407,8 +409,14 @@ func TestRecoverJournalOnlyTornTail(t *testing.T) {
 		t.Fatalf("re-encoded frames span %d bytes, journal holds %d", off, len(data))
 	}
 	last := fmt.Sprintf("job-%04d", jobs)
-	wantLast := []JobState{"", JobQueued, JobQueued, JobCompleted} // by whole frames of the last job present
 	whole := len(recs) - 3
+	submitAt := whole // index of the last job's submit frame
+	if recs[submitAt].T != recSubmit {
+		submitAt++
+	}
+	if recs[submitAt].T != recSubmit || recs[len(recs)-1].T != recFinish {
+		t.Fatalf("last three frames are %s, %s, %s", recs[whole].T, recs[whole+1].T, recs[whole+2].T)
+	}
 	for cut := ends[whole-1]; cut <= len(data); cut++ {
 		for whole < len(recs) && ends[whole] <= cut {
 			whole++
@@ -432,7 +440,16 @@ func TestRecoverJournalOnlyTornTail(t *testing.T) {
 				t.Fatalf("cut at %d: %s, finished frames earlier, recovered as %+v", cut, job.ID, job)
 			}
 		}
-		if want := wantLast[whole-(len(recs)-3)]; state != want {
+		// Absent until its submit frame is whole, finished once the last
+		// frame is, queued in between.
+		want := JobQueued
+		switch {
+		case whole <= submitAt:
+			want = ""
+		case whole == len(recs):
+			want = JobCompleted
+		}
+		if state != want {
 			t.Fatalf("cut at %d (%d whole frames): %s recovered %q, want %q", cut, whole, last, state, want)
 		}
 	}
