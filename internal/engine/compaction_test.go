@@ -455,25 +455,6 @@ func TestRecoverJournalOnlyTornTail(t *testing.T) {
 	}
 }
 
-// runInstantJobs pushes n instant jobs through q and waits for the last
-// of them to be terminal; with instant jobs and ordered workers that is
-// all of them once the queue is drained, which every caller does next.
-func runInstantJobs(t *testing.T, q *Queue, gates ackGates, n int, traceID string) {
-	t.Helper()
-	for k := 1; k <= n; k++ {
-		spec := specN(k)
-		spec.TraceID = traceID
-		job, err := q.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		close(gates[k])
-		if k == n {
-			waitState(t, q, job.ID, JobCompleted)
-		}
-	}
-}
-
 // TestFinishPathIsCheckpointFree pins the cadence by counting writes,
 // not by timing them: a journaled queue's finishes write no snapshot
 // and truncate no journal until Drain; a journal-less queue still
@@ -487,14 +468,18 @@ func TestFinishPathIsCheckpointFree(t *testing.T) {
 		traceID string // padding: journal bytes per job without changing the job count
 		broken  bool   // the journal's file is closed underneath it before the first job
 	}
-	// run reports the snapshot writes and journal truncations before
-	// Drain and in total, and the journal mark each compaction saw with
-	// the trigger it had to reach.
+	// compaction is the journal size one compaction saw and the trigger
+	// it had to reach.
 	type compaction struct{ mark, due int64 }
-	run := func(t *testing.T, w wiring) (before, after, truncBefore, truncAfter int64, seen []compaction) {
-		dir, jobs := t.TempDir(), w.jobs
-		gates := newAckGates(jobs)
-		opts := QueueOptions{Workers: 2, MaxPending: jobs, Exec: gates.exec,
+	// tally is what a run wrote: snapshots and journal truncations before
+	// Drain and in total, and every compaction in order (Drain's last).
+	type tally struct {
+		writesBefore, writes, truncsBefore, truncs int64
+		seen                                       []compaction
+	}
+	run := func(t *testing.T, w wiring) (got tally) {
+		dir := t.TempDir()
+		opts := QueueOptions{Workers: 2, MaxPending: w.jobs, Exec: instantExec,
 			Checkpoint: filepath.Join(dir, "ckpt.json"), compactFloor: w.floor}
 		var q *Queue
 		if w.journal {
@@ -513,75 +498,80 @@ func TestFinishPathIsCheckpointFree(t *testing.T) {
 					// snapshot's size. The mark read here can be a record or
 					// two past the one the compaction took; a compaction per
 					// job would be short of the trigger by far more.
-					seen = append(seen, compaction{j.Mark(), max(q.opts.compactFloor, q.snapshotBytes.Load())})
+					got.seen = append(got.seen, compaction{j.Mark(), max(q.opts.compactFloor, q.snapshotBytes.Load())})
 				}
 			}
 		}
 		q = NewQueue(opts)
 		q.Start()
-		writes0, trunc0 := ctrCheckpointWrites.Load(), ctrJournalTruncate.Load()
-		runInstantJobs(t, q, gates, jobs, w.traceID)
+		writes0, truncs0 := ctrCheckpointWrites.Load(), ctrJournalTruncate.Load()
+		for n := 1; n <= w.jobs; n++ {
+			spec := specN(n)
+			spec.TraceID = w.traceID
+			job, err := q.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == w.jobs {
+				// Every earlier job has at least started; Drain lets those finish.
+				waitState(t, q, job.ID, JobCompleted)
+			}
+		}
 		// A nudged compactor that is not due takes no lock and writes
 		// nothing, so the counters are final for the jobs seen so far;
 		// one that is due may still be writing — Drain joins it.
-		before, truncBefore = ctrCheckpointWrites.Load()-writes0, ctrJournalTruncate.Load()-trunc0
+		got.writesBefore, got.truncsBefore = ctrCheckpointWrites.Load()-writes0, ctrJournalTruncate.Load()-truncs0
 		if err := q.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(q.Jobs()); n != jobs {
-			t.Fatalf("%d jobs in the queue, want %d", n, jobs)
+		if done := q.Counts()[JobCompleted]; done != w.jobs {
+			t.Fatalf("%d of %d jobs completed: %v", done, w.jobs, q.Counts())
 		}
-		for _, job := range q.Jobs() {
-			if job.State != JobCompleted {
-				t.Fatalf("%s drained in state %s", job.ID, job.State)
-			}
-		}
-		return before, ctrCheckpointWrites.Load() - writes0, truncBefore, ctrJournalTruncate.Load() - trunc0, seen
+		got.writes, got.truncs = ctrCheckpointWrites.Load()-writes0, ctrJournalTruncate.Load()-truncs0
+		return got
 	}
 
 	t.Run("journaled", func(t *testing.T) {
 		const jobs = 300
-		before, after, truncBefore, truncAfter, _ := run(t, wiring{jobs: jobs, journal: true})
-		if before != 0 || truncBefore != 0 {
-			t.Errorf("%d jobs cost %d snapshot writes and %d journal truncations before Drain, want none", jobs, before, truncBefore)
+		got := run(t, wiring{jobs: jobs, journal: true})
+		if got.writesBefore != 0 || got.truncsBefore != 0 {
+			t.Errorf("%d jobs cost %d snapshot writes and %d journal truncations before Drain, want none", jobs, got.writesBefore, got.truncsBefore)
 		}
-		if after != 1 || truncAfter != 1 {
-			t.Errorf("Drain made it %d snapshot writes and %d truncations, want exactly one of each", after, truncAfter)
+		if got.writes != 1 || got.truncs != 1 {
+			t.Errorf("Drain made it %d snapshot writes and %d truncations, want exactly one of each", got.writes, got.truncs)
 		}
 	})
 	t.Run("no journal", func(t *testing.T) {
 		const jobs = 300
-		_, after, _, _, _ := run(t, wiring{jobs: jobs})
-		if after != jobs+1 {
-			t.Errorf("%d snapshot writes for %d finishes and a drain, want one each", after, jobs)
+		if got := run(t, wiring{jobs: jobs}); got.writes != jobs+1 {
+			t.Errorf("%d snapshot writes for %d finishes and a drain, want one each", got.writes, jobs)
 		}
 	})
 	t.Run("journal failed", func(t *testing.T) {
 		// Every append fails, so no finish is in the journal and each
 		// falls back to the write a journal-less queue makes.
 		const jobs = 20
-		_, after, _, _, _ := run(t, wiring{jobs: jobs, journal: true, broken: true})
-		if after != jobs+1 {
-			t.Errorf("%d snapshot writes for %d unjournaled finishes and a drain, want one each", after, jobs)
+		if got := run(t, wiring{jobs: jobs, journal: true, broken: true}); got.writes != jobs+1 {
+			t.Errorf("%d snapshot writes for %d unjournaled finishes and a drain, want one each", got.writes, jobs)
 		}
 	})
 	t.Run("triggered by bytes", func(t *testing.T) {
 		const jobs, floor = 150, 32 << 10
-		_, lean, _, _, leanSeen := run(t, wiring{jobs: jobs, journal: true, floor: floor})
-		_, fat, _, _, fatSeen := run(t, wiring{jobs: jobs, journal: true, floor: floor, traceID: strings.Repeat("f", 16<<10)})
-		for _, seen := range [][]compaction{leanSeen, fatSeen} {
+		lean := run(t, wiring{jobs: jobs, journal: true, floor: floor})
+		fat := run(t, wiring{jobs: jobs, journal: true, floor: floor, traceID: strings.Repeat("f", 16<<10)})
+		for _, got := range []tally{lean, fat} {
 			// The last one is Drain's, which does not wait to be due.
-			for _, c := range seen[:len(seen)-1] {
+			for _, c := range got.seen[:len(got.seen)-1] {
 				if c.mark < c.due {
 					t.Errorf("compacted at %d journal bytes, before the %d-byte trigger", c.mark, c.due)
 				}
 			}
 		}
-		if lean < 2 || lean > jobs/20 {
-			t.Errorf("%d snapshot writes for %d lean jobs over a %d-byte floor", lean, jobs, floor)
+		if lean.writes < 2 || lean.writes > jobs/20 {
+			t.Errorf("%d snapshot writes for %d lean jobs over a %d-byte floor", lean.writes, jobs, floor)
 		}
-		if fat <= lean {
-			t.Errorf("%d jobs wrote %d snapshots lean and %d with 16 KiB more journal each; want more for more bytes", jobs, lean, fat)
+		if fat.writes <= lean.writes {
+			t.Errorf("%d jobs wrote %d snapshots lean and %d with 16 KiB more journal each; want more for more bytes", jobs, lean.writes, fat.writes)
 		}
 	})
 }
