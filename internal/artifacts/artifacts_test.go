@@ -21,6 +21,13 @@ func tinyProgram(t *testing.T) *logic.Compiled {
 	return logic.CompiledFor(n)
 }
 
+// fillZeros records the tiny circuit's fault-free run under all-zero
+// inputs through cycle end.
+func fillZeros(t *testing.T, tr *logic.GoodTrace, end int) {
+	t.Helper()
+	tr.Extend(tinyProgram(t), end, func(int) uint64 { return 0 })
+}
+
 func TestHashVectorsContentAddressed(t *testing.T) {
 	at := func(v []uint64) func(int) uint64 { return func(i int) uint64 { return v[i] } }
 	h1 := HashVectors(3, at([]uint64{1, 2, 3}))
@@ -54,13 +61,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	fills := 0
 	tr := h.Trace(4, 8, func(tr *logic.GoodTrace) {
 		fills++
-		s := logic.NewCompiledSim(prog)
-		for c := 0; c < 8; c++ {
-			s.Settle()
-			tr.Record(c, s)
-		}
-		var fr [1]uint64
-		tr.SetFrontier(8, fr[:])
+		fillZeros(t, tr, 8)
 	})
 	if tr == nil || fills != 1 {
 		t.Fatalf("first Trace: tr=%v fills=%d", tr, fills)
@@ -133,13 +134,7 @@ func TestIncompleteFillNotPublished(t *testing.T) {
 		if tr.ValidThrough() != 0 {
 			t.Fatalf("prefix lost: ValidThrough=%d", tr.ValidThrough())
 		}
-		sim := logic.NewCompiledSim(tinyProgram(t))
-		for c := 0; c < 8; c++ {
-			sim.Settle()
-			tr.Record(c, sim)
-		}
-		var fr [1]uint64
-		tr.SetFrontier(8, fr[:])
+		fillZeros(t, tr, 8)
 	})
 	if !resumed || tr == nil {
 		t.Fatalf("second lease did not resume the fill (resumed=%v tr=%v)", resumed, tr)
@@ -166,13 +161,7 @@ func TestEvictionLRUAndRefs(t *testing.T) {
 	s := NewStore(1024)
 	const cycles = 30
 	fill := func(tr *logic.GoodTrace) {
-		sim := logic.NewCompiledSim(tinyProgram(t))
-		for c := 0; c < cycles; c++ {
-			sim.Settle()
-			tr.Record(c, sim)
-		}
-		var fr [1]uint64
-		tr.SetFrontier(cycles, fr[:])
+		fillZeros(t, tr, cycles)
 	}
 	key := func(i int) Key { return Key{Design: string(rune('a' + i)), Vectors: "v"} }
 
@@ -212,11 +201,7 @@ func TestHitMissCounters(t *testing.T) {
 
 	h := s.Lease(key)
 	h.Trace(4, 1, func(tr *logic.GoodTrace) {
-		sim := logic.NewCompiledSim(tinyProgram(t))
-		sim.Settle()
-		tr.Record(0, sim)
-		var fr [1]uint64
-		tr.SetFrontier(1, fr[:])
+		fillZeros(t, tr, 1)
 	})
 	h.Release()
 	s.Lease(key).Release()

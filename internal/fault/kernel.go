@@ -9,36 +9,44 @@ import (
 // kernel.go is the compiled event-driven fault-simulation kernel
 // (SimOptions.Kernel == KernelCompiled, the default).
 //
-// Per segment it simulates the fault-free machine exactly once on a
-// logic.CompiledSim, recording every net's settled value per cycle into
-// a logic.GoodTrace — or, when the trace already holds the segment
-// (SimOptions.Trace from the artifact cache), skips the good machine
-// entirely. Each batch of up to 63×W faults (W = SimOptions.LaneWords)
-// then replays the segment on a logic.EventSim, which evaluates only
-// the batch's fanout-cone logic — everything outside the cone is read
-// from the trace — so a batch pays for its diverged gates instead of
-// the whole frame. The drop/repack segmentation, detection bookkeeping
+// Per segment it simulates the fault-free machine exactly once
+// (logic.GoodTrace.Extend), recording every net's settled value per
+// cycle — or, when the trace already holds the segment (SimOptions.Trace
+// from the artifact cache), skips the good machine entirely. Each batch
+// of up to 63×W faults (W = SimOptions.LaneWords) then replays the
+// segment on a logic.EventSim, which evaluates only the batch's
+// fanout-cone logic — everything outside the cone is read from the
+// trace — so a batch pays for its diverged gates instead of the whole
+// frame. W is the widest a batch gets: a part-filled one (the list's
+// tail, and every batch once survivors thin out) replays on a simulator
+// of the narrowest of 1, 2, 4 and W words that holds it, so empty lane
+// words are not swept. The drop/repack segmentation, detection bookkeeping
 // and telemetry match simulateReference cycle for cycle; the
 // differential tests in this package and kernel_equiv_test.go at the
 // repo root enforce bit-identical results at every lane width.
 func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result {
-	inputs := n.Inputs()
 	c := opts.Program
 	if c == nil {
 		c = logic.CompiledFor(n)
 	}
-	good := logic.NewCompiledSim(c)
-	r := newSimRun(n, vecs, opts, good.StateWords())
-	lw := opts.LaneWords
-	if lw <= 0 {
-		lw = autoLaneWords(len(r.faults))
+	stateWords := (len(n.DFFs()) + 63) / 64
+	r := newSimRun(n, vecs, opts, stateWords)
+	lw := max(1, EffectiveLaneWords(opts, len(r.faults)))
+	var sims [logic.MaxLaneWords + 1]*logic.EventSim // by width, built on first use
+	simFor := func(faults int) *logic.EventSim {
+		w := lw
+		for _, narrow := range [...]int{1, 2, 4} {
+			if narrow < w && faults <= 63*narrow {
+				w = narrow
+				break
+			}
+		}
+		if sims[w] == nil {
+			sims[w] = logic.NewEventSim(c, w)
+		}
+		return sims[w]
 	}
-	if lw > logic.MaxLaneWords {
-		lw = logic.MaxLaneWords
-	}
-	ev := logic.NewEventSim(c, lw)
-	lw = ev.LaneWords()
-	nextGoodState := make([]uint64, good.StateWords())
+	nextGoodState := make([]uint64, stateWords)
 
 	total := vecs.Len()
 	trace := opts.Trace
@@ -101,14 +109,13 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 
 		// Good-machine pass: once per segment instead of once per batch —
 		// and not at all when a pinned trace already recorded it.
-		var segEvals, segSaved int64
+		var seg logic.BatchStats
 		if trace.ValidThrough() < end {
 			if !pinned {
 				trace.Window(start, len(segVecs))
 			}
-			fillTrace(good, inputs, trace, end,
+			seg.Evals = fillTrace(c, trace, end,
 				func(cyc int) uint64 { return segVecs[cyc-start] })
-			segEvals = good.TakeEvals()
 		}
 		// The fault-free state entering the next segment, for survivor
 		// compaction: the frontier right after a fill, a recorded row on
@@ -127,6 +134,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 				})
 				laneStates = append(laneStates, r.states[batchStart+li])
 			}
+			ev := simFor(len(batch))
 			ev.BeginBatch(batchFaults, trace, start, laneStates)
 			nw := (len(batch) + 62) / 63
 			for w := 0; w < nw; w++ {
@@ -182,36 +190,38 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 				ev.LaneStateInto(li/63, uint(1+li%63), nextGoodState, r.states[len(survivors)])
 				survivors = append(survivors, fi)
 			}
-			be, bs, bb := ev.EndBatch()
-			segEvals += be
-			segSaved += bs
-			ctrSweepBlocks.Add(bb)
+			seg.Add(ev.EndBatch())
 		}
 		applied = end
-		ctrGateEvals.Add(segEvals)
-		ctrGateEvalsCompiled.Add(segEvals)
-		ctrGateEvalsSaved.Add(segSaved)
-		span.Add("gate_evals", segEvals)
-		span.Add("gate_evals_saved", segSaved)
+		ctrSweepBlocks.Add(seg.Blocks)
+		ctrGateEvals.Add(seg.Evals)
+		ctrGateEvalsCompiled.Add(seg.Evals)
+		ctrGateEvalsSaved.Add(seg.Saved)
+		span.Add("gate_evals", seg.Evals)
+		span.Add("gate_evals_saved", seg.Saved)
+		for _, m := range []struct {
+			ctr    *obs.Counter
+			field  string
+			cycles int64
+		}{
+			{ctrCyclesEvent, "cycles_event", seg.EventCycles},
+			{ctrCyclesSweep, "cycles_sweep", seg.SweepCycles},
+			{ctrCyclesAbandoned, "cycles_abandoned", seg.AbandonedCycles},
+		} {
+			m.ctr.Add(m.cycles)
+			span.Add(m.field, m.cycles)
+		}
 		r.finishSegment(span, opts, survivors, end, total)
 	}
 	return r.finish(span, applied)
 }
 
-// autoLaneWords picks the default EventSim stripe width from the fault
-// list size. One word handles a 63-fault list outright; wider stripes
-// only pay once enough faults exist to fill them — below that the extra
-// words are simulated but carry no lanes. The thresholds follow a
-// width sweep on the Table-1 campaign (docs/PERFORMANCE.md): width 8
-// won on full-circuit fault lists (and width 16 regressed — the generic
-// stripe loop loses what the extra lanes amortize), widths 2 and 4
-// cover the mid range where a wider stripe would run mostly-empty
-// words.
-// EffectiveLaneWords reports the stripe width a compiled-kernel run
-// with these options uses on a fault list of the given size: the
-// explicit LaneWords clamped to logic.MaxLaneWords, or the automatic
-// width when unset. Benchmarks use it to label results with the width
-// that actually ran.
+// EffectiveLaneWords reports the widest stripe a compiled-kernel run
+// with these options uses on a fault list of the given size — a full
+// batch's width; part-filled batches run narrower (see
+// simulateCompiled): the explicit LaneWords clamped to
+// logic.MaxLaneWords, or the automatic width when unset. Benchmarks use
+// it to label results with the width that actually ran.
 func EffectiveLaneWords(opts SimOptions, numFaults int) int {
 	lw := opts.LaneWords
 	if lw <= 0 {
@@ -223,6 +233,13 @@ func EffectiveLaneWords(opts SimOptions, numFaults int) int {
 	return lw
 }
 
+// autoLaneWords picks the default EventSim stripe width from the fault
+// list size. One word handles a 63-fault list outright; wider stripes
+// only pay once enough faults exist to fill them. The thresholds follow
+// a width sweep on the Table-1 campaign (docs/PERFORMANCE.md): width 8
+// won on full-circuit fault lists (and width 16 regressed — the generic
+// stripe loop loses what the extra lanes amortize), widths 2 and 4
+// cover the mid range.
 func autoLaneWords(faults int) int {
 	switch {
 	case faults <= 63:
@@ -237,31 +254,11 @@ func autoLaneWords(faults int) int {
 }
 
 // fillTrace extends trace's recorded prefix through absolute cycle end
-// (exclusive): it seeds the fault-free machine from the trace frontier,
-// simulates and records each missing cycle, and advances the frontier
-// to end so the next fill (or a survivor-state query at the boundary)
-// resumes without resimulation. at supplies the packed input vector for
-// an absolute cycle.
-func fillTrace(good *logic.CompiledSim, inputs []logic.NetID, trace *logic.GoodTrace, end int, at func(int) uint64) {
-	v := trace.ValidThrough()
-	fc, fstate := trace.Frontier()
-	if fc != v {
-		panic("fault: GoodTrace frontier out of sync with recorded prefix")
-	}
-	good.LoadState(fstate)
-	for cyc := v; cyc < end; cyc++ {
-		vec := at(cyc)
-		for bi, in := range inputs {
-			good.SetInput(in, vec>>uint(bi)&1 == 1)
-		}
-		good.Settle()
-		trace.Record(cyc, good)
-		good.ClockAfterSettle()
-	}
-	frontier := make([]uint64, good.StateWords())
-	good.LaneState(0, frontier)
-	trace.SetFrontier(end, frontier)
-	ctrGoodCycles.Add(int64(end - v))
+// (exclusive) and returns the instructions that took; at supplies the
+// packed input vector for an absolute cycle.
+func fillTrace(c *logic.Compiled, trace *logic.GoodTrace, end int, at func(int) uint64) int64 {
+	ctrGoodCycles.Add(int64(end - trace.ValidThrough()))
+	return trace.Extend(c, end, at)
 }
 
 // FillGoodTrace records the fault-free machine's trace for vecs into
@@ -281,7 +278,5 @@ func FillGoodTrace(n *logic.Netlist, prog *logic.Compiled, vecs VectorSeq, trace
 		prog = logic.CompiledFor(n)
 	}
 	trace.EnsureCycles(end)
-	good := logic.NewCompiledSim(prog)
-	fillTrace(good, n.Inputs(), trace, end, vecs.At)
-	ctrGateEvals.Add(good.TakeEvals())
+	ctrGateEvals.Add(fillTrace(prog, trace, end, vecs.At))
 }

@@ -153,3 +153,200 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 		}
 	}
 }
+
+// diffKernels runs both kernels on the same options and requires
+// bit-identical DetectedAt and Detections.
+func diffKernels(t *testing.T, what string, n *logic.Netlist, vecs Vectors, opts SimOptions) *Result {
+	t.Helper()
+	refOpts, cmpOpts := opts, opts
+	refOpts.Kernel = KernelReference
+	cmpOpts.Kernel = KernelCompiled
+	ref, err := Simulate(n, vecs, refOpts)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	cmp, err := Simulate(n, vecs, cmpOpts)
+	if err != nil {
+		t.Fatalf("%s: compiled: %v", what, err)
+	}
+	for i, f := range opts.Faults {
+		if ref.DetectedAt[i] != cmp.DetectedAt[i] || (ref.Detections != nil && ref.Detections[i] != cmp.Detections[i]) {
+			t.Fatalf("%s (lw=%d seg=%d ndet=%d): fault %d site=%d sa1=%v: reference at=%d, compiled at=%d",
+				what, opts.LaneWords, opts.SegmentLen, opts.NDetect, i, f.Site, f.SA1, ref.DetectedAt[i], cmp.DetectedAt[i])
+		}
+	}
+	return cmp
+}
+
+// denseCircuit is a machine whose faults diverge for good and show only
+// when asked: a 12-bit state register mixed through a cloud of gates
+// (every flip-flop's next value XORs its neighbour with a cloud net, so
+// a fault effect that reaches the state stays there), observed through
+// outputs that input 0 gates. With input 0 low the batch is dense and
+// nothing retires; raising it detects nearly everything at once. One
+// redundant gate keeps a fault alive, and quiet, to the end of any run
+// (the cloud's seed is one that leaves no other survivor).
+func denseCircuit(t *testing.T, fanoutBranches bool) *logic.Netlist {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	b := logic.NewBuilder()
+	en := b.Input("en")
+	var nets []logic.NetID
+	for i := 0; i < 4; i++ {
+		nets = append(nets, b.Input(string(rune('a'+i))))
+	}
+	var ds, qs []logic.NetID
+	for i := 0; i < 12; i++ {
+		ds = append(ds, b.DeferredBuf())
+		qs = append(qs, b.DFF(ds[i], ""))
+	}
+	nets = append(nets, qs...)
+	pick := func() logic.NetID { return nets[rng.Intn(len(nets))] }
+	for i := 0; i < 70; i++ {
+		switch i % 4 {
+		case 0:
+			nets = append(nets, b.Xor(pick(), pick()))
+		case 1:
+			nets = append(nets, b.Mux2(pick(), pick(), pick()))
+		case 2:
+			nets = append(nets, b.Xnor(pick(), pick(), pick()))
+		default:
+			nets = append(nets, b.Or(b.And(pick(), pick()), pick()))
+		}
+	}
+	for i, d := range ds {
+		b.ResolveBuf(d, b.Xor(qs[(i+11)%12], nets[len(nets)-1-i]))
+	}
+	for i := 0; i < 4; i++ {
+		b.MarkOutput(b.And(en, qs[3*i]), string(rune('w'+i)))
+	}
+	b.MarkOutput(b.Or(b.And(nets[0], b.Not(nets[0])), b.And(en, qs[1])), "r")
+	n, err := b.Build(logic.BuildOptions{InsertFanoutBranches: fanoutBranches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// gatedVectors holds input 0 low for the first quiet cycles and high
+// after them; the other inputs are random throughout.
+func gatedVectors(cycles, quiet int) Vectors {
+	rng := rand.New(rand.NewSource(8))
+	vecs := make(Vectors, cycles)
+	for i := range vecs {
+		vecs[i] = rng.Uint64() &^ 1
+		if i >= quiet {
+			vecs[i] |= 1
+		}
+	}
+	return vecs
+}
+
+// TestKernelPartFilledWideBatches: a last batch that fills a fraction of
+// an explicitly wide stripe replays on a narrower simulator (70 faults
+// under LaneWords 4 on two words, 130 under 8 as 126 + 4 on four and
+// one, 64 under 8 on two), and a site whose sa0 and sa1 faults sit at
+// list positions 62 and 63 has its masks in different stripe words.
+func TestKernelPartFilledWideBatches(t *testing.T) {
+	n := denseCircuit(t, true)
+	all := AllFaults(n)
+	vecs := gatedVectors(160, 100)
+	for _, c := range []struct{ faults, lw int }{{70, 4}, {130, 8}, {64, 8}, {70, 1}, {130, 2}} {
+		for _, ndet := range []int{1, 3} {
+			faults := all[:c.faults]
+			if faults[62].Site != faults[63].Site || faults[62].SA1 == faults[63].SA1 {
+				t.Fatalf("fixture: list positions 62/63 are %+v and %+v, want one site's two faults", faults[62], faults[63])
+			}
+			res := diffKernels(t, "part-filled", n, vecs, SimOptions{Faults: faults, LaneWords: c.lw, NDetect: ndet, SegmentLen: 50})
+			late := 0
+			for _, at := range res.DetectedAt {
+				if at >= 100 {
+					late++
+				}
+			}
+			if late < c.faults/2 {
+				t.Fatalf("%d faults at width %d: %d detected after two segment boundaries — fixture carries no lane state", c.faults, c.lw, late)
+			}
+		}
+	}
+}
+
+// TestKernelInjectedInputThroughBuffersOnly: a primary input whose only
+// readers are buffers that end on a primary output and on a flip-flop D
+// pin. With those buffers copy-propagated out of the sweep program the
+// output scan and the clock read the input's own slot, which no sweep
+// instruction reads — it has to reach the read frontier by that route.
+// The rest of the circuit keeps the batch dense, so the sweep runs.
+func TestKernelInjectedInputThroughBuffersOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	b := logic.NewBuilder()
+	p := b.Input("p")
+	var nets []logic.NetID
+	for i := 0; i < 3; i++ {
+		nets = append(nets, b.Input(string(rune('a'+i))))
+	}
+	b.MarkOutput(b.Buf(b.Buf(p, ""), ""), "direct")
+	held := b.DFF(b.Buf(p, ""), "")
+	nets = append(nets, held, b.DFF(held, ""))
+	pick := func() logic.NetID { return nets[rng.Intn(len(nets))] }
+	for i := 0; i < 60; i++ {
+		nets = append(nets, b.Xor(pick(), pick()))
+	}
+	b.MarkOutput(b.Xor(nets[len(nets)-1], nets[len(nets)-2], nets[len(nets)-3]), "mixed")
+	for _, fb := range []bool{false, true} {
+		n, err := b.Build(logic.BuildOptions{InsertFanoutBranches: fb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No fault on a buffer, or its mask would keep it in the program.
+		var faults []Fault
+		for _, f := range AllFaults(n) {
+			if n.Gate(f.Site).Kind != logic.GateBuf {
+				faults = append(faults, f)
+			}
+		}
+		vecs := make(Vectors, 120)
+		for i := range vecs {
+			vecs[i] = rng.Uint64()
+		}
+		swept := ctrCyclesSweep.Load() + ctrCyclesAbandoned.Load()
+		for _, lw := range []int{0, 1, 4} {
+			// A quota the input's faults do not reach within a segment keeps
+			// them live while the batch is dense.
+			diffKernels(t, "input through buffers", n, vecs, SimOptions{Faults: faults, LaneWords: lw, NDetect: 30, SegmentLen: 40})
+		}
+		if ctrCyclesSweep.Load()+ctrCyclesAbandoned.Load() == swept {
+			t.Fatalf("fb=%v: no dense cycle ran — the fixture never reaches the sweep program", fb)
+		}
+	}
+}
+
+// TestKernelRetryBackoffAndReturn: a batch that stays dense for 400
+// cycles with nothing retiring pays for a handful of failed event
+// retries (the wait doubles from 8 to its cap of 128: retries after 8,
+// 16, 32, 64, 128 and 128 sweeps, where a fixed wait of 8 would fail
+// ~44 times), and once the detection wave has retired nearly every
+// fault the survivors settle on the event path again.
+func TestKernelRetryBackoffAndReturn(t *testing.T) {
+	n := denseCircuit(t, false)
+	faults, _ := Collapse(n, AllFaults(n))
+	const lw = 8
+	if len(faults) > 63*lw {
+		t.Fatalf("fixture: %d faults do not fit one batch", len(faults))
+	}
+	vecs := gatedVectors(700, 400)
+	opts := SimOptions{Faults: faults, LaneWords: lw, SegmentLen: 1024}
+	modes := func(v Vectors) (event, sweep, abandoned int64) {
+		e0, s0, a0 := ctrCyclesEvent.Load(), ctrCyclesSweep.Load(), ctrCyclesAbandoned.Load()
+		diffKernels(t, "back-off", n, v, opts)
+		return ctrCyclesEvent.Load() - e0, ctrCyclesSweep.Load() - s0, ctrCyclesAbandoned.Load() - a0
+	}
+	qe, qs, qa := modes(vecs[:400])
+	if qa < 5 || qa > 9 || qs < 350 {
+		t.Fatalf("quiet phase: event %d, sweep %d, abandoned %d — want a dense batch with 5–9 abandoned passes", qe, qs, qa)
+	}
+	e, s, a := modes(vecs)
+	if e-qe < 200 {
+		t.Fatalf("after the detection wave: event %d, sweep %d, abandoned %d of 300 cycles — the batch did not return to event mode", e-qe, s-qs, a-qa)
+	}
+}

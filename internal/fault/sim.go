@@ -38,6 +38,15 @@ var (
 		"Gate evaluations executed, by simulation kernel.", "kernel")
 	ctrGateEvalsRef      = famKernelGateEvals.Counter("reference")
 	ctrGateEvalsCompiled = famKernelGateEvals.Counter("compiled")
+
+	// How the compiled kernel's batch-cycles were settled: by the event
+	// path, by the cone sweep outright, or by the sweep after an event
+	// pass was abandoned (the wasted kind; see logic.EventSim).
+	famKernelCycles = obs.Default().CounterFamily("sbst_kernel_cycles_total",
+		"Compiled-kernel batch-cycles, by the mode that settled them.", "mode")
+	ctrCyclesEvent     = famKernelCycles.Counter("event")
+	ctrCyclesSweep     = famKernelCycles.Counter("sweep")
+	ctrCyclesAbandoned = famKernelCycles.Counter("abandoned")
 )
 
 // Kernel selects the simulation engine backing Simulate.

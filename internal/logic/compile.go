@@ -33,6 +33,11 @@ const (
 	opXor2
 	opXnor2
 	opMux
+	// opMaskWord exists only in the event kernel's sweep program: it
+	// forces one word of an injected site's stripe, word a2 of slot dst
+	// (== a0), to (v & m0) | m1, where m0 and m1 are the same word of the
+	// mask stripes at slots a1 and a1+1 (see EventSim.buildSweep).
+	opMaskWord
 )
 
 // Compiled is the immutable evaluation program for one Netlist.
@@ -111,10 +116,24 @@ type Compiled struct {
 	dffIndex []int32
 	outIndex []int32
 
-	// dPin marks nets feeding a flip-flop D input. The event kernel's
-	// sweep program must materialize these (the clock edge reads them by
-	// net id), so its buffer copy-propagation keeps them.
-	dPin []bool
+	// dNet is each flip-flop's D net, by Netlist.DFFs ordinal.
+	dNet []NetID
+
+	// The fault-free machine's program (see buildFill).
+	fill fillProgram
+}
+
+// fillProgram is the compiled program with every single-buffer chain —
+// fanout branches, port aliases; two thirds of the instructions on the
+// branched DSP core — aliased to its source, over densely renumbered
+// value slots. No injection mask can apply to the fault-free machine, so
+// nothing needs a buffer's own slot: slot maps every net, elided or
+// not, to the slot that holds its value. GoodTrace.Extend runs it.
+type fillProgram struct {
+	code            []opcode
+	dst, a0, a1, a2 []int32
+	slot            []int32 // per real net
+	slots           int
 }
 
 // Compile builds the evaluation program for n. The result is immutable
@@ -137,10 +156,10 @@ func Compile(n *Netlist) *Compiled {
 		c.dffIndex[i] = -1
 		c.outIndex[i] = -1
 	}
-	c.dPin = make([]bool, numNets)
+	c.dNet = make([]NetID, len(n.dffs))
 	for i, q := range n.dffs {
 		c.dffIndex[q] = int32(i)
-		c.dPin[n.gates[q].In[0]] = true
+		c.dNet[i] = n.gates[q].In[0]
 	}
 	for i, o := range n.outputs {
 		c.outIndex[o] = int32(i)
@@ -170,6 +189,7 @@ func Compile(n *Netlist) *Compiled {
 		c.pcEnd[id] = int32(len(c.code))
 	}
 	c.buildBlocks()
+	c.buildFill()
 
 	// CSR fanout.
 	c.foOff = make([]int32, numNets+1)
@@ -300,6 +320,41 @@ func (c *Compiled) buildBlocks() {
 	}
 }
 
+// buildFill derives the buffer-free program from the compiled one. The
+// schedule is topological, so a buffer's source already has its final
+// slot when the buffer is reached, and a chain temporary is renumbered
+// by the instruction that writes it before the one that reads it.
+func (c *Compiled) buildFill() {
+	f := &c.fill
+	remap := make([]int32, c.slots)
+	for i := range remap {
+		remap[i] = -1
+	}
+	next := func() int32 { f.slots++; return int32(f.slots - 1) }
+	for id := range c.n.gates {
+		if c.orderPos[id] < 0 {
+			remap[id] = next() // inputs, constants, flip-flop Qs
+		}
+	}
+	for _, id := range c.schedule {
+		ps, pe := c.pcStart[id], c.pcEnd[id]
+		if pe-ps == 1 && c.code[ps] == opBuf {
+			remap[id] = remap[c.a0[ps]]
+			continue
+		}
+		for pc := ps; pc < pe; pc++ {
+			// An operand field the opcode does not read is remapped with the
+			// rest and stays unread.
+			a0, a1, a2 := remap[c.a0[pc]], remap[c.a1[pc]], remap[c.a2[pc]]
+			remap[c.dst[pc]] = next()
+			f.code = append(f.code, c.code[pc])
+			f.dst = append(f.dst, remap[c.dst[pc]])
+			f.a0, f.a1, f.a2 = append(f.a0, a0), append(f.a1, a1), append(f.a2, a2)
+		}
+	}
+	f.slot = remap[:c.numNets:c.numNets]
+}
+
 // NumBlocks returns the number of cache blocks the schedule was cut
 // into (see BlockSlots).
 func (c *Compiled) NumBlocks() int { return len(c.blockOff) - 1 }
@@ -309,13 +364,14 @@ func (c *Compiled) Schedule() []NetID { return c.schedule }
 
 // SizeBytes estimates the program's resident size, for artifact-cache
 // byte budgeting: the instruction stream plus the per-net metadata
-// tables (the netlist itself is accounted by its own owner).
+// tables and the buffer-free fill program (the netlist itself is
+// accounted by its own owner).
 func (c *Compiled) SizeBytes() int64 {
 	perInstr := int64(1 + 4*4) // code + dst/a0/a1/a2
-	perNet := int64(9*4 + 1)   // int32 tables + dPin
+	perNet := int64(10 * 4)    // int32 tables, fill.slot among them
 	fan := int64(len(c.foList)+len(c.foPosList)) * 4
-	return int64(len(c.code))*perInstr + int64(c.numNets)*perNet + fan +
-		int64(len(c.schedule))*4 + int64(len(c.blockOff))*4
+	return int64(len(c.code)+len(c.fill.code))*perInstr + int64(c.numNets)*perNet + fan +
+		int64(len(c.schedule)+len(c.blockOff)+len(c.dNet))*4
 }
 
 // emitNet appends the instruction chain computing net id.
@@ -399,10 +455,9 @@ func (c *Compiled) readers(id NetID) []NetID {
 }
 
 // runProgram executes instructions [ps, pe) against vals with no
-// stuck-at masking — the hot path for fault-free settles and for the
-// mask-free stretches between injected sites in the event kernel's cone
-// sweep (the masked destinations are ~63 of thousands, so hoisting the
-// two mask loads out of the inner loop is worth the split).
+// per-slot stuck-at masking — the hot path for fault-free settles and
+// for the event kernel's single-word cone sweep, whose injected sites
+// carry their masks as opMaskWord instructions.
 func runProgram(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, ps, pe int32) {
 	// Re-slice to a common constant bound so the compiler can hoist the
 	// per-index bounds checks on the instruction arrays out of the loop
@@ -434,6 +489,8 @@ func runProgram(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, ps, pe in
 		case opMux:
 			sel := vals[a0[pc]]
 			v = (vals[a1[pc]] &^ sel) | (vals[a2[pc]] & sel)
+		case opMaskWord:
+			v = vals[a0[pc]]&vals[a1[pc]] | vals[a1[pc]+1]
 		}
 		vals[dst[pc]] = v
 	}
@@ -497,6 +554,9 @@ func runProgramStripes(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, lw
 			for w := range dv {
 				dv[w] = (yv[w] &^ xv[w]) | (zv[w] & xv[w])
 			}
+		case opMaskWord:
+			m, w := vals[int(a1[pc])*lw:][:2*lw], int(a2[pc])
+			dv[w] = xv[w]&m[w] | m[lw+w]
 		}
 	}
 }
@@ -542,6 +602,9 @@ func runProgramStripes4(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, p
 			dv[1] = (yv[1] &^ xv[1]) | (zv[1] & xv[1])
 			dv[2] = (yv[2] &^ xv[2]) | (zv[2] & xv[2])
 			dv[3] = (yv[3] &^ xv[3]) | (zv[3] & xv[3])
+		case opMaskWord:
+			m, w := vals[int(a1[pc])<<2:][:8], a2[pc]&3
+			dv[w] = xv[w]&m[w] | m[4+w]
 		}
 	}
 }
@@ -598,6 +661,9 @@ func runProgramStripes8(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, p
 			dv[5] = (yv[5] &^ xv[5]) | (zv[5] & xv[5])
 			dv[6] = (yv[6] &^ xv[6]) | (zv[6] & xv[6])
 			dv[7] = (yv[7] &^ xv[7]) | (zv[7] & xv[7])
+		case opMaskWord:
+			m, w := vals[int(a1[pc])<<3:][:16], a2[pc]&7
+			dv[w] = xv[w]&m[w] | m[8+w]
 		}
 	}
 }

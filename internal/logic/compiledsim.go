@@ -222,20 +222,6 @@ func (s *CompiledSim) SetLaneState(lane uint, src []uint64) {
 	}
 }
 
-// LoadState loads a packed DFF state (Netlist.DFFs order) into every
-// lane at once — the bulk form of SetLaneState, used to seed the
-// fault-free machine from a GoodTrace frontier. A nil or empty src is
-// the all-zero reset state.
-func (s *CompiledSim) LoadState(src []uint64) {
-	for i, q := range s.c.n.dffs {
-		if len(src) > i/64 && src[i/64]>>(uint(i)%64)&1 == 1 {
-			s.vals[q] = ^uint64(0)
-		} else {
-			s.vals[q] = 0
-		}
-	}
-}
-
 // StateWords returns the number of uint64 words needed by LaneState.
 func (s *CompiledSim) StateWords() int { return (len(s.c.n.dffs) + 63) / 64 }
 

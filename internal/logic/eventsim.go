@@ -48,33 +48,29 @@ type BatchFault struct {
 	SA1  bool
 }
 
-// DefaultSweepThreshold is the fraction of the batch cone's instruction
-// count a single-word event-driven settle may execute before the cycle
-// abandons event scheduling and runs the cone sweep instead. The event
-// path costs several times more per instruction than the sweep
-// (scattered operand reconstruction and worklist bookkeeping versus a
-// linear pass over a compacted program), so the break-even sits well
-// below 1.0; 0.2 was measured on the gate-level DSP core (see
-// docs/PERFORMANCE.md).
+// DefaultSweepThreshold is the fraction of the batch's sweep program
+// (its stripe instructions) an event-driven settle may execute before
+// the cycle abandons event scheduling and runs the cone sweep instead.
+// The event path costs several times more per instruction than the
+// sweep (scattered operand reconstruction and worklist bookkeeping
+// versus a linear pass over a compacted program), so the break-even
+// sits well below 1.0; 0.2 was measured on the gate-level DSP core,
+// where 0.1–0.3 read the same (see docs/PERFORMANCE.md).
 const DefaultSweepThreshold = 0.2
 
-// sweepThresholdFor is the measured event-abandonment threshold for a
-// stripe width. A width sweep on the Table-1 campaign showed the
-// break-even barely moves with width — the event path's scattered
-// operand reconstruction costs per word, not per instruction — so all
-// widths share the single-word threshold.
-func sweepThresholdFor(lw int) float64 {
-	return DefaultSweepThreshold
-}
-
-// sweepRetryInterval is how many consecutive sweep-mode cycles run
-// before the simulator retries event scheduling. Divergence decays as
-// faults are detected and retired, so a batch that went dense (sweep
-// mode) usually becomes sparse again; the periodic retry converts back
-// within a bounded number of cycles while capping the cost of failed
-// retries (an abandoned event pass costs at most Threshold of a sweep's
-// instructions, paid once per interval).
-const sweepRetryInterval = 8
+// A batch in sweep mode retries event scheduling after sweepRetryMin
+// consecutive sweep cycles. Divergence decays as faults are detected and
+// retired, so a batch that went dense usually becomes sparse again, and
+// the retry is what notices. A retry that fails — the event pass is
+// abandoned again, having cost up to the threshold's share of a sweep at
+// several times the sweep's price per instruction — doubles the wait,
+// up to sweepRetryMax: a batch whose divergence is not decaying pays for
+// one failed pass in 128 cycles instead of one in 8. A cycle the event
+// path settles, or a cone rebuilt around fewer faults, resets the wait.
+const (
+	sweepRetryMin = 8
+	sweepRetryMax = 128
+)
 
 // EventSim replays one fault batch per segment against a GoodTrace.
 // Usage per batch: BeginBatch, then per cycle Cycle followed by Clock,
@@ -143,25 +139,33 @@ type EventSim struct {
 	// topological order, evaluated over absolute value stripes (swVals)
 	// at full-sweep speed when divergence is too dense for event
 	// scheduling to pay. bound lists the sweep's read-only frontier —
-	// nets read by cone instructions (or cone flip-flop D pins) but
-	// computed outside the cone — reseeded from the good trace each
-	// sweep cycle; bEpoch dedups it. Injection masks are fused into the
-	// program: an injected site's chain is followed by v |= sa1 then
-	// v &= ^sa0 instructions whose second operands live in per-site mask
-	// slots appended after the compiled slots (maskSlot maps site →
-	// first slot while maskSlotEpoch matches; RetireLane edits the slot
-	// stripes in place), so a sweep cycle is pure straight-line
-	// execution. swBlock tiles the program into cache blocks (see
+	// nets read by cone instructions, cone flip-flop D pins or the
+	// detection scan but computed outside the cone — reseeded from the
+	// good trace each sweep cycle; bEpoch dedups it. Injection masks are
+	// fused into the program: an injected site's chain is followed by one
+	// opMaskWord per stripe word that carries a mask bit, reading that
+	// word of the site's two mask stripes — ^sa0 then sa1, in slots
+	// appended after the compiled ones (maskSlot maps site → first slot
+	// while maskSlotEpoch matches; RetireLane edits them in place) — so a
+	// sweep cycle is pure straight-line execution and a site costs what
+	// its faults occupy, not the stripe. swD and swOut are the slots
+	// holding each rDFF's D value and each rOut's output value once
+	// buffers are copy-propagated away; swEvals is one sweep's cost in
+	// word-instructions. swBlock tiles the program into cache blocks (see
 	// BlockSlots): block budgets shrink with lw so one tile's stripes
 	// stay L1-resident across its instructions. swept records which mode
 	// settled the current cycle (so Clock reads the matching state);
-	// sweepNext and sweepStreak drive the adaptive mode switch.
+	// sweepNext, sweepStreak and retryAfter drive the adaptive mode
+	// switch (see sweepRetryMin).
 	swCode        []opcode
 	swDst         []int32
 	swA0          []int32
 	swA1          []int32
 	swA2          []int32
 	swBlock       []int32
+	swD           []int32
+	swOut         []int32
+	swEvals       int64
 	swVals        []uint64
 	nextMaskSlot  int32
 	maskSlot      []int32
@@ -182,25 +186,45 @@ type EventSim struct {
 	swept       bool
 	sweepNext   bool
 	sweepStreak int
+	retryAfter  int
 
 	// Buffer copy-propagation: mask-free single-buffer chains (fanout
 	// branches, output aliases) are elided from the sweep program and
-	// every later operand referencing them is rewritten to their source
-	// (aliasTo, valid while aliasEpoch matches the batch epoch). On the
-	// fanout-branched DSP core buffers are about two thirds of the
-	// compiled program, so this more than halves the dense-cycle cost.
+	// every later reference to them — operand, D pin or output — is
+	// rewritten to their source (aliasTo, valid while aliasEpoch matches
+	// the batch epoch). On the fanout-branched DSP core buffers are about
+	// two thirds of the compiled program, so this more than halves the
+	// dense-cycle cost.
 	aliasTo    []int32
 	aliasEpoch []uint32
 
-	// Threshold is the event-pass abandonment fraction of the cone's
-	// instruction count (see DefaultSweepThreshold); budget is its
-	// instruction-count form, recomputed per batch.
-	Threshold float64
-	budget    int
+	// budget is DefaultSweepThreshold in instructions of the current
+	// sweep program.
+	budget int
 
-	evals      int64
-	evalsSaved int64
-	blocksRun  int64
+	stats BatchStats
+}
+
+// BatchStats is what one batch replay cost: word-instruction
+// evaluations executed (a stripe instruction counts its lane words, an
+// opMaskWord one; continuous with the single-word kernel's unit),
+// evaluations saved versus a full-frame sweep per batch cycle (negative
+// only if abandoned event passes overshot it), sweep cache blocks run,
+// and the cycles settled by the event path, by the sweep outright, and
+// by the sweep after an abandoned event pass.
+type BatchStats struct {
+	Evals, Saved, Blocks                      int64
+	EventCycles, SweepCycles, AbandonedCycles int64
+}
+
+// Add accumulates o into s.
+func (s *BatchStats) Add(o BatchStats) {
+	s.Evals += o.Evals
+	s.Saved += o.Saved
+	s.Blocks += o.Blocks
+	s.EventCycles += o.EventCycles
+	s.SweepCycles += o.SweepCycles
+	s.AbandonedCycles += o.AbandonedCycles
 }
 
 // NewEventSim returns an EventSim for the compiled circuit with stripes
@@ -239,7 +263,6 @@ func NewEventSim(c *Compiled, laneWords int) *EventSim {
 		blkStamp:      make([]uint32, c.slots),
 		aliasTo:       make([]int32, c.numNets),
 		aliasEpoch:    make([]uint32, c.numNets),
-		Threshold:     sweepThresholdFor(lw),
 	}
 }
 
@@ -351,13 +374,10 @@ func (e *EventSim) BeginBatch(faults []BatchFault, trace *GoodTrace, base int, l
 	}
 	e.blkStamp = e.blkStamp[:maxSlots]
 	e.buildSweep()
-	e.budget = int(e.Threshold * float64(len(e.swCode)))
-	if e.budget < 16 {
-		e.budget = 16
-	}
 	e.swept = false
 	e.sweepNext = false
 	e.sweepStreak = 0
+	e.retryAfter = sweepRetryMin
 	for w := range e.retired {
 		e.retired[w] = 0
 	}
@@ -417,19 +437,17 @@ func (e *EventSim) blockBudget() int {
 
 // buildSweep compacts the cone's instruction chains (rWork is already
 // in topological order) into the sweep program, collects its read
-// frontier — every real-net operand that no cone instruction computes
-// and no cone flip-flop seeds, plus the D nets the sweep-mode Clock
-// reads — and tiles the program into cache blocks (swBlock) by the
-// distinct-slot budget.
+// frontier — every real-net slot that something reads but no cone
+// instruction computes and no cone flip-flop seeds — and tiles the
+// program into cache blocks (swBlock) by the distinct-slot budget.
 //
 // Mask-free buffer chains are copy-propagated away instead of emitted:
 // on a fanout-branched netlist most "gates" are branch buffers whose
-// sweep evaluation is a plain copy, so eliding them and rewriting later
-// operands to read the source directly shrinks the program that runs
-// every dense cycle. A buffer survives only if something outside the
-// program reads its slot by net id: an injection mask applies to it, it
-// is a primary output (the detection scan compares swVals[out]), or it
-// feeds a flip-flop D pin (the sweep-mode Clock reads swVals[d]). The
+// sweep evaluation is a plain copy, so eliding them and rewriting every
+// later reference to read the source directly shrinks the program that
+// runs every dense cycle. That includes the two readers outside the
+// program, the sweep-mode Clock (swD) and the detection scan (swOut);
+// only a buffer an injection mask applies to keeps its own slot. The
 // event path is untouched — it evaluates the full compiled program,
 // where the buffers still exist.
 func (e *EventSim) buildSweep() {
@@ -452,98 +470,99 @@ func (e *EventSim) buildSweep() {
 			blkCount++
 		}
 	}
-	resolve := func(op int32) int32 {
-		if int(op) < c.numNets && e.aliasEpoch[op] == e.epoch {
-			return e.aliasTo[op]
+	emit := func(op opcode, dst, a0, a1, a2 int32) {
+		e.swCode = append(e.swCode, op)
+		e.swDst = append(e.swDst, dst)
+		e.swA0 = append(e.swA0, a0)
+		e.swA1 = append(e.swA1, a1)
+		e.swA2 = append(e.swA2, a2)
+		if blkCount > blkBudget {
+			e.swBlock = append(e.swBlock, int32(len(e.swCode)))
+			e.blkEpoch++
+			blkCount = 0
 		}
+	}
+	// read resolves a referenced slot through the aliases and puts it on
+	// the frontier if nothing in the cone produces it.
+	read := func(op int32) int32 {
+		if int(op) < c.numNets && e.aliasEpoch[op] == e.epoch {
+			op = e.aliasTo[op]
+		}
+		e.noteFrontier(op)
 		return op
 	}
+	maskOps := 0
 	for _, id := range e.rWork {
 		ps, pe := c.pcStart[id], c.pcEnd[id]
-		masked := false
 		mb := int(id) * lw
+		var masked uint64
 		for w := 0; w < lw; w++ {
-			if e.sa0[mb+w]|e.sa1[mb+w] != 0 {
-				masked = true
-				break
-			}
+			masked |= e.sa0[mb+w] | e.sa1[mb+w]
 		}
-		if !masked && pe-ps == 1 && c.code[ps] == opBuf &&
-			c.outIndex[id] < 0 && !c.dPin[id] {
+		if masked == 0 && pe-ps == 1 && c.code[ps] == opBuf {
 			// rWork is topological, so the source's own alias (if any)
 			// is already final — chains of buffers flatten one hop at a
-			// time and every emitted operand resolves in one lookup.
-			e.aliasTo[id] = resolve(c.a0[ps])
+			// time and every later reference resolves in one lookup.
+			e.aliasTo[id] = read(c.a0[ps])
 			e.aliasEpoch[id] = e.epoch
 			continue
 		}
 		for pc := ps; pc < pe; pc++ {
-			a0, a1, a2 := resolve(c.a0[pc]), c.a1[pc], c.a2[pc]
-			e.noteFrontier(a0)
+			a0, a1, a2 := read(c.a0[pc]), c.a1[pc], c.a2[pc]
 			note(c.dst[pc])
 			note(a0)
 			switch c.code[pc] {
 			case opBuf, opNot:
 			case opMux:
-				a1, a2 = resolve(a1), resolve(a2)
-				e.noteFrontier(a1)
-				e.noteFrontier(a2)
+				a1, a2 = read(a1), read(a2)
 				note(a1)
 				note(a2)
 			default:
-				a1 = resolve(a1)
-				e.noteFrontier(a1)
+				a1 = read(a1)
 				note(a1)
 			}
-			e.swCode = append(e.swCode, c.code[pc])
-			e.swDst = append(e.swDst, c.dst[pc])
-			e.swA0 = append(e.swA0, a0)
-			e.swA1 = append(e.swA1, a1)
-			e.swA2 = append(e.swA2, a2)
-			if blkCount > blkBudget {
-				e.swBlock = append(e.swBlock, int32(len(e.swCode)))
-				e.blkEpoch++
-				blkCount = 0
-			}
+			emit(c.code[pc], c.dst[pc], a0, a1, a2)
 		}
-		if masked {
+		if masked != 0 {
 			// Fused mask application right after the chain's final
-			// instruction: v = (v | sa1) &^ sa0 (the masks are lane-
-			// disjoint, so the OR/AND order is equivalent), as two
-			// instructions whose second operands live in the site's mask
-			// slots — m0 holds the ^sa0 stripe, m1 the sa1 stripe — which
-			// RetireLane edits in place.
-			m0, m1 := e.nextMaskSlot, e.nextMaskSlot+1
+			// instruction: v = (v &^ sa0) | sa1 in each word that has a
+			// mask bit. The site's mask stripes — m0 holds ^sa0, m0+1
+			// holds sa1 — are what RetireLane edits in place.
+			m0 := e.nextMaskSlot
 			e.nextMaskSlot += 2
 			e.maskSlot[id] = m0
 			e.maskSlotEpoch[id] = e.epoch
+			note(m0)
+			note(m0 + 1)
 			for w := 0; w < lw; w++ {
 				e.swVals[int(m0)*lw+w] = ^e.sa0[mb+w]
-				e.swVals[int(m1)*lw+w] = e.sa1[mb+w]
-			}
-			note(m0)
-			note(m1)
-			e.swCode = append(e.swCode, opOr2, opAnd2)
-			e.swDst = append(e.swDst, int32(id), int32(id))
-			e.swA0 = append(e.swA0, int32(id), int32(id))
-			e.swA1 = append(e.swA1, m1, m0)
-			e.swA2 = append(e.swA2, 0, 0)
-			if blkCount > blkBudget {
-				e.swBlock = append(e.swBlock, int32(len(e.swCode)))
-				e.blkEpoch++
-				blkCount = 0
+				e.swVals[int(m0+1)*lw+w] = e.sa1[mb+w]
+				if e.sa0[mb+w]|e.sa1[mb+w] != 0 {
+					emit(opMaskWord, int32(id), int32(id), m0, int32(w))
+					maskOps++
+				}
 			}
 		}
 	}
 	if e.swBlock[len(e.swBlock)-1] != int32(len(e.swCode)) {
 		e.swBlock = append(e.swBlock, int32(len(e.swCode)))
 	}
+	e.swD = e.swD[:0]
 	for _, di := range e.rDFF {
-		e.noteFrontier(int32(c.n.gates[c.n.dffs[di]].In[0]))
+		e.swD = append(e.swD, read(int32(c.dNet[di])))
+	}
+	e.swOut = e.swOut[:0]
+	for _, oi := range e.rOut {
+		e.swOut = append(e.swOut, read(int32(c.n.outputs[oi])))
+	}
+	e.swEvals = int64(len(e.swCode)-maskOps)*int64(lw) + int64(maskOps)
+	e.budget = int(DefaultSweepThreshold * float64(len(e.swCode)-maskOps))
+	if e.budget < 16 {
+		e.budget = 16
 	}
 }
 
-// noteFrontier adds a sweep-program operand to the read frontier unless
+// noteFrontier adds a slot the sweep reads to the read frontier unless
 // the sweep computes it (in-cone combinational net), seeds it (in-cone
 // flip-flop Q), or it is a chain temporary. Frontier nets carrying an
 // injection mask — only injected primary-input/constant sites qualify —
@@ -765,12 +784,14 @@ func (e *EventSim) cycleInto(cycle int, det []uint64) {
 		e.shrinkCone()
 	}
 
-	if e.sweepNext && e.sweepStreak < sweepRetryInterval {
+	frame := int64(len(c.code)) * int64(lw)
+	if e.sweepNext && e.sweepStreak < e.retryAfter {
 		e.sweepStreak++
 		e.swept = true
 		e.sweepCycle(det)
-		e.evals += int64(len(e.swCode)) * int64(lw)
-		e.evalsSaved += int64(len(c.code)-len(e.swCode)) * int64(lw)
+		e.stats.SweepCycles++
+		e.stats.Evals += e.swEvals
+		e.stats.Saved += frame - e.swEvals
 		return
 	}
 	e.sweepStreak = 0
@@ -847,22 +868,28 @@ func (e *EventSim) cycleInto(cycle int, det []uint64) {
 			// Too dense for event scheduling to pay: abandon the pass and
 			// settle with the sweep, which ignores the partial divStamp
 			// state (it reads only qDiff and the trace), then stay in
-			// sweep mode. The wasted event work is capped by Threshold.
+			// sweep mode. The wasted event work is capped by the budget;
+			// a retry that ends here waits twice as long for the next.
 			for i := wi + 1; i < len(bm); i++ {
 				bm[i] = 0
+			}
+			if e.sweepNext && e.retryAfter < sweepRetryMax {
+				e.retryAfter *= 2
 			}
 			e.swept = true
 			e.sweepNext = true
 			e.sweepCycle(det)
-			executed += len(e.swCode)
-			e.evals += int64(executed) * int64(lw)
-			e.evalsSaved += int64(len(c.code)-executed) * int64(lw)
+			e.stats.AbandonedCycles++
+			e.stats.Evals += int64(executed)*int64(lw) + e.swEvals
+			e.stats.Saved += frame - int64(executed)*int64(lw) - e.swEvals
 			return
 		}
 	}
 	e.sweepNext = false
-	e.evals += int64(executed) * int64(lw)
-	e.evalsSaved += int64(len(c.code)-executed) * int64(lw)
+	e.retryAfter = sweepRetryMin
+	e.stats.EventCycles++
+	e.stats.Evals += int64(executed) * int64(lw)
+	e.stats.Saved += frame - int64(executed)*int64(lw)
 
 	for _, oi := range e.rOut {
 		o := n.outputs[oi]
@@ -919,11 +946,10 @@ func (e *EventSim) sweepCycle(det []uint64) {
 	for bi := 0; bi+1 < len(e.swBlock); bi++ {
 		e.runSweep(e.swBlock[bi], e.swBlock[bi+1])
 	}
-	e.blocksRun += int64(len(e.swBlock) - 1)
-	for _, oi := range e.rOut {
-		o := n.outputs[oi]
-		good := e.goodWord(o)
-		ob := int(o) * lw
+	e.stats.Blocks += int64(len(e.swBlock) - 1)
+	for k, oi := range e.rOut {
+		good := e.goodWord(n.outputs[oi])
+		ob := int(e.swOut[k]) * lw
 		for w := 0; w < lw; w++ {
 			det[w] |= vals[ob+w] ^ good
 		}
@@ -957,36 +983,44 @@ func (e *EventSim) runSweep(ps, pe int32) {
 // needs no lookahead. After an event-mode settle a single pass is safe
 // even for direct Q→D chains: reading a Q operand consults
 // diff/divStamp (seeded at the top of Cycle), which this loop never
-// writes. After a sweep-mode settle the D values come from swVals,
-// which the clock does not modify either. Out-of-cone flip-flops cannot
-// diverge and are left to the trace.
+// writes. After a sweep-mode settle the D values come from swVals
+// (slot swD[k]), which the clock does not modify either, and only an
+// injected flip-flop (qMask[k] != 0) loads its mask stripes.
+// Out-of-cone flip-flops cannot diverge and are left to the trace.
 func (e *EventSim) Clock() {
-	n, lw := e.c.n, e.lw
+	c, lw := e.c, e.lw
 	if e.swept {
 		for k, di := range e.rDFF {
-			q := n.dffs[di]
-			d := n.gates[q].In[0]
-			goodD := e.goodWord(d)
-			db, qb := int(d)*lw, int(q)*lw
+			goodD := e.goodWord(c.dNet[di])
+			dv := e.swVals[int(e.swD[k])*lw:][:lw]
+			qd := e.qDiff[k*lw:][:lw]
 			var anyD uint64
-			for w := 0; w < lw; w++ {
-				nd := (((e.swVals[db+w] &^ e.sa0[qb+w]) | e.sa1[qb+w]) ^ goodD) &^ 1
-				e.qDiff[k*lw+w] = nd
-				anyD |= nd
+			if e.qMask[k] == 0 {
+				for w := range qd {
+					nd := (dv[w] ^ goodD) &^ 1
+					qd[w] = nd
+					anyD |= nd
+				}
+			} else {
+				qb := int(c.n.dffs[di]) * lw
+				for w := range qd {
+					nd := (((dv[w] &^ e.sa0[qb+w]) | e.sa1[qb+w]) ^ goodD) &^ 1
+					qd[w] = nd
+					anyD |= nd
+				}
 			}
 			e.qAny[k] = anyD
 		}
 		return
 	}
 	for k, di := range e.rDFF {
-		q := n.dffs[di]
-		d := n.gates[q].In[0]
+		d := c.dNet[di]
 		if e.divStamp[d] != e.cyc && e.qAny[k]|e.qMask[k] == 0 {
 			continue // quiescent flip-flop stays at the good value
 		}
 		diverged := e.divStamp[d] == e.cyc
 		goodD := e.goodWord(d)
-		db, qb := int(d)*lw, int(q)*lw
+		db, qb := int(d)*lw, int(c.n.dffs[di])*lw
 		var anyD uint64
 		for w := 0; w < lw; w++ {
 			absD := goodD
@@ -1111,14 +1145,11 @@ func (e *EventSim) shrinkCone() {
 	}
 	e.rOut = e.rOut[:no]
 	e.buildSweep()
-	e.budget = int(e.Threshold * float64(len(e.swCode)))
-	if e.budget < 16 {
-		e.budget = 16
-	}
 	e.shrinkAt = e.liveCount / 2
 	// Divergence just dropped with the retirements, so retry event
 	// scheduling immediately rather than waiting out the sweep streak.
-	e.sweepStreak = sweepRetryInterval
+	e.retryAfter = sweepRetryMin
+	e.sweepStreak = e.retryAfter
 }
 
 // LaneStateInto writes one fault lane's packed DFF state to dst: the
@@ -1134,26 +1165,9 @@ func (e *EventSim) LaneStateInto(word int, lane uint, nextGood, dst []uint64) {
 	}
 }
 
-// ActiveFrac reports the batch cone's share of the combinational frame
-// (instruction-weighted), for diagnostics.
-func (e *EventSim) ActiveFrac() float64 {
-	if len(e.c.code) == 0 {
-		return 0
-	}
-	instrs := 0
-	for _, id := range e.rWork {
-		instrs += int(e.c.pcEnd[id] - e.c.pcStart[id])
-	}
-	return float64(instrs) / float64(len(e.c.code))
-}
-
 // EndBatch removes the batch's injection masks and returns and resets
-// the evaluation counters: word-instruction evaluations executed
-// (instructions × lane words, continuous with the single-word kernel's
-// unit), evaluations saved versus a full-frame sweep per batch cycle
-// (negative only if fallback re-evaluation overshot it), and sweep
-// cache blocks run.
-func (e *EventSim) EndBatch() (evals, saved, blocks int64) {
+// the batch's cost counters.
+func (e *EventSim) EndBatch() BatchStats {
 	lw := e.lw
 	for _, id := range e.injected {
 		b := int(id) * lw
@@ -1163,9 +1177,9 @@ func (e *EventSim) EndBatch() (evals, saved, blocks int64) {
 		}
 	}
 	e.injected = e.injected[:0]
-	evals, saved, blocks = e.evals, e.evalsSaved, e.blocksRun
-	e.evals, e.evalsSaved, e.blocksRun = 0, 0, 0
-	return evals, saved, blocks
+	st := e.stats
+	e.stats = BatchStats{}
+	return st
 }
 
 // sortByOrderPos sorts nets by their compiled chain position with shell

@@ -74,21 +74,65 @@ func (t *GoodTrace) SizeBytes() int64 {
 	return int64(len(t.bits)+len(t.frontier)) * 8
 }
 
-// Record snapshots lane 0 of the simulator's settled frame at the given
-// absolute cycle and advances the valid watermark. Cycles must be
-// recorded in order from the watermark.
-func (t *GoodTrace) Record(cycle int, s *CompiledSim) {
-	if cycle != t.valid || cycle < t.off || cycle >= t.off+t.cap {
-		panic("logic: GoodTrace.Record out of order or outside window")
+// Extend records the fault-free machine through absolute cycle end
+// (exclusive), which must lie inside the window: it resumes from the
+// frontier (which must sit at the recorded prefix's end), settles each
+// missing cycle on c's buffer-free program over value slots of its own,
+// packs the row a 64-net word at a time, and leaves the frontier at end
+// so the next call — or a survivor-state query at the boundary — picks
+// up without resimulation. at supplies an absolute cycle's packed input
+// vector (bit i drives Netlist.Inputs()[i]). It returns the
+// instructions executed.
+func (t *GoodTrace) Extend(c *Compiled, end int, at func(cycle int) uint64) int64 {
+	start := t.valid
+	if t.frontierCycle != start || end > t.off+t.cap {
+		panic("logic: GoodTrace.Extend from a stale frontier or past the window")
 	}
-	row := t.row(cycle)
-	for i := range row {
-		row[i] = 0
+	if end <= start {
+		return 0
 	}
-	for i, v := range s.vals[:s.c.numNets] {
-		row[i>>6] |= (v & 1) << (uint(i) & 63)
+	f, n := &c.fill, c.n
+	vals := make([]uint64, f.slots)
+	for id := range n.gates {
+		if n.gates[id].Kind == GateConst1 {
+			vals[f.slot[id]] = ^uint64(0)
+		}
 	}
-	t.valid = cycle + 1
+	for i, q := range n.dffs {
+		if i>>6 < len(t.frontier) {
+			vals[f.slot[q]] = -(t.frontier[i>>6] >> (uint(i) & 63) & 1)
+		}
+	}
+	next := make([]uint64, len(n.dffs))
+	for cyc := start; cyc < end; cyc++ {
+		vec := at(cyc)
+		for bi, in := range n.inputs {
+			vals[f.slot[in]] = -(vec >> uint(bi) & 1)
+		}
+		runProgram(f.code, f.dst, f.a0, f.a1, f.a2, vals, 0, int32(len(f.code)))
+		slots := f.slot
+		for j, row := 0, t.row(cyc); len(slots) > 0; j++ {
+			var w uint64
+			for b, sl := range slots[:min(64, len(slots))] {
+				w |= (vals[sl] & 1) << uint(b)
+			}
+			row[j] = w
+			slots = slots[min(64, len(slots)):]
+		}
+		for i := range next {
+			next[i] = vals[f.slot[c.dNet[i]]]
+		}
+		for i, q := range n.dffs {
+			vals[f.slot[q]] = next[i]
+		}
+	}
+	t.valid = end
+	state := make([]uint64, (len(next)+63)/64)
+	for i, v := range next {
+		state[i>>6] |= (v & 1) << (uint(i) & 63)
+	}
+	t.SetFrontier(end, state)
+	return int64(end-start) * int64(len(f.code))
 }
 
 // SetFrontier saves the packed DFF state the fault-free machine holds
