@@ -16,11 +16,11 @@
 //
 //	point=kind[:opt=val]...[,point=kind...]
 //
-// kinds: panic, delay, error, corrupt, shortwrite, cancel
-// opts:  p=<probability per hit, default 1>
-//	after=<skip the first N hits, default 0>
-//	times=<max fires, default 1, 0 = unlimited>
-//	delay=<duration for delay/cancel kinds, default 10ms>
+//	kinds: panic, delay, error, corrupt, shortwrite, cancel
+//	opts:  p=<probability per hit, default 1>
+//	       after=<skip the first N hits, default 0>
+//	       times=<max fires, default 1, 0 = unlimited>
+//	       delay=<duration for delay/cancel kinds, default 10ms>
 //
 // Example: one shard panic and a corrupted compiled-kernel batch word,
 // reproducible under seed 42:
