@@ -31,7 +31,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 	}
 	stateWords := (len(n.DFFs()) + 63) / 64
 	r := newSimRun(n, vecs, opts, stateWords)
-	lw := max(1, EffectiveLaneWords(opts, len(r.faults)))
+	lw := EffectiveLaneWords(opts, len(r.faults))
 	var sims [logic.MaxLaneWords + 1]*logic.EventSim // by width, built on first use
 	simFor := func(faults int) *logic.EventSim {
 		w := lw
@@ -114,8 +114,8 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 			if !pinned {
 				trace.Window(start, len(segVecs))
 			}
-			seg.Evals = fillTrace(c, trace, end,
-				func(cyc int) uint64 { return segVecs[cyc-start] })
+			ctrGoodCycles.Add(int64(end - trace.ValidThrough()))
+			seg.Evals = trace.Extend(c, end, func(cyc int) uint64 { return segVecs[cyc-start] })
 		}
 		// The fault-free state entering the next segment, for survivor
 		// compaction: the frontier right after a fill, a recorded row on
@@ -199,18 +199,12 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 		ctrGateEvalsSaved.Add(seg.Saved)
 		span.Add("gate_evals", seg.Evals)
 		span.Add("gate_evals_saved", seg.Saved)
-		for _, m := range []struct {
-			ctr    *obs.Counter
-			field  string
-			cycles int64
-		}{
-			{ctrCyclesEvent, "cycles_event", seg.EventCycles},
-			{ctrCyclesSweep, "cycles_sweep", seg.SweepCycles},
-			{ctrCyclesAbandoned, "cycles_abandoned", seg.AbandonedCycles},
-		} {
-			m.ctr.Add(m.cycles)
-			span.Add(m.field, m.cycles)
-		}
+		ctrCyclesEvent.Add(seg.EventCycles)
+		ctrCyclesSweep.Add(seg.SweepCycles)
+		ctrCyclesAbandoned.Add(seg.AbandonedCycles)
+		span.Add("cycles_event", seg.EventCycles)
+		span.Add("cycles_sweep", seg.SweepCycles)
+		span.Add("cycles_abandoned", seg.AbandonedCycles)
 		r.finishSegment(span, opts, survivors, end, total)
 	}
 	return r.finish(span, applied)
@@ -253,14 +247,6 @@ func autoLaneWords(faults int) int {
 	}
 }
 
-// fillTrace extends trace's recorded prefix through absolute cycle end
-// (exclusive) and returns the instructions that took; at supplies the
-// packed input vector for an absolute cycle.
-func fillTrace(c *logic.Compiled, trace *logic.GoodTrace, end int, at func(int) uint64) int64 {
-	ctrGoodCycles.Add(int64(end - trace.ValidThrough()))
-	return trace.Extend(c, end, at)
-}
-
 // FillGoodTrace records the fault-free machine's trace for vecs into
 // trace through cycle end (clamped to the sequence length), resuming
 // from whatever prefix is already recorded. The engine uses it to
@@ -278,5 +264,6 @@ func FillGoodTrace(n *logic.Netlist, prog *logic.Compiled, vecs VectorSeq, trace
 		prog = logic.CompiledFor(n)
 	}
 	trace.EnsureCycles(end)
-	ctrGateEvals.Add(fillTrace(prog, trace, end, vecs.At))
+	ctrGoodCycles.Add(int64(end - trace.ValidThrough()))
+	ctrGateEvals.Add(trace.Extend(prog, end, vecs.At))
 }

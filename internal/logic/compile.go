@@ -12,10 +12,10 @@ import "sync"
 // every instruction in the inner loop is a fixed-shape binary or
 // ternary word operation.
 //
-// The compiled form also carries the levelized metadata the
-// event-driven kernel needs: per-net combinational levels, the
-// instruction range implementing each net, a CSR-flattened fanout
-// table, and dense lookup tables from nets to DFF/output ordinals.
+// The compiled form also carries the metadata the event-driven kernel
+// needs: the instruction range implementing each net, a CSR-flattened
+// fanout table, and dense lookup tables from nets to DFF/output
+// ordinals.
 
 // opcode is one compiled gate operation. The inverted forms exist so a
 // decomposed NAND/NOR/XNOR chain applies its inversion in the final
@@ -83,14 +83,6 @@ type Compiled struct {
 	// tile's stripes stay cache-resident across its instructions.
 	blockOff []int32
 
-	// level is the combinational depth per net: frame sources (inputs,
-	// constants, DFF Q nets) are level 0, every combinational net is
-	// 1 + max(input levels). Readers always sit at a strictly higher
-	// level than the nets they read, which is what lets the event
-	// kernel process dirty nets level by level.
-	level    []int32
-	maxLevel int32
-
 	// orderPos is each combinational net's chain position in emission
 	// order (-1 for non-combinational nets); sorting a net subset by
 	// orderPos yields a valid evaluation order.
@@ -125,15 +117,14 @@ type Compiled struct {
 
 // fillProgram is the compiled program with every single-buffer chain —
 // fanout branches, port aliases; two thirds of the instructions on the
-// branched DSP core — aliased to its source, over densely renumbered
-// value slots. No injection mask can apply to the fault-free machine, so
-// nothing needs a buffer's own slot: slot maps every net, elided or
-// not, to the slot that holds its value. GoodTrace.Extend runs it.
+// branched DSP core — aliased to its source. No injection mask can apply
+// to the fault-free machine, so nothing needs a buffer's own slot: slot
+// maps every net, elided or not, to the compiled slot that holds its
+// value. GoodTrace.Extend runs it.
 type fillProgram struct {
 	code            []opcode
 	dst, a0, a1, a2 []int32
 	slot            []int32 // per real net
-	slots           int
 }
 
 // Compile builds the evaluation program for n. The result is immutable
@@ -146,7 +137,6 @@ func Compile(n *Netlist) *Compiled {
 		slots:    numNets,
 		pcStart:  make([]int32, numNets),
 		pcEnd:    make([]int32, numNets),
-		level:    make([]int32, numNets),
 		orderPos: make([]int32, numNets),
 		dffIndex: make([]int32, numNets),
 		outIndex: make([]int32, numNets),
@@ -163,21 +153,6 @@ func Compile(n *Netlist) *Compiled {
 	}
 	for i, o := range n.outputs {
 		c.outIndex[o] = int32(i)
-	}
-
-	// Levels over the topological order.
-	for _, id := range n.order {
-		g := &n.gates[id]
-		lv := int32(0)
-		for _, in := range g.In {
-			if c.level[in]+1 > lv {
-				lv = c.level[in] + 1
-			}
-		}
-		c.level[id] = lv
-		if lv > c.maxLevel {
-			c.maxLevel = lv
-		}
 	}
 
 	// Emit instruction chains in cone-clustered schedule order.
@@ -322,37 +297,31 @@ func (c *Compiled) buildBlocks() {
 
 // buildFill derives the buffer-free program from the compiled one. The
 // schedule is topological, so a buffer's source already has its final
-// slot when the buffer is reached, and a chain temporary is renumbered
-// by the instruction that writes it before the one that reads it.
+// slot when the buffer is reached.
 func (c *Compiled) buildFill() {
 	f := &c.fill
-	remap := make([]int32, c.slots)
-	for i := range remap {
-		remap[i] = -1
+	f.slot = make([]int32, c.numNets)
+	for id := range f.slot {
+		f.slot[id] = int32(id)
 	}
-	next := func() int32 { f.slots++; return int32(f.slots - 1) }
-	for id := range c.n.gates {
-		if c.orderPos[id] < 0 {
-			remap[id] = next() // inputs, constants, flip-flop Qs
+	src := func(op int32) int32 {
+		if int(op) < c.numNets {
+			return f.slot[op]
 		}
+		return op // chain temporary
 	}
 	for _, id := range c.schedule {
 		ps, pe := c.pcStart[id], c.pcEnd[id]
 		if pe-ps == 1 && c.code[ps] == opBuf {
-			remap[id] = remap[c.a0[ps]]
+			f.slot[id] = f.slot[c.a0[ps]]
 			continue
 		}
 		for pc := ps; pc < pe; pc++ {
-			// An operand field the opcode does not read is remapped with the
-			// rest and stays unread.
-			a0, a1, a2 := remap[c.a0[pc]], remap[c.a1[pc]], remap[c.a2[pc]]
-			remap[c.dst[pc]] = next()
 			f.code = append(f.code, c.code[pc])
-			f.dst = append(f.dst, remap[c.dst[pc]])
-			f.a0, f.a1, f.a2 = append(f.a0, a0), append(f.a1, a1), append(f.a2, a2)
+			f.dst = append(f.dst, c.dst[pc])
+			f.a0, f.a1, f.a2 = append(f.a0, src(c.a0[pc])), append(f.a1, src(c.a1[pc])), append(f.a2, src(c.a2[pc]))
 		}
 	}
-	f.slot = remap[:c.numNets:c.numNets]
 }
 
 // NumBlocks returns the number of cache blocks the schedule was cut
@@ -368,7 +337,7 @@ func (c *Compiled) Schedule() []NetID { return c.schedule }
 // accounted by its own owner).
 func (c *Compiled) SizeBytes() int64 {
 	perInstr := int64(1 + 4*4) // code + dst/a0/a1/a2
-	perNet := int64(10 * 4)    // int32 tables, fill.slot among them
+	perNet := int64(8 * 4)     // int32 tables, fill.slot among them
 	fan := int64(len(c.foList)+len(c.foPosList)) * 4
 	return int64(len(c.code)+len(c.fill.code))*perInstr + int64(c.numNets)*perNet + fan +
 		int64(len(c.schedule)+len(c.blockOff)+len(c.dNet))*4
@@ -445,9 +414,6 @@ func (c *Compiled) NumInstrs() int { return len(c.code) }
 
 // NumNets returns the number of real nets (temporary slots excluded).
 func (c *Compiled) NumNets() int { return c.numNets }
-
-// MaxLevel returns the deepest combinational level.
-func (c *Compiled) MaxLevel() int { return int(c.maxLevel) }
 
 // readers returns the fanout of net id as a CSR slice.
 func (c *Compiled) readers(id NetID) []NetID {

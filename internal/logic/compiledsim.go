@@ -22,8 +22,6 @@ type CompiledSim struct {
 	sa1 []uint64
 
 	injected []NetID
-
-	evals int64
 }
 
 // NewCompiledSim returns a CompiledSim with all lanes reset to state 0.
@@ -171,15 +169,6 @@ func (s *CompiledSim) Settle() {
 	} else {
 		evalInto(c, 0, int32(len(c.code)), s.vals, s.sa0, s.sa1)
 	}
-	s.evals += int64(len(c.code))
-}
-
-// TakeEvals returns the number of instructions executed since the last
-// call (or construction) and resets the counter.
-func (s *CompiledSim) TakeEvals() int64 {
-	e := s.evals
-	s.evals = 0
-	return e
 }
 
 // OutputDiff returns, for each primary output, a mask of lanes whose

@@ -59,14 +59,13 @@ type BatchFault struct {
 const DefaultSweepThreshold = 0.2
 
 // A batch in sweep mode retries event scheduling after sweepRetryMin
-// consecutive sweep cycles. Divergence decays as faults are detected and
-// retired, so a batch that went dense usually becomes sparse again, and
-// the retry is what notices. A retry that fails — the event pass is
-// abandoned again, having cost up to the threshold's share of a sweep at
-// several times the sweep's price per instruction — doubles the wait,
-// up to sweepRetryMax: a batch whose divergence is not decaying pays for
-// one failed pass in 128 cycles instead of one in 8. A cycle the event
-// path settles, or a cone rebuilt around fewer faults, resets the wait.
+// consecutive sweep cycles: divergence decays as faults are detected and
+// retired, so a batch that went dense usually becomes sparse again. A
+// retry that fails (the pass is abandoned again, at up to the
+// threshold's share of a sweep) doubles the wait, up to sweepRetryMax,
+// so a batch whose divergence is not decaying stops paying for it; a
+// cycle the event path settles, or a cone rebuilt around fewer faults,
+// resets the wait.
 const (
 	sweepRetryMin = 8
 	sweepRetryMax = 128
@@ -147,9 +146,8 @@ type EventSim struct {
 	// word of the site's two mask stripes — ^sa0 then sa1, in slots
 	// appended after the compiled ones (maskSlot maps site → first slot
 	// while maskSlotEpoch matches; RetireLane edits them in place) — so a
-	// sweep cycle is pure straight-line execution and a site costs what
-	// its faults occupy, not the stripe. swD and swOut are the slots
-	// holding each rDFF's D value and each rOut's output value once
+	// sweep cycle is pure straight-line execution. swD and swOut are the
+	// slots holding each rDFF's D value and each rOut's output value once
 	// buffers are copy-propagated away; swEvals is one sweep's cost in
 	// word-instructions. swBlock tiles the program into cache blocks (see
 	// BlockSlots): block budgets shrink with lw so one tile's stripes
@@ -207,11 +205,10 @@ type EventSim struct {
 
 // BatchStats is what one batch replay cost: word-instruction
 // evaluations executed (a stripe instruction counts its lane words, an
-// opMaskWord one; continuous with the single-word kernel's unit),
-// evaluations saved versus a full-frame sweep per batch cycle (negative
-// only if abandoned event passes overshot it), sweep cache blocks run,
-// and the cycles settled by the event path, by the sweep outright, and
-// by the sweep after an abandoned event pass.
+// opMaskWord one), evaluations saved versus a full-frame sweep per
+// batch cycle (negative only if abandoned event passes overshot it),
+// sweep cache blocks run, and the cycles settled by the event path, by
+// the sweep outright, and by the sweep after an abandoned event pass.
 type BatchStats struct {
 	Evals, Saved, Blocks                      int64
 	EventCycles, SweepCycles, AbandonedCycles int64

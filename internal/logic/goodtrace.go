@@ -92,7 +92,7 @@ func (t *GoodTrace) Extend(c *Compiled, end int, at func(cycle int) uint64) int6
 		return 0
 	}
 	f, n := &c.fill, c.n
-	vals := make([]uint64, f.slots)
+	vals := make([]uint64, c.slots)
 	for id := range n.gates {
 		if n.gates[id].Kind == GateConst1 {
 			vals[f.slot[id]] = ^uint64(0)
