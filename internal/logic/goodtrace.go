@@ -91,23 +91,24 @@ func (t *GoodTrace) Extend(c *Compiled, end int, at func(cycle int) uint64) int6
 	if end <= start {
 		return 0
 	}
+	// Only a buffer shares a slot: sources and flip-flops keep their own.
 	f, n := &c.fill, c.n
 	vals := make([]uint64, c.slots)
 	for id := range n.gates {
 		if n.gates[id].Kind == GateConst1 {
-			vals[f.slot[id]] = ^uint64(0)
+			vals[id] = ^uint64(0)
 		}
 	}
 	for i, q := range n.dffs {
 		if i>>6 < len(t.frontier) {
-			vals[f.slot[q]] = -(t.frontier[i>>6] >> (uint(i) & 63) & 1)
+			vals[q] = -(t.frontier[i>>6] >> (uint(i) & 63) & 1)
 		}
 	}
 	next := make([]uint64, len(n.dffs))
 	for cyc := start; cyc < end; cyc++ {
 		vec := at(cyc)
 		for bi, in := range n.inputs {
-			vals[f.slot[in]] = -(vec >> uint(bi) & 1)
+			vals[in] = -(vec >> uint(bi) & 1)
 		}
 		runProgram(f.code, f.dst, f.a0, f.a1, f.a2, vals, 0, int32(len(f.code)))
 		slots := f.slot
@@ -123,7 +124,7 @@ func (t *GoodTrace) Extend(c *Compiled, end int, at func(cycle int) uint64) int6
 			next[i] = vals[f.slot[c.dNet[i]]]
 		}
 		for i, q := range n.dffs {
-			vals[f.slot[q]] = next[i]
+			vals[q] = next[i]
 		}
 	}
 	t.valid = end
