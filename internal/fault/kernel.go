@@ -18,9 +18,9 @@ import (
 // fanout-cone logic — everything outside the cone is read from the
 // trace — so a batch pays for its diverged gates instead of the whole
 // frame. W is the widest a batch gets: a part-filled one (the list's
-// tail, and every batch once survivors thin out) replays on a simulator
-// of the narrowest of 1, 2, 4 and W words that holds it, so empty lane
-// words are not swept. The drop/repack segmentation, detection bookkeeping
+// tail, and every batch once survivors thin out) replays on stripes of
+// the narrowest of 1, 2, 4 and W words that holds it (see
+// logic.EventSim.BeginBatch), so empty lane words are not swept. The drop/repack segmentation, detection bookkeeping
 // and telemetry match simulateReference cycle for cycle; the
 // differential tests in this package and kernel_equiv_test.go at the
 // repo root enforce bit-identical results at every lane width.
@@ -32,20 +32,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 	stateWords := (len(n.DFFs()) + 63) / 64
 	r := newSimRun(n, vecs, opts, stateWords)
 	lw := EffectiveLaneWords(opts, len(r.faults))
-	var sims [logic.MaxLaneWords + 1]*logic.EventSim // by width, built on first use
-	simFor := func(faults int) *logic.EventSim {
-		w := lw
-		for _, narrow := range [...]int{1, 2, 4} {
-			if narrow < w && faults <= 63*narrow {
-				w = narrow
-				break
-			}
-		}
-		if sims[w] == nil {
-			sims[w] = logic.NewEventSim(c, w)
-		}
-		return sims[w]
-	}
+	ev := logic.NewEventSim(c, lw)
 	nextGoodState := make([]uint64, stateWords)
 
 	total := vecs.Len()
@@ -134,7 +121,6 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 				})
 				laneStates = append(laneStates, r.states[batchStart+li])
 			}
-			ev := simFor(len(batch))
 			ev.BeginBatch(batchFaults, trace, start, laneStates)
 			nw := (len(batch) + 62) / 63
 			for w := 0; w < nw; w++ {

@@ -242,11 +242,12 @@ func gatedVectors(cycles, quiet int) Vectors {
 	return vecs
 }
 
-// TestKernelPartFilledWideBatches: a last batch that fills a fraction of
-// an explicitly wide stripe replays on a narrower simulator (70 faults
-// under LaneWords 4 on two words, 130 under 8 as 126 + 4 on four and
-// one, 64 under 8 on two), and a site whose sa0 and sa1 faults sit at
-// list positions 62 and 63 has its masks in different stripe words.
+// TestKernelPartFilledWideBatches: a batch that fills a fraction of an
+// explicitly wide stripe replays on narrower stripes (70 faults under
+// LaneWords 4 on two words, 130 and 64 under 8 on four and two, and
+// whatever survives a segment on fewer still), and a site whose sa0 and
+// sa1 faults sit at list positions 62 and 63 has its masks in different
+// stripe words.
 func TestKernelPartFilledWideBatches(t *testing.T) {
 	n := denseCircuit(t, true)
 	all := AllFaults(n)

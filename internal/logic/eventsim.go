@@ -75,8 +75,9 @@ const (
 // Usage per batch: BeginBatch, then per cycle Cycle followed by Clock,
 // then LaneStateInto per surviving lane and EndBatch.
 type EventSim struct {
-	c  *Compiled
-	lw int // lane words per stripe (W)
+	c     *Compiled
+	maxLW int // lane words per stripe the arrays are sized for (W)
+	lw    int // lane words per stripe of the current batch (see BeginBatch)
 
 	// Per-net injection mask stripes (sa0[net*lw+w]; real nets only —
 	// the final instruction of a chain is the only masked one).
@@ -236,8 +237,9 @@ func NewEventSim(c *Compiled, laneWords int) *EventSim {
 		lw = MaxLaneWords
 	}
 	return &EventSim{
-		c:  c,
-		lw: lw,
+		c:     c,
+		maxLW: lw,
+		lw:    lw,
 		// Masks are slot-sized (temporaries are never injected and stay
 		// zero) so the sweep can apply them by instruction destination.
 		sa0:           make([]uint64, c.slots*lw),
@@ -263,8 +265,9 @@ func NewEventSim(c *Compiled, laneWords int) *EventSim {
 	}
 }
 
-// LaneWords returns the stripe width W (64-bit words per net).
-func (e *EventSim) LaneWords() int { return e.lw }
+// LaneWords returns the stripe width W (64-bit words per net) the
+// simulator was built with: the widest batch it takes.
+func (e *EventSim) LaneWords() int { return e.maxLW }
 
 // BeginBatch installs a fault batch: injection masks, the reachable
 // cone (transitive fanout of the sites, closed through DFF D→Q edges),
@@ -273,12 +276,26 @@ func (e *EventSim) LaneWords() int { return e.lw }
 // state). The trace must already hold the fault-free run through the
 // cycles this batch will replay; base is the absolute cycle the batch
 // starts at (laneStates describe the machine entering that cycle).
+//
+// The batch runs on stripes fitted to it: the narrowest of 1, 2, 4 and
+// W words that holds the faults, so a part-filled batch (a fault list's
+// tail; every batch, once survivors thin out) sweeps no empty lane
+// words. Every array is per-batch scratch, so the stride can change
+// between batches; Cycle fills, and RetireLane and LaneStateInto
+// address, only the words in use.
 func (e *EventSim) BeginBatch(faults []BatchFault, trace *GoodTrace, base int, laneStates [][]uint64) {
-	lw := e.lw
-	if len(faults) > 63*lw {
+	if len(faults) > 63*e.maxLW {
 		panic(fmt.Sprintf("logic: EventSim batch of %d faults exceeds %d lanes (%d words)",
-			len(faults), 63*lw, lw))
+			len(faults), 63*e.maxLW, e.maxLW))
 	}
+	e.lw = e.maxLW
+	for _, narrow := range [...]int{1, 2, 4} {
+		if narrow < e.maxLW && len(faults) <= 63*narrow {
+			e.lw = narrow
+			break
+		}
+	}
+	lw := e.lw
 	c, n := e.c, e.c.n
 	e.trace = trace
 	e.epoch++
@@ -676,7 +693,7 @@ func (e *EventSim) evalNet(id NetID) uint64 {
 func (e *EventSim) evalNetStripes(id NetID) uint64 {
 	c, lw := e.c, e.lw
 	code, dst, a0, a1, a2 := c.code, c.dst, c.a0, c.a1, c.a2
-	v := e.vBuf
+	v := e.vBuf[:lw]
 	for pc := c.pcStart[id]; pc < c.pcEnd[id]; pc++ {
 		x := e.operandStripes(a0[pc], e.ob0)
 		switch code[pc] {
@@ -747,8 +764,9 @@ func (e *EventSim) goodWord(id NetID) uint64 {
 }
 
 // Cycle settles the given absolute cycle and fills det (length
-// LaneWords) with the OR-ed per-output lane-difference stripe against
-// the fault-free machine (bit 0 of every word always clear).
+// LaneWords; the words the batch occupies are written) with the OR-ed
+// per-output lane-difference stripe against the fault-free machine (bit
+// 0 of every word always clear).
 // Primary-input values come from the good trace — the good machine saw
 // the same vectors — so no vector is needed; only the divergence
 // sources (injected sites, diverged flip-flops) and their live fanout
