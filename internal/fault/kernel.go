@@ -20,10 +20,11 @@ import (
 // frame. W is the widest a batch gets: a part-filled one (the list's
 // tail, and every batch once survivors thin out) replays on stripes of
 // the narrowest of 1, 2, 4 and W words that holds it (see
-// logic.EventSim.BeginBatch), so empty lane words are not swept. The drop/repack segmentation, detection bookkeeping
-// and telemetry match simulateReference cycle for cycle; the
-// differential tests in this package and kernel_equiv_test.go at the
-// repo root enforce bit-identical results at every lane width.
+// logic.EventSim.BeginBatch), so empty lane words are not swept. The
+// drop/repack segmentation, detection bookkeeping and telemetry match
+// simulateReference cycle for cycle; the differential tests in this
+// package and kernel_equiv_test.go at the repo root enforce
+// bit-identical results at every lane width.
 func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result {
 	c := opts.Program
 	if c == nil {

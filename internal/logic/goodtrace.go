@@ -111,14 +111,13 @@ func (t *GoodTrace) Extend(c *Compiled, end int, at func(cycle int) uint64) int6
 			vals[in] = -(vec >> uint(bi) & 1)
 		}
 		runProgram(f.code, f.dst, f.a0, f.a1, f.a2, vals, 0, int32(len(f.code)))
-		slots := f.slot
-		for j, row := 0, t.row(cyc); len(slots) > 0; j++ {
+		row := t.row(cyc)
+		for j := 0; j*64 < len(f.slot); j++ {
 			var w uint64
-			for b, sl := range slots[:min(64, len(slots))] {
+			for b, sl := range f.slot[j*64 : min(j*64+64, len(f.slot))] {
 				w |= (vals[sl] & 1) << uint(b)
 			}
 			row[j] = w
-			slots = slots[min(64, len(slots)):]
 		}
 		for i := range next {
 			next[i] = vals[f.slot[c.dNet[i]]]
