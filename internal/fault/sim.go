@@ -49,6 +49,14 @@ var (
 	ctrCyclesAbandoned = famKernelCycles.Counter("abandoned")
 )
 
+// Which stripe kernels the compiled kernel's dense path runs on in this
+// process: an info gauge, 1 on the one label value that applies.
+func init() {
+	obs.Default().GaugeFamily("sbst_kernel_simd_info",
+		"Instruction set of the compiled kernel's dense-path stripe runners: avx2 (assembly) or none (portable Go).",
+		"isa").Gauge(logic.SweepISA()).Set(1)
+}
+
 // Kernel selects the simulation engine backing Simulate.
 type Kernel int
 

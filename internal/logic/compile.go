@@ -38,7 +38,41 @@ const (
 	// (== a0), to (v & m0) | m1, where m0 and m1 are the same word of the
 	// mask stripes at slots a1 and a1+1 (see EventSim.buildSweep).
 	opMaskWord
+	// The last three are sweep-only too, and are what makes a dense cycle
+	// one program: each broadcasts g, a net's fault-free bit — bit a2 of
+	// word a1 of vals, which is where sweepCycle copies the trace row —
+	// across the stripe. opGood seeds a frontier net (dst = g), opXorGood
+	// seeds a flip-flop's Q from its divergence stripe and clocks the
+	// divergence from its D (dst = a0 ^ g), opDetect accumulates an
+	// output's divergence (dst |= a0 ^ g).
+	opGood
+	opXorGood
+	opDetect
 )
+
+// goodOf broadcasts bit `bit` of vals[word] (see opGood).
+func goodOf(vals []uint64, word, bit int32) uint64 {
+	return -(vals[word] >> (uint(bit) & 63) & 1)
+}
+
+// goodStripe executes opGood, opXorGood and opDetect on a stripe of any
+// width for the three stripe runners, g being the broadcast bit.
+func goodStripe(op opcode, dv, xv []uint64, g uint64) {
+	switch op {
+	case opGood:
+		for w := range dv {
+			dv[w] = g
+		}
+	case opXorGood:
+		for w := range dv {
+			dv[w] = xv[w] ^ g
+		}
+	case opDetect:
+		for w := range dv {
+			dv[w] |= xv[w] ^ g
+		}
+	}
+}
 
 // Compiled is the immutable evaluation program for one Netlist.
 type Compiled struct {
@@ -457,6 +491,12 @@ func runProgram(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, ps, pe in
 			v = (vals[a1[pc]] &^ sel) | (vals[a2[pc]] & sel)
 		case opMaskWord:
 			v = vals[a0[pc]]&vals[a1[pc]] | vals[a1[pc]+1]
+		case opGood:
+			v = goodOf(vals, a1[pc], a2[pc])
+		case opXorGood:
+			v = vals[a0[pc]] ^ goodOf(vals, a1[pc], a2[pc])
+		case opDetect:
+			v = vals[dst[pc]] | (vals[a0[pc]] ^ goodOf(vals, a1[pc], a2[pc]))
 		}
 		vals[dst[pc]] = v
 	}
@@ -523,6 +563,8 @@ func runProgramStripes(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, lw
 		case opMaskWord:
 			m, w := vals[int(a1[pc])*lw:][:2*lw], int(a2[pc])
 			dv[w] = xv[w]&m[w] | m[lw+w]
+		default:
+			goodStripe(code[pc], dv, xv, goodOf(vals, a1[pc], a2[pc]))
 		}
 	}
 }
@@ -571,6 +613,8 @@ func runProgramStripes4(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, p
 		case opMaskWord:
 			m, w := vals[int(a1[pc])<<2:][:8], a2[pc]&3
 			dv[w] = xv[w]&m[w] | m[4+w]
+		default:
+			goodStripe(code[pc], dv, xv, goodOf(vals, a1[pc], a2[pc]))
 		}
 	}
 }
@@ -630,6 +674,8 @@ func runProgramStripes8(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, p
 		case opMaskWord:
 			m, w := vals[int(a1[pc])<<3:][:16], a2[pc]&7
 			dv[w] = xv[w]&m[w] | m[8+w]
+		default:
+			goodStripe(code[pc], dv, xv, goodOf(vals, a1[pc], a2[pc]))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package logic
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/chaos"
 )
@@ -135,52 +136,59 @@ type EventSim struct {
 	shrinkAt      int
 	pendingShrink bool
 
-	// Sweep mode: a compacted copy of the cone's instruction chains in
-	// topological order, evaluated over absolute value stripes (swVals)
-	// at full-sweep speed when divergence is too dense for event
-	// scheduling to pay. bound lists the sweep's read-only frontier —
-	// nets read by cone instructions, cone flip-flop D pins or the
-	// detection scan but computed outside the cone — reseeded from the
-	// good trace each sweep cycle; bEpoch dedups it. Injection masks are
-	// fused into the program: an injected site's chain is followed by one
-	// opMaskWord per stripe word that carries a mask bit, reading that
-	// word of the site's two mask stripes — ^sa0 then sa1, in slots
-	// appended after the compiled ones (maskSlot maps site → first slot
-	// while maskSlotEpoch matches; RetireLane edits them in place) — so a
-	// sweep cycle is pure straight-line execution. swD and swOut are the
-	// slots holding each rDFF's D value and each rOut's output value once
-	// buffers are copy-propagated away; swEvals is one sweep's cost in
-	// word-instructions. swBlock tiles the program into cache blocks (see
-	// BlockSlots): block budgets shrink with lw so one tile's stripes
-	// stay L1-resident across its instructions. swept records which mode
-	// settled the current cycle (so Clock reads the matching state);
-	// sweepNext, sweepStreak and retryAfter drive the adaptive mode
-	// switch (see sweepRetryMin).
+	// Sweep mode: when divergence is too dense for event scheduling to
+	// pay, a cycle is one straight-line program over absolute value
+	// stripes (swVals), in execution order: a seed ahead of its first
+	// reader for every net the cone reads but does not compute (opGood for
+	// the read frontier, opXorGood from the qDiff stripe for a cone
+	// flip-flop's Q; seedEpoch dedups them), the cone's instruction chains
+	// in topological order, one opDetect per cone output — everything
+	// before swClock, which sweepCycle runs — and the clock section, one
+	// opXorGood per cone flip-flop from its D slot into its qDiff
+	// stripe, which Clock runs after the caller's retirements. Injection
+	// masks are fused in: an injected site's chain, a masked frontier
+	// seed, and the staged copy of an injected flip-flop's D are each
+	// followed by one opMaskWord per stripe word that carries a mask bit,
+	// reading that word of the site's two mask stripes — ^sa0 then sa1
+	// (maskSlot maps site → first slot while maskSlotEpoch matches;
+	// RetireLane edits them in place). swVals holds, after the compiled
+	// slots, those mask stripes, the detection stripe (slot qBase-1), the
+	// qDiff stripes (from slot qBase; e.qDiff is that region) and, from
+	// word rowBase, the copy of the trace row the good bits are read
+	// from. swEvals is one sweep's cost in word-instructions and swTiles
+	// its cache blocks (see BlockSlots; block budgets shrink with lw) —
+	// both count cone instructions and their mask words only, as budget
+	// does. swept records which mode settled the current cycle (so Clock
+	// advances the matching state); sweepNext, sweepStreak and retryAfter
+	// drive the adaptive mode switch (see sweepRetryMin).
 	swCode        []opcode
 	swDst         []int32
 	swA0          []int32
 	swA1          []int32
 	swA2          []int32
-	swBlock       []int32
-	swD           []int32
-	swOut         []int32
+	swClock       int32
 	swEvals       int64
+	swTiles       int64
 	swVals        []uint64
-	nextMaskSlot  int32
+	qBase         int32
+	rowBase       int32
 	maskSlot      []int32
 	maskSlotEpoch []uint32
-	bound         []NetID
-	boundMsk      []NetID
-	bEpoch        []uint32
+	seedEpoch     []uint32
 	blkStamp      []uint32
 	blkEpoch      uint32
 
-	// Per-rDFF summaries so quiescent flip-flops cost one word instead
-	// of a stripe scan: qAny[k] is the OR of qDiff's stripe, qMask[k]
-	// the OR of the Q-site injection mask stripes (nonzero only for
-	// injected flip-flop outputs).
-	qAny  []uint64
-	qMask []uint64
+	// Per-rDFF summaries so the event path's quiescent flip-flops cost
+	// one word instead of a stripe scan: qAny[k] is the OR of qDiff's
+	// stripe (the sweep program does not keep it; cycleInto refreshes it
+	// when a batch returns to the event path), qMask[k] the OR of the
+	// Q-site injection mask stripes (nonzero only for injected flip-flop
+	// outputs). coneSlot maps a Netlist.DFFs ordinal in the cone to its k;
+	// goodQ is BeginBatch's scratch for the fault-free packed state.
+	qAny     []uint64
+	qMask    []uint64
+	coneSlot []int32
+	goodQ    []uint64
 
 	swept       bool
 	sweepNext   bool
@@ -236,6 +244,10 @@ func NewEventSim(c *Compiled, laneWords int) *EventSim {
 	if lw > MaxLaneWords {
 		lw = MaxLaneWords
 	}
+	// The value stripes are sized once for the widest, fullest batch:
+	// two mask stripes per site after the compiled slots, the detection
+	// stripe, one qDiff stripe per flip-flop, the trace row (see swVals).
+	dffs, maxSites := len(c.n.dffs), 63*lw
 	return &EventSim{
 		c:     c,
 		maxLW: lw,
@@ -255,14 +267,27 @@ func NewEventSim(c *Compiled, laneWords int) *EventSim {
 		combEpoch:     make([]uint32, c.numNets),
 		bm:            make([]uint64, (len(c.schedule)+63)/64),
 		retired:       make([]uint64, lw),
-		swVals:        make([]uint64, c.slots*lw),
+		swVals:        alignedWords((c.slots+2*maxSites+1+dffs)*lw + (c.numNets+63)/64),
 		maskSlot:      make([]int32, c.numNets),
 		maskSlotEpoch: make([]uint32, c.numNets),
-		bEpoch:        make([]uint32, c.numNets),
-		blkStamp:      make([]uint32, c.slots),
+		seedEpoch:     make([]uint32, c.numNets),
+		blkStamp:      make([]uint32, c.slots+2*maxSites),
 		aliasTo:       make([]int32, c.numNets),
 		aliasEpoch:    make([]uint32, c.numNets),
+		qAny:          make([]uint64, dffs),
+		qMask:         make([]uint64, dffs),
+		coneSlot:      make([]int32, dffs),
+		goodQ:         make([]uint64, (dffs+63)/64),
 	}
+}
+
+// alignedWords returns n zeroed words starting on a 64-byte boundary, so
+// that no 4- or 8-word stripe of the sweep's values straddles a cache
+// line whatever size class the allocation came from.
+func alignedWords(n int) []uint64 {
+	buf := make([]uint64, n+7)
+	off := -int(uintptr(unsafe.Pointer(&buf[0]))>>3) & 7
+	return buf[off : off+n]
 }
 
 // LaneWords returns the stripe width W (64-bit words per net) the
@@ -341,6 +366,7 @@ func (e *EventSim) BeginBatch(faults []BatchFault, trace *GoodTrace, base int, l
 		switch n.gates[id].Kind {
 		case GateInput, GateConst0, GateConst1:
 		case GateDFF:
+			e.coneSlot[c.dffIndex[id]] = int32(len(e.rDFF))
 			e.rDFF = append(e.rDFF, c.dffIndex[id])
 		default:
 			e.combEpoch[id] = e.epoch
@@ -363,30 +389,11 @@ func (e *EventSim) BeginBatch(faults []BatchFault, trace *GoodTrace, base int, l
 	} else {
 		sortByOrderPos(e.rWork, c.orderPos)
 	}
-	if cap(e.qDiff) < len(e.rDFF)*lw {
-		e.qDiff = make([]uint64, len(e.rDFF)*lw)
-	}
-	e.qDiff = e.qDiff[:len(e.rDFF)*lw]
-	if cap(e.qAny) < len(e.rDFF) {
-		e.qAny = make([]uint64, len(e.rDFF))
-		e.qMask = make([]uint64, len(e.rDFF))
-	}
+	e.qBase = int32(c.slots + 2*len(e.sites) + 1)
+	e.rowBase = (e.qBase + int32(len(e.rDFF))) * int32(lw)
+	e.qDiff = e.swVals[int(e.qBase)*lw : e.rowBase]
 	e.qAny = e.qAny[:len(e.rDFF)]
 	e.qMask = e.qMask[:len(e.rDFF)]
-	// The sweep program appends two mask slots per injected site after
-	// the compiled slots (see buildSweep); size the value stripes and
-	// the block-budget stamp array for the worst case.
-	maxSlots := c.slots + 2*len(e.sites)
-	if cap(e.swVals) < maxSlots*lw {
-		e.swVals = make([]uint64, maxSlots*lw)
-	}
-	e.swVals = e.swVals[:maxSlots*lw]
-	if cap(e.blkStamp) < maxSlots {
-		grown := make([]uint32, maxSlots)
-		copy(grown, e.blkStamp)
-		e.blkStamp = grown
-	}
-	e.blkStamp = e.blkStamp[:maxSlots]
 	e.buildSweep()
 	e.swept = false
 	e.sweepNext = false
@@ -399,71 +406,70 @@ func (e *EventSim) BeginBatch(faults []BatchFault, trace *GoodTrace, base int, l
 	e.shrinkAt = len(faults) / 2
 	e.pendingShrink = false
 
-	// Initial flip-flop divergence: each fault's saved state overlaid on
-	// the fault-free batch-start state (the trace's base-cycle Q values),
-	// masked for Q-site faults — the analogue of SetLaneState +
-	// ApplyInjectionsToValues on the reference simulator.
+	// Initial flip-flop divergence: each fault's saved state against the
+	// fault-free batch-start state (the trace's base-cycle Q values), a
+	// state word at a time — a lane has diverged in few flip-flops, so
+	// only the set bits are visited — then masked for Q-site faults: the
+	// analogue of SetLaneState + ApplyInjectionsToValues on the reference
+	// simulator.
+	clear(e.qDiff)
+	trace.StateInto(base, n.dffs, e.goodQ)
+	for li, st := range laneStates {
+		if st == nil {
+			continue
+		}
+		w, bit := li/63, uint64(2)<<uint(li%63)
+		for j, g := range e.goodQ {
+			for x := st[j] ^ g; x != 0; x &= x - 1 {
+				di := j<<6 + bits.TrailingZeros64(x)
+				if e.rEpoch[n.dffs[di]] == e.epoch {
+					e.qDiff[int(e.coneSlot[di])*lw+w] |= bit
+				}
+			}
+		}
+	}
 	for k, di := range e.rDFF {
 		q := n.dffs[di]
 		good := trace.Word(base, q)
-		qb := int(q) * lw
-		var anyD, anyM uint64
-		for w := 0; w < lw; w++ {
-			v := good
-			lo := w * 63
-			hi := lo + 63
-			if hi > len(laneStates) {
-				hi = len(laneStates)
-			}
-			for li := lo; li < hi; li++ {
-				st := laneStates[li]
-				if st == nil {
-					continue
-				}
-				bit := uint64(1) << uint(1+li-lo)
-				if st[di>>6]>>(uint(di)&63)&1 == 1 {
-					v |= bit
-				} else {
-					v &^= bit
-				}
-			}
-			v = (v &^ e.sa0[qb+w]) | e.sa1[qb+w]
-			d := (v ^ good) &^ 1
-			e.qDiff[k*lw+w] = d
-			anyD |= d
-			anyM |= e.sa0[qb+w] | e.sa1[qb+w]
+		qd := e.qDiff[k*lw:][:lw]
+		var anyD uint64
+		for w := range qd {
+			b := int(q)*lw + w
+			qd[w] = ((((good ^ qd[w]) &^ e.sa0[b]) | e.sa1[b]) ^ good) &^ 1
+			anyD |= qd[w]
 		}
 		e.qAny[k] = anyD
-		e.qMask[k] = anyM
+		e.qMask[k] = e.siteMask(q)
 	}
 }
 
-// blockBudget is the sweep tile's distinct-slot budget: BlockSlots
-// single-word slots shrunk by the stripe width so the tile's byte
-// footprint stays constant as lanes widen.
-func (e *EventSim) blockBudget() int {
-	b := BlockSlots / e.lw
-	if b < 256 {
-		b = 256
+// siteMask is the OR of net id's injection mask stripes: nonzero while
+// a live fault of the batch sits on it.
+func (e *EventSim) siteMask(id NetID) uint64 {
+	var m uint64
+	for _, w := range e.sa0[int(id)*e.lw:][:e.lw] {
+		m |= w
 	}
-	return b
+	for _, w := range e.sa1[int(id)*e.lw:][:e.lw] {
+		m |= w
+	}
+	return m
 }
 
-// buildSweep compacts the cone's instruction chains (rWork is already
-// in topological order) into the sweep program, collects its read
-// frontier — every real-net slot that something reads but no cone
-// instruction computes and no cone flip-flop seeds — and tiles the
-// program into cache blocks (swBlock) by the distinct-slot budget.
+// buildSweep writes the batch's sweep program (see swCode): the cone's
+// instruction chains compacted (rWork is already in topological order)
+// and counted into cache blocks by the distinct-slot budget, the seed of
+// every real-net slot that something reads but no cone instruction
+// computes, the detection scan and the clock section.
 //
 // Mask-free buffer chains are copy-propagated away instead of emitted:
 // on a fanout-branched netlist most "gates" are branch buffers whose
 // sweep evaluation is a plain copy, so eliding them and rewriting every
-// later reference to read the source directly shrinks the program that
-// runs every dense cycle. That includes the two readers outside the
-// program, the sweep-mode Clock (swD) and the detection scan (swOut);
-// only a buffer an injection mask applies to keeps its own slot. The
-// event path is untouched — it evaluates the full compiled program,
-// where the buffers still exist.
+// later reference — operand, D pin or output — to read the source
+// directly shrinks the program that runs every dense cycle; only a
+// buffer an injection mask applies to keeps its own slot. The event path
+// is untouched — it evaluates the full compiled program, where the
+// buffers still exist.
 func (e *EventSim) buildSweep() {
 	c, lw := e.c, e.lw
 	e.swCode = e.swCode[:0]
@@ -471,49 +477,84 @@ func (e *EventSim) buildSweep() {
 	e.swA0 = e.swA0[:0]
 	e.swA1 = e.swA1[:0]
 	e.swA2 = e.swA2[:0]
-	e.nextMaskSlot = int32(c.slots)
-	e.bound = e.bound[:0]
-	e.boundMsk = e.boundMsk[:0]
-	e.swBlock = append(e.swBlock[:0], 0)
+	nextMaskSlot := int32(c.slots)
+	// Cache blocks are cut by a distinct-slot budget: BlockSlots
+	// single-word slots, shrunk by the stripe width so that a block's
+	// byte footprint stays constant as lanes widen.
+	e.swTiles = 0
 	e.blkEpoch++
-	blkBudget := e.blockBudget()
-	blkCount := 0
+	blkBudget, blkCount := max(BlockSlots/lw, 256), 0
 	note := func(slot int32) {
 		if e.blkStamp[slot] != e.blkEpoch {
 			e.blkStamp[slot] = e.blkEpoch
 			blkCount++
 		}
 	}
-	emit := func(op opcode, dst, a0, a1, a2 int32) {
+	put := func(op opcode, dst, a0, a1, a2 int32) {
 		e.swCode = append(e.swCode, op)
 		e.swDst = append(e.swDst, dst)
 		e.swA0 = append(e.swA0, a0)
 		e.swA1 = append(e.swA1, a1)
 		e.swA2 = append(e.swA2, a2)
+	}
+	// emit is put for a cone instruction: what the cost counters and the
+	// event budget are made of.
+	coneOps, maskOps, tileStart := 0, 0, 0
+	emit := func(op opcode, dst, a0, a1, a2 int32) {
+		put(op, dst, a0, a1, a2)
+		coneOps++
 		if blkCount > blkBudget {
-			e.swBlock = append(e.swBlock, int32(len(e.swCode)))
+			e.swTiles++
 			e.blkEpoch++
-			blkCount = 0
+			blkCount, tileStart = 0, coneOps
 		}
 	}
-	// read resolves a referenced slot through the aliases and puts it on
-	// the frontier if nothing in the cone produces it.
+	// maskWords forces the stripe at slot to site id's stuck values,
+	// v = (v &^ sa0) | sa1 in each word that has a mask bit. The site's
+	// mask stripes — m0 holds ^sa0, m0+1 holds sa1 — are what RetireLane
+	// edits in place.
+	maskWords := func(id NetID, slot int32, out func(opcode, int32, int32, int32, int32)) {
+		m0, mb := nextMaskSlot, int(id)*lw
+		nextMaskSlot += 2
+		e.maskSlot[id] = m0
+		e.maskSlotEpoch[id] = e.epoch
+		for w := 0; w < lw; w++ {
+			e.swVals[int(m0)*lw+w] = ^e.sa0[mb+w]
+			e.swVals[int(m0+1)*lw+w] = e.sa1[mb+w]
+			if e.sa0[mb+w]|e.sa1[mb+w] != 0 {
+				out(opMaskWord, slot, slot, m0, int32(w))
+			}
+		}
+	}
+	good := func(net int32) (word, bit int32) { return e.rowBase + net>>6, net & 63 }
+	// read resolves a referenced slot through the aliases and, the first
+	// time nothing in the cone produces it, seeds it ahead of the reader:
+	// a cone flip-flop's Q from its divergence stripe, anything else — the
+	// read frontier — from the good row, masked if it is an injected
+	// primary input or constant.
 	read := func(op int32) int32 {
 		if int(op) < c.numNets && e.aliasEpoch[op] == e.epoch {
 			op = e.aliasTo[op]
 		}
-		e.noteFrontier(op)
+		if int(op) >= c.numNets || e.combEpoch[op] == e.epoch || e.seedEpoch[op] == e.epoch {
+			return op
+		}
+		e.seedEpoch[op] = e.epoch
+		gw, gb := good(op)
+		if di := c.dffIndex[op]; di >= 0 && e.rEpoch[op] == e.epoch {
+			put(opXorGood, op, e.qBase+e.coneSlot[di], gw, gb)
+		} else {
+			put(opGood, op, op, gw, gb)
+			if e.siteMask(NetID(op)) != 0 {
+				maskWords(NetID(op), op, put)
+			}
+		}
 		return op
 	}
-	maskOps := 0
 	for _, id := range e.rWork {
 		ps, pe := c.pcStart[id], c.pcEnd[id]
-		mb := int(id) * lw
-		var masked uint64
-		for w := 0; w < lw; w++ {
-			masked |= e.sa0[mb+w] | e.sa1[mb+w]
-		}
-		if masked == 0 && pe-ps == 1 && c.code[ps] == opBuf {
+		masked := e.siteMask(id) != 0
+		if !masked && pe-ps == 1 && c.code[ps] == opBuf {
 			// rWork is topological, so the source's own alias (if any)
 			// is already final — chains of buffers flatten one hop at a
 			// time and every later reference resolves in one lookup.
@@ -537,70 +578,78 @@ func (e *EventSim) buildSweep() {
 			}
 			emit(c.code[pc], c.dst[pc], a0, a1, a2)
 		}
-		if masked != 0 {
+		if masked {
 			// Fused mask application right after the chain's final
-			// instruction: v = (v &^ sa0) | sa1 in each word that has a
-			// mask bit. The site's mask stripes — m0 holds ^sa0, m0+1
-			// holds sa1 — are what RetireLane edits in place.
-			m0 := e.nextMaskSlot
-			e.nextMaskSlot += 2
-			e.maskSlot[id] = m0
-			e.maskSlotEpoch[id] = e.epoch
-			note(m0)
-			note(m0 + 1)
-			for w := 0; w < lw; w++ {
-				e.swVals[int(m0)*lw+w] = ^e.sa0[mb+w]
-				e.swVals[int(m0+1)*lw+w] = e.sa1[mb+w]
-				if e.sa0[mb+w]|e.sa1[mb+w] != 0 {
-					emit(opMaskWord, int32(id), int32(id), m0, int32(w))
-					maskOps++
-				}
-			}
+			// instruction.
+			note(nextMaskSlot)
+			note(nextMaskSlot + 1)
+			before := coneOps
+			maskWords(id, int32(id), emit)
+			maskOps += coneOps - before
 		}
 	}
-	if e.swBlock[len(e.swBlock)-1] != int32(len(e.swCode)) {
-		e.swBlock = append(e.swBlock, int32(len(e.swCode)))
+	if tileStart != coneOps {
+		e.swTiles++
 	}
-	e.swD = e.swD[:0]
-	for _, di := range e.rDFF {
-		e.swD = append(e.swD, read(int32(c.dNet[di])))
-	}
-	e.swOut = e.swOut[:0]
-	for _, oi := range e.rOut {
-		e.swOut = append(e.swOut, read(int32(c.n.outputs[oi])))
-	}
-	e.swEvals = int64(len(e.swCode)-maskOps)*int64(lw) + int64(maskOps)
-	e.budget = int(DefaultSweepThreshold * float64(len(e.swCode)-maskOps))
+	e.swEvals = int64(coneOps-maskOps)*int64(lw) + int64(maskOps)
+	e.budget = int(DefaultSweepThreshold * float64(coneOps-maskOps))
 	if e.budget < 16 {
 		e.budget = 16
 	}
+
+	// D pins are resolved here once so that a seed only a clock
+	// instruction needs lands in the section sweepCycle runs.
+	for _, di := range e.rDFF {
+		read(int32(c.dNet[di]))
+	}
+	for _, oi := range e.rOut {
+		o := int32(c.n.outputs[oi])
+		gw, gb := good(o)
+		put(opDetect, e.qBase-1, read(o), gw, gb)
+	}
+	// Clock: qDiff ← D ^ good(D). An injected flip-flop latches its D
+	// through the Q site's masks, staged in the qDiff stripe itself.
+	e.swClock = int32(len(e.swCode))
+	for k, di := range e.rDFF {
+		q, qd, d := c.n.dffs[di], e.qBase+int32(k), read(int32(c.dNet[di]))
+		gw, gb := good(int32(c.dNet[di]))
+		if e.siteMask(q) != 0 {
+			put(opBuf, qd, d, 0, 0)
+			maskWords(q, qd, put)
+			d = qd
+		}
+		put(opXorGood, qd, d, gw, gb)
+	}
+	e.checkSweep()
 }
 
-// noteFrontier adds a slot the sweep reads to the read frontier unless
-// the sweep computes it (in-cone combinational net), seeds it (in-cone
-// flip-flop Q), or it is a chain temporary. Frontier nets carrying an
-// injection mask — only injected primary-input/constant sites qualify —
-// go on the separate boundMsk list so the per-cycle seed loop stays a
-// plain broadcast for everything else.
-func (e *EventSim) noteFrontier(op int32) {
-	if int(op) >= e.c.numNets {
-		return
-	}
-	if e.combEpoch[op] == e.epoch || e.bEpoch[op] == e.epoch {
-		return
-	}
-	if e.c.dffIndex[op] >= 0 && e.rEpoch[op] == e.epoch {
-		return
-	}
-	e.bEpoch[op] = e.epoch
-	b := int(op) * e.lw
-	for w := 0; w < e.lw; w++ {
-		if e.sa0[b+w]|e.sa1[b+w] != 0 {
-			e.boundMsk = append(e.boundMsk, NetID(op))
-			return
+// checkSweep panics unless every operand of the sweep program addresses
+// swVals at the batch's width: the assembly kernels do not bounds-check,
+// so what the Go runners would catch per access is stated once per
+// program build, on both paths.
+func (e *EventSim) checkSweep() {
+	words, lw := int32(len(e.swVals)), int32(e.lw)
+	slots := words / lw
+	in := func(v, n int32) bool { return uint32(v) < uint32(n) }
+	for pc, op := range e.swCode {
+		a1, a2 := e.swA1[pc], e.swA2[pc]
+		ok := in(e.swDst[pc], slots) && in(e.swA0[pc], slots)
+		switch op {
+		case opBuf, opNot:
+		case opMux:
+			ok = ok && in(a1, slots) && in(a2, slots)
+		case opMaskWord:
+			ok = ok && in(a1, slots-1) && in(a2, lw)
+		case opGood, opXorGood, opDetect:
+			ok = ok && in(a1, words) && in(a2, 64)
+		default:
+			ok = ok && op < opMux && in(a1, slots)
+		}
+		if !ok {
+			panic(fmt.Sprintf("logic: sweep instruction %d (opcode %d, dst %d, operands %d %d %d) addresses outside %d stripes of %d words",
+				pc, op, e.swDst[pc], e.swA0[pc], a1, a2, slots, lw))
 		}
 	}
-	e.bound = append(e.bound, NetID(op))
 }
 
 // markFan schedules every combinational reader of net id for
@@ -810,6 +859,17 @@ func (e *EventSim) cycleInto(cycle int, det []uint64) {
 		return
 	}
 	e.sweepStreak = 0
+	if e.swept {
+		// Back on the event path after a clock the sweep program ran,
+		// which keeps no per-flip-flop summary.
+		for k := range e.qAny {
+			var anyD uint64
+			for _, d := range e.qDiff[k*lw:][:lw] {
+				anyD |= d
+			}
+			e.qAny[k] = anyD
+		}
+	}
 	e.swept = false
 
 	// Seed divergence sources. Injected non-DFF sites: the masks force
@@ -920,64 +980,42 @@ func (e *EventSim) cycleInto(cycle int, det []uint64) {
 	}
 }
 
-// sweepCycle settles the current cycle by evaluating the whole cone
-// over absolute value stripes: seed the read frontier and the in-cone
-// flip-flop Qs from the good row (plus divergence and injection masks),
-// then run the compacted program tile by tile — the same cost profile
-// as the full-sweep CompiledSim, but confined to the cone and amortized
-// over lw words per instruction dispatch.
+// sweepCycle settles the current cycle by running the sweep program up
+// to its clock section over absolute value stripes — the same cost
+// profile as the full-sweep CompiledSim, but confined to the cone and
+// amortized over lw words per instruction dispatch. The program reads
+// the fault-free bits it seeds and compares with from its own copy of
+// the trace row.
 func (e *EventSim) sweepCycle(det []uint64) {
-	n, lw := e.c.n, e.lw
-	vals := e.swVals
-	for _, bn := range e.bound {
-		good := e.goodWord(bn)
-		b := int(bn) * lw
-		for w := 0; w < lw; w++ {
-			vals[b+w] = good
-		}
-	}
-	for _, bn := range e.boundMsk {
-		// Injected frontier sites (primary inputs, constants).
-		good := e.goodWord(bn)
-		b := int(bn) * lw
-		for w := 0; w < lw; w++ {
-			vals[b+w] = (good &^ e.sa0[b+w]) | e.sa1[b+w]
-		}
-	}
-	for k, di := range e.rDFF {
-		q := n.dffs[di]
-		good := e.goodWord(q)
-		qb := int(q) * lw
-		if e.qAny[k] == 0 {
-			for w := 0; w < lw; w++ {
-				vals[qb+w] = good
-			}
-			continue
-		}
-		for w := 0; w < lw; w++ {
-			vals[qb+w] = good ^ e.qDiff[k*lw+w]
-		}
-	}
-	for bi := 0; bi+1 < len(e.swBlock); bi++ {
-		e.runSweep(e.swBlock[bi], e.swBlock[bi+1])
-	}
-	e.stats.Blocks += int64(len(e.swBlock) - 1)
-	for k, oi := range e.rOut {
-		good := e.goodWord(n.outputs[oi])
-		ob := int(e.swOut[k]) * lw
-		for w := 0; w < lw; w++ {
-			det[w] |= vals[ob+w] ^ good
-		}
-	}
-	for w := 0; w < lw; w++ {
-		det[w] &^= 1
+	lw := e.lw
+	copy(e.swVals[e.rowBase:], e.row)
+	acc := e.swVals[int(e.qBase-1)*lw:][:lw]
+	clear(acc)
+	e.runSweep(0, e.swClock)
+	e.stats.Blocks += e.swTiles
+	for w := range acc {
+		det[w] = acc[w] &^ 1
 	}
 }
 
-// runSweep executes sweep-program instructions [ps, pe) on the width
-// the simulator was built with (specialized runners for 1 and 4 words).
+// SweepISA names the instruction set runSweep's 4- and 8-word stripe
+// runners use in this process: "avx2" for the assembly kernels, "none"
+// for the portable Go runners. The build and the CPU decide; nothing
+// else selects.
+func SweepISA() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "none"
+}
+
+// runSweep executes sweep-program instructions [ps, pe) at the width of
+// the current batch: on the assembly kernel for that width where the
+// build and the CPU have one (see simdStripes), otherwise on the Go
+// runners — specialized for 1, 4 and 8 words — which are also what the
+// kernels are tested against.
 func (e *EventSim) runSweep(ps, pe int32) {
-	if ps >= pe {
+	if ps >= pe || simdStripes(e.lw, e.swCode, e.swDst, e.swA0, e.swA1, e.swA2, e.swVals, ps, pe) {
 		return
 	}
 	switch e.lw {
@@ -995,37 +1033,17 @@ func (e *EventSim) runSweep(ps, pe int32) {
 // Clock advances every in-cone flip-flop's divergence (applying Q-site
 // injection masks) for the cycle just settled by Cycle. The good
 // machine's next Q value is its current D value, so the new divergence
-// needs no lookahead. After an event-mode settle a single pass is safe
-// even for direct Q→D chains: reading a Q operand consults
+// needs no lookahead. After a sweep-mode settle it is the program's
+// clock section, which reads D values and mask stripes out of swVals
+// and writes only qDiff. After an event-mode settle a single pass is
+// safe even for direct Q→D chains: reading a Q operand consults
 // diff/divStamp (seeded at the top of Cycle), which this loop never
-// writes. After a sweep-mode settle the D values come from swVals
-// (slot swD[k]), which the clock does not modify either, and only an
-// injected flip-flop (qMask[k] != 0) loads its mask stripes.
-// Out-of-cone flip-flops cannot diverge and are left to the trace.
+// writes. Out-of-cone flip-flops cannot diverge and are left to the
+// trace.
 func (e *EventSim) Clock() {
 	c, lw := e.c, e.lw
 	if e.swept {
-		for k, di := range e.rDFF {
-			goodD := e.goodWord(c.dNet[di])
-			dv := e.swVals[int(e.swD[k])*lw:][:lw]
-			qd := e.qDiff[k*lw:][:lw]
-			var anyD uint64
-			if e.qMask[k] == 0 {
-				for w := range qd {
-					nd := (dv[w] ^ goodD) &^ 1
-					qd[w] = nd
-					anyD |= nd
-				}
-			} else {
-				qb := int(c.n.dffs[di]) * lw
-				for w := range qd {
-					nd := (((dv[w] &^ e.sa0[qb+w]) | e.sa1[qb+w]) ^ goodD) &^ 1
-					qd[w] = nd
-					anyD |= nd
-				}
-			}
-			e.qAny[k] = anyD
-		}
+		e.runSweep(e.swClock, int32(len(e.swCode)))
 		return
 	}
 	for k, di := range e.rDFF {
@@ -1070,18 +1088,8 @@ func (e *EventSim) RetireLane(word int, lane uint) {
 		e.swVals[ms*lw+word] |= bit      // ^sa0 stripe
 		e.swVals[(ms+1)*lw+word] &^= bit // sa1 stripe
 	}
-	if di := e.c.dffIndex[site]; di >= 0 {
-		for k, d := range e.rDFF {
-			if d == di {
-				var m uint64
-				qb := int(site) * lw
-				for w := 0; w < lw; w++ {
-					m |= e.sa0[qb+w] | e.sa1[qb+w]
-				}
-				e.qMask[k] = m
-				break
-			}
-		}
+	if di := e.c.dffIndex[site]; di >= 0 && e.rEpoch[site] == e.epoch {
+		e.qMask[e.coneSlot[di]] = e.siteMask(site)
 	}
 	// qAny is left as a conservative superset — the retired lane's bit
 	// may still be live in other words, and every consumer treats a
@@ -1141,6 +1149,7 @@ func (e *EventSim) shrinkCone() {
 	for k, di := range e.rDFF {
 		if e.rEpoch[n.dffs[di]] == e.epoch {
 			e.rDFF[nd] = di
+			e.coneSlot[di] = int32(nd)
 			copy(e.qDiff[nd*lw:(nd+1)*lw], e.qDiff[k*lw:(k+1)*lw])
 			e.qAny[nd] = e.qAny[k]
 			e.qMask[nd] = e.qMask[k]

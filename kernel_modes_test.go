@@ -1,11 +1,15 @@
 package repro
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bist"
 	"repro/internal/designs"
 	"repro/internal/fault"
+	"repro/internal/logic"
 	"repro/internal/obs"
 )
 
@@ -50,4 +54,18 @@ func TestKernelModeMix(t *testing.T) {
 			got["abandoned"], dense, 100*frac)
 	}
 	t.Logf("event %d, sweep %d, abandoned %d", got["event"], got["sweep"], got["abandoned"])
+}
+
+// TestKernelSIMDInfo: the metrics exposition says which stripe runners
+// the dense path dispatches to in this process, once, on the flag the
+// dispatch itself reads.
+func TestKernelSIMDInfo(t *testing.T) {
+	var buf bytes.Buffer
+	if err := obs.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("sbst_kernel_simd_info{isa=%q} 1\n", logic.SweepISA())
+	if out := buf.String(); !strings.Contains(out, want) || strings.Count(out, "sbst_kernel_simd_info{") != 1 {
+		t.Errorf("exposition lacks exactly one %q", want)
+	}
 }
