@@ -27,8 +27,8 @@ var (
 	// fill a GoodTrace — zero when a run replays a trace recorded by an
 	// earlier run (the artifact-cache hit path, see internal/artifacts).
 	ctrGoodCycles = obs.Default().Counter("faultsim.good_cycles")
-	// sweep_blocks counts cache-blocked sweep tiles executed by the
-	// compiled kernel's dense-mode cycles (see logic.BlockSlots).
+	// sweep_blocks counts the cache blocks of the sweep programs the
+	// compiled kernel's dense-mode cycles ran (see logic.BlockSlots).
 	ctrSweepBlocks = obs.Default().Counter("faultsim.sweep_blocks")
 
 	// Per-kernel split of the same gate-evaluation tally, exposed on

@@ -112,9 +112,9 @@ type Compiled struct {
 	// blockOff partitions the schedule's instruction stream into cache
 	// blocks: block b is instructions [blockOff[b], blockOff[b+1]), cut
 	// when the block's distinct value-slot working set would exceed
-	// BlockSlots. The event kernel tiles its per-batch cone sweep with
-	// the same budget (scaled down by the lane-word count) so one
-	// tile's stripes stay cache-resident across its instructions.
+	// BlockSlots. The event kernel counts its per-batch sweep program
+	// into blocks by the same budget, scaled down by the lane-word count
+	// (see EventSim.buildSweep).
 	blockOff []int32
 
 	// orderPos is each combinational net's chain position in emission

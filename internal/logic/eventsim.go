@@ -155,7 +155,7 @@ type EventSim struct {
 	// slots, those mask stripes, the detection stripe (slot qBase-1), the
 	// qDiff stripes (from slot qBase; e.qDiff is that region) and, from
 	// word rowBase, the copy of the trace row the good bits are read
-	// from. swEvals is one sweep's cost in word-instructions and swTiles
+	// from. swEvals is one sweep's cost in word-instructions and swBlocks
 	// its cache blocks (see BlockSlots; block budgets shrink with lw) —
 	// both count cone instructions and their mask words only, as budget
 	// does. swept records which mode settled the current cycle (so Clock
@@ -168,7 +168,7 @@ type EventSim struct {
 	swA2          []int32
 	swClock       int32
 	swEvals       int64
-	swTiles       int64
+	swBlocks      int64
 	swVals        []uint64
 	qBase         int32
 	rowBase       int32
@@ -432,13 +432,11 @@ func (e *EventSim) BeginBatch(faults []BatchFault, trace *GoodTrace, base int, l
 		q := n.dffs[di]
 		good := trace.Word(base, q)
 		qd := e.qDiff[k*lw:][:lw]
-		var anyD uint64
 		for w := range qd {
 			b := int(q)*lw + w
 			qd[w] = ((((good ^ qd[w]) &^ e.sa0[b]) | e.sa1[b]) ^ good) &^ 1
-			anyD |= qd[w]
 		}
-		e.qAny[k] = anyD
+		e.qAny[k] = orOf(qd)
 		e.qMask[k] = e.siteMask(q)
 	}
 }
@@ -446,14 +444,16 @@ func (e *EventSim) BeginBatch(faults []BatchFault, trace *GoodTrace, base int, l
 // siteMask is the OR of net id's injection mask stripes: nonzero while
 // a live fault of the batch sits on it.
 func (e *EventSim) siteMask(id NetID) uint64 {
-	var m uint64
-	for _, w := range e.sa0[int(id)*e.lw:][:e.lw] {
-		m |= w
+	b := int(id) * e.lw
+	return orOf(e.sa0[b:][:e.lw]) | orOf(e.sa1[b:][:e.lw])
+}
+
+// orOf is the OR of a stripe's words.
+func orOf(stripe []uint64) (any uint64) {
+	for _, w := range stripe {
+		any |= w
 	}
-	for _, w := range e.sa1[int(id)*e.lw:][:e.lw] {
-		m |= w
-	}
-	return m
+	return any
 }
 
 // buildSweep writes the batch's sweep program (see swCode): the cone's
@@ -481,7 +481,7 @@ func (e *EventSim) buildSweep() {
 	// Cache blocks are cut by a distinct-slot budget: BlockSlots
 	// single-word slots, shrunk by the stripe width so that a block's
 	// byte footprint stays constant as lanes widen.
-	e.swTiles = 0
+	e.swBlocks = 0
 	e.blkEpoch++
 	blkBudget, blkCount := max(BlockSlots/lw, 256), 0
 	note := func(slot int32) {
@@ -499,14 +499,14 @@ func (e *EventSim) buildSweep() {
 	}
 	// emit is put for a cone instruction: what the cost counters and the
 	// event budget are made of.
-	coneOps, maskOps, tileStart := 0, 0, 0
+	coneOps, maskOps, blockStart := 0, 0, 0
 	emit := func(op opcode, dst, a0, a1, a2 int32) {
 		put(op, dst, a0, a1, a2)
 		coneOps++
 		if blkCount > blkBudget {
-			e.swTiles++
+			e.swBlocks++
 			e.blkEpoch++
-			blkCount, tileStart = 0, coneOps
+			blkCount, blockStart = 0, coneOps
 		}
 	}
 	// maskWords forces the stripe at slot to site id's stuck values,
@@ -588,8 +588,8 @@ func (e *EventSim) buildSweep() {
 			maskOps += coneOps - before
 		}
 	}
-	if tileStart != coneOps {
-		e.swTiles++
+	if blockStart != coneOps {
+		e.swBlocks++
 	}
 	e.swEvals = int64(coneOps-maskOps)*int64(lw) + int64(maskOps)
 	e.budget = int(DefaultSweepThreshold * float64(coneOps-maskOps))
@@ -642,7 +642,7 @@ func (e *EventSim) checkSweep() {
 			ok = ok && in(a1, slots-1) && in(a2, lw)
 		case opGood, opXorGood, opDetect:
 			ok = ok && in(a1, words) && in(a2, 64)
-		default:
+		default: // the two-operand gates, which the opcodes below opMux are
 			ok = ok && op < opMux && in(a1, slots)
 		}
 		if !ok {
@@ -863,11 +863,7 @@ func (e *EventSim) cycleInto(cycle int, det []uint64) {
 		// Back on the event path after a clock the sweep program ran,
 		// which keeps no per-flip-flop summary.
 		for k := range e.qAny {
-			var anyD uint64
-			for _, d := range e.qDiff[k*lw:][:lw] {
-				anyD |= d
-			}
-			e.qAny[k] = anyD
+			e.qAny[k] = orOf(e.qDiff[k*lw:][:lw])
 		}
 	}
 	e.swept = false
@@ -992,16 +988,16 @@ func (e *EventSim) sweepCycle(det []uint64) {
 	acc := e.swVals[int(e.qBase-1)*lw:][:lw]
 	clear(acc)
 	e.runSweep(0, e.swClock)
-	e.stats.Blocks += e.swTiles
+	e.stats.Blocks += e.swBlocks
 	for w := range acc {
 		det[w] = acc[w] &^ 1
 	}
 }
 
-// SweepISA names the instruction set runSweep's 4- and 8-word stripe
-// runners use in this process: "avx2" for the assembly kernels, "none"
-// for the portable Go runners. The build and the CPU decide; nothing
-// else selects.
+// SweepISA names the instruction set runSweep's 2-, 4- and 8-word
+// stripe runners use in this process: "avx2" for the assembly kernels,
+// "none" for the portable Go runners. The build and the CPU decide;
+// nothing else selects.
 func SweepISA() string {
 	if useAVX2 {
 		return "avx2"

@@ -3,15 +3,16 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// The dense path's stripe interpreters: runProgramStripes4 and
-// runProgramStripes8 with a stripe in one and two YMM registers. Both
-// kernels are the text of BODY, expanded under two settings of SHIFT (a
-// stripe is 1<<SHIFT bytes) and of HI2/HI3, which keep or drop the two-
-// and three-operand instructions for a stripe's second 32 bytes.
+// The dense path's stripe interpreters: runProgramStripes at 2 words and
+// runProgramStripes4/8 with a stripe in one XMM, one YMM and two YMM
+// registers. All three kernels are the text of BODY, expanded under
+// three settings of SHIFT (a stripe is 1<<SHIFT bytes), of the vector
+// registers V0–V3 and V14, and of HI2/HI3, which keep or drop the two-
+// and three-operand instructions for an 8-word stripe's second 32 bytes.
 //
 // Registers: SI, DI, R8, R9, R10 the code, dst, a0, a1 and a2 arrays,
 // R11 vals, R13 the instruction count, BX the pc; per instruction DX and
-// CX the addresses of the dst and a0 stripes, AX and R12 scratch; Y14
+// CX the addresses of the dst and a0 stripes, AX and R12 scratch; V14
 // all ones. VEX encodings only — one legacy-SSE move between them costs
 // a state transition per instruction — and VZEROUPPER before RET.
 //
@@ -64,29 +65,29 @@
 	SHLQ $SHIFT, reg; \
 	ADDQ R11, reg
 
-// LOADX loads the a0 stripe into Y0 (and Y1), BIN combines it with the
+// LOADX loads the a0 stripe into V0 (and V1), BIN combines it with the
 // a1 stripe, INVERT and STORE finish an instruction.
 #define LOADX \
-	VMOVDQU (CX), Y0; \
-	HI2(VMOVDQU 32(CX), Y1)
+	VMOVDQU (CX), V0; \
+	HI2(VMOVDQU 32(CX), V1)
 
 #define BIN(OP) \
 	STRIPE(R9, AX); \
 	LOADX; \
-	OP (AX), Y0, Y0; \
-	HI3(OP 32(AX), Y1, Y1)
+	OP (AX), V0, V0; \
+	HI3(OP 32(AX), V1, V1)
 
 #define INVERT \
-	VPXOR Y14, Y0, Y0; \
-	HI3(VPXOR Y14, Y1, Y1)
+	VPXOR V14, V0, V0; \
+	HI3(VPXOR V14, V1, V1)
 
 #define STORE \
-	VMOVDQU Y0, (DX); \
-	HI2(VMOVDQU Y1, 32(DX)); \
+	VMOVDQU V0, (DX); \
+	HI2(VMOVDQU V1, 32(DX)); \
 	NEXT
 
 // GOODBIT broadcasts bit a2 of vals[a1], a net's fault-free value, over
-// Y2; XORGOOD leaves the a0 stripe XOR that in Y0 (and Y1).
+// V2; XORGOOD leaves the a0 stripe XOR that in V0 (and V1).
 #define GOODBIT \
 	MOVL         (R9)(BX*4), AX; \
 	MOVQ         (R11)(AX*8), AX; \
@@ -94,29 +95,29 @@
 	BTQ          R12, AX; \
 	SBBQ         AX, AX; \
 	VMOVQ        AX, X2; \
-	VPBROADCASTQ X2, Y2
+	VPBROADCASTQ X2, V2
 
 #define XORGOOD \
 	GOODBIT; \
-	VPXOR (CX), Y2, Y0; \
-	HI3(VPXOR 32(CX), Y2, Y1)
+	VPXOR (CX), V2, V0; \
+	HI3(VPXOR 32(CX), V2, V1)
 
 // mux is (a1 &^ a0) | (a2 & a0). maskword works on word a2 alone, in
 // general registers: a0 & (a1 stripe) | (a1+1 stripe).
 #define BODY \
-	VPCMPEQD Y14, Y14, Y14; \
+	VPCMPEQD V14, V14, V14; \
 	MOVQ     $-1, BX; \
 	NEXT; \
 mux: \
 	LOADX; \
 	STRIPE(R9, AX); \
-	VPANDN (AX), Y0, Y2; \
-	HI3(VPANDN 32(AX), Y1, Y3); \
+	VPANDN (AX), V0, V2; \
+	HI3(VPANDN 32(AX), V1, V3); \
 	STRIPE(R10, AX); \
-	VPAND  (AX), Y0, Y0; \
-	HI3(VPAND 32(AX), Y1, Y1); \
-	VPOR   Y2, Y0, Y0; \
-	HI3(VPOR Y3, Y1, Y1); \
+	VPAND  (AX), V0, V0; \
+	HI3(VPAND 32(AX), V1, V1); \
+	VPOR   V2, V0, V0; \
+	HI3(VPOR V3, V1, V1); \
 	STORE; \
 and: \
 	BIN(VPAND); \
@@ -157,24 +158,50 @@ maskword: \
 	NEXT; \
 good: \
 	GOODBIT; \
-	VMOVDQU Y2, (DX); \
-	HI2(VMOVDQU Y2, 32(DX)); \
+	VMOVDQU V2, (DX); \
+	HI2(VMOVDQU V2, 32(DX)); \
 	NEXT; \
 xorgood: \
 	XORGOOD; \
 	STORE; \
 detect: \
 	XORGOOD; \
-	VPOR (DX), Y0, Y0; \
-	HI3(VPOR 32(DX), Y1, Y1); \
+	VPOR (DX), V0, V0; \
+	HI3(VPOR 32(DX), V1, V1); \
 	STORE; \
 done: \
 	VZEROUPPER; \
 	RET
 
-#define SHIFT 5
 #define HI2(a, b)
 #define HI3(a, b, c)
+
+#define SHIFT 4
+#define V0 X0
+#define V2 X2
+#define V14 X14
+
+// func stripes2AVX2(code *opcode, dst, a0, a1, a2 *int32, vals *uint64, n int)
+TEXT ·stripes2AVX2(SB), NOSPLIT, $0-56
+	MOVQ code+0(FP), SI
+	MOVQ dst+8(FP), DI
+	MOVQ a0+16(FP), R8
+	MOVQ a1+24(FP), R9
+	MOVQ a2+32(FP), R10
+	MOVQ vals+40(FP), R11
+	MOVQ n+48(FP), R13
+	BODY
+
+#undef SHIFT
+#undef V0
+#undef V2
+#undef V14
+#define SHIFT 5
+#define V0 Y0
+#define V1 Y1
+#define V2 Y2
+#define V3 Y3
+#define V14 Y14
 
 // func stripes4AVX2(code *opcode, dst, a0, a1, a2 *int32, vals *uint64, n int)
 TEXT ·stripes4AVX2(SB), NOSPLIT, $0-56

@@ -50,7 +50,7 @@ func randomSweep(rng *rand.Rand, lw, nSlots, n int) (e *EventSim, vals []uint64)
 	return e, vals
 }
 
-// withAVX2 runs f with the kernel selector forced to on.
+// withAVX2 runs f with the kernel selector set to on.
 func withAVX2(on bool, f func()) {
 	defer func(was bool) { useAVX2 = was }(useAVX2)
 	useAVX2 = on
@@ -60,14 +60,14 @@ func withAVX2(on bool, f func()) {
 // TestStripeKernelsMatchGo runs random sweep programs on every runner
 // of a width and requires byte-identical value stripes: the generic Go
 // runner is the reference, the specialized Go runners (1, 4 and 8
-// words) and the assembly kernels (4 and 8) are held to it, the latter
-// split into two tiles at every instruction boundary.
+// words) and the assembly kernels (2, 4 and 8) are held to it, the
+// latter split into two tiles at every instruction boundary.
 func TestStripeKernelsMatchGo(t *testing.T) {
-	for _, lw := range []int{1, 4, 8} {
+	for _, lw := range []int{1, 2, 3, 4, 8} {
 		for _, avx2 := range []bool{false, true} {
 			t.Run(fmt.Sprintf("lw=%d/avx2=%v", lw, avx2), func(t *testing.T) {
-				if avx2 && lw == 1 {
-					t.Skip("no assembly kernel for one-word stripes")
+				if avx2 && lw&1 == 1 {
+					t.Skip("no assembly kernel for this width")
 				}
 				if avx2 && !useAVX2 {
 					t.Skip("no AVX2 stripe kernels in this build or on this CPU: the Go runners are the only path")
