@@ -304,11 +304,11 @@ func BenchmarkRegMaskAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkWordSim measures the raw word-parallel simulation rate of the
-// gate-level core (the fault simulator's inner loop).
-func BenchmarkWordSim(b *testing.B) {
+// BenchmarkCompiledSim measures the raw 64-lane full-sweep simulation
+// rate of the gate-level core (the reference kernel's inner loop).
+func BenchmarkCompiledSim(b *testing.B) {
 	core, _, _ := fixtures(b)
-	w := logic.NewWordSim(core.Netlist)
+	w := logic.NewCompiledSim(logic.CompiledFor(core.Netlist))
 	vecs := bist.PseudorandomVectors(256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -316,7 +316,8 @@ func BenchmarkWordSim(b *testing.B) {
 			for bit, in := range core.Netlist.Inputs() {
 				w.SetInput(in, v>>uint(bit)&1 == 1)
 			}
-			w.Step()
+			w.Settle()
+			w.ClockAfterSettle()
 		}
 	}
 	b.ReportMetric(float64(256*core.Netlist.NumGates())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mgate-evals/s")
@@ -371,15 +372,24 @@ func BenchmarkNDetect(b *testing.B) {
 }
 
 // BenchmarkBridges measures sampled bridging-fault coverage of the base
-// program (serial simulation).
+// program (63 bridges per bit-parallel pass).
 func BenchmarkBridges(b *testing.B) {
 	core, prog, _ := fixtures(b)
 	vecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: 5})
 	bridges := fault.RandomBridges(core.Netlist, 20, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det, tot := fault.BridgeCoverage(core.Netlist, vecs, bridges)
-		b.ReportMetric(100*float64(det)/float64(tot), "%coverage")
+		first, err := fault.SimulateBridges(core.Netlist, vecs, bridges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		det := 0
+		for _, at := range first {
+			if at >= 0 {
+				det++
+			}
+		}
+		b.ReportMetric(100*float64(det)/float64(len(bridges)), "%coverage")
 	}
 }
 

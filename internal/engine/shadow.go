@@ -33,9 +33,9 @@ var ctrKernelDivergence = obs.Default().Counter("kernel.divergence")
 // Table-1 workload from a per-fault estimate (the reference kernel
 // costs ~3.4x the compiled kernel per fault, so 0.5% of a shard's
 // faults ≈ 1.7%). Measured, it is not: the benchmark's
-// engine.shadow_overhead_pct reads ~70% at Workers=2, the reference
-// kernel's seconds over an op the compiled kernel has since made much
-// shorter (docs/PERFORMANCE.md).
+// engine.shadow_overhead_pct reads 52–60% at Workers=2, the reference
+// kernel's seconds over an op the compiled kernel has made much shorter
+// (docs/PERFORMANCE.md).
 const defaultShadowSample = 0.005
 
 // runShard executes one shard with panic containment, the engine.shard

@@ -88,42 +88,71 @@ func RandomBridges(n *logic.Netlist, count int, seed int64) []Bridge {
 	return out
 }
 
-// SimulateBridge serially fault-simulates one bridging fault and returns
-// the first cycle with an output difference, or -1. The bridge is
-// evaluated zero-delay: after each settle, the resolution function is
-// applied to both nets and downstream logic is re-settled, iterating to
-// a fixed point (guaranteed for same-level bridges).
-func SimulateBridge(n *logic.Netlist, vecs VectorSeq, br Bridge) int {
-	good := logic.NewSimulator(n)
-	bad := logic.NewBridgeSimulator(n, br.A, br.B, uint8(br.Kind))
+// SimulateBridges fault-simulates the bridges bit-parallel and returns,
+// per bridge, the first cycle with an output difference, or -1. Lane 0
+// of a logic.CompiledSim is the fault-free machine and lanes 1..63 each
+// carry one bridge, every machine starting from the all-zero flip-flop
+// state. Bridges are evaluated zero-delay: each cycle the frame settles
+// unforced, every lane whose two nets disagree has both pinned to the
+// resolved value, and the frame settles once more, which reaches the
+// fixed point for same-level bridges. Flip-flops latch D with the
+// pinning removed, so a bridged Q net resolves anew every cycle.
+func SimulateBridges(n *logic.Netlist, vecs VectorSeq, bridges []Bridge) ([]int32, error) {
+	if len(n.Inputs()) > 64 {
+		return nil, fmt.Errorf("fault: %d primary inputs exceed the 64 supported", len(n.Inputs()))
+	}
+	first := make([]int32, len(bridges))
+	for i := range first {
+		first[i] = -1
+	}
+	w := logic.NewCompiledSim(logic.CompiledFor(n))
 	inputs := n.Inputs()
-	for cyc := 0; cyc < vecs.Len(); cyc++ {
-		v := vecs.At(cyc)
-		for bi, in := range inputs {
-			good.SetInput(in, v>>uint(bi)&1 == 1)
-			bad.SetInput(in, v>>uint(bi)&1 == 1)
-		}
-		good.Settle()
-		bad.Settle()
-		for _, o := range n.Outputs() {
-			if good.Value(o) != bad.Value(o) {
-				return cyc
+	for start := 0; start < len(bridges); start += 63 {
+		batch := bridges[start:min(start+63, len(bridges))]
+		w.Reset()
+		liveMask := uint64(1)<<uint(len(batch)+1) - 2 // lanes 1..len
+		var detected uint64
+		for cyc := 0; cyc < vecs.Len() && detected != liveMask; cyc++ {
+			v := vecs.At(cyc)
+			for bi, in := range inputs {
+				w.SetInput(in, v>>uint(bi)&1 == 1)
 			}
+			w.Settle()
+			excited := false
+			for li, br := range batch {
+				lane := uint(li + 1)
+				a := w.Word(br.A)>>lane&1 == 1
+				if a == (w.Word(br.B)>>lane&1 == 1) {
+					continue // equal drivers: the short changes nothing
+				}
+				r := a // BridgeADominates
+				switch br.Kind {
+				case BridgeAND:
+					r = false
+				case BridgeOR:
+					r = true
+				}
+				w.Inject(br.A, r, lane)
+				w.Inject(br.B, r, lane)
+				excited = true
+			}
+			if excited {
+				w.ApplyInjectionsToValues()
+				w.Settle()
+				// Unpin before the clock edge: the flip-flops latch D
+				// unforced, unlike SimulateTransitions, which clocks with
+				// its late-edge forcing in place.
+				w.ClearInjections()
+			}
+			diff := w.OutputDiff() & liveMask &^ detected
+			for li := range batch {
+				if diff>>(uint(li)+1)&1 == 1 {
+					first[start+li] = int32(cyc)
+				}
+			}
+			detected |= diff
+			w.ClockAfterSettle()
 		}
-		good.Step()
-		bad.Step()
 	}
-	return -1
-}
-
-// BridgeCoverage simulates a bridge list and returns the detected
-// fraction.
-func BridgeCoverage(n *logic.Netlist, vecs VectorSeq, bridges []Bridge) (detected int, total int) {
-	for _, br := range bridges {
-		total++
-		if SimulateBridge(n, vecs, br) >= 0 {
-			detected++
-		}
-	}
-	return detected, total
+	return first, nil
 }

@@ -61,11 +61,20 @@ func buildSeq(t *testing.T) *logic.Netlist {
 // serialDetect fault-simulates one fault with the scalar reference
 // simulator and returns the first cycle with an output difference, or -1.
 func serialDetect(n *logic.Netlist, f Fault, vecs VectorSeq) int {
+	first, _ := serialDetectN(n, f, vecs, 1)
+	return first
+}
+
+// serialDetectN is serialDetect carried on until the fault has shown an
+// output difference in ndet distinct cycles: it returns the first such
+// cycle (or -1) and the count, saturated at ndet.
+func serialDetectN(n *logic.Netlist, f Fault, vecs VectorSeq, ndet int) (first, count int) {
 	good := logic.NewSimulator(n)
 	bad := logic.NewSimulator(n)
 	bad.InjectFault(f.Site, f.SA1)
 	inputs := n.Inputs()
-	for cycle := 0; cycle < vecs.Len(); cycle++ {
+	first = -1
+	for cycle := 0; cycle < vecs.Len() && count < ndet; cycle++ {
 		vec := vecs.At(cycle)
 		for bi, in := range inputs {
 			good.SetInput(in, vec>>uint(bi)&1 == 1)
@@ -75,13 +84,17 @@ func serialDetect(n *logic.Netlist, f Fault, vecs VectorSeq) int {
 		bad.Settle()
 		for _, out := range n.Outputs() {
 			if good.Value(out) != bad.Value(out) {
-				return cycle
+				if first < 0 {
+					first = cycle
+				}
+				count++
+				break
 			}
 		}
 		good.Step()
 		bad.Step()
 	}
-	return -1
+	return first, count
 }
 
 func randomVectors(n int, bits int, seed int64) Vectors {
@@ -124,6 +137,42 @@ func TestSimulateMatchesSerialSequential(t *testing.T) {
 		got := int(res.DetectedAt[i])
 		if got != want {
 			t.Errorf("fault %v (%s): parallel=%d serial=%d", f, n.NameOf(f.Site), got, want)
+		}
+	}
+}
+
+// TestReferenceKernelMatchesSerial holds KernelReference to the scalar
+// simulator on random netlists — variadic chains, MUXes, fault sites on
+// flip-flop Q nets and primary inputs — for every collapsed fault, at
+// NDetect 1 and 3 and segment lengths 1, 7 and the default.
+func TestReferenceKernelMatchesSerial(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed*15485863 + 3))
+		n := randCircuit(t, rng, seed%2 == 0)
+		faults, _ := Collapse(n, AllFaults(n))
+		vecs := make(Vectors, 30+rng.Intn(90))
+		for i := range vecs {
+			vecs[i] = rng.Uint64()
+		}
+		for _, ndet := range []int{1, 3} {
+			firsts := make([]int, len(faults))
+			counts := make([]int, len(faults))
+			for i, f := range faults {
+				firsts[i], counts[i] = serialDetectN(n, f, vecs, ndet)
+			}
+			for _, segLen := range []int{1, 7, 0} {
+				res, err := Simulate(n, vecs, SimOptions{Faults: faults, NDetect: ndet, SegmentLen: segLen, Kernel: KernelReference})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, f := range faults {
+					got, want := int(res.DetectedAt[i]), firsts[i]
+					if got != want || (ndet > 1 && int(res.Detections[i]) != counts[i]) {
+						t.Fatalf("seed %d ndet %d seg %d fault %v: reference at=%d, serial at=%d n=%d",
+							seed, ndet, segLen, f, got, want, counts[i])
+					}
+				}
+			}
 		}
 	}
 }
@@ -322,6 +371,9 @@ func TestTooManyInputsRejected(t *testing.T) {
 	}
 	if _, err := Simulate(n, Vectors{0}, SimOptions{}); err == nil {
 		t.Fatal("expected error for >64 inputs")
+	}
+	if _, err := SimulateBridges(n, Vectors{0}, RandomBridges(n, 4, 1)); err == nil {
+		t.Fatal("expected bridge error for >64 inputs")
 	}
 }
 

@@ -13,7 +13,7 @@ type QualityOptions struct {
 	// NDetect, when >1, also reports n-detect stuck-at coverage.
 	NDetect int
 	// BridgeSample is the number of random bridging faults to grade
-	// (0 disables the bridge pass — it simulates serially).
+	// (0 disables the bridge pass).
 	BridgeSample int
 	// PathPairs is the number of gate-hop path segments to grade for
 	// robust delay testing (0 disables).
@@ -77,7 +77,16 @@ func Quality(n *logic.Netlist, vecs VectorSeq, opts QualityOptions) (*QualityRep
 	if opts.BridgeSample > 0 {
 		sub = root.Child("bridging")
 		bridges := RandomBridges(n, opts.BridgeSample, opts.Seed)
-		rep.BridgeDet, rep.BridgeTotal = BridgeCoverage(n, vecs, bridges)
+		first, err := SimulateBridges(n, vecs, bridges)
+		if err != nil {
+			return nil, err
+		}
+		rep.BridgeTotal = len(bridges)
+		for _, at := range first {
+			if at >= 0 {
+				rep.BridgeDet++
+			}
+		}
 		sub.Add("detected", int64(rep.BridgeDet))
 		sub.Add("faults", int64(rep.BridgeTotal))
 		sub.End()

@@ -67,9 +67,9 @@ const (
 	// replays only its fanout-cone logic against the trace
 	// (logic.EventSim). Bit-identical to KernelReference.
 	KernelCompiled Kernel = iota
-	// KernelReference runs the original logic.WordSim full-sweep kernel:
-	// every gate, every cycle, every batch. Kept as the differential
-	// oracle and for debugging.
+	// KernelReference runs the full-sweep kernel on logic.CompiledSim:
+	// the whole compiled program, every cycle, every batch. Kept as the
+	// differential oracle and for debugging.
 	KernelReference
 )
 
@@ -447,11 +447,12 @@ func (r *simRun) finish(span *obs.Span, applied int) *Result {
 	return r.res
 }
 
-// simulateReference is the original full-sweep WordSim kernel, kept as
-// the differential oracle for the compiled kernel (see kernel.go).
+// simulateReference is the full-sweep kernel, kept as the differential
+// oracle for the compiled kernel (see kernel.go). It counts one gate
+// evaluation per netlist gate per settle.
 func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result {
 	inputs := n.Inputs()
-	w := logic.NewWordSim(n)
+	w := logic.NewCompiledSim(logic.CompiledFor(n))
 	r := newSimRun(n, vecs, opts, w.StateWords())
 	goodState := make([]uint64, w.StateWords())
 	nextGoodState := make([]uint64, w.StateWords())

@@ -28,9 +28,9 @@ func benchTestCircuit(t *testing.T) *Netlist {
 }
 
 // TestBenchRoundTrip: netlist → WriteBench → ReadBench must preserve
-// function. The reimported netlist's CompiledSim and WordSim outputs
-// are bit-identical to each other and to the original netlist's
-// WordSim, over random vectors, cycle by cycle.
+// function. The reimported netlist's scalar Simulator and CompiledSim
+// outputs are bit-identical to the original netlist's scalar Simulator
+// over random vectors, cycle by cycle.
 func TestBenchRoundTrip(t *testing.T) {
 	orig := benchTestCircuit(t)
 	var sb strings.Builder
@@ -48,32 +48,32 @@ func TestBenchRoundTrip(t *testing.T) {
 		t.Fatalf("reimported %d outputs, want %d", got, want)
 	}
 
-	wsOrig := NewWordSim(orig)
-	wsRe := NewWordSim(re)
+	sOrig := NewSimulator(orig)
+	sRe := NewSimulator(re)
 	csRe := NewCompiledSim(Compile(re))
 	rng := rand.New(rand.NewSource(11))
 	for cycle := 0; cycle < 300; cycle++ {
 		word := rng.Uint64()
 		for i := range orig.Inputs() {
 			bit := word>>uint(i)&1 == 1
-			wsOrig.SetInput(orig.Inputs()[i], bit)
-			wsRe.SetInput(re.Inputs()[i], bit)
+			sOrig.SetInput(orig.Inputs()[i], bit)
+			sRe.SetInput(re.Inputs()[i], bit)
 			csRe.SetInput(re.Inputs()[i], bit)
 		}
-		wsOrig.Settle()
-		wsRe.Settle()
+		sOrig.Settle()
+		sRe.Settle()
 		csRe.Settle()
 		for i := range orig.Outputs() {
-			want := wsOrig.Word(orig.Outputs()[i]) & 1
-			gotWS := wsRe.Word(re.Outputs()[i]) & 1
-			gotCS := csRe.Word(re.Outputs()[i]) & 1
-			if gotWS != want || gotCS != want {
-				t.Fatalf("cycle %d output %d: original=%d reimported WordSim=%d CompiledSim=%d",
-					cycle, i, want, gotWS, gotCS)
+			want := sOrig.Value(orig.Outputs()[i])
+			gotS := sRe.Value(re.Outputs()[i])
+			gotCS := csRe.Word(re.Outputs()[i])&1 == 1
+			if gotS != want || gotCS != want {
+				t.Fatalf("cycle %d output %d: original=%v reimported Simulator=%v CompiledSim=%v",
+					cycle, i, want, gotS, gotCS)
 			}
 		}
-		wsOrig.ClockAfterSettle()
-		wsRe.ClockAfterSettle()
+		sOrig.ClockAfterSettle()
+		sRe.ClockAfterSettle()
 		csRe.ClockAfterSettle()
 	}
 }
@@ -94,13 +94,13 @@ d = AND(en, nq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWordSim(n)
-	ws.SetInput(n.Inputs()[0], true)
+	cs := NewCompiledSim(Compile(n))
+	cs.SetInput(n.Inputs()[0], true)
 	var seen []uint64
 	for i := 0; i < 4; i++ {
-		ws.Settle()
-		seen = append(seen, ws.Word(n.Outputs()[0])&1)
-		ws.ClockAfterSettle()
+		cs.Settle()
+		seen = append(seen, cs.Word(n.Outputs()[0])&1)
+		cs.ClockAfterSettle()
 	}
 	want := []uint64{0, 1, 0, 1}
 	for i := range want {

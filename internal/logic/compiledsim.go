@@ -2,15 +2,18 @@ package logic
 
 import "fmt"
 
-// CompiledSim is WordSim's drop-in replacement running a Compiled
-// program: the same 64-lane semantics (lane 0 fault-free, lanes 1..63
-// carrying per-net stuck-at injection masks), but the combinational
-// settle executes the flat instruction stream instead of walking Gate
-// structs, and value storage includes the temporary slots the compiler
-// introduced for decomposed variadic gates.
+// CompiledSim evaluates a Netlist with 64 independent machines in
+// parallel, one per bit lane of a uint64 word, by running the full
+// Compiled program every settle. All lanes share the primary input
+// values; they diverge only through per-net injection masks: lane 0 is
+// the fault-free machine and lanes 1..63 each carry one fault. Value
+// storage includes the temporary slots the compiler introduced for
+// decomposed variadic gates.
 //
-// Results are bit-identical to WordSim for every method; the
-// differential tests in this package and package fault enforce that.
+// It is the full-sweep simulator behind fault.KernelReference and the
+// fault models whose forcing changes cycle by cycle (transition and
+// bridging faults). The tests in this package hold it to the scalar
+// Simulator.
 type CompiledSim struct {
 	c    *Compiled
 	vals []uint64 // len c.slots; indices >= c.numNets are temporaries
@@ -36,9 +39,6 @@ func NewCompiledSim(c *Compiled) *CompiledSim {
 	s.Reset()
 	return s
 }
-
-// Compiled returns the program the simulator runs.
-func (s *CompiledSim) Compiled() *Compiled { return s.c }
 
 // Reset clears every lane's nets and flip-flops to 0 and removes all
 // injections.
@@ -74,7 +74,8 @@ func (s *CompiledSim) Inject(id NetID, stuckAt1 bool, lane uint) {
 }
 
 // ApplyInjectionsToValues re-forces every injected net's current value
-// word (see WordSim.ApplyInjectionsToValues).
+// word. Call after loading lane state with SetLaneState so a fault sited
+// on a DFF Q net holds from the very first settle of a segment.
 func (s *CompiledSim) ApplyInjectionsToValues() {
 	for _, id := range s.injected {
 		s.vals[id] = (s.vals[id] &^ s.sa0[id]) | s.sa1[id]
@@ -104,56 +105,18 @@ func (s *CompiledSim) SetInput(id NetID, v bool) {
 	s.vals[id] = (s.vals[id] &^ s.sa0[id]) | s.sa1[id]
 }
 
-// SetInputBus drives a bus of primary inputs from the low bits of v.
-func (s *CompiledSim) SetInputBus(bus Bus, v uint64) {
-	for i, id := range bus {
-		s.SetInput(id, v>>uint(i)&1 == 1)
-	}
-}
-
-// Word returns the 64-lane value word of net id after the last Step.
+// Word returns the 64-lane value word of net id after the last Settle.
 func (s *CompiledSim) Word(id NetID) uint64 { return s.vals[id] }
 
-// LaneBusValue extracts the bus value seen by one lane.
-func (s *CompiledSim) LaneBusValue(bus Bus, lane uint) uint64 {
-	var v uint64
-	for i, id := range bus {
-		if s.vals[id]>>lane&1 == 1 {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
-// Step settles the combinational frame and clocks all DFFs in every lane.
-func (s *CompiledSim) Step() {
-	s.Settle()
-	s.ClockAfterSettle()
-}
-
-// ClockAfterSettle clocks all DFFs using the already-settled frame.
+// ClockAfterSettle clocks all DFFs using the already-settled frame, so
+// outputs can be sampled between Settle and the clock edge (the fault
+// simulator's strobe point). Q nets take their injections.
 func (s *CompiledSim) ClockAfterSettle() {
 	n := s.c.n
 	for i, q := range n.dffs {
 		s.next[i] = s.vals[n.gates[q].In[0]]
 	}
 	for i, q := range n.dffs {
-		s.vals[q] = (s.next[i] &^ s.sa0[q]) | s.sa1[q]
-	}
-}
-
-// CaptureNext records every DFF's next-state (D value) from the
-// currently settled frame without clocking.
-func (s *CompiledSim) CaptureNext() {
-	n := s.c.n
-	for i, q := range n.dffs {
-		s.next[i] = s.vals[n.gates[q].In[0]]
-	}
-}
-
-// CommitNext clocks the DFFs with the values recorded by CaptureNext.
-func (s *CompiledSim) CommitNext() {
-	for i, q := range s.c.n.dffs {
 		s.vals[q] = (s.next[i] &^ s.sa0[q]) | s.sa1[q]
 	}
 }
@@ -213,11 +176,3 @@ func (s *CompiledSim) SetLaneState(lane uint, src []uint64) {
 
 // StateWords returns the number of uint64 words needed by LaneState.
 func (s *CompiledSim) StateWords() int { return (len(s.c.n.dffs) + 63) / 64 }
-
-// SetWords bulk-writes raw value words for the given nets (all lanes at
-// once).
-func (s *CompiledSim) SetWords(nets []NetID, words []uint64) {
-	for i, id := range nets {
-		s.vals[id] = words[i]
-	}
-}

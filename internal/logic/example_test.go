@@ -29,17 +29,17 @@ func Example() {
 	// 2==3: false
 }
 
-// ExampleWordSim shows fault injection into one of the 64 parallel
+// ExampleCompiledSim shows fault injection into one of the 64 parallel
 // machine lanes — the primitive the stuck-at fault simulator is built
 // on.
-func ExampleWordSim() {
+func ExampleCompiledSim() {
 	b := logic.NewBuilder()
 	x := b.Input("x")
 	y := b.Input("y")
 	out := b.MarkOutput(b.And(x, y), "out")
 	n, _ := b.Build(logic.BuildOptions{})
 
-	w := logic.NewWordSim(n)
+	w := logic.NewCompiledSim(logic.Compile(n))
 	w.Inject(out, true, 5) // stuck-at-1 in lane 5
 	w.SetInput(x, true)
 	w.SetInput(y, false) // good machine: AND = 0

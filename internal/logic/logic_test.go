@@ -174,10 +174,18 @@ func TestBranchInsertionPreservesFunction(t *testing.T) {
 	}
 }
 
-func TestWordSimMatchesScalar(t *testing.T) {
+// setInputBus drives a bus of primary inputs of every lane from the low
+// bits of v.
+func setInputBus(s *CompiledSim, bus Bus, v uint64) {
+	for i, id := range bus {
+		s.SetInput(id, v>>uint(i)&1 == 1)
+	}
+}
+
+func TestCompiledSimMatchesScalar(t *testing.T) {
 	n, a, bb, cin, sum, cout := buildFullAdder(t, BuildOptions{InsertFanoutBranches: true})
 	s := NewSimulator(n)
-	w := NewWordSim(n)
+	w := NewCompiledSim(Compile(n))
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		x, y := rng.Uint64()&15, rng.Uint64()&15
@@ -186,19 +194,16 @@ func TestWordSimMatchesScalar(t *testing.T) {
 		s.SetInputBus(bb, y)
 		s.SetInput(cin, c)
 		s.Settle()
-		w.SetInputBus(a, x)
-		w.SetInputBus(bb, y)
+		setInputBus(w, a, x)
+		setInputBus(w, bb, y)
 		w.SetInput(cin, c)
 		w.Settle()
-		if w.LaneBusValue(sum, 0) != s.BusValue(sum) {
-			t.Fatalf("lane0 sum mismatch at %d+%d", x, y)
-		}
-		if (w.Word(cout)&1 == 1) != s.Value(cout) {
-			t.Fatalf("lane0 cout mismatch at %d+%d", x, y)
-		}
-		// All lanes identical without injections.
 		for _, id := range append(append(Bus{}, sum...), cout) {
 			v := w.Word(id)
+			if (v&1 == 1) != s.Value(id) {
+				t.Fatalf("lane 0 of net %d mismatch at %d+%d", id, x, y)
+			}
+			// All lanes identical without injections.
 			if v != 0 && v != ^uint64(0) {
 				t.Fatalf("uninjected lanes diverged on net %d: %016x", id, v)
 			}
@@ -206,14 +211,14 @@ func TestWordSimMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestWordSimInjection(t *testing.T) {
+func TestCompiledSimInjection(t *testing.T) {
 	n, a, bb, cin, sum, _ := buildFullAdder(t, BuildOptions{InsertFanoutBranches: true})
-	w := NewWordSim(n)
+	w := NewCompiledSim(Compile(n))
 	// Force sum[0]'s driving net stuck-at-1 in lane 3.
 	target := sum[0]
 	w.Inject(target, true, 3)
-	w.SetInputBus(a, 0)
-	w.SetInputBus(bb, 0)
+	setInputBus(w, a, 0)
+	setInputBus(w, bb, 0)
 	w.SetInput(cin, false)
 	w.Settle()
 	if w.Word(target)&(1<<3) == 0 {
@@ -236,7 +241,7 @@ func TestWordSimInjection(t *testing.T) {
 	}
 }
 
-func TestWordSimLaneState(t *testing.T) {
+func TestCompiledSimLaneState(t *testing.T) {
 	b := NewBuilder()
 	din := b.Input("din")
 	q0 := b.DFF(din, "q0")
@@ -246,11 +251,12 @@ func TestWordSimLaneState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWordSim(n)
-	w.SetInput(din, true)
-	w.Step()
-	w.SetInput(din, false)
-	w.Step()
+	w := NewCompiledSim(Compile(n))
+	for _, v := range []bool{true, false} {
+		w.SetInput(din, v)
+		w.Settle()
+		w.ClockAfterSettle()
+	}
 	// q0=0, q1=1 in every lane now.
 	st := make([]uint64, w.StateWords())
 	w.LaneState(0, st)

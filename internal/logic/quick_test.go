@@ -73,9 +73,9 @@ func (e *exprNode) emit(b *Builder, ins Bus) NetID {
 }
 
 // TestQuickRandomCircuits checks that for random expression circuits and
-// random input vectors, the scalar simulator, the word-parallel simulator
-// (every lane), and direct recursive evaluation all agree — with and
-// without fanout-branch insertion.
+// random input vectors, the scalar simulator, the compiled 64-lane
+// simulator (every lane), and direct recursive evaluation all agree —
+// with and without fanout-branch insertion.
 func TestQuickRandomCircuits(t *testing.T) {
 	const numInputs = 6
 	f := func(seed int64, assignment uint8) bool {
@@ -102,8 +102,8 @@ func TestQuickRandomCircuits(t *testing.T) {
 				t.Logf("scalar mismatch: seed=%d assign=%b branches=%v", seed, assignment, branches)
 				return false
 			}
-			w := NewWordSim(n)
-			w.SetInputBus(ins, uint64(assignment)&((1<<numInputs)-1))
+			w := NewCompiledSim(Compile(n))
+			setInputBus(w, ins, uint64(assignment)&((1<<numInputs)-1))
 			w.Settle()
 			word := w.Word(out)
 			wantWord := uint64(0)
@@ -138,9 +138,9 @@ func TestQuickInjectionOnlyAffectsLane(t *testing.T) {
 			return false
 		}
 		target := NetID(rng.Intn(n.NumNets()))
-		w := NewWordSim(n)
+		w := NewCompiledSim(Compile(n))
 		w.Inject(target, sa1, lane)
-		w.SetInputBus(ins, uint64(assignment)&((1<<numInputs)-1))
+		setInputBus(w, ins, uint64(assignment)&((1<<numInputs)-1))
 		w.Settle()
 		word := w.Word(out)
 		// All lanes except `lane` must equal lane 0.

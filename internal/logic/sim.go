@@ -99,8 +99,7 @@ func (s *Simulator) Step() {
 }
 
 // ClockAfterSettle clocks every DFF using the already-settled frame
-// (the strobe-between-settle-and-edge pattern the fault simulator and
-// the bridge simulator use).
+// (the strobe-between-settle-and-edge pattern the fault simulator uses).
 func (s *Simulator) ClockAfterSettle() {
 	for i, q := range s.n.dffs {
 		s.next[i] = s.vals[s.n.gates[q].In[0]]

@@ -10,7 +10,7 @@ import (
 
 // TestKernelEquivalenceFullCore pins the PR-3 acceptance criterion: the
 // compiled event-driven kernel must produce a bit-identical fault.Result
-// (DetectedAt, Detections, Coverage) to the reference WordSim kernel on
+// (DetectedAt, Detections, Coverage) to the full-sweep reference kernel on
 // the full dspgate core fault list, for both netlist variants (with and
 // without fanout branches — Q-site and branch-site faults exercise the
 // injection-reapply path). The kernels run with their own default
