@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,18 +209,22 @@ func BenchmarkATPGBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkPseudorandomBIST fault-simulates raw LFSR vectors (E9; paper
-// scale is the full 131,071-vector period).
+// BenchmarkPseudorandomBIST fault-simulates raw LFSR vectors (E9): a
+// short run, and the paper's full 131,071-vector period, the long-run
+// shape where few survivors replay for most of the stimulus.
 func BenchmarkPseudorandomBIST(b *testing.B) {
 	core, _, _ := fixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vecs := bist.PseudorandomVectors(4096, 1)
-		res, err := fault.Simulate(core.Netlist, vecs, fault.SimOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.Coverage(), "%coverage")
+	for _, count := range []int{4096, bist.FullPeriod} {
+		b.Run(fmt.Sprintf("vectors=%d", count), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vecs := bist.PseudorandomVectors(count, 1)
+				res, err := fault.Simulate(core.Netlist, vecs, fault.SimOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(100*res.Coverage(), "%coverage")
+			}
+		})
 	}
 }
 

@@ -42,8 +42,8 @@ func benchSimulate(b *testing.B) {
 	b.ReportMetric(float64(fault.EffectiveLaneWords(fault.SimOptions{}, len(faults))), "lane-words")
 	b.ReportMetric(float64(benchVectors)*float64(b.N)/b.Elapsed().Seconds(), "vectors/s")
 	// Gate evaluations per applied vector cycle, from the obs counter
-	// delta over the timed runs (compiled instructions, the saving the
-	// event-driven kernel's whole point).
+	// delta over the timed runs (compiled instructions; sweeping only each
+	// batch's cone is the compiled kernel's whole point).
 	b.ReportMetric(float64(evals.Load()-evals0)/(float64(benchVectors)*float64(b.N)), "gate-evals/cycle")
 }
 

@@ -13,7 +13,7 @@
 // breakdowns, diagnosis presimulation) is oblivious to the parallelism.
 //
 // Each shard runs the kernel selected by the embedded
-// fault.SimOptions.Kernel — the compiled event-driven kernel by default
+// fault.SimOptions.Kernel — the compiled cone-sweep kernel by default
 // (see docs/PERFORMANCE.md); sharding composes with it because shards
 // share one immutable compiled program via logic.CompiledFor.
 package engine

@@ -17,7 +17,7 @@ import (
 )
 
 // shadow.go is the compiled-kernel cross-checking guardrail: after a
-// shard completes on the compiled event-driven kernel, a deterministic
+// shard completes on the compiled cone-sweep kernel, a deterministic
 // sample of its faults is re-simulated through the serial reference
 // kernel (fault.KernelReference, the differential oracle). The two
 // kernels are bit-identical by construction, so any divergence means

@@ -18,9 +18,9 @@ var (
 	// Gate-evaluation accounting (see docs/PERFORMANCE.md): gate_evals
 	// counts evaluations actually executed; gate_evals_saved counts the
 	// evaluations a full-frame sweep per batch cycle would have executed
-	// on top of that. The reference kernel counts whole gates, the
-	// compiled kernel counts compiled instructions (variadic gates span
-	// several) — comparable to within the decomposition factor.
+	// on top of the cone sweep's. The reference kernel counts whole
+	// gates, the compiled kernel counts compiled instructions (variadic
+	// gates span several) — comparable to within the decomposition factor.
 	ctrGateEvals      = obs.Default().Counter("faultsim.gate_evals")
 	ctrGateEvalsSaved = obs.Default().Counter("faultsim.gate_evals_saved")
 	// good_cycles counts fault-free machine cycles actually simulated to
@@ -28,7 +28,7 @@ var (
 	// earlier run (the artifact-cache hit path, see internal/artifacts).
 	ctrGoodCycles = obs.Default().Counter("faultsim.good_cycles")
 	// sweep_blocks counts the cache blocks of the sweep programs the
-	// compiled kernel's dense-mode cycles ran (see logic.BlockSlots).
+	// compiled kernel's batch-cycles ran (see logic.BlockSlots).
 	ctrSweepBlocks = obs.Default().Counter("faultsim.sweep_blocks")
 
 	// Per-kernel split of the same gate-evaluation tally, exposed on
@@ -39,17 +39,14 @@ var (
 	ctrGateEvalsRef      = famKernelGateEvals.Counter("reference")
 	ctrGateEvalsCompiled = famKernelGateEvals.Counter("compiled")
 
-	// How the compiled kernel's batch-cycles were settled: by the event
-	// path, by the cone sweep outright, or by the sweep after an event
-	// pass was abandoned (the wasted kind; see logic.EventSim).
+	// The compiled kernel's batch-cycles, each one run of the batch's
+	// cone sweep program (see logic.ConeSim); "sweep" is the one mode.
 	famKernelCycles = obs.Default().CounterFamily("sbst_kernel_cycles_total",
 		"Compiled-kernel batch-cycles, by the mode that settled them.", "mode")
-	ctrCyclesEvent     = famKernelCycles.Counter("event")
-	ctrCyclesSweep     = famKernelCycles.Counter("sweep")
-	ctrCyclesAbandoned = famKernelCycles.Counter("abandoned")
+	ctrCyclesSweep = famKernelCycles.Counter("sweep")
 )
 
-// Which stripe kernels the compiled kernel's dense path runs on in this
+// Which stripe kernels the compiled kernel's cone sweep runs on in this
 // process: an info gauge, 1 on the one label value that applies.
 func init() {
 	obs.Default().GaugeFamily("sbst_kernel_simd_info",
@@ -61,11 +58,11 @@ func init() {
 type Kernel int
 
 const (
-	// KernelCompiled (the default) runs the compiled event-driven kernel
+	// KernelCompiled (the default) runs the compiled cone-sweep kernel
 	// with good-machine caching: the fault-free machine is simulated
 	// once per segment into a logic.GoodTrace, and each 63-fault batch
 	// replays only its fanout-cone logic against the trace
-	// (logic.EventSim). Bit-identical to KernelReference.
+	// (logic.ConeSim). Bit-identical to KernelReference.
 	KernelCompiled Kernel = iota
 	// KernelReference runs the full-sweep kernel on logic.CompiledSim:
 	// the whole compiled program, every cycle, every batch. Kept as the
@@ -131,11 +128,11 @@ type SimOptions struct {
 	// coverage reached before a SIGINT or deadline.
 	Ctx context.Context
 	// Kernel selects the simulation engine; the zero value is the
-	// compiled event-driven kernel. Both kernels produce bit-identical
+	// compiled cone-sweep kernel. Both kernels produce bit-identical
 	// Results.
 	Kernel Kernel
 	// LaneWords widens the compiled kernel's fault batches to 63 ×
-	// LaneWords faults per cone replay (logic.EventSim value stripes of
+	// LaneWords faults per cone replay (logic.ConeSim value stripes of
 	// LaneWords uint64 words per net). Zero auto-tunes from the fault
 	// list size; values clamp to [1, logic.MaxLaneWords]. Results are
 	// bit-identical at every width; the reference kernel ignores it.
@@ -319,7 +316,7 @@ func (r *Result) RegionCoverage(n *logic.Netlist, region string) (detected, tota
 // Simulate runs sequential stuck-at fault simulation of the vector
 // sequence against the netlist, starting every machine (good and faulty)
 // from the all-zero flip-flop state, on the kernel selected by
-// opts.Kernel (the compiled event-driven kernel by default; both kernels
+// opts.Kernel (the compiled cone-sweep kernel by default; both kernels
 // produce bit-identical results).
 func Simulate(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error) {
 	if len(n.Inputs()) > 64 {

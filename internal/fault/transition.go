@@ -106,7 +106,7 @@ func SimulateTransitions(n *logic.Netlist, vecs VectorSeq, faults []TransitionFa
 	}
 	const segLen = 1024
 	// The two-pass settle injects and clears forcings dynamically, so the
-	// event-driven kernel does not apply here; the full-sweep CompiledSim
+	// cone-sweep kernel does not apply here; the full-sweep CompiledSim
 	// runs it.
 	w := logic.NewCompiledSim(logic.CompiledFor(n))
 	stateWords := w.StateWords()

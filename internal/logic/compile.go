@@ -12,10 +12,10 @@ import "sync"
 // every instruction in the inner loop is a fixed-shape binary or
 // ternary word operation.
 //
-// The compiled form also carries the metadata the event-driven kernel
-// needs: the instruction range implementing each net, a CSR-flattened
-// fanout table, and dense lookup tables from nets to DFF/output
-// ordinals.
+// The compiled form also carries the metadata the cone kernel (ConeSim)
+// needs to cut a batch's sweep program out of it: the instruction range
+// implementing each net, a CSR-flattened fanout table, and dense lookup
+// tables from nets to DFF/output ordinals.
 
 // opcode is one compiled gate operation. The inverted forms exist so a
 // decomposed NAND/NOR/XNOR chain applies its inversion in the final
@@ -33,14 +33,14 @@ const (
 	opXor2
 	opXnor2
 	opMux
-	// opMaskWord exists only in the event kernel's sweep program: it
+	// opMaskWord exists only in the cone kernel's sweep program: it
 	// forces one word of an injected site's stripe, word a2 of slot dst
 	// (== a0), to (v & m0) | m1, where m0 and m1 are the same word of the
-	// mask stripes at slots a1 and a1+1 (see EventSim.buildSweep).
+	// mask stripes at slots a1 and a1+1 (see ConeSim.buildSweep).
 	opMaskWord
-	// The last three are sweep-only too, and are what makes a dense cycle
-	// one program: each broadcasts g, a net's fault-free bit — bit a2 of
-	// word a1 of vals, which is where sweepCycle copies the trace row —
+	// The last three are sweep-only too, and are what makes a cycle one
+	// program: each broadcasts g, a net's fault-free bit — bit a2 of word
+	// a1 of vals, which is where ConeSim.Cycle copies the trace row —
 	// across the stripe. opGood seeds a frontier net (dst = g), opXorGood
 	// seeds a flip-flop's Q from its divergence stripe and clocks the
 	// divergence from its D (dst = a0 ^ g), opDetect accumulates an
@@ -112,9 +112,9 @@ type Compiled struct {
 	// blockOff partitions the schedule's instruction stream into cache
 	// blocks: block b is instructions [blockOff[b], blockOff[b+1]), cut
 	// when the block's distinct value-slot working set would exceed
-	// BlockSlots. The event kernel counts its per-batch sweep program
+	// BlockSlots. The cone kernel counts its per-batch sweep program
 	// into blocks by the same budget, scaled down by the lane-word count
-	// (see EventSim.buildSweep).
+	// (see ConeSim.buildSweep).
 	blockOff []int32
 
 	// orderPos is each combinational net's chain position in emission
@@ -126,16 +126,6 @@ type Compiled struct {
 	// foList[foOff[i]:foOff[i+1]].
 	foOff  []int32
 	foList []NetID
-
-	// CSR fanout restricted to combinational readers, by chain position
-	// instead of net id: the positions (orderPos values) of net i's
-	// combinational readers are foPosList[foPosOff[i]:foPosOff[i+1]].
-	// This is the event kernel's scheduling table — marking a reader is
-	// one OR into a position-indexed bitmap, with no gate-kind or
-	// membership test, and scanning the bitmap in word order visits
-	// gates in topological order.
-	foPosOff  []int32
-	foPosList []int32
 
 	// dffIndex / outIndex map a net to its ordinal in Netlist.DFFs /
 	// Netlist.Outputs, or -1.
@@ -212,18 +202,6 @@ func Compile(n *Netlist) *Compiled {
 	for i := 0; i < numNets; i++ {
 		c.foList = append(c.foList, n.fanout[i]...)
 	}
-
-	// Combinational-reader positions (orderPos is -1 for non-comb nets).
-	c.foPosOff = make([]int32, numNets+1)
-	for i := 0; i < numNets; i++ {
-		c.foPosOff[i] = int32(len(c.foPosList))
-		for _, r := range n.fanout[i] {
-			if p := c.orderPos[r]; p >= 0 {
-				c.foPosList = append(c.foPosList, p)
-			}
-		}
-	}
-	c.foPosOff[numNets] = int32(len(c.foPosList))
 	return c
 }
 
@@ -284,7 +262,7 @@ func buildSchedule(n *Netlist) []NetID {
 // BlockSlots is the distinct value-slot budget of one cache block of the
 // compiled program: 2048 slots × 8 bytes ≈ 16 KiB of single-word values,
 // half a typical 32 KiB L1d so trace rows and instruction operands fit
-// alongside. The event kernel divides the budget by its lane-word count
+// alongside. The cone kernel divides the budget by its lane-word count
 // (wider stripes mean fewer slots per block at the same byte footprint);
 // gate-eval counters and pprof on the Table-1 workload drove the choice
 // — see docs/PERFORMANCE.md.
@@ -372,7 +350,7 @@ func (c *Compiled) Schedule() []NetID { return c.schedule }
 func (c *Compiled) SizeBytes() int64 {
 	perInstr := int64(1 + 4*4) // code + dst/a0/a1/a2
 	perNet := int64(8 * 4)     // int32 tables, fill.slot among them
-	fan := int64(len(c.foList)+len(c.foPosList)) * 4
+	fan := int64(len(c.foList)) * 4
 	return int64(len(c.code)+len(c.fill.code))*perInstr + int64(c.numNets)*perNet + fan +
 		int64(len(c.schedule)+len(c.blockOff)+len(c.dNet))*4
 }
@@ -456,8 +434,8 @@ func (c *Compiled) readers(id NetID) []NetID {
 
 // runProgram executes instructions [ps, pe) against vals with no
 // per-slot stuck-at masking — the hot path for fault-free settles and
-// for the event kernel's single-word cone sweep, whose injected sites
-// carry their masks as opMaskWord instructions.
+// for the cone kernel's single-word sweep, whose injected sites carry
+// their masks as opMaskWord instructions.
 func runProgram(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, ps, pe int32) {
 	// Re-slice to a common constant bound so the compiler can hoist the
 	// per-index bounds checks on the instruction arrays out of the loop
@@ -504,8 +482,8 @@ func runProgram(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, ps, pe in
 
 // runProgramStripes executes instructions [ps, pe) against lw-word
 // value stripes (vals[slot*lw : slot*lw+lw]) with no stuck-at masking —
-// the multi-word generalization of runProgram used by the event
-// kernel's cone sweep when a batch spans more than one lane word. One
+// the multi-word generalization of runProgram used by the cone
+// kernel's sweep when a batch spans more than one lane word. One
 // instruction dispatch covers lw words, which is where widening the
 // batch amortizes the per-instruction scheduling cost.
 func runProgramStripes(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, lw int, ps, pe int32) {
@@ -681,8 +659,7 @@ func runProgramStripes8(code []opcode, dst, a0, a1, a2 []int32, vals []uint64, p
 }
 
 // evalInto executes instructions [ps, pe) against vals, applying the
-// per-slot stuck-at masks. It is the single evaluation core shared by
-// the full-sweep and event-driven kernels.
+// per-slot stuck-at masks: the full-sweep CompiledSim's injected settle.
 func evalInto(c *Compiled, ps, pe int32, vals, sa0, sa1 []uint64) {
 	code := c.code[ps:pe]
 	dst := c.dst[ps:pe][:len(code)]

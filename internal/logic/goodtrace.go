@@ -2,7 +2,7 @@ package logic
 
 // goodtrace.go holds the fault-free machine's recorded behavior, shared
 // between the good-machine pass and every fault batch replay of the
-// compiled kernel (see eventsim.go), and — since the trace is addressed
+// compiled kernel (see conesim.go), and — since the trace is addressed
 // by absolute cycle — reusable across jobs: a trace filled once for a
 // (design, vector source) pair can be replayed by any later campaign on
 // the same pair (internal/artifacts keys them by content hash).

@@ -2,7 +2,7 @@
 
 package logic
 
-// stripes_amd64.go binds the dense path's assembly kernels
+// stripes_amd64.go binds the cone sweep's assembly kernels
 // (stripes_amd64.s): one stripe interpreter per vector width — a 2-word
 // stripe in an XMM register, a 4-word stripe in a YMM register, an
 // 8-word stripe in two — executing the same instruction stream as the
@@ -19,7 +19,7 @@ func hasAVX2() bool
 
 // stripes2AVX2, stripes4AVX2 and stripes8AVX2 execute n instructions of
 // a sweep program against 2-, 4- and 8-word value stripes. They check
-// nothing: EventSim.checkSweep has validated every operand against vals.
+// nothing: ConeSim.checkSweep has validated every operand against vals.
 //
 //go:noescape
 func stripes2AVX2(code *opcode, dst, a0, a1, a2 *int32, vals *uint64, n int)

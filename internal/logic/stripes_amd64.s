@@ -3,7 +3,7 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// The dense path's stripe interpreters: runProgramStripes at 2 words and
+// The cone sweep's stripe interpreters: runProgramStripes at 2 words and
 // runProgramStripes4/8 with a stripe in one XMM, one YMM and two YMM
 // registers. All three kernels are the text of BODY, expanded under
 // three settings of SHIFT (a stripe is 1<<SHIFT bytes), of the vector

@@ -12,8 +12,8 @@ import (
 // of it: every opcode, operands that alias their destination, mask
 // stripes anywhere among the value stripes (next to their target
 // included), opMaskWord on every word index in turn.
-func randomSweep(rng *rand.Rand, lw, nSlots, n int) (e *EventSim, vals []uint64) {
-	e = &EventSim{lw: lw, swVals: alignedWords(nSlots*lw + 3)}
+func randomSweep(rng *rand.Rand, lw, nSlots, n int) (e *ConeSim, vals []uint64) {
+	e = &ConeSim{lw: lw, swVals: alignedWords(nSlots*lw + 3)}
 	vals = make([]uint64, len(e.swVals))
 	for i := range vals {
 		vals[i] = rng.Uint64()
@@ -122,7 +122,7 @@ func TestCheckSweepRejectsOutOfRange(t *testing.T) {
 	}
 	for _, avx2 := range []bool{false, useAVX2} {
 		for _, c := range ops {
-			e := &EventSim{lw: lw, swVals: alignedWords(nSlots*lw + 3)}
+			e := &ConeSim{lw: lw, swVals: alignedWords(nSlots*lw + 3)}
 			for pc := 0; pc < 4; pc++ {
 				e.swCode = append(e.swCode, opXor2)
 				e.swDst = append(e.swDst, 1)

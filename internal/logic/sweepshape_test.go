@@ -14,7 +14,7 @@ import (
 // instruction per cone flip-flop, an injected one staged through its
 // masks — with no instruction left that reads a mask slot across the
 // whole stripe, and the clock section the only writer of qDiff.
-func checkSweepShape(t *testing.T, what string, e *EventSim) {
+func checkSweepShape(t *testing.T, what string, e *ConeSim) {
 	t.Helper()
 	c, lw := e.c, e.lw
 	maskWords := func(id NetID) (words int) {
@@ -161,7 +161,7 @@ func TestSweepProgramShape(t *testing.T) {
 	if faults[62].Site != faults[63].Site {
 		t.Fatal("fixture: positions 62/63 are different sites")
 	}
-	e := NewEventSim(c, 4)
+	e := NewConeSim(c, 4)
 	e.BeginBatch(faults, trace, 0, nil)
 	checkSweepShape(t, "after BeginBatch", e)
 
