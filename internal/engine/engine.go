@@ -57,8 +57,11 @@ const shardAttempts = 2
 type SimOptions struct {
 	fault.SimOptions
 	// Workers is the number of simulation shards, each with its own
-	// simulator on its own goroutine. Zero selects runtime.NumCPU(); one
-	// takes the exact serial fault.Simulate path.
+	// simulator on its own goroutine. It counts shards, not goroutines:
+	// a shard without a complete artifact trace also fills its good
+	// machine on a goroutine of its own, one segment ahead (see
+	// fault.SimOptions.Trace). Zero selects runtime.NumCPU(); one takes
+	// the exact serial fault.Simulate path and returns its exact result.
 	Workers int
 	// ShadowSample is the fraction of each shard's faults re-simulated
 	// through the serial reference kernel (fault.KernelReference) after

@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"fmt"
+	"time"
+
 	"repro/internal/chaos"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -9,21 +12,22 @@ import (
 // kernel.go is the compiled cone-sweep fault-simulation kernel
 // (SimOptions.Kernel == KernelCompiled, the default).
 //
-// Per segment it simulates the fault-free machine exactly once
+// The fault-free machine is simulated exactly once per segment
 // (logic.GoodTrace.Extend), recording every net's settled value per
-// cycle — or, when the trace already holds the segment (SimOptions.Trace
-// from the artifact cache), skips the good machine entirely. Each batch
-// of up to 63×W faults (W = SimOptions.LaneWords) then replays the
-// segment on a logic.ConeSim, which sweeps only the batch's fanout-cone
-// logic — everything outside the cone is read from the trace — so a
-// batch pays for its cone instead of the whole frame. W is the widest a
-// batch gets: a part-filled one (the list's tail, and every batch once
-// survivors thin out) replays on stripes of the narrowest of 1, 2, 4
-// and W words that holds it (see logic.ConeSim.BeginBatch), so empty
-// lane words are not swept. The drop/repack segmentation, detection
-// bookkeeping and telemetry match simulateReference cycle for cycle; the
-// differential tests in this package and kernel_equiv_test.go at the
-// repo root enforce bit-identical results at every lane width.
+// cycle. Without a pinned SimOptions.Trace that fill runs one segment
+// ahead of the fault batches on a goroutine of its own (goodFiller);
+// with one (the artifact cache's complete trace) there is no fill at
+// all. Each batch of up to 63×W faults (W = SimOptions.LaneWords) then
+// replays the segment on a logic.ConeSim, which sweeps only the batch's
+// fanout-cone logic — everything outside the cone is read from the
+// trace — so a batch pays for its cone instead of the whole frame. W is
+// the widest a batch gets: a part-filled one (the list's tail, and every
+// batch once survivors thin out) replays on stripes of the narrowest of
+// 1, 2, 4 and W words that holds it (see logic.ConeSim.BeginBatch), so
+// empty lane words are not swept. The drop/repack segmentation,
+// detection bookkeeping and telemetry match simulateReference cycle for
+// cycle; the differential tests in this package and kernel_equiv_test.go
+// at the repo root enforce bit-identical results at every lane width.
 func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result {
 	c := opts.Program
 	if c == nil {
@@ -36,19 +40,13 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 	nextGoodState := make([]uint64, stateWords)
 
 	total := vecs.Len()
-	trace := opts.Trace
-	pinned := trace != nil
-	if pinned {
-		// A pinned trace must span the whole run; complete traces are
-		// already sized and this is a no-op read.
-		trace.EnsureCycles(total)
-	} else {
-		traceLen := r.segLen
-		if total < traceLen {
-			traceLen = total
-		}
-		trace = logic.NewGoodTrace(n.NumNets(), traceLen)
+	sched := newSegSchedule(r.segLen, opts.SegmentLen <= 0, total)
+	var fill *goodFiller
+	if opts.Trace == nil && total > 0 && len(r.remaining) > 0 {
+		fill = startGoodFiller(c, n.NumNets(), vecs, sched, min(r.segLen, total))
+		defer fill.close()
 	}
+	var fillWait time.Duration
 
 	batchCap := 63 * lw
 	batchFaults := make([]logic.BatchFault, 0, batchCap)
@@ -56,20 +54,6 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 	det := make([]uint64, lw)
 	doneMask := make([]uint64, lw)
 	liveMask := make([]uint64, lw)
-
-	// Adaptive segmentation: results are segment-length-invariant (every
-	// cycle of every batch replay checks detection), so segment length is
-	// purely a scheduling choice. Short early segments repack survivors
-	// while coverage ramps steeply — detected faults stop occupying batch
-	// lanes within tens of cycles instead of replaying a full 1024-cycle
-	// frame — and the length doubles toward segLen as drops become rare.
-	// An explicit opts.SegmentLen pins the boundaries (the differential
-	// fuzz tests rely on that to align both kernels' telemetry).
-	adaptive := opts.SegmentLen <= 0
-	curLen := r.segLen
-	if adaptive && curLen > 64 {
-		curLen = 64
-	}
 
 	ctrRuns.Add(1)
 	span := obs.NewSpan(opts.Sink, "faultsim")
@@ -85,28 +69,27 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 			f.PanicNow()
 			f.Sleep(opts.Ctx)
 		}
-		end := start + curLen
-		if end > total {
-			end = total
-		}
-		if adaptive && curLen < r.segLen {
-			curLen *= 2
-		}
-		segVecs := r.expandSegment(vecs, start, end)
+		end := sched.next(start)
 
-		// Good-machine pass: once per segment instead of once per batch —
-		// and not at all when a pinned trace already recorded it.
+		// The segment's good machine: the pinned trace, or the filler's
+		// window, whose fill is counted here — on receipt — so a segment
+		// filled but never replayed is not.
+		trace := opts.Trace
 		var seg logic.BatchStats
-		if trace.ValidThrough() < end {
-			if !pinned {
-				trace.Window(start, len(segVecs))
+		if fill != nil {
+			waitFrom := time.Now()
+			g := fill.receive()
+			fillWait += time.Since(waitFrom)
+			if g.start != start || g.end != end {
+				panic(fmt.Sprintf("fault: filler sent segment [%d, %d), want [%d, %d)", g.start, g.end, start, end))
 			}
-			ctrGoodCycles.Add(int64(end - trace.ValidThrough()))
-			seg.Evals = trace.Extend(c, end, func(cyc int) uint64 { return segVecs[cyc-start] })
+			trace = g.trace
+			ctrGoodCycles.Add(int64(end - start))
+			seg.Evals = g.evals
 		}
 		// The fault-free state entering the next segment, for survivor
-		// compaction: the frontier right after a fill, a recorded row on
-		// the pure-replay path.
+		// compaction: the window's frontier after a fill, a recorded row
+		// of a pinned trace.
 		trace.StateInto(end, n.DFFs(), nextGoodState)
 
 		var survivors []int
@@ -132,8 +115,8 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 				doneMask[w] = 0
 			}
 			done := 0
-			for rc := range segVecs {
-				cone.Cycle(start+rc, det)
+			for cyc := start; cyc < end; cyc++ {
+				cone.Cycle(cyc, det)
 				for w := 0; w < nw; w++ {
 					diff := det[w] & liveMask[w] &^ doneMask[w]
 					if diff == 0 {
@@ -146,7 +129,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 						fi := batch[w*63+int(lane)-1]
 						r.counts[fi]++
 						if r.res.DetectedAt[fi] < 0 {
-							r.res.DetectedAt[fi] = int32(start + rc)
+							r.res.DetectedAt[fi] = int32(cyc)
 						}
 						if r.counts[fi] >= int32(r.ndet) {
 							doneMask[w] |= 1 << lane
@@ -178,6 +161,9 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 			}
 			seg.Add(cone.EndBatch())
 		}
+		if fill != nil {
+			fill.free <- trace
+		}
 		applied = end
 		ctrSweepBlocks.Add(seg.Blocks)
 		ctrGateEvals.Add(seg.Evals)
@@ -187,9 +173,136 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 		span.Add("gate_evals_saved", seg.Saved)
 		ctrCyclesSweep.Add(seg.Cycles)
 		span.Add("cycles_sweep", seg.Cycles)
-		r.finishSegment(span, opts, survivors, end, total)
+		r.finishSegment(span, opts, survivors, start, end, total)
 	}
+	span.Add("fill_wait_us", fillWait.Microseconds())
 	return r.finish(span, applied)
+}
+
+// segSchedule walks the compiled kernel's segment boundaries. Results are
+// segment-length-invariant (every cycle of every batch replay checks
+// detection), so segment length is purely a scheduling choice. Short
+// early segments repack survivors while coverage ramps steeply —
+// detected faults stop occupying batch lanes within tens of cycles
+// instead of replaying a full 1024-cycle frame — and the length doubles
+// toward segLen as drops become rare. An explicit SimOptions.SegmentLen
+// pins the boundaries (the differential fuzz tests rely on that to align
+// both kernels' telemetry). The schedule depends on nothing a run
+// computes, so the filler and the batch loop each walk a copy of it.
+type segSchedule struct {
+	cur, max, total int
+}
+
+func newSegSchedule(segLen int, adaptive bool, total int) segSchedule {
+	s := segSchedule{cur: segLen, max: segLen, total: total}
+	if adaptive {
+		s.cur = min(segLen, 64)
+	}
+	return s
+}
+
+// next returns the end of the segment starting at start and advances
+// the schedule.
+func (s *segSchedule) next(start int) int {
+	end := min(start+s.cur, s.total)
+	s.cur = min(2*s.cur, s.max)
+	return end
+}
+
+// goodSegment is a filled segment [start, end) of the fault-free
+// machine, handed from the filler to the batch loop in trace.
+type goodSegment struct {
+	start, end int
+	trace      *logic.GoodTrace
+	evals      int64 // instructions the fill executed
+}
+
+// goodFiller simulates the fault-free machine one segment ahead of the
+// batch loop, on a goroutine of its own, alternating between two trace
+// windows: while the batches replay segment k from one, it fills
+// segment k+1 into the other. Each window has one writer at a time —
+// the filler fills only a window it took from free, and the batch loop
+// hands a window back only once it is done reading it.
+type goodFiller struct {
+	segs chan goodSegment // filled segments in schedule order; closed if the filler panics
+	// free holds the windows the batch loop is done with: a slot per
+	// window, so handing one back never blocks.
+	free chan *logic.GoodTrace
+	stop chan struct{} // closed when the batch loop stops
+	done chan struct{} // closed when the filler has exited
+	// panicked is the filler's recovered panic, written before segs is
+	// closed, so a receive that finds segs closed may read it.
+	panicked any
+}
+
+func startGoodFiller(c *logic.Compiled, numNets int, vecs VectorSeq, sched segSchedule, window int) *goodFiller {
+	f := &goodFiller{
+		segs: make(chan goodSegment, 1),
+		free: make(chan *logic.GoodTrace, 2),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	f.free <- logic.NewGoodTrace(numNets, window)
+	f.free <- logic.NewGoodTrace(numNets, window)
+	go f.run(c, vecs, sched)
+	return f
+}
+
+func (f *goodFiller) run(c *logic.Compiled, vecs VectorSeq, sched segSchedule) {
+	defer close(f.done)
+	defer func() {
+		if p := recover(); p != nil {
+			f.panicked = p
+			close(f.segs)
+		}
+	}()
+	var prev *logic.GoodTrace
+	for start := 0; start < sched.total; {
+		end := sched.next(start)
+		var tr *logic.GoodTrace
+		select {
+		case <-f.stop:
+			return
+		case tr = <-f.free:
+		}
+		// A batch loop that has stopped may still have handed a window
+		// back; do not fill it.
+		select {
+		case <-f.stop:
+			return
+		default:
+		}
+		tr.Window(start, end-start)
+		if prev != nil {
+			// Resume from the previous window's frontier. The batch loop
+			// may be reading that window too; neither side writes it.
+			tr.SetFrontier(prev.Frontier())
+		}
+		evals := tr.Extend(c, end, vecs.At)
+		select {
+		case <-f.stop:
+			return
+		case f.segs <- goodSegment{start: start, end: end, trace: tr, evals: evals}:
+		}
+		prev, start = tr, end
+	}
+}
+
+// receive returns the next filled segment, re-raising on the caller's
+// goroutine a panic the filler recovered.
+func (f *goodFiller) receive() goodSegment {
+	g, ok := <-f.segs
+	if !ok {
+		panic(f.panicked)
+	}
+	return g
+}
+
+// close stops the filler and waits for it to exit, so no VectorSeq.At
+// call outlives the run.
+func (f *goodFiller) close() {
+	close(f.stop)
+	<-f.done
 }
 
 // EffectiveLaneWords reports the widest stripe a compiled-kernel run

@@ -73,6 +73,12 @@ const (
 // VectorSeq supplies one primary-input assignment per clock cycle.
 // Bit i of At(cycle) drives Netlist.Inputs()[i]; circuits with more than
 // 64 primary inputs are not supported by the simulator.
+//
+// Within one Simulate call At is called by one goroutine at a time, but
+// that goroutine need not be the caller's: the compiled kernel fills the
+// fault-free machine on a goroutine of its own, so At may run while
+// SimOptions.Progress runs. Simulate returns only after its last At
+// call. A panic in At reaches Simulate's caller.
 type VectorSeq interface {
 	Len() int
 	At(cycle int) uint64
@@ -141,14 +147,15 @@ type SimOptions struct {
 	// the content-addressed artifact reuse path (internal/artifacts).
 	// Nil compiles on demand via logic.CompiledFor's per-netlist memo.
 	Program *logic.Compiled
-	// Trace, when non-nil, is a shared good-machine trace for exactly
-	// this (netlist, vector sequence) pair, addressed by absolute cycle.
-	// Recorded cycles are replayed without resimulating the fault-free
-	// machine; missing cycles are filled in place and stay recorded for
-	// later runs. The caller owns the pairing guarantee — a trace from
-	// different vectors silently corrupts results — and must not share a
-	// partially-filled trace across concurrent runs (a complete trace is
-	// read-only and safe to share). Nil uses a run-local windowed trace.
+	// Trace, when non-nil, is a complete good-machine trace for exactly
+	// this (netlist, vector sequence) pair: every cycle of the sequence
+	// recorded, addressed by absolute cycle (see FillGoodTrace). The run
+	// replays it read-only and simulates no fault-free cycle, so one
+	// trace is safe to share across concurrent runs. Simulate rejects a
+	// trace that records fewer cycles than the sequence has. The caller
+	// owns the pairing guarantee: a trace from different vectors
+	// silently corrupts results. Nil fills a run-local trace one segment
+	// ahead of the fault batches.
 	Trace *logic.GoodTrace
 }
 
@@ -322,6 +329,9 @@ func Simulate(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error
 	if len(n.Inputs()) > 64 {
 		return nil, fmt.Errorf("fault: %d primary inputs exceed the 64 supported", len(n.Inputs()))
 	}
+	if t := opts.Trace; t != nil && t.ValidThrough() < vecs.Len() {
+		return nil, fmt.Errorf("fault: SimOptions.Trace records %d of %d cycles", t.ValidThrough(), vecs.Len())
+	}
 	if opts.Kernel == KernelReference {
 		return simulateReference(n, vecs, opts), nil
 	}
@@ -346,8 +356,6 @@ type simRun struct {
 	states [][]uint64
 	// remaining holds indices into faults still undetected.
 	remaining []int
-
-	segVecs []uint64
 }
 
 func newSimRun(n *logic.Netlist, vecs VectorSeq, opts SimOptions, stateWords int) *simRun {
@@ -392,29 +400,17 @@ func newSimRun(n *logic.Netlist, vecs VectorSeq, opts SimOptions, stateWords int
 		counts:    counts,
 		states:    states,
 		remaining: remaining,
-		segVecs:   make([]uint64, 0, segLen),
 	}
-}
-
-// expandSegment memoizes the vectors of segment [start, end) so
-// VectorSeq.At (and any user FuncSeq.Fn) runs once per cycle per
-// segment rather than once per 63-fault batch replay.
-func (r *simRun) expandSegment(vecs VectorSeq, start, end int) []uint64 {
-	r.segVecs = r.segVecs[:0]
-	for c := start; c < end; c++ {
-		r.segVecs = append(r.segVecs, vecs.At(c))
-	}
-	return r.segVecs
 }
 
 // finishSegment applies the common per-segment bookkeeping and
 // telemetry after the survivors of segment [start, end) are known.
-func (r *simRun) finishSegment(span *obs.Span, opts SimOptions, survivors []int, end, total int) {
+func (r *simRun) finishSegment(span *obs.Span, opts SimOptions, survivors []int, start, end, total int) {
 	dropped := len(r.remaining) - len(survivors)
 	r.remaining = survivors
-	ctrVectors.Add(int64(len(r.segVecs)))
+	ctrVectors.Add(int64(end - start))
 	ctrDropped.Add(int64(dropped))
-	span.Add("vectors", int64(len(r.segVecs)))
+	span.Add("vectors", int64(end-start))
 	span.Add("faults_dropped", int64(dropped))
 	if opts.Progress != nil {
 		opts.Progress(end, len(r.faults)-len(r.remaining), len(r.remaining))
@@ -454,6 +450,7 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 	goodState := make([]uint64, w.StateWords())
 	nextGoodState := make([]uint64, w.StateWords())
 	gatesPerSettle := int64(len(n.CombOrder()))
+	segVecs := make([]uint64, 0, r.segLen)
 
 	ctrRuns.Add(1)
 	span := obs.NewSpan(opts.Sink, "faultsim")
@@ -474,7 +471,12 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 		if end > total {
 			end = total
 		}
-		segVecs := r.expandSegment(vecs, start, end)
+		// Expand the segment's vectors once, so VectorSeq.At runs once
+		// per cycle rather than once per 63-fault batch replay.
+		segVecs = segVecs[:0]
+		for c := start; c < end; c++ {
+			segVecs = append(segVecs, vecs.At(c))
+		}
 		goodSaved := false
 		var segEvals int64
 		var survivors []int
@@ -540,7 +542,7 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 		ctrGateEvalsRef.Add(segEvals)
 		span.Add("gate_evals", segEvals)
 		span.Add("gate_evals_saved", 0)
-		r.finishSegment(span, opts, survivors, end, total)
+		r.finishSegment(span, opts, survivors, start, end, total)
 	}
 	return r.finish(span, applied)
 }
