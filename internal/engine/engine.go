@@ -57,11 +57,14 @@ const shardAttempts = 2
 type SimOptions struct {
 	fault.SimOptions
 	// Workers is the number of simulation shards, each with its own
-	// simulator on its own goroutine. It counts shards, not goroutines:
-	// a shard without a complete artifact trace also fills its good
-	// machine on a goroutine of its own, one segment ahead (see
-	// fault.SimOptions.Trace). Zero selects runtime.NumCPU(); one takes
-	// the exact serial fault.Simulate path and returns its exact result.
+	// simulator on its own goroutine. It counts shards, not goroutines or
+	// cores: one shard already replays its fault batches on every core
+	// (GOMAXPROCS), beside a goroutine that fills its good machine when
+	// it has no complete artifact trace (see fault.SimOptions.Trace), so
+	// more shards buy fault isolation — a panicking shard is retried
+	// alone — rather than throughput. Zero selects runtime.NumCPU(); one
+	// takes the exact serial fault.Simulate path and returns its exact
+	// result.
 	Workers int
 	// ShadowSample is the fraction of each shard's faults re-simulated
 	// through the serial reference kernel (fault.KernelReference) after

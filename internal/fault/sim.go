@@ -339,8 +339,8 @@ func Simulate(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error
 }
 
 // simRun is the kernel-independent run state: the fault list, result
-// accumulators, the per-fault saved DFF state (survivor-compacted at
-// each segment boundary) and the memoized segment vector buffer.
+// accumulators and the per-fault saved DFF state, survivor-compacted at
+// each segment boundary.
 type simRun struct {
 	faults []Fault
 	segLen int
