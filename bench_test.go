@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/bist"
+	"repro/internal/designs"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/isa"
@@ -226,6 +227,25 @@ func BenchmarkPseudorandomBIST(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGoodTraceFill records the fault-free trace of 8 192 LFSR
+// vectors on dsp, one whole fill per op into a row TraceBits wide: the
+// good-machine pass every compiled-kernel campaign runs ahead of its
+// fault batches.
+func BenchmarkGoodTraceFill(b *testing.B) {
+	d, err := designs.Build("dsp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := logic.CompiledFor(d.Netlist)
+	vecs := bist.PseudorandomVectors(8192, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := logic.NewGoodTrace(prog.TraceBits(), vecs.Len())
+		fault.FillGoodTrace(d.Netlist, prog, vecs, tr, vecs.Len())
+	}
+	b.ReportMetric(float64(prog.TraceBits()), "row-bits")
 }
 
 // ---- Ablation benches (DESIGN.md "key design choices") ----

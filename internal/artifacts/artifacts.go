@@ -219,12 +219,12 @@ func (h *Handle) Program(build func() *logic.Compiled) *logic.Compiled {
 // first use. If a complete trace is resident it is returned as-is (it
 // is immutable; concurrent readers are safe). Otherwise the caller may
 // become the single fill owner: fill runs outside the store lock on a
-// full-length trace (numNets nets × cycles cycles) and must record it
-// through cycles before returning. Returns nil — caller proceeds with
-// its own run-local trace — when another leaseholder is mid-fill, or
-// when the projected trace would exceed a quarter of the byte budget
-// (such traces are never cached).
-func (h *Handle) Trace(numNets, cycles int, fill func(*logic.GoodTrace)) *logic.GoodTrace {
+// full-length trace (rows of bits bits — the program's TraceBits — ×
+// cycles cycles) and must record it through cycles before returning.
+// Returns nil — caller proceeds with its own run-local trace — when
+// another leaseholder is mid-fill, or when the projected trace would
+// exceed a quarter of the byte budget (such traces are never cached).
+func (h *Handle) Trace(bits, cycles int, fill func(*logic.GoodTrace)) *logic.GoodTrace {
 	s, e := h.s, h.e
 	s.mu.Lock()
 	if e.complete {
@@ -232,13 +232,13 @@ func (h *Handle) Trace(numNets, cycles int, fill func(*logic.GoodTrace)) *logic.
 		s.mu.Unlock()
 		return tr
 	}
-	projected := int64((numNets+63)/64) * 8 * int64(cycles)
+	projected := int64((bits+63)/64) * 8 * int64(cycles)
 	if e.filling || projected > s.budget/4 {
 		s.mu.Unlock()
 		return nil
 	}
 	if e.trace == nil {
-		e.trace = logic.NewGoodTrace(numNets, cycles)
+		e.trace = logic.NewGoodTrace(bits, cycles)
 	}
 	tr := e.trace
 	e.filling = true

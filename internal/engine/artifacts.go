@@ -48,7 +48,7 @@ func resolveArtifacts(n *logic.Netlist, vecs fault.VectorSeq, opts *SimOptions) 
 		ctrProgramBuilds.Add(1)
 		return logic.CompiledFor(n)
 	})
-	if tr := h.Trace(n.NumNets(), vecs.Len(), func(tr *logic.GoodTrace) {
+	if tr := h.Trace(opts.Program.TraceBits(), vecs.Len(), func(tr *logic.GoodTrace) {
 		ctrTracePrefills.Add(1)
 		fault.FillGoodTrace(n, opts.Program, vecs, tr, vecs.Len())
 	}); tr != nil && tr.ValidThrough() >= vecs.Len() {

@@ -53,7 +53,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 	var fill *goodFiller
 	if opts.Trace == nil && total > 0 && len(r.remaining) > 0 {
 		claimers = append(claimers, &claimer{})
-		fill = startGoodFiller(c, n.NumNets(), vecs, sched, min(r.segLen, total), claimers[1])
+		fill = startGoodFiller(c, c.TraceBits(), vecs, sched, min(r.segLen, total), claimers[1])
 		defer fill.close()
 	}
 	ownCores := len(claimers)
@@ -415,7 +415,9 @@ type goodFiller struct {
 	panicked any
 }
 
-func startGoodFiller(c *logic.Compiled, numNets int, vecs VectorSeq, sched segSchedule, window int, cl *claimer) *goodFiller {
+// startGoodFiller starts a filler whose two windows hold window cycles
+// of rows bits bits wide (c.TraceBits, or wider).
+func startGoodFiller(c *logic.Compiled, bits int, vecs VectorSeq, sched segSchedule, window int, cl *claimer) *goodFiller {
 	f := &goodFiller{
 		segs:    make(chan goodSegment, 1),
 		free:    make(chan *logic.GoodTrace, 2),
@@ -424,8 +426,8 @@ func startGoodFiller(c *logic.Compiled, numNets int, vecs VectorSeq, sched segSc
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	f.free <- logic.NewGoodTrace(numNets, window)
-	f.free <- logic.NewGoodTrace(numNets, window)
+	f.free <- logic.NewGoodTrace(bits, window)
+	f.free <- logic.NewGoodTrace(bits, window)
 	go f.run(c, vecs, sched)
 	return f
 }

@@ -141,14 +141,20 @@ type Compiled struct {
 
 // fillProgram is the compiled program with every single-buffer chain —
 // fanout branches, port aliases; two thirds of the instructions on the
-// branched DSP core — aliased to its source. No injection mask can apply
-// to the fault-free machine, so nothing needs a buffer's own slot: slot
-// maps every net, elided or not, to the compiled slot that holds its
-// value. GoodTrace.Extend runs it.
+// branched DSP core — aliased to its source, over value slots numbered
+// densely: the non-combinational nets (inputs, constants, flip-flops) in
+// net order, then the nets the program computes in schedule order, then
+// the chain temporaries. No injection mask can apply to the fault-free
+// machine, so nothing needs a buffer's own slot: slot maps every net,
+// elided or not, to the dense slot that holds its value, and slots
+// [0, bits) — each distinct net value once — are a trace row in the
+// order the program leaves them. GoodTrace.Extend runs it.
 type fillProgram struct {
 	code            []opcode
 	dst, a0, a1, a2 []int32
 	slot            []int32 // per real net
+	bits            int     // dense slots holding net values: the trace row width
+	nvals           int     // dense slots, temporaries included
 }
 
 // Compile builds the evaluation program for n. The result is immutable
@@ -307,34 +313,57 @@ func (c *Compiled) buildBlocks() {
 	}
 }
 
-// buildFill derives the buffer-free program from the compiled one. The
+// buildFill derives the buffer-free program from the compiled one and
+// renumbers its operands into the dense slots (see fillProgram). The
 // schedule is topological, so a buffer's source already has its final
-// slot when the buffer is reached.
+// slot when the buffer is reached; temporaries were allocated in
+// schedule order, so they keep their relative order past the nets.
 func (c *Compiled) buildFill() {
 	f := &c.fill
 	f.slot = make([]int32, c.numNets)
-	for id := range f.slot {
-		f.slot[id] = int32(id)
+	next := int32(0)
+	for id, pos := range c.orderPos {
+		if pos < 0 {
+			f.slot[id] = next
+			next++
+		}
 	}
-	src := func(op int32) int32 {
+	isBuf := func(id NetID) bool {
+		ps := c.pcStart[id]
+		return c.pcEnd[id]-ps == 1 && c.code[ps] == opBuf
+	}
+	for _, id := range c.schedule {
+		if isBuf(id) {
+			f.slot[id] = f.slot[c.a0[c.pcStart[id]]]
+		} else {
+			f.slot[id] = next
+			next++
+		}
+	}
+	f.bits = int(next)
+	f.nvals = f.bits + c.slots - c.numNets
+	dense := func(op int32) int32 {
 		if int(op) < c.numNets {
 			return f.slot[op]
 		}
-		return op // chain temporary
+		return op - int32(c.numNets) + int32(f.bits) // chain temporary
 	}
 	for _, id := range c.schedule {
-		ps, pe := c.pcStart[id], c.pcEnd[id]
-		if pe-ps == 1 && c.code[ps] == opBuf {
-			f.slot[id] = f.slot[c.a0[ps]]
+		if isBuf(id) {
 			continue
 		}
-		for pc := ps; pc < pe; pc++ {
+		for pc := c.pcStart[id]; pc < c.pcEnd[id]; pc++ {
 			f.code = append(f.code, c.code[pc])
-			f.dst = append(f.dst, c.dst[pc])
-			f.a0, f.a1, f.a2 = append(f.a0, src(c.a0[pc])), append(f.a1, src(c.a1[pc])), append(f.a2, src(c.a2[pc]))
+			f.dst = append(f.dst, dense(c.dst[pc]))
+			f.a0, f.a1, f.a2 = append(f.a0, dense(c.a0[pc])), append(f.a1, dense(c.a1[pc])), append(f.a2, dense(c.a2[pc]))
 		}
 	}
 }
+
+// TraceBits returns the width in bits of the trace row GoodTrace.Extend
+// records: one bit per dense fill slot holding a net value — every net
+// but the elided buffers, whose bit is their source's.
+func (c *Compiled) TraceBits() int { return c.fill.bits }
 
 // NumBlocks returns the number of cache blocks the schedule was cut
 // into (see BlockSlots).

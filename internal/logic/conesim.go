@@ -427,7 +427,10 @@ func (e *ConeSim) buildSweep() {
 			}
 		}
 	}
-	good := func(net int32) (word, bit int32) { return e.rowBase + net>>6, net & 63 }
+	good := func(net int32) (word, bit int32) {
+		k := e.trace.bitOf(NetID(net))
+		return e.rowBase + k>>6, k & 63
+	}
 	// read resolves a referenced slot through the aliases and, the first
 	// time nothing in the cone produces it, seeds it ahead of the reader:
 	// a cone flip-flop's Q from its divergence stripe, anything else — the

@@ -6,12 +6,14 @@ package logic
 // here and in package logic_test compare Extend against.
 
 // Record snapshots lane 0 of the simulator's settled frame at the given
-// absolute cycle and advances the valid watermark. Cycles must be
-// recorded in order from the watermark.
+// absolute cycle, one bit per net in net order (the identity alias), and
+// advances the valid watermark. Cycles must be recorded in order from the
+// watermark.
 func (t *GoodTrace) Record(cycle int, s *CompiledSim) {
 	if cycle != t.valid || cycle < t.off || cycle >= t.off+t.cap {
 		panic("logic: GoodTrace.Record out of order or outside window")
 	}
+	t.alias = nil
 	row := t.row(cycle)
 	for i := range row {
 		row[i] = 0
@@ -56,10 +58,4 @@ func (t *GoodTrace) OracleExtend(c *Compiled, end int, at func(int) uint64) {
 	frontier := make([]uint64, good.StateWords())
 	good.LaneState(0, frontier)
 	t.SetFrontier(end, frontier)
-}
-
-// Rows exposes the recorded rows of absolute cycles [from, to) for
-// comparison.
-func (t *GoodTrace) Rows(from, to int) []uint64 {
-	return t.bits[(from-t.off)*t.words : (to-t.off)*t.words]
 }
