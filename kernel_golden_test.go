@@ -15,7 +15,7 @@ import (
 	"repro/internal/fault"
 )
 
-var updateKernelGolden = flag.Bool("update", false, "rewrite testdata/kernel_golden.json from the current code")
+var update = flag.Bool("update", false, "rewrite the golden files of the selected tests (testdata/kernel_golden.json, testdata/surface.json) from the current code")
 
 const kernelGoldenPath = "testdata/kernel_golden.json"
 
@@ -60,7 +60,7 @@ func TestKernelGolden(t *testing.T) {
 	}
 
 	golden := map[string]string{}
-	if !*updateKernelGolden {
+	if !*update {
 		raw, err := os.ReadFile(kernelGoldenPath)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestKernelGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := resultHash(res)
-			if *updateKernelGolden {
+			if *update {
 				if prev, ok := golden[c.name]; ok && prev != got {
 					t.Fatalf("%s: width %d hashes to %s, an earlier width to %s", c.name, lw, got, prev)
 				}
@@ -106,7 +106,7 @@ func TestKernelGolden(t *testing.T) {
 			}
 		}
 	}
-	if *updateKernelGolden {
+	if *update {
 		raw, err := json.MarshalIndent(golden, "", "  ")
 		if err != nil {
 			t.Fatal(err)
