@@ -143,6 +143,37 @@ func TestShadowCatchesCorruptedKernel(t *testing.T) {
 	}
 }
 
+// TestSerialCallIsGuarded: a one-worker call, the configuration every
+// gated benchmark and the fastest default run, is guarded like any
+// other. With chaos corrupting compiled-kernel batch words, the guard
+// must record the divergence and the call must still return the
+// reference oracle's detection cycles.
+func TestSerialCallIsGuarded(t *testing.T) {
+	core, faults := testCore(t)
+	if len(faults) > 800 {
+		faults = faults[:800]
+	}
+	vecs := bist.PseudorandomVectors(300, 1)
+	want := referenceResult(t, faults, vecs)
+
+	armChaos(t, "logic.eventsim.diff=corrupt:times=100", 42)
+	divBefore := counter("kernel.divergence")
+	res, err := Simulate(core.Netlist, vecs, SimOptions{
+		SimOptions:   fault.SimOptions{Faults: faults},
+		Workers:      1,
+		ShadowSample: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counter("kernel.divergence") - divBefore; got < 1 {
+		t.Fatal("corrupted kernel batches on a one-worker call produced no recorded divergence")
+	}
+	if !reflect.DeepEqual(res.DetectedAt, want.DetectedAt) {
+		t.Fatal("one-worker result under corruption diverges from the reference oracle")
+	}
+}
+
 // TestShardPanicRecoveredAndRetried: an injected shard panic must not
 // crash the process or fail the campaign — the shard supervisor
 // retries it and the merged result stays bit-identical.
