@@ -62,11 +62,10 @@ func main() {
 	fmt.Printf("observed %d failing cycles of %d\n", failures, len(observed))
 	span.Add("failing_cycles", int64(failures))
 
-	// Stage-1 candidate simulation shards across -workers cores; the
-	// result feeds Diagnose so it skips its own serial pass.
+	// Stage-1 candidate simulation runs on every core; the result feeds
+	// Diagnose so it skips its own serial pass.
 	presim, err := engine.Simulate(core.Netlist, vecs, engine.SimOptions{
 		SimOptions: fault.SimOptions{Faults: faults, Sink: rt.Sink()},
-		Workers:    obsCfg.Workers,
 	})
 	if err != nil {
 		fail(err)

@@ -61,16 +61,13 @@ func progressPrinter(rc *runContext) func(cycles, detected, remaining int) {
 	}
 }
 
-// simulate runs a sharded fault simulation with the tool's -workers
-// shard count (1 = the exact serial path).
+// simulate runs one guarded fault-simulation call on every core.
 func simulate(rc *runContext, c *dspgate.Core, vecs fault.Vectors, progress bool) *fault.Result {
 	opts := fault.SimOptions{Sink: rc.sink, Ctx: rc.ctx}
 	if progress {
 		opts.Progress = progressPrinter(rc)
 	}
-	res, err := engine.Simulate(c.Netlist, vecs, engine.SimOptions{
-		SimOptions: opts, Workers: rc.workers,
-	})
+	res, err := engine.Simulate(c.Netlist, vecs, engine.SimOptions{SimOptions: opts})
 	if err != nil {
 		panic(err)
 	}
@@ -453,7 +450,7 @@ func runE13(rc *runContext) {
 	if rc.quick {
 		g = &api.GaSpec{Population: 4, Generations: 3, Slots: 6, Iterations: 20, Seed: 3}
 	}
-	exec := engine.NewExecutor(engine.ExecConfig{Workers: rc.workers, Sink: rc.sink})
+	exec := engine.NewExecutor(engine.ExecConfig{Sink: rc.sink})
 	res, err := exec(rc.ctx, engine.JobSpec{Kind: engine.JobGaSearch, Ga: g}, func(engine.Progress) {})
 	if err != nil {
 		panic(err)

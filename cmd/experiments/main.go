@@ -36,10 +36,9 @@ import (
 )
 
 type runContext struct {
-	quick   bool
-	out     *os.File
-	sink    obs.Sink
-	workers int
+	quick bool
+	out   *os.File
+	sink  obs.Sink
 	// ctx carries the -deadline bound into every fault simulation; an
 	// expired deadline stops the current campaign at the next segment
 	// boundary and the experiment reports partial numbers.
@@ -102,7 +101,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	rc := &runContext{quick: *quick, sink: rt.Sink(), workers: obsCfg.Workers, ctx: ctx,
+	rc := &runContext{quick: *quick, sink: rt.Sink(), ctx: ctx,
 		metrics: map[string]map[string]any{}, gaArtifact: *gaArtifact}
 	if *outPath != "" {
 		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -11,10 +11,10 @@
 // design's input port).
 //
 // Progress renders as a throttled status line on stderr; -trace writes
-// the structured NDJSON event stream, -v adds span/summary lines,
-// -cpuprofile captures the simulator's hot loops and -workers shards
-// the fault list across cores (1 = exact serial path). Ctrl-C stops the
-// run at the next segment boundary and still prints the partial summary.
+// the structured NDJSON event stream, -v adds span/summary lines and
+// -cpuprofile captures the simulator's hot loops; the simulation itself
+// spends every core. Ctrl-C stops the run at the next segment boundary
+// and still prints the partial summary.
 package main
 
 import (
@@ -127,7 +127,6 @@ func main() {
 			Sink:   sink,
 			Ctx:    ctx,
 		},
-		Workers: obsCfg.Workers,
 	})
 	if err != nil {
 		fail(err)

@@ -78,7 +78,7 @@ func main() {
 		Coordinator: *coordinator,
 		ID:          *id,
 		Poll:        *poll,
-		Exec:        engine.ExecConfig{Workers: obsCfg.Workers, Sink: rt.Sink()},
+		Exec:        engine.ExecConfig{Sink: rt.Sink()},
 		Client:      client.New(*coordinator, client.Options{MaxRetries: *retries}),
 		Sink:        rt.Sink(),
 	})

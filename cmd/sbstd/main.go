@@ -1,8 +1,8 @@
 // Command sbstd is the self-test campaign server: a long-running HTTP
 // daemon that queues fault-simulation, n-detect, sequential-ATPG,
 // composite experiment, campaign-matrix, online-burst and ga_search
-// jobs and runs them on a worker pool, sharding each fault simulation
-// across cores. Each job's "design" field selects the simulated
+// jobs and runs them on a worker pool, each fault simulation on every
+// core. Each job's "design" field selects the simulated
 // circuit from the design registry — the gate-level DSP core by
 // default, a generated family member ("fam/w8r4s1l1p2"), or a bundled
 // .bench netlist ("bench/c432"); GET /v1/meta lists the bundled IDs. A
@@ -129,10 +129,7 @@ func main() {
 	}
 
 	events := engine.NewJobEventBroker()
-	execCfg := engine.ExecConfig{
-		Workers: obsCfg.Workers,
-		Sink:    rt.Sink(),
-	}
+	execCfg := engine.ExecConfig{Sink: rt.Sink()}
 	exec := engine.NewExecutor(execCfg)
 
 	// The write-ahead journal opens first: its replayed records stack on

@@ -208,9 +208,9 @@ type JobSpec struct {
 	Online *OnlineSpec `json:"online,omitempty"`
 	// Ga configures ga_search jobs; nil selects defaults.
 	Ga *GaSpec `json:"ga,omitempty"`
-	// Workers is the fault-simulation shard count (0 = all cores,
-	// 1 = exact serial path). On a coordinator this bounds each work
-	// unit's local shard count instead.
+	// Workers is accepted and ignored: a job's simulation is one call,
+	// which spends every core. It stays on the wire so older clients'
+	// specs still validate.
 	Workers int `json:"workers,omitempty"`
 	// NDetect is the per-fault detection target for n_detect jobs
 	// (default 5).

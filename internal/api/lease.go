@@ -32,7 +32,7 @@ type LeaseRequest struct {
 }
 
 // WorkUnit is the payload of a lease: everything a worker needs to
-// reproduce the coordinator's shard-local simulation exactly. The
+// reproduce its slice of the coordinator's simulation exactly. The
 // worker builds the same gate-level core, collapses the same fault
 // list, simulates Faults[FaultLo:FaultHi] against the spec's stimulus,
 // and uploads the per-fault detection bitmap.
@@ -51,8 +51,8 @@ type WorkUnit struct {
 	FaultLo     int `json:"fault_lo"`
 	FaultHi     int `json:"fault_hi"`
 	TotalFaults int `json:"total_faults"`
-	// ShadowSample/ShadowSeed forward the coordinator's shadow
-	// cross-checking policy onto the worker's kernel (see
+	// ShadowSample/ShadowSeed forward the coordinator's window-audit
+	// policy onto the worker's kernel (fault.SimOptions; see
 	// docs/RESILIENCE.md).
 	ShadowSample float64 `json:"shadow_sample,omitempty"`
 	ShadowSeed   int64   `json:"shadow_seed,omitempty"`

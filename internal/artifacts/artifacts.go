@@ -8,7 +8,7 @@
 // cycles regardless of which job, matrix cell or queue retry asked.
 //
 // The store is a refcounted LRU under a byte budget. Leased entries
-// (refs > 0) are never evicted — a shard may be replaying the trace —
+// (refs > 0) are never evicted — a call may be replaying the trace —
 // and a trace whose projected size exceeds a quarter of the budget is
 // never cached at all, so one giant campaign cannot wipe the working
 // set of everything else. Fill ownership is single-writer: the first
@@ -274,7 +274,7 @@ func (s *Store) addBytesLocked(e *entry, delta int64) {
 
 // evictLocked drops least-recently-leased unreferenced entries until
 // the store fits its budget. Entries still leased are skipped — a
-// shard may hold the trace — so a burst of concurrent oversized
+// call may hold the trace — so a burst of concurrent oversized
 // campaigns can transiently exceed the budget; it drains as they
 // release.
 func (s *Store) evictLocked() {

@@ -14,8 +14,8 @@ var (
 	ctrProgramBuilds = obs.Default().Counter("engine.sim.program_builds")
 	// ctrTracePrefills counts whole-trace good-machine prefills on the
 	// artifact path (each one is vecs.Len() cycles of fault-free
-	// simulation, done once and then shared by every shard and every
-	// later job on the same key).
+	// simulation, done once and then shared by every later job on the
+	// same key).
 	ctrTracePrefills = obs.Default().Counter("engine.sim.trace_prefills")
 )
 
@@ -29,8 +29,8 @@ var (
 //
 // The returned release function drops the store lease and must run
 // after the simulation completes — leased entries are exempt from
-// eviction, which is what keeps a shared trace alive while shards
-// replay it.
+// eviction, which is what keeps a shared trace alive while the call
+// replays it.
 func resolveArtifacts(n *logic.Netlist, vecs fault.VectorSeq, opts *SimOptions) func() {
 	if opts.NoArtifacts || opts.DesignHash == "" || vecs.Len() == 0 {
 		return func() {}

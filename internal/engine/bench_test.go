@@ -10,13 +10,13 @@ import (
 
 // benchVectors sizes the Table-1-scale pseudorandom campaign on the
 // gate-level DSP core: the full collapsed fault list against 8192 LFSR
-// vectors, serial, on the default (compiled) kernel — the op bench/'s
+// vectors, on the default (compiled) kernel — the op bench/'s
 // kernel_table1 workload times, kept here for use under go test:
 //
 //	go test -bench SimulateSerial -benchtime 3x ./internal/engine
 const benchVectors = 8192
 
-func benchSimulate(b *testing.B) {
+func benchSimulate(b *testing.B, shadowSample float64) {
 	core, faults, err := SharedCore()
 	if err != nil {
 		b.Fatal(err)
@@ -28,8 +28,7 @@ func benchSimulate(b *testing.B) {
 	var cov float64
 	for i := 0; i < b.N; i++ {
 		res, err := Simulate(core.Netlist, vecs, SimOptions{
-			SimOptions: fault.SimOptions{Faults: faults},
-			Workers:    1,
+			SimOptions: fault.SimOptions{Faults: faults, ShadowSample: shadowSample},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -47,7 +46,12 @@ func benchSimulate(b *testing.B) {
 	b.ReportMetric(float64(evals.Load()-evals0)/(float64(benchVectors)*float64(b.N)), "gate-evals/cycle")
 }
 
-func BenchmarkSimulateSerial(b *testing.B) { benchSimulate(b) }
+// BenchmarkSimulateSerial times the op with the default window audit
+// and with the audit off; their difference is what the guard costs.
+func BenchmarkSimulateSerial(b *testing.B) {
+	b.Run("audit=default", func(b *testing.B) { benchSimulate(b, 0) })
+	b.Run("audit=off", func(b *testing.B) { benchSimulate(b, -1) })
+}
 
 // BenchmarkMetricsOverhead measures what the metric instrumentation on
 // the compiled-kernel hot path costs: the same serial workload with the
@@ -61,11 +65,11 @@ func BenchmarkSimulateSerial(b *testing.B) { benchSimulate(b) }
 func BenchmarkMetricsOverhead(b *testing.B) {
 	b.Run("armed", func(b *testing.B) {
 		obs.SetArmed(true)
-		benchSimulate(b)
+		benchSimulate(b, 0)
 	})
 	b.Run("disarmed", func(b *testing.B) {
 		obs.SetArmed(false)
 		defer obs.SetArmed(true)
-		benchSimulate(b)
+		benchSimulate(b, 0)
 	})
 }

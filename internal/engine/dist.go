@@ -33,9 +33,9 @@ type DistOptions struct {
 	// split into (default 8). More units than workers keeps the fleet
 	// busy and shrinks the re-run cost of a lost lease.
 	Units int
-	// ShadowSample/ShadowSeed forward the shadow cross-checking policy
-	// into every unit, so workers guard their compiled kernel exactly
-	// like the in-process path does (see docs/RESILIENCE.md).
+	// ShadowSample/ShadowSeed forward the window audit's policy into
+	// every unit, so workers guard their compiled kernel exactly like the
+	// in-process path does (see docs/RESILIENCE.md).
 	ShadowSample float64
 	ShadowSeed   int64
 	// OnMerged, when set, receives each distributed campaign's merged
@@ -155,8 +155,8 @@ func (poolRunner) concurrent() bool { return true }
 // protocol. It resolves the unit's design through the registry cache,
 // refuses units whose fault-list length disagrees with its own build
 // (version skew would silently mis-index the merge), simulates the
-// unit's fault slice with the same sharded engine and shadow
-// cross-checking as a local campaign, and packs the detection bitmaps
+// unit's fault slice with the same guarded call as a local campaign,
+// and packs the detection bitmaps
 // with their checksum.
 func RunWorkUnit(ctx context.Context, workerID string, u api.WorkUnit,
 	cfg ExecConfig, progress func(api.Progress)) (*api.UnitResult, error) {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/bist"
@@ -21,8 +20,8 @@ func testCore(t testing.TB) (*dspgate.Core, []fault.Fault) {
 }
 
 // shortFaults trims the fault list under -short: the race detector
-// multiplies per-batch simulation cost, and shard-merge semantics are
-// fully exercised by a prefix of the collapsed list.
+// multiplies per-batch simulation cost, and a prefix of the collapsed
+// list exercises the same paths.
 func shortFaults(faults []fault.Fault, n int) []fault.Fault {
 	if testing.Short() && len(faults) > n {
 		return faults[:n]
@@ -30,92 +29,75 @@ func shortFaults(faults []fault.Fault, n int) []fault.Fault {
 	return faults
 }
 
-// TestSimulateMatchesSerial is the shard-merge equivalence guarantee:
-// for every worker count, the merged DetectedAt, Detections and the
-// coverage curve must be byte-identical to the serial fault.Simulate on
-// the dspgate netlist.
+// TestSimulateMatchesSerial: a call that audits every window returns
+// DetectedAt, Detections and the coverage curve byte-identical to an
+// unaudited fault.Simulate on the dspgate netlist — the audit changes
+// nothing it checks.
 func TestSimulateMatchesSerial(t *testing.T) {
 	core, faults := testCore(t)
 	count := 1500
-	workerCounts := []int{1, 2, 7, runtime.NumCPU()}
 	if testing.Short() {
-		// The race detector multiplies simulation cost; shrink the
-		// workload but keep real multi-shard coverage.
+		// The race detector multiplies simulation cost.
 		count = 300
-		workerCounts = []int{1, 2, 7}
 		faults = shortFaults(faults, 1500)
 	}
 	vecs := bist.PseudorandomVectors(count, 1)
 	serial, err := fault.Simulate(core.Netlist, vecs, fault.SimOptions{
-		Faults: faults, SegmentLen: 256,
+		Faults: faults, SegmentLen: 256, ShadowSample: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range workerCounts {
-		par, err := Simulate(core.Netlist, vecs, SimOptions{
-			SimOptions: fault.SimOptions{Faults: faults, SegmentLen: 256},
-			Workers:    workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(par.DetectedAt, serial.DetectedAt) {
-			t.Fatalf("workers=%d: DetectedAt diverges from serial", workers)
-		}
-		if par.Detections != nil || serial.Detections != nil {
-			t.Fatalf("workers=%d: unexpected Detections", workers)
-		}
-		if par.Cycles != serial.Cycles || par.Interrupted != serial.Interrupted {
-			t.Fatalf("workers=%d: cycles/interrupted %d/%v vs serial %d/%v",
-				workers, par.Cycles, par.Interrupted, serial.Cycles, serial.Interrupted)
-		}
-		if par.Coverage() != serial.Coverage() {
-			t.Fatalf("workers=%d: coverage %v vs serial %v", workers, par.Coverage(), serial.Coverage())
-		}
-		for cyc := 0; cyc <= serial.Cycles; cyc += 250 {
-			if par.CoverageAt(cyc) != serial.CoverageAt(cyc) {
-				t.Fatalf("workers=%d: coverage curve diverges at cycle %d", workers, cyc)
-			}
+	par, err := Simulate(core.Netlist, vecs, SimOptions{
+		SimOptions: fault.SimOptions{Faults: faults, SegmentLen: 256, ShadowSample: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par.DetectedAt, serial.DetectedAt) {
+		t.Fatal("DetectedAt diverges from serial")
+	}
+	if par.Detections != nil || serial.Detections != nil {
+		t.Fatal("unexpected Detections")
+	}
+	if par.Cycles != serial.Cycles || par.Interrupted != serial.Interrupted {
+		t.Fatalf("cycles/interrupted %d/%v vs serial %d/%v",
+			par.Cycles, par.Interrupted, serial.Cycles, serial.Interrupted)
+	}
+	for cyc := 0; cyc <= serial.Cycles; cyc += 250 {
+		if par.CoverageAt(cyc) != serial.CoverageAt(cyc) {
+			t.Fatalf("coverage curve diverges at cycle %d", cyc)
 		}
 	}
 }
 
-// TestSimulateNDetectMatchesSerial extends equivalence to the n-detect
-// counters.
+// TestSimulateNDetectMatchesSerial extends the same to the n-detect
+// counters, which the audit checks lane by lane.
 func TestSimulateNDetectMatchesSerial(t *testing.T) {
 	core, faults := testCore(t)
 	count := 800
-	workerCounts := []int{2, 7}
 	if testing.Short() {
 		count = 250
-		workerCounts = []int{2}
 		faults = shortFaults(faults, 1000)
 	}
 	vecs := bist.PseudorandomVectors(count, 3)
 	serial, err := fault.Simulate(core.Netlist, vecs, fault.SimOptions{
-		Faults: faults, SegmentLen: 256, NDetect: 3,
+		Faults: faults, SegmentLen: 256, NDetect: 3, ShadowSample: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range workerCounts {
-		par, err := Simulate(core.Netlist, vecs, SimOptions{
-			SimOptions: fault.SimOptions{Faults: faults, SegmentLen: 256, NDetect: 3},
-			Workers:    workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(par.DetectedAt, serial.DetectedAt) {
-			t.Fatalf("workers=%d: DetectedAt diverges", workers)
-		}
-		if !reflect.DeepEqual(par.Detections, serial.Detections) {
-			t.Fatalf("workers=%d: Detections diverges", workers)
-		}
-		if par.NDetectCoverage(3) != serial.NDetectCoverage(3) {
-			t.Fatalf("workers=%d: n-detect coverage diverges", workers)
-		}
+	par, err := Simulate(core.Netlist, vecs, SimOptions{
+		SimOptions: fault.SimOptions{Faults: faults, SegmentLen: 256, NDetect: 3, ShadowSample: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par.DetectedAt, serial.DetectedAt) {
+		t.Fatal("DetectedAt diverges")
+	}
+	if !reflect.DeepEqual(par.Detections, serial.Detections) {
+		t.Fatal("Detections diverges")
 	}
 }
 
@@ -131,7 +113,7 @@ func TestSimulateNilFaultsCollapses(t *testing.T) {
 		count = 128
 	}
 	vecs := bist.PseudorandomVectors(count, 1)
-	par, err := Simulate(core.Netlist, vecs, SimOptions{Workers: 4})
+	par, err := Simulate(core.Netlist, vecs, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +126,9 @@ func TestSimulateNilFaultsCollapses(t *testing.T) {
 }
 
 // TestSimulateCancellationMidCampaign cancels from inside a progress
-// callback: every shard must stop at a segment boundary, the merged
-// result must be marked interrupted, and the partial detections must
-// all lie inside the applied prefix.
+// callback: the call must stop at a segment boundary, the result must be
+// marked interrupted, and the partial detections must all lie inside
+// the applied prefix.
 func TestSimulateCancellationMidCampaign(t *testing.T) {
 	core, faults := testCore(t)
 	segment := 512
@@ -182,43 +164,5 @@ func TestSimulateCancellationMidCampaign(t *testing.T) {
 	}
 	if res.Detected() == 0 {
 		t.Fatal("interrupted run should still report the detections it made")
-	}
-}
-
-// TestAggregatorProgress checks the merged progress stream: the frontier
-// never regresses and ends at the sequence length, and the final
-// detected+remaining sums to the fault count.
-func TestAggregatorProgress(t *testing.T) {
-	core, faults := testCore(t)
-	count := 1200
-	if testing.Short() {
-		count = 400
-		faults = shortFaults(faults, 1000)
-	}
-	vecs := bist.PseudorandomVectors(count, 1)
-	last := Progress{}
-	frontier := -1
-	_, err := Simulate(core.Netlist, vecs, SimOptions{
-		SimOptions: fault.SimOptions{
-			Faults:     faults,
-			SegmentLen: 256,
-			Progress: func(cycles, detected, remaining int) {
-				if cycles < frontier {
-					t.Errorf("progress frontier regressed: %d after %d", cycles, frontier)
-				}
-				frontier = cycles
-				last = Progress{Done: cycles, Detected: detected, Remaining: remaining}
-			},
-		},
-		Workers: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frontier != vecs.Len() {
-		t.Fatalf("final frontier %d, want %d", frontier, vecs.Len())
-	}
-	if last.Detected+last.Remaining != len(faults) {
-		t.Fatalf("final detected+remaining %d, want %d", last.Detected+last.Remaining, len(faults))
 	}
 }

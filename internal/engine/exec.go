@@ -18,8 +18,9 @@ import (
 
 // ExecConfig configures the standard executor.
 type ExecConfig struct {
-	// Workers is the default fault-simulation shard count for jobs that
-	// leave Spec.Workers at zero (0 = all cores).
+	// Workers is ignored: a job's simulation is one call, which already
+	// spends every core. It stays because the benchmark sets it, until
+	// ROADMAP item 10(g) deletes it.
 	Workers int
 	// Sink receives each campaign's event stream.
 	Sink obs.Sink
@@ -79,12 +80,13 @@ func (r localRunner) runCell(ctx context.Context, _ string, d *designs.Design, c
 	return simulateUnit(ctx, r.cfg, d, cell, 0, len(d.Faults), 0, 0, update)
 }
 
-// One in-process cell already shards over every core Simulate is given.
+// One in-process cell is one Simulate call, which already spends every
+// core.
 func (localRunner) concurrent() bool { return false }
 
 // NewExecutor returns the production Executor: it resolves the spec's
 // design through the registry cache and runs every job kind against
-// it, sharding fault simulation through Simulate.
+// it, one Simulate call per fault-simulation cell.
 func NewExecutor(cfg ExecConfig) Executor { return newExecutor(cfg, localRunner{cfg}) }
 
 // newExecutor is the one dispatch behind NewExecutor and
@@ -177,9 +179,9 @@ func generatedProgram(src VectorSource) *selftest.Program {
 
 // simulateUnit fault-simulates spec's stimulus against d.Faults[lo:hi]:
 // the whole list for an in-process cell, one leased slice on a worker.
-// It is the only place a job reaches Simulate, so the worker
-// defaulting, the n-detect target, the artifact key and the trace
-// stamp cannot differ between the two.
+// It is the only place a job reaches Simulate, so the n-detect target,
+// the audit policy, the artifact key and the trace stamp cannot differ
+// between the two. The spec's Workers is accepted and ignored.
 func simulateUnit(ctx context.Context, cfg ExecConfig, d *designs.Design, spec JobSpec,
 	lo, hi int, shadowSample float64, shadowSeed int64, progress func(Progress)) (*fault.Result, error) {
 
@@ -187,18 +189,16 @@ func simulateUnit(ctx context.Context, cfg ExecConfig, d *designs.Design, spec J
 	if err != nil {
 		return nil, err
 	}
-	workers := spec.Workers
-	if workers == 0 {
-		workers = cfg.Workers
-	}
 	total := vecs.Len()
 	res, err := Simulate(d.Netlist, vecs, SimOptions{
 		SimOptions: fault.SimOptions{
-			Faults:     d.Faults[lo:hi],
-			NDetect:    specNDetect(spec),
-			SegmentLen: spec.SegmentLen,
-			Ctx:        ctx,
-			Sink:       obs.WithTrace(cfg.Sink, spec.TraceID),
+			Faults:       d.Faults[lo:hi],
+			NDetect:      specNDetect(spec),
+			SegmentLen:   spec.SegmentLen,
+			Ctx:          ctx,
+			Sink:         obs.WithTrace(cfg.Sink, spec.TraceID),
+			ShadowSample: shadowSample,
+			ShadowSeed:   shadowSeed,
 			Progress: func(cycles, detected, remaining int) {
 				if progress != nil {
 					progress(Progress{
@@ -209,10 +209,7 @@ func simulateUnit(ctx context.Context, cfg ExecConfig, d *designs.Design, spec J
 				}
 			},
 		},
-		Workers:      workers,
-		ShadowSample: shadowSample,
-		ShadowSeed:   shadowSeed,
-		DesignHash:   d.Hash,
+		DesignHash: d.Hash,
 	})
 	if err != nil {
 		return nil, err
@@ -335,7 +332,7 @@ const matrixCellScale = 1000
 // independent fault-sim campaigns (designs-major order), rolling the
 // per-cell results into the JobResult.Matrix table. Each cell runs
 // under the derived ID "<job>/<design>+s<scheme>", one after another:
-// the parallelism is inside a cell (shards, or a fleet's work units),
+// the parallelism is inside a cell (every core, or a fleet's work units),
 // and sequential cells keep every design cache hot on one design at a
 // time.
 func runMatrix(ctx context.Context, run cellRunner, jobID string, spec JobSpec, update func(Progress)) (*JobResult, error) {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// captureSink records every event; Simulate's shards emit concurrently.
+// captureSink records every event; a job's goroutines may emit concurrently.
 type captureSink struct {
 	mu     sync.Mutex
 	events []obs.Event
@@ -24,11 +23,11 @@ func (c *captureSink) Emit(ev obs.Event) {
 
 // TestLocalExecutorStampsTrace: an in-process fault_sim stamps the
 // job's trace ID on every simulation event, exactly as a worker unit
-// does, so sbst-trace can attach a non-distributed sbstd's faultsim and
-// engine.sim/shard* spans to the job.
+// does, so sbst-trace can attach a non-distributed sbstd's faultsim
+// span to the job.
 func TestLocalExecutorStampsTrace(t *testing.T) {
 	sink := &captureSink{}
-	exec := NewExecutor(ExecConfig{Workers: 2, Sink: sink})
+	exec := NewExecutor(ExecConfig{Sink: sink})
 	spec := JobSpec{Kind: JobFaultSim, TraceID: "trace-local-1",
 		Vectors: VectorSource{Kind: api.VecBIST, Count: 24, Seed: 1}}
 	if _, err := exec(context.Background(), spec, func(Progress) {}); err != nil {
@@ -36,14 +35,14 @@ func TestLocalExecutorStampsTrace(t *testing.T) {
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
-	sawShard := false
+	sawSim := false
 	for _, ev := range sink.events {
 		if ev.Trace != spec.TraceID {
 			t.Errorf("%s event %q carries trace %q, want %q", ev.Type, ev.Name, ev.Trace, spec.TraceID)
 		}
-		sawShard = sawShard || strings.HasPrefix(ev.Name, "engine.sim/shard")
+		sawSim = sawSim || ev.Name == "faultsim"
 	}
-	if !sawShard {
-		t.Fatalf("no engine.sim/shard* event among %d captured", len(sink.events))
+	if !sawSim {
+		t.Fatalf("no faultsim event among %d captured", len(sink.events))
 	}
 }

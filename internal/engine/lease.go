@@ -14,8 +14,7 @@ import (
 
 // lease.go is the coordinator side of the distributed campaign
 // protocol: a LeasePool splits each fault-simulation job's collapsed
-// fault list into contiguous work units (the same partition arithmetic
-// as the in-process shard planner), hands units to workers under
+// fault list into contiguous work units, hands units to workers under
 // time-bounded leases, and merges the uploaded detection bitmaps back
 // into one per-fault array. Expired and failed leases requeue with the
 // queue's exponential-backoff discipline and a bounded per-unit attempt
@@ -212,8 +211,8 @@ func (p *LeasePool) Close() {
 	p.wg.Wait()
 }
 
-// unitRange is the shard planner shared with Simulate: unit i of n over
-// total faults covers [i*total/n, (i+1)*total/n).
+// unitRange is the unit planner: unit i of n over total faults covers
+// [i*total/n, (i+1)*total/n).
 func unitRange(i, n, total int) (lo, hi int) {
 	return i * total / n, (i + 1) * total / n
 }
@@ -637,9 +636,9 @@ func (p *LeasePool) scanner() {
 	}
 }
 
-// jobProgressLocked aggregates unit progress the same way the
-// in-process aggregator does: the reported cycle count is the frontier
-// every unit has passed, detected/remaining are summed. Caller holds
+// jobProgressLocked aggregates unit progress: the reported cycle count
+// is the frontier every unit has passed, detected/remaining are summed.
+// Caller holds
 // p.mu; the returned callback (if any) must be invoked after unlocking.
 func (p *LeasePool) jobProgressLocked(j *distJob) (api.Progress, func(api.Progress)) {
 	if j.progress == nil {

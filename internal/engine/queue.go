@@ -63,7 +63,7 @@ type Executor func(ctx context.Context, spec JobSpec, update func(Progress)) (*J
 // QueueOptions configure NewQueue.
 type QueueOptions struct {
 	// Workers is the number of concurrent job executors (default 1;
-	// each fault-sim job additionally shards across cores on its own).
+	// each fault-sim job's simulation spends every core on its own).
 	Workers int
 	// MaxPending bounds the not-yet-running buffer (default 64).
 	MaxPending int

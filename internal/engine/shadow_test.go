@@ -38,44 +38,6 @@ func referenceResult(t *testing.T, faults []fault.Fault, vecs fault.Vectors) *fa
 	return res
 }
 
-func TestShadowSampleSize(t *testing.T) {
-	cases := []struct {
-		k      int
-		sample float64
-		want   int
-	}{
-		{1000, 0, 5},    // default 0.005
-		{100, 0, 1},     // default floored at one fault
-		{1000, 1, 1000}, // full check
-		{1000, 0.01, 10},
-		{1000, -1, 0}, // disabled
-		{0, 1, 0},
-		{3, 0.5, 2},
-	}
-	for _, c := range cases {
-		if got := shadowSampleSize(c.k, c.sample); got != c.want {
-			t.Errorf("shadowSampleSize(%d, %v) = %d, want %d", c.k, c.sample, got, c.want)
-		}
-	}
-}
-
-func TestShadowIndicesDeterministic(t *testing.T) {
-	a := shadowIndices(500, 20, 42, 3)
-	b := shadowIndices(500, 20, 42, 3)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed/shard produced different samples")
-	}
-	c := shadowIndices(500, 20, 42, 4)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different shards produced identical samples")
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i] <= a[i-1] {
-			t.Fatalf("sample not sorted/unique at %d: %v", i, a)
-		}
-	}
-}
-
 // TestShadowCleanRunMatchesReference: with no chaos, a full-sample
 // shadow check neither changes the result nor reports divergence.
 func TestShadowCleanRunMatchesReference(t *testing.T) {

@@ -85,7 +85,7 @@ func (c Candidate) Score() int {
 // DiagnoseOptions tune Diagnose.
 type DiagnoseOptions struct {
 	// Presim, when non-nil, supplies the stage-1 first-detection result
-	// for the candidate list — e.g. from engine.Simulate sharded across
+	// for the candidate list — e.g. from engine.Simulate, which spends
 	// every core — so Diagnose skips its own serial simulation. Its
 	// Faults slice replaces the candidate list.
 	Presim *Result

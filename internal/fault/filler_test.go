@@ -48,8 +48,8 @@ func everyNth(faults []fault.Fault, n int) []fault.Fault {
 
 // TestFillerPanicReachesCaller: a vector source that panics on the
 // filler's goroutine panics Simulate on the caller's, where it can be
-// recovered; the engine's shard supervisor turns it into an error after
-// its retry, and the process survives both.
+// recovered; the engine's call supervisor turns it into an error after
+// its one retry, and the process survives both.
 func TestFillerPanicReachesCaller(t *testing.T) {
 	d := dspDesign(t)
 	vecs := bist.PseudorandomVectors(1024, 5)
@@ -75,13 +75,12 @@ func TestFillerPanicReachesCaller(t *testing.T) {
 	before := retries.Load()
 	_, err := engine.Simulate(d.Netlist, seq, engine.SimOptions{
 		SimOptions: fault.SimOptions{Faults: faults},
-		Workers:    2,
 	})
 	if err == nil || !strings.Contains(err.Error(), boom) {
 		t.Fatalf("engine.Simulate error = %v, want one carrying %q", err, boom)
 	}
-	if n := retries.Load() - before; n != 2 {
-		t.Fatalf("engine.shard_retries moved by %d, want 2 (one retry per shard)", n)
+	if n := retries.Load() - before; n != 1 {
+		t.Fatalf("engine.shard_retries moved by %d, want 1 (the call's one retry)", n)
 	}
 }
 
@@ -231,7 +230,7 @@ func completeTrace(n *logic.Netlist, vecs fault.Vectors) *logic.GoodTrace {
 // pinned-trace run has three helpers and a run-local fill two helpers
 // and the filler, so over the panicking batches below most land off the
 // caller's goroutine (kernel_claim_test.go pins the helper and the filler
-// cases one at a time). Through engine.Simulate the shard supervisor's
+// cases one at a time). Through engine.Simulate the call supervisor's
 // retry recovers the run.
 func TestBatchPanicReachesCaller(t *testing.T) {
 	d := dspDesign(t)
@@ -276,7 +275,6 @@ func TestBatchPanicReachesCaller(t *testing.T) {
 	before := retries.Load()
 	got, err := engine.Simulate(d.Netlist, vecs, engine.SimOptions{
 		SimOptions: fault.SimOptions{Faults: faults},
-		Workers:    2,
 	})
 	if err != nil {
 		t.Fatalf("engine.Simulate: %v", err)
@@ -301,11 +299,27 @@ var kernelCounters = []*obs.Counter{
 }
 
 // observed is what a run shows from outside: its result, its Progress
-// sequence and what it added to kernelCounters.
+// sequence, what it added to kernelCounters and how many windows it
+// audited (the faultsim span's audit_windows).
 type observed struct {
 	res      *fault.Result
 	progress [][3]int
 	counters []int64
+	audited  any
+}
+
+// spanEnd keeps the faultsim span's closing fields.
+type spanEnd struct {
+	mu     sync.Mutex
+	fields map[string]any
+}
+
+func (s *spanEnd) Emit(ev obs.Event) {
+	if ev.Type == obs.EventSpanEnd && ev.Name == "faultsim" {
+		s.mu.Lock()
+		s.fields = ev.Fields
+		s.mu.Unlock()
+	}
 }
 
 func observe(t *testing.T, procs int, n *logic.Netlist, vecs fault.Vectors, opts fault.SimOptions) observed {
@@ -319,6 +333,8 @@ func observe(t *testing.T, procs int, n *logic.Netlist, vecs fault.Vectors, opts
 	for i, c := range kernelCounters {
 		before[i] = c.Load()
 	}
+	end := &spanEnd{}
+	opts.Sink = end
 	res, err := fault.Simulate(n, vecs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +343,7 @@ func observe(t *testing.T, procs int, n *logic.Netlist, vecs fault.Vectors, opts
 	for i, c := range kernelCounters {
 		o.counters = append(o.counters, c.Load()-before[i])
 	}
+	o.audited = end.fields["audit_windows"]
 	return o
 }
 
@@ -349,6 +366,9 @@ func sameRun(a, b observed) string {
 	if fmt.Sprint(a.counters) != fmt.Sprint(b.counters) {
 		return fmt.Sprintf("counter deltas (good_cycles, gate_evals, gate_evals_saved, cycles_sweep, sweep_blocks) %v vs %v", a.counters, b.counters)
 	}
+	if a.audited != b.audited {
+		return fmt.Sprintf("audited windows %v vs %v", a.audited, b.audited)
+	}
 	return ""
 }
 
@@ -357,7 +377,9 @@ func sameRun(a, b observed) string {
 // with its full fault list and 40 random netlists at one-word batches
 // (so most have several per segment), each with a run-local fill and
 // with a complete pinned trace, read the same results, Progress
-// sequence and counter deltas at GOMAXPROCS 1, 2 and 4.
+// sequence, counter deltas and audited window count at GOMAXPROCS 1, 2
+// and 4. The random netlists run once more with every window audited,
+// which must change none of it either.
 func TestSimulateGOMAXPROCSInvariant(t *testing.T) {
 	type job struct {
 		name string
@@ -381,6 +403,8 @@ func TestSimulateGOMAXPROCSInvariant(t *testing.T) {
 			jobs = append(jobs, job{fmt.Sprintf("random %d ndet %d", seed, ndet), n, vecs,
 				fault.SimOptions{Faults: fault.AllFaults(n), NDetect: ndet, LaneWords: 1}})
 		}
+		jobs = append(jobs, job{fmt.Sprintf("random %d audited", seed), n, vecs,
+			fault.SimOptions{Faults: fault.AllFaults(n), LaneWords: 1, ShadowSample: 1}})
 	}
 	for _, j := range jobs {
 		pinned := j.opts

@@ -34,7 +34,7 @@ import (
 // bookkeeping and telemetry match simulateReference cycle for cycle;
 // the differential tests in this package and kernel_equiv_test.go at the
 // repo root enforce bit-identical results at every lane width.
-func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result {
+func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error) {
 	c := opts.Program
 	if c == nil {
 		c = logic.CompiledFor(n)
@@ -58,6 +58,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 	}
 	ownCores := len(claimers)
 	var fillWait, barrierWait time.Duration
+	au := newAuditor(opts)
 
 	ctrRuns.Add(1)
 	span := obs.NewSpan(opts.Sink, "faultsim")
@@ -67,8 +68,8 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 			r.res.Interrupted = true
 			break
 		}
-		// Chaos point: a shard stall or crash at a segment boundary
-		// (recovered and retried by engine.Simulate's shard supervisor).
+		// Chaos point: a stall or crash at a segment boundary (recovered
+		// and retried by engine.Simulate's call supervisor).
 		if f := chaos.Maybe("fault.segment"); f != nil {
 			f.PanicNow()
 			f.Sleep(opts.Ctx)
@@ -96,7 +97,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 		// of a pinned trace.
 		trace.StateInto(end, n.DFFs(), nextGoodState)
 
-		s := &segment{r: r, prog: c, lw: lw, ctx: opts.Ctx, trace: trace, start: start, end: end, nextGood: nextGoodState}
+		s := &segment{r: r, prog: c, lw: lw, ctx: opts.Ctx, trace: trace, start: start, end: end, nextGood: nextGoodState, au: au}
 		s.cut()
 		helpers := max(0, min(runtime.GOMAXPROCS(0)-ownCores, s.batches-1))
 		for len(claimers) < ownCores+helpers {
@@ -140,7 +141,13 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result
 	span.Add("fill_wait_us", fillWait.Microseconds())
 	span.Add("helper_batches", helped)
 	span.Add("barrier_wait_us", barrierWait.Microseconds())
-	return r.finish(span, applied)
+	span.Add("audit_windows", au.windows.Load())
+	span.Add("audit_us", au.nanos.Load()/1000)
+	res := r.finish(span, applied)
+	if err := au.err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // segment is one segment's fault batches, laid out as a work list that
@@ -161,6 +168,7 @@ type segment struct {
 	trace      *logic.GoodTrace
 	start, end int
 	nextGood   []uint64 // the fault-free state entering end
+	au         *auditor // the call's window audit (audit.go)
 
 	batches int
 	next    atomic.Int64  // the next batch to claim
@@ -242,6 +250,7 @@ func (s *segment) replayBatch(cl *claimer, b int) {
 	cone, det, doneMask, liveMask := cl.cone, cl.det, cl.doneMask, cl.liveMask
 	batchStart := b * batchCap
 	batch := r.remaining[batchStart:min(batchStart+batchCap, len(r.remaining))]
+	s.keep(&cl.audit, b, batch, batchStart)
 	cl.batchFaults = cl.batchFaults[:0]
 	cl.laneStates = cl.laneStates[:0]
 	for li, fi := range batch {
@@ -311,6 +320,7 @@ func (s *segment) replayBatch(cl *claimer, b int) {
 	s.kept[b] = kept
 	cl.stats.Add(cone.EndBatch())
 	cl.batches++
+	s.audit(&cl.audit, b)
 }
 
 // survivors moves each batch's survivors, in batch order, to the front
@@ -341,6 +351,7 @@ type claimer struct {
 	det, doneMask, liveMask []uint64
 	stats                   logic.BatchStats
 	batches                 int64
+	audit                   windowAudit
 }
 
 func (cl *claimer) init(prog *logic.Compiled, lw int) {
@@ -566,9 +577,9 @@ func autoLaneWords(faults int) int {
 // FillGoodTrace records the fault-free machine's trace for vecs into
 // trace through cycle end (clamped to the sequence length), resuming
 // from whatever prefix is already recorded. The engine uses it to
-// complete a shared artifact trace once, before fanning shards out —
-// after which every run on the same (design, vectors) pair replays with
-// zero good-machine cycles.
+// complete a shared artifact trace once, before the call starts — after
+// which every run on the same (design, vectors) pair replays with zero
+// good-machine cycles.
 func FillGoodTrace(n *logic.Netlist, prog *logic.Compiled, vecs VectorSeq, trace *logic.GoodTrace, end int) {
 	if end > vecs.Len() {
 		end = vecs.Len()

@@ -149,3 +149,62 @@ func TestBatchPanicOnParkedFiller(t *testing.T) {
 		}
 	}
 }
+
+const auditBoom = "audit failed"
+
+// armAuditPanic audits every window of s and makes the audit of batch 1
+// panic.
+func armAuditPanic(t *testing.T, s *segment) {
+	t.Helper()
+	s.au = newAuditor(SimOptions{ShadowSample: 1})
+	setPlant(t, func(_ *segment, b int) {
+		if b == 1 {
+			panic(auditBoom)
+		}
+	})
+}
+
+// TestAuditPanicOnHelper: a window audit that panics on a helper is
+// recovered into the segment like a batch panic, and the barrier
+// re-raises it on the goroutine that waits at it.
+func TestAuditPanicOnHelper(t *testing.T) {
+	prog, vecs, trace := claimFixture(t)
+	s := openSegment(t, prog, vecs, trace)
+	armAuditPanic(t, s)
+	helped := make(chan struct{})
+	go func() {
+		s.claimAll(&claimer{})
+		close(helped)
+	}()
+	<-helped
+	if got := waitPanic(t, s); got != auditBoom {
+		t.Fatalf("wait panicked with %v, want %q", got, auditBoom)
+	}
+	if s.au.windows.Load() == 0 {
+		t.Fatal("no window was audited before the panic")
+	}
+}
+
+// TestAuditPanicOnParkedFiller: the same on the filler while it is
+// parked, which survives to fill the next segment.
+func TestAuditPanicOnParkedFiller(t *testing.T) {
+	prog, vecs, _ := claimFixture(t)
+	f := startGoodFiller(prog, prog.NumNets(), vecs, newSegSchedule(64, false, vecs.Len()), 64, &claimer{})
+	defer f.close()
+	g0, g1 := f.receive(), f.receive()
+	s := openSegment(t, prog, vecs, g0.trace)
+	armAuditPanic(t, s)
+	f.offer(s)
+	if got := waitPanic(t, s); got != auditBoom {
+		t.Fatalf("wait panicked with %v, want %q", got, auditBoom)
+	}
+	f.free <- g1.trace
+	select {
+	case g2 := <-f.segs:
+		if g2.start != 128 {
+			t.Fatalf("filler sent [%d, %d) after the audit panicked, want [128, 192)", g2.start, g2.end)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the filler filled nothing after its audit panicked")
+	}
+}

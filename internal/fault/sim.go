@@ -65,8 +65,11 @@ const (
 	// (logic.ConeSim). Bit-identical to KernelReference.
 	KernelCompiled Kernel = iota
 	// KernelReference runs the full-sweep kernel on logic.CompiledSim:
-	// the whole compiled program, every cycle, every batch. Kept as the
-	// differential oracle and for debugging.
+	// the whole compiled program, every cycle, every batch. It is the
+	// oracle, so it is not audited (SimOptions.ShadowSample). It stays for
+	// three callers that cannot move yet: the engine's quarantine re-run,
+	// kernel_diff_test.go and the benchmark's oracle sample
+	// (bench/kernel.go); see ROADMAP item 14(d).
 	KernelReference
 )
 
@@ -157,6 +160,17 @@ type SimOptions struct {
 	// silently corrupts results. Nil fills a run-local trace one segment
 	// ahead of the fault batches.
 	Trace *logic.GoodTrace
+	// ShadowSample is the fraction of the compiled kernel's windows the
+	// call audits (audit.go). A window is one lane word, up to 63 faults,
+	// of one batch over one segment; an audited one is replayed again on a
+	// logic.CompiledSim and must agree on every lane's detection cycles,
+	// count and exit state. 1 audits every window, a negative value none,
+	// and zero selects the default (defaultShadowSample). On a
+	// disagreement Simulate returns a *DivergenceError once the run ends.
+	// KernelReference, the oracle, is not audited.
+	ShadowSample float64
+	// ShadowSeed seeds which windows are audited (0 = 1).
+	ShadowSeed int64
 }
 
 // Result reports a fault simulation run.
@@ -335,7 +349,7 @@ func Simulate(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error
 	if opts.Kernel == KernelReference {
 		return simulateReference(n, vecs, opts), nil
 	}
-	return simulateCompiled(n, vecs, opts), nil
+	return simulateCompiled(n, vecs, opts)
 }
 
 // simRun is the kernel-independent run state: the fault list, result

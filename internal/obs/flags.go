@@ -5,19 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 )
 
-// Config is the shared observability-and-parallelism flag bundle every
-// cmd/* tool registers: -trace (NDJSON event file), -v (human progress
-// renderer), -cpuprofile (pprof capture of the hot loops) and -workers
-// (fault-simulation shard count consumed by internal/engine).
+// Config is the shared observability flag bundle every cmd/* tool
+// registers: -trace (NDJSON event file), -v (human progress renderer)
+// and -cpuprofile (pprof capture of the hot loops).
 type Config struct {
 	Trace      string
 	Verbose    bool
 	CPUProfile string
-	Workers    int
 	// Source names this process in the trace_open header of its NDJSON
 	// trace ("sbstd", a worker ID). Defaults to the binary name.
 	Source string
@@ -33,8 +30,6 @@ func FlagsOn(fs *flag.FlagSet) *Config {
 	fs.StringVar(&c.Trace, "trace", "", "write an NDJSON event trace to this file")
 	fs.BoolVar(&c.Verbose, "v", false, "render live progress (rate/ETA) to stderr")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	fs.IntVar(&c.Workers, "workers", runtime.NumCPU(),
-		"parallel fault-simulation shards (1 = exact serial path)")
 	return c
 }
 

@@ -5,32 +5,17 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 )
 
 func TestFlagsOnRegistersBundle(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	cfg := FlagsOn(fs)
-	if err := fs.Parse([]string{"-trace", "t.ndjson", "-v", "-cpuprofile", "p.out", "-workers", "3"}); err != nil {
+	if err := fs.Parse([]string{"-trace", "t.ndjson", "-v", "-cpuprofile", "p.out"}); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Trace != "t.ndjson" || !cfg.Verbose || cfg.CPUProfile != "p.out" {
 		t.Fatalf("parsed config %+v", cfg)
-	}
-	if cfg.Workers != 3 {
-		t.Fatalf("parsed workers %d, want 3", cfg.Workers)
-	}
-}
-
-func TestFlagsWorkersDefaultsToNumCPU(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	cfg := FlagsOn(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Workers != runtime.NumCPU() {
-		t.Fatalf("default workers %d, want NumCPU %d", cfg.Workers, runtime.NumCPU())
 	}
 }
 

@@ -28,7 +28,7 @@ type Span struct {
 	// file name when the header is missing).
 	Source string
 	// Name is the span name as emitted (e.g. "engine.dist",
-	// "engine.sim/shard0/faultsim").
+	// "faultsim").
 	Name string
 	// Start and End are absolute Unix seconds.
 	Start, End float64

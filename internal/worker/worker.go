@@ -44,7 +44,7 @@ type Options struct {
 	// Poll is the idle sleep between acquire attempts when the
 	// coordinator has no work (default 500ms).
 	Poll time.Duration
-	// Exec configures the unit simulations (shard count, event sink).
+	// Exec configures the unit simulations (event sink).
 	Exec engine.ExecConfig
 	// Client overrides the HTTP client (tests); built from Coordinator
 	// when nil.
