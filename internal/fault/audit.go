@@ -70,6 +70,10 @@ var plant func(s *segment, b int)
 type auditor struct {
 	frac float64
 	seed uint64
+	// floor, when not negative, is the window of the first segment every
+	// default call audits whatever the sample draws: window k is word
+	// k%lw of batch k/lw.
+	floor, lw int
 
 	windows atomic.Int64 // windows audited
 	nanos   atomic.Int64 // time spent auditing, summed over goroutines
@@ -79,13 +83,20 @@ type auditor struct {
 	divergent int
 }
 
-func newAuditor(opts SimOptions) *auditor {
-	a := &auditor{frac: opts.ShadowSample, seed: uint64(opts.ShadowSeed)}
-	if a.frac == 0 {
-		a.frac = defaultShadowSample
-	}
+// newAuditor returns the audit of a call over faults faults at lw lane
+// words per batch.
+func newAuditor(opts SimOptions, faults, lw int) *auditor {
+	a := &auditor{frac: opts.ShadowSample, seed: uint64(opts.ShadowSeed), floor: -1, lw: lw}
 	if a.seed == 0 {
 		a.seed = 1
+	}
+	if a.frac == 0 {
+		a.frac = defaultShadowSample
+		// Every fault is in the first segment, so its windows are known
+		// before the run: one per 63 faults, in list order.
+		if windows := (faults + 62) / 63; windows > 0 {
+			a.floor = int(mix64(a.seed) % uint64(windows))
+		}
 	}
 	return a
 }
@@ -101,6 +112,9 @@ func (a *auditor) sample(start, b, nw int) uint64 {
 		if windowSampled(a.frac, a.seed, start, b, w) {
 			words |= 1 << uint(w)
 		}
+	}
+	if start == 0 && a.floor >= 0 && a.floor/a.lw == b {
+		words |= 1 << uint(a.floor%a.lw)
 	}
 	return words
 }
@@ -161,7 +175,12 @@ type windowAudit struct {
 	states           []uint64 // stateWords per lane
 	counts, detected []int32
 	good, exit       []uint64
-	wantC, wantD     []int32
+	// vecs holds the segment's inputs, read from the trace; lanes,
+	// laneFaults, wantC and wantD are one word's replay (replayLanes).
+	vecs         []uint64
+	lanes        [][]uint64
+	laneFaults   []Fault
+	wantC, wantD []int32
 }
 
 // keep records batch b's entering lanes when any of its words is
@@ -199,6 +218,14 @@ func (s *segment) audit(au *windowAudit, b int) {
 		au.good, au.exit = make([]uint64, sw), make([]uint64, sw)
 	}
 	s.trace.StateInto(s.start, n.DFFs(), au.good)
+	au.vecs = au.vecs[:0]
+	for cyc := s.start; cyc < s.end; cyc++ {
+		var v uint64
+		for bi, in := range n.Inputs() {
+			v |= s.trace.Bit(cyc, in) << uint(bi)
+		}
+		au.vecs = append(au.vecs, v)
+	}
 	for words := au.words; words != 0; words &= words - 1 {
 		w := bits.TrailingZeros64(words)
 		if lanes := s.auditWord(au, b, w); len(lanes) > 0 {
@@ -213,40 +240,23 @@ func (s *segment) audit(au *windowAudit, b int) {
 // simulator, from the lanes' entering state, and describes every lane
 // whose detection cycle, count or exit state the replay left otherwise.
 func (s *segment) auditWord(au *windowAudit, b, w int) []string {
-	r, n, ref := s.r, s.prog.Netlist(), au.ref
-	sw := len(au.good)
+	r, sw := s.r, len(au.good)
 	lo, hi := w*63, min(w*63+63, len(au.faults))
-	ref.Reset()
-	ref.SetLaneState(0, au.good)
+	au.lanes, au.laneFaults = au.lanes[:0], au.laneFaults[:0]
 	for li := lo; li < hi; li++ {
-		lane := uint(li - lo + 1)
-		ref.SetLaneState(lane, au.states[li*sw:(li+1)*sw])
-		f := r.faults[au.faults[li]]
-		ref.Inject(f.Site, f.SA1, lane)
+		au.lanes = append(au.lanes, au.states[li*sw:(li+1)*sw])
+		au.laneFaults = append(au.laneFaults, r.faults[au.faults[li]])
 	}
-	ref.ApplyInjectionsToValues()
 	au.wantC = append(au.wantC[:0], au.counts[lo:hi]...)
 	au.wantD = append(au.wantD[:0], au.detected[lo:hi]...)
-	live := uint64(1)<<uint(hi-lo+1) - 2
-	var done uint64
-	for cyc := s.start; cyc < s.end && done != live; cyc++ {
-		for _, in := range n.Inputs() {
-			ref.SetInput(in, s.trace.Bit(cyc, in) == 1)
-		}
-		ref.Settle()
-		for diff := ref.OutputDiff() & live &^ done; diff != 0; diff &= diff - 1 {
-			lane := bits.TrailingZeros64(diff)
-			k := lane - 1
+	replayLanes(au.ref, s.prog.Netlist().Inputs(), au.good, au.lanes, au.laneFaults, s.start, au.vecs, true,
+		func(k, cycle int) bool {
 			au.wantC[k]++
 			if au.wantD[k] < 0 {
-				au.wantD[k] = int32(cyc)
+				au.wantD[k] = int32(cycle)
 			}
-			if au.wantC[k] >= int32(r.ndet) {
-				done |= 1 << uint(lane)
-			}
-		}
-		ref.ClockAfterSettle()
-	}
+			return au.wantC[k] >= int32(r.ndet)
+		})
 
 	// Survivors sit at the front of the batch's range in lane order, so a
 	// survivor's slot counts the survivors before it in the batch.
@@ -263,7 +273,7 @@ func (s *segment) auditWord(au *windowAudit, b, w int) []string {
 				lanes = append(lanes, fmt.Sprintf("fault %d: detected at %d with count %d, the audit says %d with count %d",
 					fi, gotD, gotC, au.wantD[k], au.wantC[k]))
 			case survived:
-				ref.LaneState(uint(k+1), au.exit)
+				au.ref.LaneState(uint(k+1), au.exit)
 				if !equalWords(au.exit, r.states[slot]) {
 					lanes = append(lanes, fmt.Sprintf("fault %d: exit state %x, the audit says %x", fi, r.states[slot], au.exit))
 				}

@@ -372,6 +372,21 @@ func sameRun(a, b observed) string {
 	return ""
 }
 
+// TestDefaultAuditCoversEveryCall: at the default ShadowSample a call
+// audits at least one window whatever its seed draws — here the Table-1
+// op, dsp's full fault list over 8 192 LFSR vectors, on which the sampled
+// fraction alone audits nothing at seed 1.
+func TestDefaultAuditCoversEveryCall(t *testing.T) {
+	d := dspDesign(t)
+	vecs := bist.PseudorandomVectors(8192, 1)
+	for seed := int64(0); seed <= 3; seed++ {
+		o := observe(t, runtime.GOMAXPROCS(0), d.Netlist, vecs, fault.SimOptions{Faults: d.Faults, ShadowSeed: seed})
+		if n, _ := o.audited.(int64); n < 1 {
+			t.Fatalf("ShadowSeed %d: a default call audited %v windows, want at least one", seed, o.audited)
+		}
+	}
+}
+
 // TestSimulateGOMAXPROCSInvariant: which goroutines replay a segment's
 // batches depends on GOMAXPROCS; nothing a run reports may. The dsp core
 // with its full fault list and 40 random netlists at one-word batches

@@ -58,7 +58,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 	}
 	ownCores := len(claimers)
 	var fillWait, barrierWait time.Duration
-	au := newAuditor(opts)
+	au := newAuditor(opts, len(r.remaining), lw)
 
 	ctrRuns.Add(1)
 	span := obs.NewSpan(opts.Sink, "faultsim")

@@ -156,7 +156,7 @@ const auditBoom = "audit failed"
 // panic.
 func armAuditPanic(t *testing.T, s *segment) {
 	t.Helper()
-	s.au = newAuditor(SimOptions{ShadowSample: 1})
+	s.au = newAuditor(SimOptions{ShadowSample: 1}, len(s.r.remaining), s.lw)
 	setPlant(t, func(_ *segment, b int) {
 		if b == 1 {
 			panic(auditBoom)

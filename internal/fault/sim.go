@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/chaos"
 	"repro/internal/logic"
@@ -465,6 +466,7 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 	nextGoodState := make([]uint64, w.StateWords())
 	gatesPerSettle := int64(len(n.CombOrder()))
 	segVecs := make([]uint64, 0, r.segLen)
+	batchFaults := make([]Fault, 0, 63)
 
 	ctrRuns.Add(1)
 	span := obs.NewSpan(opts.Sink, "faultsim")
@@ -493,48 +495,26 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 		}
 		goodSaved := false
 		var segEvals int64
-		var survivors []int
+		var survivors, batch []int
+		hit := func(k, cycle int) bool {
+			fi := batch[k]
+			r.counts[fi]++
+			if r.res.DetectedAt[fi] < 0 {
+				r.res.DetectedAt[fi] = int32(cycle)
+			}
+			return r.counts[fi] >= int32(r.ndet)
+		}
 		for batchStart := 0; batchStart < len(r.remaining); batchStart += 63 {
-			batch := r.remaining[batchStart:min(batchStart+63, len(r.remaining))]
-			w.Reset()
-			w.SetLaneState(0, goodState)
-			for li, fi := range batch {
-				lane := uint(li + 1)
-				w.SetLaneState(lane, r.states[batchStart+li])
-				w.Inject(r.faults[fi].Site, r.faults[fi].SA1, lane)
+			batch = r.remaining[batchStart:min(batchStart+63, len(r.remaining))]
+			batchFaults = batchFaults[:0]
+			for _, fi := range batch {
+				batchFaults = append(batchFaults, r.faults[fi])
 			}
-			w.ApplyInjectionsToValues()
-			var doneMask uint64
-			liveMask := uint64(1)<<uint(len(batch)+1) - 2 // lanes 1..len
-			for rc, vec := range segVecs {
-				cycle := start + rc
-				for bi, in := range inputs {
-					w.SetInput(in, vec>>uint(bi)&1 == 1)
-				}
-				w.Settle()
-				segEvals += gatesPerSettle
-				diff := w.OutputDiff() & liveMask &^ doneMask
-				if diff != 0 {
-					for li := range batch {
-						if diff>>(uint(li)+1)&1 == 0 {
-							continue
-						}
-						fi := batch[li]
-						r.counts[fi]++
-						if r.res.DetectedAt[fi] < 0 {
-							r.res.DetectedAt[fi] = int32(cycle)
-						}
-						if r.counts[fi] >= int32(r.ndet) {
-							doneMask |= 1 << uint(li+1)
-						}
-					}
-					if doneMask == liveMask && end == total {
-						// Whole batch done; rest of run irrelevant.
-						break
-					}
-				}
-				w.ClockAfterSettle()
-			}
+			// Once the whole batch is done only the last segment may stop:
+			// the first batch's lane 0 carries the good state to end.
+			settles := replayLanes(w, inputs, goodState, r.states[batchStart:batchStart+len(batch)], batchFaults,
+				start, segVecs, end == total, hit)
+			segEvals += int64(settles) * gatesPerSettle
 			if !goodSaved {
 				w.LaneState(0, nextGoodState)
 				goodSaved = true
@@ -559,6 +539,45 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 		r.finishSegment(span, opts, survivors, start, end, total)
 	}
 	return r.finish(span, applied)
+}
+
+// replayLanes replays up to 63 faults over the cycles vecs drives
+// (vecs[i] is cycle start+i) on w, the full-sweep simulator: lane 0 is
+// the good machine entering in state good, lane k+1 enters in states[k]
+// with faults[k] injected. After every settle hit(k, cycle) is called for
+// each lane k not yet done whose outputs differ from lane 0's, and says
+// whether the lane is now done. With untilDone the replay stops at the
+// settle that leaves every lane done. It returns the cycles settled and
+// leaves every lane's exit state in w. The reference kernel's batches and
+// the compiled kernel's audit (audit.go) both replay through it.
+func replayLanes(w *logic.CompiledSim, inputs []logic.NetID, good []uint64, states [][]uint64, faults []Fault,
+	start int, vecs []uint64, untilDone bool, hit func(k, cycle int) bool) int {
+	w.Reset()
+	w.SetLaneState(0, good)
+	for k, f := range faults {
+		w.SetLaneState(uint(k+1), states[k])
+		w.Inject(f.Site, f.SA1, uint(k+1))
+	}
+	w.ApplyInjectionsToValues()
+	var done uint64
+	live := uint64(1)<<uint(len(faults)+1) - 2 // lanes 1..len
+	for rc, vec := range vecs {
+		for bi, in := range inputs {
+			w.SetInput(in, vec>>uint(bi)&1 == 1)
+		}
+		w.Settle()
+		for diff := w.OutputDiff() & live &^ done; diff != 0; diff &= diff - 1 {
+			lane := bits.TrailingZeros64(diff)
+			if hit(lane-1, start+rc) {
+				done |= 1 << uint(lane)
+			}
+		}
+		if untilDone && done == live {
+			return rc + 1
+		}
+		w.ClockAfterSettle()
+	}
+	return len(vecs)
 }
 
 func safeRatio(num, den int) float64 {
