@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,19 +25,21 @@ import (
 // re-simulation of a sample of faults would, at the cost of the windows.
 //
 // The audit changes nothing it checks. The sample is a pure function of
-// (ShadowSeed, segment start, batch, word), the audit writes no result
-// and moves no faultsim.* counter, and it reads the trace, not the
-// VectorSeq, whose one reader is the filler. A divergence is recorded and
-// the call runs to its end; Simulate then returns a *DivergenceError.
+// (ShadowSeed, segment start, batch, word) and, for the default's window
+// of the first segment, of the fault count and lane width: nothing that
+// depends on who claims what. The audit writes no result and moves no
+// faultsim.* counter, and it reads the trace, not the VectorSeq, whose
+// one reader is the filler. A divergence is recorded and the call runs
+// to its end; Simulate then returns a *DivergenceError.
 
 // defaultShadowSample is the share of windows a call audits when
-// SimOptions.ShadowSample is zero. The Table-1 op (dsp, 8 192 LFSR
-// vectors, 0.25–0.30 s on a 2-vCPU host) has 514 windows, and auditing
-// all of them costs 3.4 s more: ~11 ms of reference simulation per
-// window. One in a thousand is half a window per call, ~2 % of the op
-// expected; over ShadowSeeds 1–20 the default audited 17 windows and read
-// 1.2 % slower on the mean than ShadowSample: -1, inside the host's noise
-// (docs/RESILIENCE.md).
+// SimOptions.ShadowSample is zero, on top of the one window of the first
+// segment the default always audits (newAuditor). The Table-1 op (dsp,
+// 8 192 LFSR vectors, 0.24–0.39 s on a 2-vCPU host) has 514 windows at
+// ~11 ms of reference simulation each; the first segment's window is 64
+// cycles, 1.4–3.8 ms. Over ShadowSeeds 1–20 the default audited 37
+// windows, one to four a call, and spent 11.4 ms of audit time per call
+// on the mean, 3.5 % of the op (docs/RESILIENCE.md).
 const defaultShadowSample = 0.001
 
 // DivergenceError reports that the audit of at least one window
@@ -274,7 +277,7 @@ func (s *segment) auditWord(au *windowAudit, b, w int) []string {
 					fi, gotD, gotC, au.wantD[k], au.wantC[k]))
 			case survived:
 				au.ref.LaneState(uint(k+1), au.exit)
-				if !equalWords(au.exit, r.states[slot]) {
+				if !slices.Equal(au.exit, r.states[slot]) {
 					lanes = append(lanes, fmt.Sprintf("fault %d: exit state %x, the audit says %x", fi, r.states[slot], au.exit))
 				}
 			}
@@ -284,13 +287,4 @@ func (s *segment) auditWord(au *windowAudit, b, w int) []string {
 		}
 	}
 	return lanes
-}
-
-func equalWords(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

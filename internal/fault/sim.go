@@ -166,7 +166,8 @@ type SimOptions struct {
 	// of one batch over one segment; an audited one is replayed again on a
 	// logic.CompiledSim and must agree on every lane's detection cycles,
 	// count and exit state. 1 audits every window, a negative value none,
-	// and zero selects the default (defaultShadowSample). On a
+	// and zero selects the default: defaultShadowSample of the windows,
+	// plus one window of the first segment so every call is audited. On a
 	// disagreement Simulate returns a *DivergenceError once the run ends.
 	// KernelReference, the oracle, is not audited.
 	ShadowSample float64
