@@ -30,7 +30,7 @@ var (
 	fixRep  *selftest.Report
 )
 
-func fixtures(b *testing.B) (*dspgate.Core, *selftest.Program, *selftest.Report) {
+func fixtures(b testing.TB) (*dspgate.Core, *selftest.Program, *selftest.Report) {
 	b.Helper()
 	fixOnce.Do(func() {
 		c, err := dspgate.Build(dspgate.Options{InsertFanoutBranches: true})

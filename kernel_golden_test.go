@@ -15,7 +15,7 @@ import (
 	"repro/internal/fault"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files of the selected tests (testdata/kernel_golden.json, testdata/surface.json) from the current code")
+var update = flag.Bool("update", false, "rewrite the golden files of the selected tests (testdata/kernel_golden.json, testdata/trace_golden.json, testdata/surface.json) from the current code")
 
 const kernelGoldenPath = "testdata/kernel_golden.json"
 
