@@ -48,7 +48,7 @@ func main() {
 	fmt.Printf("hidden fault: %s (%s)\n", hidden, core.Netlist.NameOf(hidden.Site))
 
 	observed := fault.FaultTrace(core.Netlist, vecs, hidden)
-	good := fault.GoodTrace(core.Netlist, vecs)
+	good := fault.ExpectedOutputs(core.Netlist, vecs)
 	failures := 0
 	for i := range observed {
 		if observed[i] != good[i] {
@@ -62,8 +62,10 @@ func main() {
 	fmt.Printf("observed %d failing cycles of %d\n", failures, len(observed))
 	span.Add("failing_cycles", int64(failures))
 
-	// Stage-1 candidate simulation runs on every core; the result feeds
-	// Diagnose so it skips its own serial pass.
+	// Stage 1 goes through engine.Simulate instead of Diagnose's own
+	// fault.Simulate call (both spend every core) for the call
+	// supervisor's retry, quarantine of a diverging kernel, and the
+	// -trace sink.
 	presim, err := engine.Simulate(core.Netlist, vecs, engine.SimOptions{
 		SimOptions: fault.SimOptions{Faults: faults, Sink: rt.Sink()},
 	})

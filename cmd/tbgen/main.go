@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/dspgate"
+	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -52,7 +53,7 @@ func main() {
 		fail(err)
 	}
 	vecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: *iters})
-	expected := logic.ExpectedOutputs(core.Netlist, vecs)
+	expected := fault.ExpectedOutputs(core.Netlist, vecs)
 
 	vf, err := os.Create(*out + ".v")
 	if err != nil {

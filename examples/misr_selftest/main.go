@@ -14,9 +14,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
-	"repro/internal/lfsr"
-	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/selftest"
 )
 
 func main() {
@@ -28,8 +27,18 @@ func main() {
 	prog, _ := core.NewGenerator(eng).Generate()
 	vecs := core.Expand(prog, core.ExpandOptions{Iterations: 200})
 
+	// The core's 8-bit output stream, optionally with one injected
+	// fault, compacted into a 16-bit MISR.
+	signature := func(f *fault.Fault) uint64 {
+		sig, err := selftest.Signature(gate.Netlist, vecs, selftest.SignatureOptions{Fault: f})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return sig
+	}
+
 	// Golden signature from the fault-free machine.
-	golden := signature(gate, vecs, nil)
+	golden := signature(nil)
 	fmt.Printf("golden MISR signature after %d cycles: %04x\n", vecs.Len(), golden)
 
 	// Inject a handful of random stuck-at faults; every one must flip
@@ -39,7 +48,7 @@ func main() {
 	caught, missed, silent := 0, 0, 0
 	for i := 0; i < 12; i++ {
 		f := faults[rng.Intn(len(faults))]
-		sig := signature(gate, vecs, &f)
+		sig := signature(&f)
 		switch {
 		case sig != golden:
 			caught++
@@ -61,25 +70,4 @@ func main() {
 		}
 	}
 	fmt.Printf("\n%d caught, %d aliased, %d unexcited\n", caught, missed, silent)
-}
-
-// signature runs the vector stream on the gate-level core (optionally
-// with one injected fault) and compacts the 8-bit output into a 16-bit
-// MISR.
-func signature(gate *dspgate.Core, vecs fault.Vectors, f *fault.Fault) uint64 {
-	sim := logic.NewSimulator(gate.Netlist)
-	if f != nil {
-		sim.InjectFault(f.Site, f.SA1)
-	}
-	m, err := lfsr.NewMISR(16)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, v := range vecs {
-		sim.SetInputBus(gate.Instr, v)
-		sim.Settle()
-		m.Absorb(sim.BusValue(gate.Out))
-		sim.Step()
-	}
-	return m.Signature()
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 	"repro/internal/synth"
 )
 
@@ -12,8 +13,8 @@ import (
 // the fault on a combinational circuit (the oracle PODEM is tested
 // against). Only feasible for small input counts.
 func bruteTestable(n *logic.Netlist, f fault.Fault) (bool, uint64) {
-	good := logic.NewSimulator(n)
-	bad := logic.NewSimulator(n)
+	good := logictest.NewSimulator(n)
+	bad := logictest.NewSimulator(n)
 	bad.InjectFault(f.Site, f.SA1)
 	ins := n.Inputs()
 	for v := uint64(0); v < 1<<uint(len(ins)); v++ {
@@ -36,8 +37,8 @@ func bruteTestable(n *logic.Netlist, f fault.Fault) (bool, uint64) {
 // fault (don't-care inputs tried as 0).
 func verifyPattern(t *testing.T, n *logic.Netlist, f fault.Fault, assign map[logic.NetID]bool) {
 	t.Helper()
-	good := logic.NewSimulator(n)
-	bad := logic.NewSimulator(n)
+	good := logictest.NewSimulator(n)
+	bad := logictest.NewSimulator(n)
 	bad.InjectFault(f.Site, f.SA1)
 	for _, in := range n.Inputs() {
 		v := assign[in]
@@ -325,8 +326,8 @@ func TestUnrollMatchesSequentialSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := logic.NewSimulator(n)
-	unr := logic.NewSimulator(u.Netlist)
+	seq := logictest.NewSimulator(n)
+	unr := logictest.NewSimulator(u.Netlist)
 	inputs := []uint64{0b101, 0b011, 0b110, 0b001}
 	var want []bool
 	for _, v := range inputs {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/isa"
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // TestDecoderMatchesControlTable drives every assigned opcode through
@@ -14,7 +15,7 @@ import (
 func TestDecoderMatchesControlTable(t *testing.T) {
 	c := buildCore(t, false)
 	n := c.Netlist
-	sim := logic.NewSimulator(n)
+	sim := logictest.NewSimulator(n)
 	ctrl := map[string]logic.NetID{}
 	for _, name := range []string{
 		"ex_sub", "ex_accb", "ex_trunc", "ex_mode0", "ex_mode1",

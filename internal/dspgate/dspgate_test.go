@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/isa"
-	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 func buildCore(t *testing.T, branches bool) *Core {
@@ -23,7 +23,7 @@ func buildCore(t *testing.T, branches bool) *Core {
 func crossCheck(t *testing.T, words []uint32) {
 	t.Helper()
 	gc := buildCore(t, false)
-	sim := logic.NewSimulator(gc.Netlist)
+	sim := logictest.NewSimulator(gc.Netlist)
 	beh := dsp.New()
 	for cyc, w := range words {
 		sim.SetInputBus(gc.Instr, uint64(w))
@@ -151,8 +151,8 @@ func TestCrossCheckRandomValidInstructions(t *testing.T) {
 func TestBranchInsertionPreservesCore(t *testing.T) {
 	plain := buildCore(t, false)
 	branched := buildCore(t, true)
-	sp := logic.NewSimulator(plain.Netlist)
-	sb := logic.NewSimulator(branched.Netlist)
+	sp := logictest.NewSimulator(plain.Netlist)
+	sb := logictest.NewSimulator(branched.Netlist)
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 2000; i++ {
 		w := uint64(rng.Uint32() & (1<<isa.Width - 1))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // serialBridgeDetect is the scalar reference for one same-level bridge:
@@ -14,8 +15,8 @@ import (
 // its own, since neither lies in the other's cone), then clocks with the
 // forcing removed.
 func serialBridgeDetect(n *logic.Netlist, br Bridge, vecs VectorSeq) int {
-	good := logic.NewSimulator(n)
-	bad := logic.NewSimulator(n)
+	good := logictest.NewSimulator(n)
+	bad := logictest.NewSimulator(n)
 	inputs := n.Inputs()
 	for cyc := 0; cyc < vecs.Len(); cyc++ {
 		v := vecs.At(cyc)

@@ -10,54 +10,44 @@ import (
 // testers use.
 type ObservedTrace []uint64
 
-// GoodTrace simulates the fault-free machine and returns its output
-// trace (the tester's expected-response store).
-func GoodTrace(n *logic.Netlist, vecs VectorSeq) ObservedTrace {
-	s := logic.NewSimulator(n)
-	inputs := n.Inputs()
-	outputs := n.Outputs()
-	trace := make(ObservedTrace, vecs.Len())
-	for cyc := 0; cyc < vecs.Len(); cyc++ {
-		v := vecs.At(cyc)
-		for b, in := range inputs {
-			s.SetInput(in, v>>uint(b)&1 == 1)
-		}
-		s.Settle()
-		var word uint64
-		for b, out := range outputs {
-			if s.Value(out) {
-				word |= 1 << uint(b)
-			}
-		}
-		trace[cyc] = word
-		s.Step()
-	}
-	return trace
+// ExpectedOutputs simulates the fault-free machine and returns its
+// output trace: the tester's expected-response store, and the expected
+// values logic.WriteTestbench asserts.
+func ExpectedOutputs(n *logic.Netlist, vecs VectorSeq) ObservedTrace {
+	return laneTrace(n, vecs, nil)
 }
 
 // FaultTrace simulates one faulty machine's output trace.
 func FaultTrace(n *logic.Netlist, vecs VectorSeq, f Fault) ObservedTrace {
-	s := logic.NewSimulator(n)
-	s.InjectFault(f.Site, f.SA1)
-	inputs := n.Inputs()
+	return laneTrace(n, vecs, []Fault{f})
+}
+
+// laneTrace runs runLanes with at most one fault and packs that
+// machine's outputs: lane 0 without a fault, lane 1 with one.
+func laneTrace(n *logic.Netlist, vecs VectorSeq, faults []Fault) ObservedTrace {
+	lane := uint(len(faults))
 	outputs := n.Outputs()
 	trace := make(ObservedTrace, vecs.Len())
-	for cyc := 0; cyc < vecs.Len(); cyc++ {
-		v := vecs.At(cyc)
-		for b, in := range inputs {
-			s.SetInput(in, v>>uint(b)&1 == 1)
-		}
-		s.Settle()
-		var word uint64
+	runLanes(n, vecs, faults, func(cyc int, s *logic.CompiledSim) bool {
 		for b, out := range outputs {
-			if s.Value(out) {
-				word |= 1 << uint(b)
-			}
+			trace[cyc] |= (s.Word(out) >> lane & 1) << uint(b)
 		}
-		trace[cyc] = word
-		s.Step()
-	}
+		return true
+	})
 	return trace
+}
+
+// runLanes simulates vecs from the reset state on one CompiledSim (see
+// stepLanes): the fault-free machine in lane 0 and faults[i] in lane
+// i+1, at most 63 of them. frame sees every settled frame before its
+// clock edge and ends the run by returning false.
+func runLanes(n *logic.Netlist, vecs VectorSeq, faults []Fault, frame func(cyc int, s *logic.CompiledSim) bool) {
+	s := logic.NewCompiledSim(logic.CompiledFor(n))
+	for i, f := range faults {
+		s.Inject(f.Site, f.SA1, uint(i+1))
+	}
+	s.ApplyInjectionsToValues()
+	stepLanes(s, n.Inputs(), vecs, func(cyc int) bool { return frame(cyc, s) })
 }
 
 // Candidate is one diagnosis hypothesis.
@@ -85,9 +75,11 @@ func (c Candidate) Score() int {
 // DiagnoseOptions tune Diagnose.
 type DiagnoseOptions struct {
 	// Presim, when non-nil, supplies the stage-1 first-detection result
-	// for the candidate list — e.g. from engine.Simulate, which spends
-	// every core — so Diagnose skips its own serial simulation. Its
-	// Faults slice replaces the candidate list.
+	// for the candidate list, so Diagnose skips its own Simulate call.
+	// That call already spends every core; a result from engine.Simulate
+	// adds the call supervisor's retry, quarantine of a diverging
+	// kernel, and the caller's trace sink. Its Faults slice replaces the
+	// candidate list.
 	Presim *Result
 }
 
@@ -109,7 +101,7 @@ func Diagnose(n *logic.Netlist, vecs VectorSeq, observed ObservedTrace,
 func DiagnoseOpts(n *logic.Netlist, vecs VectorSeq, observed ObservedTrace,
 	candidates []Fault, opts DiagnoseOptions) ([]Candidate, error) {
 
-	good := GoodTrace(n, vecs)
+	good := ExpectedOutputs(n, vecs)
 	firstFail := -1
 	for cyc := range observed {
 		if observed[cyc] != good[cyc] {
@@ -159,28 +151,16 @@ func DiagnoseOpts(n *logic.Netlist, vecs VectorSeq, observed ObservedTrace,
 func traceMatchBatched(n *logic.Netlist, vecs VectorSeq, good, observed ObservedTrace,
 	cands []Fault) []Candidate {
 
-	w := logic.NewCompiledSim(logic.CompiledFor(n))
-	inputs := n.Inputs()
 	outputs := n.Outputs()
 	var out []Candidate
 	for start := 0; start < len(cands); start += 63 {
 		batch := cands[start:min(start+63, len(cands))]
-		w.Reset()
-		for li, f := range batch {
-			w.Inject(f.Site, f.SA1, uint(li+1))
-		}
-		w.ApplyInjectionsToValues()
 		scores := make([]Candidate, len(batch))
 		for i := range scores {
 			scores[i] = Candidate{Fault: batch[i], ExactMatch: true}
 		}
 		liveMask := uint64(1)<<uint(len(batch)+1) - 2
-		for cyc := 0; cyc < vecs.Len(); cyc++ {
-			v := vecs.At(cyc)
-			for bi, in := range inputs {
-				w.SetInput(in, v>>uint(bi)&1 == 1)
-			}
-			w.Settle()
+		runLanes(n, vecs, batch, func(cyc int, w *logic.CompiledSim) bool {
 			var diffGood, diffObs uint64
 			for b, o := range outputs {
 				word := w.Word(o)
@@ -215,8 +195,8 @@ func traceMatchBatched(n *logic.Netlist, vecs VectorSeq, good, observed Observed
 					}
 				}
 			}
-			w.ClockAfterSettle()
-		}
+			return true
+		})
 		out = append(out, scores...)
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // buildAdder returns a 4-bit combinational ripple adder netlist with
@@ -69,8 +70,8 @@ func serialDetect(n *logic.Netlist, f Fault, vecs VectorSeq) int {
 // output difference in ndet distinct cycles: it returns the first such
 // cycle (or -1) and the count, saturated at ndet.
 func serialDetectN(n *logic.Netlist, f Fault, vecs VectorSeq, ndet int) (first, count int) {
-	good := logic.NewSimulator(n)
-	bad := logic.NewSimulator(n)
+	good := logictest.NewSimulator(n)
+	bad := logictest.NewSimulator(n)
 	bad.InjectFault(f.Site, f.SA1)
 	inputs := n.Inputs()
 	first = -1

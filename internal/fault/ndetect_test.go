@@ -13,22 +13,8 @@ func TestNDetectMatchesSerial(t *testing.T) {
 	if res.Detections == nil {
 		t.Fatal("Detections not populated")
 	}
-	good := GoodTrace(n, vecs)
 	for i, f := range faults {
-		trace := FaultTrace(n, vecs, f)
-		want := 0
-		firstFail := -1
-		for cyc := range trace {
-			if trace[cyc] != good[cyc] {
-				want++
-				if firstFail < 0 {
-					firstFail = cyc
-				}
-			}
-		}
-		if want > 5 {
-			want = 5 // saturated at NDetect
-		}
+		firstFail, want := serialDetectN(n, f, vecs, 5)
 		if got := int(res.Detections[i]); got != want {
 			t.Errorf("fault %v: detections %d, want %d", f, got, want)
 		}

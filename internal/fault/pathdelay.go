@@ -116,22 +116,14 @@ func SimulatePathDelay(n *logic.Netlist, vecs VectorSeq, paths []Path) (*PathDel
 		res.RisingAt[i] = -1
 		res.FallingAt[i] = -1
 	}
-	s := logic.NewSimulator(n)
-	inputs := n.Inputs()
 	prev := make([]bool, n.NumNets())
 	cur := make([]bool, n.NumNets())
-	havePrev := false
 	remaining := 2 * len(paths)
-	for cyc := 0; cyc < vecs.Len() && remaining > 0; cyc++ {
-		v := vecs.At(cyc)
-		for b, in := range inputs {
-			s.SetInput(in, v>>uint(b)&1 == 1)
+	runLanes(n, vecs, nil, func(cyc int, s *logic.CompiledSim) bool {
+		for id := range cur {
+			cur[id] = s.Word(logic.NetID(id))&1 == 1
 		}
-		s.Settle()
-		for id := 0; id < n.NumNets(); id++ {
-			cur[id] = s.Value(logic.NetID(id))
-		}
-		if havePrev {
+		if cyc > 0 {
 			for pi := range paths {
 				if res.RisingAt[pi] >= 0 && res.FallingAt[pi] >= 0 {
 					continue
@@ -151,9 +143,8 @@ func SimulatePathDelay(n *logic.Netlist, vecs VectorSeq, paths []Path) (*PathDel
 			}
 		}
 		prev, cur = cur, prev
-		havePrev = true
-		s.ClockAfterSettle()
-	}
+		return remaining > 0
+	})
 	return res, nil
 }
 

@@ -562,23 +562,35 @@ func replayLanes(w *logic.CompiledSim, inputs []logic.NetID, good []uint64, stat
 	w.ApplyInjectionsToValues()
 	var done uint64
 	live := uint64(1)<<uint(len(faults)+1) - 2 // lanes 1..len
-	for rc, vec := range vecs {
-		for bi, in := range inputs {
-			w.SetInput(in, vec>>uint(bi)&1 == 1)
-		}
-		w.Settle()
+	return stepLanes(w, inputs, Vectors(vecs), func(rc int) bool {
 		for diff := w.OutputDiff() & live &^ done; diff != 0; diff &= diff - 1 {
 			lane := bits.TrailingZeros64(diff)
 			if hit(lane-1, start+rc) {
 				done |= 1 << uint(lane)
 			}
 		}
-		if untilDone && done == live {
-			return rc + 1
+		return !untilDone || done != live
+	})
+}
+
+// stepLanes drives vecs through w from the state its lanes hold, one
+// cycle at a time: it sets the inputs, settles, and hands the settled
+// frame to frame before the clock edge — the strobe point testers and
+// the fault simulator share. The run ends after the settle at which
+// frame returns false. It returns the cycles settled.
+func stepLanes(w *logic.CompiledSim, inputs []logic.NetID, vecs VectorSeq, frame func(cyc int) bool) int {
+	for cyc := 0; cyc < vecs.Len(); cyc++ {
+		v := vecs.At(cyc)
+		for b, in := range inputs {
+			w.SetInput(in, v>>uint(b)&1 == 1)
+		}
+		w.Settle()
+		if !frame(cyc) {
+			return cyc + 1
 		}
 		w.ClockAfterSettle()
 	}
-	return len(vecs)
+	return vecs.Len()
 }
 
 func safeRatio(num, den int) float64 {

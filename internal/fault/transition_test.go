@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // serialTransitionDetect is the scalar reference for the
@@ -12,8 +13,8 @@ import (
 // a slow-direction edge at the site, then re-settles with the site held
 // at the previous driven value when it does, and clocks from that.
 func serialTransitionDetect(n *logic.Netlist, f TransitionFault, vecs VectorSeq) int {
-	good := logic.NewSimulator(n)
-	bad := logic.NewSimulator(n)
+	good := logictest.NewSimulator(n)
+	bad := logictest.NewSimulator(n)
 	inputs := n.Inputs()
 	prev := false
 	havePrev := false

@@ -1,17 +1,20 @@
-package logic
+package logic_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // benchTestCircuit builds a small sequential circuit that exercises
 // every lowering path WriteBench has: n-ary gates, NOT/BUFF, a mux, a
 // live constant, DFF feedback and fanout-branch buffers.
-func benchTestCircuit(t *testing.T) *Netlist {
+func benchTestCircuit(t *testing.T) *logic.Netlist {
 	t.Helper()
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	a := b.Input("a")
 	x := b.Input("x")
 	y := b.Input("y")
@@ -20,7 +23,7 @@ func benchTestCircuit(t *testing.T) *Netlist {
 	carry := b.Or(b.And(a, x), b.And(x, y), b.And(a, y))
 	b.MarkOutput(b.Xnor(q, carry), "sum")
 	b.MarkOutput(b.Nand(q, b.Not(carry)), "flag")
-	n, err := b.Build(BuildOptions{InsertFanoutBranches: true})
+	n, err := b.Build(logic.BuildOptions{InsertFanoutBranches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +37,10 @@ func benchTestCircuit(t *testing.T) *Netlist {
 func TestBenchRoundTrip(t *testing.T) {
 	orig := benchTestCircuit(t)
 	var sb strings.Builder
-	if err := WriteBench(&sb, orig, "roundtrip"); err != nil {
+	if err := logic.WriteBench(&sb, orig, "roundtrip"); err != nil {
 		t.Fatal(err)
 	}
-	re, err := ReadBench(strings.NewReader(sb.String()), BuildOptions{InsertFanoutBranches: true})
+	re, err := logic.ReadBench(strings.NewReader(sb.String()), logic.BuildOptions{InsertFanoutBranches: true})
 	if err != nil {
 		t.Fatalf("ReadBench of exported netlist: %v\n%s", err, sb.String())
 	}
@@ -48,9 +51,9 @@ func TestBenchRoundTrip(t *testing.T) {
 		t.Fatalf("reimported %d outputs, want %d", got, want)
 	}
 
-	sOrig := NewSimulator(orig)
-	sRe := NewSimulator(re)
-	csRe := NewCompiledSim(Compile(re))
+	sOrig := logictest.NewSimulator(orig)
+	sRe := logictest.NewSimulator(re)
+	csRe := logic.NewCompiledSim(logic.Compile(re))
 	rng := rand.New(rand.NewSource(11))
 	for cycle := 0; cycle < 300; cycle++ {
 		word := rng.Uint64()
@@ -90,11 +93,11 @@ q = DFF(d)
 nq = NOT(q)
 d = AND(en, nq)
 `
-	n, err := ReadBench(strings.NewReader(src), BuildOptions{})
+	n, err := logic.ReadBench(strings.NewReader(src), logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewCompiledSim(Compile(n))
+	cs := logic.NewCompiledSim(logic.Compile(n))
 	cs.SetInput(n.Inputs()[0], true)
 	var seen []uint64
 	for i := 0; i < 4; i++ {
@@ -124,7 +127,7 @@ func TestReadBenchErrors(t *testing.T) {
 		"empty":            "# nothing here\n",
 		"malformed":        "INPUT(a)\nwat\n",
 	} {
-		if _, err := ReadBench(strings.NewReader(src), BuildOptions{}); err == nil {
+		if _, err := logic.ReadBench(strings.NewReader(src), logic.BuildOptions{}); err == nil {
 			t.Errorf("%s: ReadBench accepted invalid input", name)
 		}
 	}
@@ -133,7 +136,7 @@ func TestReadBenchErrors(t *testing.T) {
 // TestReadBenchInputAsOutput: OUTPUT of a raw INPUT gets an aliased
 // port name instead of failing on the duplicate.
 func TestReadBenchInputAsOutput(t *testing.T) {
-	n, err := ReadBench(strings.NewReader("INPUT(a)\nOUTPUT(a)\nx = NOT(a)\n"), BuildOptions{})
+	n, err := logic.ReadBench(strings.NewReader("INPUT(a)\nOUTPUT(a)\nx = NOT(a)\n"), logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestReadBenchInputAsOutput(t *testing.T) {
 // net must still end up with a unique exported name — the old suffixing
 // scheme silently aliased the third case.
 func TestExportNamesNoSilentAlias(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	b.Input("a.b") // sanitizes to a_b
 	x := b.Input("dummy")
 	// The net id of the next input is 4 (const0, const1, a.b, dummy
@@ -160,20 +163,20 @@ func TestExportNamesNoSilentAlias(t *testing.T) {
 	b.Input("a_b_4")
 	collide := b.Input("a:b")
 	b.MarkOutput(b.And(x, collide), "out")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := exportNames(n, "clk", "rst")
-	seen := map[string]NetID{}
+	names := logic.ExportNames(n, "clk", "rst")
+	seen := map[string]logic.NetID{}
 	for id, name := range names {
 		if prev, dup := seen[name]; dup {
 			t.Fatalf("nets %d and %d both exported as %q", prev, id, name)
 		}
-		seen[name] = NetID(id)
+		seen[name] = logic.NetID(id)
 	}
 	var sb strings.Builder
-	if err := WriteVerilog(&sb, n, "collide"); err != nil {
+	if err := logic.WriteVerilog(&sb, n, "collide"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,15 +190,15 @@ func FuzzReadBench(f *testing.F) {
 	f.Add("x = AND(a\nINPUT(()\nOUTPUT\n= NOT(x)\n")
 	f.Add(strings.Repeat("INPUT(a)\n", 3))
 	f.Fuzz(func(t *testing.T, src string) {
-		n, err := ReadBench(strings.NewReader(src), BuildOptions{})
+		n, err := logic.ReadBench(strings.NewReader(src), logic.BuildOptions{})
 		if err != nil || n == nil {
 			return
 		}
 		var sb strings.Builder
-		if err := WriteBench(&sb, n, "fuzz"); err != nil {
+		if err := logic.WriteBench(&sb, n, "fuzz"); err != nil {
 			t.Fatalf("WriteBench of a ReadBench-accepted netlist: %v", err)
 		}
-		if _, err := ReadBench(strings.NewReader(sb.String()), BuildOptions{}); err != nil {
+		if _, err := logic.ReadBench(strings.NewReader(sb.String()), logic.BuildOptions{}); err != nil {
 			t.Fatalf("re-import of exported netlist: %v\n%s", err, sb.String())
 		}
 	})

@@ -10,10 +10,11 @@ import "fmt"
 // storage includes the temporary slots the compiler introduced for
 // decomposed variadic gates.
 //
-// It is the full-sweep simulator behind fault.KernelReference and the
+// It is the full-sweep simulator behind fault.KernelReference, the
 // fault models whose forcing changes cycle by cycle (transition and
-// bridging faults). The tests in this package hold it to the scalar
-// Simulator.
+// bridging faults), and every consumer of one machine's response:
+// expected outputs, fault traces, MISR signatures, path delay and VCD
+// dumps. The tests in this package hold it to logictest.Simulator.
 type CompiledSim struct {
 	c    *Compiled
 	vals []uint64 // len c.slots; indices >= c.numNets are temporaries

@@ -21,12 +21,12 @@ func TestCompiledSimLanesMatchScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := logic.NewCompiledSim(logic.Compile(n))
-		scalar := []*logic.Simulator{logic.NewSimulator(n)}
+		scalar := []*logictest.Simulator{logictest.NewSimulator(n)}
 		for lane := uint(1); lane < 64; lane++ {
 			id := logic.NetID(rng.Intn(n.NumNets()))
 			sa1 := rng.Intn(2) == 1
 			w.Inject(id, sa1, lane)
-			s := logic.NewSimulator(n)
+			s := logictest.NewSimulator(n)
 			s.InjectFault(id, sa1)
 			scalar = append(scalar, s)
 		}

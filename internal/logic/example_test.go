@@ -6,7 +6,8 @@ import (
 	"repro/internal/logic"
 )
 
-// Example builds a two-bit equality comparator and simulates it.
+// Example builds a two-bit equality comparator and simulates it on
+// lane 0, the fault-free machine.
 func Example() {
 	b := logic.NewBuilder()
 	a := b.InputBus("a", 2)
@@ -17,12 +18,14 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logic.NewCompiledSim(logic.Compile(n))
 	for _, pair := range [][2]uint64{{1, 1}, {2, 3}} {
-		s.SetInputBus(a, pair[0])
-		s.SetInputBus(x, pair[1])
+		for i := range a {
+			s.SetInput(a[i], pair[0]>>uint(i)&1 == 1)
+			s.SetInput(x[i], pair[1]>>uint(i)&1 == 1)
+		}
 		s.Settle()
-		fmt.Printf("%d==%d: %v\n", pair[0], pair[1], s.Value(out))
+		fmt.Printf("%d==%d: %v\n", pair[0], pair[1], s.Word(out)&1 == 1) // lane 0
 	}
 	// Output:
 	// 1==1: true

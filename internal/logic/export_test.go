@@ -59,3 +59,6 @@ func (t *GoodTrace) OracleExtend(c *Compiled, end int, at func(int) uint64) {
 	good.LaneState(0, frontier)
 	t.SetFrontier(end, frontier)
 }
+
+// ExportNames is exportNames, for the package logic_test tests.
+var ExportNames = exportNames

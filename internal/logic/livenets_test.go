@@ -1,15 +1,20 @@
-package logic
+package logic_test
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/logic"
+	"repro/internal/logic/logictest"
+)
 
 func TestLiveNets(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	x := b.Input("x")
 	y := b.Input("y")
 	used := b.And(x, y)
 	dangling := b.Or(x, y) // no consumer
 	b.MarkOutput(used, "out")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +30,7 @@ func TestLiveNets(t *testing.T) {
 func TestLiveNetsCrossesDFFs(t *testing.T) {
 	// in -> comb -> DFF -> out: the comb logic upstream of the DFF is
 	// live because liveness crosses the D pin.
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	in := b.Input("in")
 	inv := b.Not(in)
 	q := b.DFF(inv, "q")
@@ -33,7 +38,7 @@ func TestLiveNetsCrossesDFFs(t *testing.T) {
 	// A dead DFF: fed and never read.
 	deadD := b.And(in, in)
 	b.DFF(deadD, "deadq")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,17 +55,17 @@ func TestLiveNetsCrossesDFFs(t *testing.T) {
 }
 
 func TestExtendHelpers(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	bus := b.InputBus("v", 4)
 	se := b.SignExtend(bus, 8)
 	ze := b.ZeroExtend(bus, 8)
 	b.MarkOutputBus(se, "se")
 	b.MarkOutputBus(ze, "ze")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	for v := 0; v < 16; v++ {
 		s.SetInputBus(bus, uint64(v))
 		s.Settle()
@@ -84,14 +89,14 @@ func TestExtendHelpers(t *testing.T) {
 }
 
 func TestConstBus(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	cb := b.ConstBus(0b1010, 4)
 	b.MarkOutputBus(cb, "c")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	s.Settle()
 	if got := s.BusValue(cb); got != 0b1010 {
 		t.Fatalf("ConstBus = %b", got)
@@ -99,28 +104,28 @@ func TestConstBus(t *testing.T) {
 }
 
 func TestDeferredBufUnresolvedFails(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	d := b.DeferredBuf()
 	b.MarkOutput(d, "out")
-	if _, err := b.Build(BuildOptions{}); err == nil {
+	if _, err := b.Build(logic.BuildOptions{}); err == nil {
 		t.Fatal("unresolved deferred buffer must fail Build")
 	}
 
-	b2 := NewBuilder()
+	b2 := logic.NewBuilder()
 	x := b2.Input("x")
 	b2.ResolveBuf(x, x) // not a deferred buffer
-	if _, err := b2.Build(BuildOptions{}); err == nil {
+	if _, err := b2.Build(logic.BuildOptions{}); err == nil {
 		t.Fatal("ResolveBuf on non-deferred net must fail")
 	}
 }
 
 func TestNameCollisionAndAlias(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	x := b.Input("x")
 	y := b.Not(x)
 	b.Name(y, "inv")
 	b.MarkOutput(y, "out")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,20 @@
-package logic
+package logic_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
-func buildFullAdder(t *testing.T, opts BuildOptions) (*Netlist, Bus, Bus, NetID, Bus, NetID) {
+func buildFullAdder(t *testing.T, opts logic.BuildOptions) (*logic.Netlist, logic.Bus, logic.Bus, logic.NetID, logic.Bus, logic.NetID) {
 	t.Helper()
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	a := b.InputBus("a", 4)
 	bb := b.InputBus("b", 4)
 	cin := b.Input("cin")
-	sum := make(Bus, 4)
+	sum := make(logic.Bus, 4)
 	carry := cin
 	for i := 0; i < 4; i++ {
 		sum[i] = b.Xor(a[i], bb[i], carry)
@@ -28,8 +31,8 @@ func buildFullAdder(t *testing.T, opts BuildOptions) (*Netlist, Bus, Bus, NetID,
 
 func TestAdderExhaustive(t *testing.T) {
 	for _, branches := range []bool{false, true} {
-		n, a, bb, cin, sum, cout := buildFullAdder(t, BuildOptions{InsertFanoutBranches: branches})
-		s := NewSimulator(n)
+		n, a, bb, cin, sum, cout := buildFullAdder(t, logic.BuildOptions{InsertFanoutBranches: branches})
+		s := logictest.NewSimulator(n)
 		for x := 0; x < 16; x++ {
 			for y := 0; y < 16; y++ {
 				for c := 0; c < 2; c++ {
@@ -52,7 +55,7 @@ func TestAdderExhaustive(t *testing.T) {
 }
 
 func TestGateOps(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	x := b.Input("x")
 	y := b.Input("y")
 	and := b.MarkOutput(b.And(x, y), "and")
@@ -63,18 +66,18 @@ func TestGateOps(t *testing.T) {
 	xnor := b.MarkOutput(b.Xnor(x, y), "xnor")
 	not := b.MarkOutput(b.Not(x), "not")
 	mux := b.MarkOutput(b.Mux2(x, y, b.Const(true)), "mux")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	for xi := 0; xi < 2; xi++ {
 		for yi := 0; yi < 2; yi++ {
 			xv, yv := xi == 1, yi == 1
 			s.SetInput(x, xv)
 			s.SetInput(y, yv)
 			s.Settle()
-			check := func(id NetID, want bool, name string) {
+			check := func(id logic.NetID, want bool, name string) {
 				if s.Value(id) != want {
 					t.Errorf("x=%v y=%v %s: got %v want %v", xv, yv, name, s.Value(id), want)
 				}
@@ -96,17 +99,17 @@ func TestGateOps(t *testing.T) {
 }
 
 func TestDFFShiftRegister(t *testing.T) {
-	b2 := NewBuilder()
+	b2 := logic.NewBuilder()
 	din := b2.Input("din")
 	q0 := b2.DFF(din, "q0")
 	q1 := b2.DFF(q0, "q1")
 	q2 := b2.DFF(q1, "q2")
 	out := b2.MarkOutput(q2, "out")
-	n, err := b2.Build(BuildOptions{})
+	n, err := b2.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	pattern := []bool{true, false, true, true, false, false, true}
 	var got []bool
 	for i := 0; i < len(pattern)+3; i++ {
@@ -137,25 +140,25 @@ func TestReconvergentFanoutBuilds(t *testing.T) {
 	// already-created nets), so the interesting structural case is
 	// reconvergent fanout, which must levelize cleanly with and without
 	// branch insertion.
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	x := b.Input("x")
 	d1 := b.Not(x)
 	d2 := b.Not(x)
 	y := b.And(d1, d2)
 	b.MarkOutput(y, "y")
-	if _, err := b.Build(BuildOptions{InsertFanoutBranches: true}); err != nil {
+	if _, err := b.Build(logic.BuildOptions{InsertFanoutBranches: true}); err != nil {
 		t.Fatalf("diamond should build: %v", err)
 	}
 }
 
 func TestBranchInsertionPreservesFunction(t *testing.T) {
-	plain, a1, b1, c1, s1, co1 := buildFullAdder(t, BuildOptions{})
-	branched, a2, b2, c2, s2, co2 := buildFullAdder(t, BuildOptions{InsertFanoutBranches: true})
+	plain, a1, b1, c1, s1, co1 := buildFullAdder(t, logic.BuildOptions{})
+	branched, a2, b2, c2, s2, co2 := buildFullAdder(t, logic.BuildOptions{InsertFanoutBranches: true})
 	if branched.NumNets() <= plain.NumNets() {
 		t.Fatalf("branch insertion should add nets: %d vs %d", branched.NumNets(), plain.NumNets())
 	}
-	sp := NewSimulator(plain)
-	sb := NewSimulator(branched)
+	sp := logictest.NewSimulator(plain)
+	sb := logictest.NewSimulator(branched)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		x, y := rng.Uint64()&15, rng.Uint64()&15
@@ -176,16 +179,16 @@ func TestBranchInsertionPreservesFunction(t *testing.T) {
 
 // setInputBus drives a bus of primary inputs of every lane from the low
 // bits of v.
-func setInputBus(s *CompiledSim, bus Bus, v uint64) {
+func setInputBus(s *logic.CompiledSim, bus logic.Bus, v uint64) {
 	for i, id := range bus {
 		s.SetInput(id, v>>uint(i)&1 == 1)
 	}
 }
 
 func TestCompiledSimMatchesScalar(t *testing.T) {
-	n, a, bb, cin, sum, cout := buildFullAdder(t, BuildOptions{InsertFanoutBranches: true})
-	s := NewSimulator(n)
-	w := NewCompiledSim(Compile(n))
+	n, a, bb, cin, sum, cout := buildFullAdder(t, logic.BuildOptions{InsertFanoutBranches: true})
+	s := logictest.NewSimulator(n)
+	w := logic.NewCompiledSim(logic.Compile(n))
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		x, y := rng.Uint64()&15, rng.Uint64()&15
@@ -198,7 +201,7 @@ func TestCompiledSimMatchesScalar(t *testing.T) {
 		setInputBus(w, bb, y)
 		w.SetInput(cin, c)
 		w.Settle()
-		for _, id := range append(append(Bus{}, sum...), cout) {
+		for _, id := range append(append(logic.Bus{}, sum...), cout) {
 			v := w.Word(id)
 			if (v&1 == 1) != s.Value(id) {
 				t.Fatalf("lane 0 of net %d mismatch at %d+%d", id, x, y)
@@ -212,8 +215,8 @@ func TestCompiledSimMatchesScalar(t *testing.T) {
 }
 
 func TestCompiledSimInjection(t *testing.T) {
-	n, a, bb, cin, sum, _ := buildFullAdder(t, BuildOptions{InsertFanoutBranches: true})
-	w := NewCompiledSim(Compile(n))
+	n, a, bb, cin, sum, _ := buildFullAdder(t, logic.BuildOptions{InsertFanoutBranches: true})
+	w := logic.NewCompiledSim(logic.Compile(n))
 	// Force sum[0]'s driving net stuck-at-1 in lane 3.
 	target := sum[0]
 	w.Inject(target, true, 3)
@@ -242,16 +245,16 @@ func TestCompiledSimInjection(t *testing.T) {
 }
 
 func TestCompiledSimLaneState(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	din := b.Input("din")
 	q0 := b.DFF(din, "q0")
 	q1 := b.DFF(q0, "q1")
 	b.MarkOutput(q1, "out")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewCompiledSim(Compile(n))
+	w := logic.NewCompiledSim(logic.Compile(n))
 	for _, v := range []bool{true, false} {
 		w.SetInput(din, v)
 		w.Settle()
@@ -276,17 +279,17 @@ func TestCompiledSimLaneState(t *testing.T) {
 }
 
 func TestRegions(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	x := b.Input("x")
 	y := b.Input("y")
-	var inner NetID
+	var inner logic.NetID
 	b.Scoped("alu", func() {
 		b.Scoped("add", func() {
 			inner = b.And(x, y)
 		})
 	})
 	b.MarkOutput(inner, "out")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,33 +305,33 @@ func TestRegions(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	x := b.Input("x")
 	b.And(x) // too few inputs
-	if _, err := b.Build(BuildOptions{}); err == nil {
+	if _, err := b.Build(logic.BuildOptions{}); err == nil {
 		t.Fatal("expected arity error")
 	}
 
-	b2 := NewBuilder()
+	b2 := logic.NewBuilder()
 	b2.Input("x")
 	b2.Input("x") // duplicate name
-	if _, err := b2.Build(BuildOptions{}); err == nil {
+	if _, err := b2.Build(logic.BuildOptions{}); err == nil {
 		t.Fatal("expected duplicate-name error")
 	}
 
-	b3 := NewBuilder()
+	b3 := logic.NewBuilder()
 	b3.PopScope()
-	if _, err := b3.Build(BuildOptions{}); err == nil {
+	if _, err := b3.Build(logic.BuildOptions{}); err == nil {
 		t.Fatal("expected scope underflow error")
 	}
 }
 
 func TestLookupAndStats(t *testing.T) {
-	n, _, _, _, _, _ := buildFullAdder(t, BuildOptions{})
-	if n.Lookup("a[0]") == InvalidNet {
+	n, _, _, _, _, _ := buildFullAdder(t, logic.BuildOptions{})
+	if n.Lookup("a[0]") == logic.InvalidNet {
 		t.Fatal("Lookup a[0] failed")
 	}
-	if n.Lookup("nope") != InvalidNet {
+	if n.Lookup("nope") != logic.InvalidNet {
 		t.Fatal("Lookup nonexistent should fail")
 	}
 	st := n.Stats()

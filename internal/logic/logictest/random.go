@@ -1,5 +1,6 @@
-// Package logictest holds netlist generators shared by the differential
-// tests of the packages built on logic.
+// Package logictest holds what the differential tests of the packages
+// built on logic share: a random netlist generator and the scalar
+// Simulator they hold every production simulator to.
 package logictest
 
 import (

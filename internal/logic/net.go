@@ -1,5 +1,6 @@
 // Package logic provides a technology-independent gate-level netlist
-// representation with scalar and 64-lane word-parallel simulation.
+// representation with 64-lane word-parallel simulation. Its tests hold
+// the simulators to the scalar oracle in package logictest.
 //
 // The netlist is the substrate every gate-level experiment in this
 // repository runs on: structural "synthesis" generators (package synth)
@@ -9,7 +10,7 @@
 //
 // A Netlist is sequential: DFF gates hold one bit of state each and the
 // remaining gates form a combinational frame that is levelized once at
-// build time. One simulation Step applies primary inputs, settles the
+// build time. One simulated cycle applies primary inputs, settles the
 // combinational frame, samples primary outputs and then clocks every DFF.
 package logic
 

@@ -1,51 +1,54 @@
-package logic
+package logic_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // exprNode is a tiny random expression-circuit generator used to
 // property-test the simulators against direct recursive evaluation.
 type exprNode struct {
-	op       GateKind // And, Or, Xor, Not, Mux2, or GateInput for a leaf
+	op       logic.GateKind // And, Or, Xor, Not, Mux2, or GateInput for a leaf
 	children []*exprNode
 	input    int // leaf index into the input vector
 }
 
 func randExpr(rng *rand.Rand, depth, numInputs int) *exprNode {
 	if depth == 0 || rng.Intn(4) == 0 {
-		return &exprNode{op: GateInput, input: rng.Intn(numInputs)}
+		return &exprNode{op: logic.GateInput, input: rng.Intn(numInputs)}
 	}
 	switch rng.Intn(5) {
 	case 0:
-		return &exprNode{op: GateNot, children: []*exprNode{randExpr(rng, depth-1, numInputs)}}
+		return &exprNode{op: logic.GateNot, children: []*exprNode{randExpr(rng, depth-1, numInputs)}}
 	case 1:
-		return &exprNode{op: GateAnd, children: []*exprNode{randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs)}}
+		return &exprNode{op: logic.GateAnd, children: []*exprNode{randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs)}}
 	case 2:
-		return &exprNode{op: GateOr, children: []*exprNode{randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs)}}
+		return &exprNode{op: logic.GateOr, children: []*exprNode{randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs)}}
 	case 3:
-		return &exprNode{op: GateXor, children: []*exprNode{randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs)}}
+		return &exprNode{op: logic.GateXor, children: []*exprNode{randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs)}}
 	default:
-		return &exprNode{op: GateMux2, children: []*exprNode{
+		return &exprNode{op: logic.GateMux2, children: []*exprNode{
 			randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs), randExpr(rng, depth-1, numInputs)}}
 	}
 }
 
 func (e *exprNode) evalDirect(inputs []bool) bool {
 	switch e.op {
-	case GateInput:
+	case logic.GateInput:
 		return inputs[e.input]
-	case GateNot:
+	case logic.GateNot:
 		return !e.children[0].evalDirect(inputs)
-	case GateAnd:
+	case logic.GateAnd:
 		return e.children[0].evalDirect(inputs) && e.children[1].evalDirect(inputs)
-	case GateOr:
+	case logic.GateOr:
 		return e.children[0].evalDirect(inputs) || e.children[1].evalDirect(inputs)
-	case GateXor:
+	case logic.GateXor:
 		return e.children[0].evalDirect(inputs) != e.children[1].evalDirect(inputs)
-	case GateMux2:
+	case logic.GateMux2:
 		if e.children[0].evalDirect(inputs) {
 			return e.children[2].evalDirect(inputs)
 		}
@@ -54,19 +57,19 @@ func (e *exprNode) evalDirect(inputs []bool) bool {
 	panic("unreachable")
 }
 
-func (e *exprNode) emit(b *Builder, ins Bus) NetID {
+func (e *exprNode) emit(b *logic.Builder, ins logic.Bus) logic.NetID {
 	switch e.op {
-	case GateInput:
+	case logic.GateInput:
 		return ins[e.input]
-	case GateNot:
+	case logic.GateNot:
 		return b.Not(e.children[0].emit(b, ins))
-	case GateAnd:
+	case logic.GateAnd:
 		return b.And(e.children[0].emit(b, ins), e.children[1].emit(b, ins))
-	case GateOr:
+	case logic.GateOr:
 		return b.Or(e.children[0].emit(b, ins), e.children[1].emit(b, ins))
-	case GateXor:
+	case logic.GateXor:
 		return b.Xor(e.children[0].emit(b, ins), e.children[1].emit(b, ins))
-	case GateMux2:
+	case logic.GateMux2:
 		return b.Mux2(e.children[0].emit(b, ins), e.children[1].emit(b, ins), e.children[2].emit(b, ins))
 	}
 	panic("unreachable")
@@ -82,10 +85,10 @@ func TestQuickRandomCircuits(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		expr := randExpr(rng, 5, numInputs)
 		for _, branches := range []bool{false, true} {
-			b := NewBuilder()
+			b := logic.NewBuilder()
 			ins := b.InputBus("in", numInputs)
 			out := b.MarkOutput(expr.emit(b, ins), "out")
-			n, err := b.Build(BuildOptions{InsertFanoutBranches: branches})
+			n, err := b.Build(logic.BuildOptions{InsertFanoutBranches: branches})
 			if err != nil {
 				t.Logf("build failed: %v", err)
 				return false
@@ -95,14 +98,14 @@ func TestQuickRandomCircuits(t *testing.T) {
 				inputs[i] = assignment>>uint(i)&1 == 1
 			}
 			want := expr.evalDirect(inputs)
-			s := NewSimulator(n)
+			s := logictest.NewSimulator(n)
 			s.SetInputBus(ins, uint64(assignment)&((1<<numInputs)-1))
 			s.Settle()
 			if s.Value(out) != want {
 				t.Logf("scalar mismatch: seed=%d assign=%b branches=%v", seed, assignment, branches)
 				return false
 			}
-			w := NewCompiledSim(Compile(n))
+			w := logic.NewCompiledSim(logic.Compile(n))
 			setInputBus(w, ins, uint64(assignment)&((1<<numInputs)-1))
 			w.Settle()
 			word := w.Word(out)
@@ -130,15 +133,15 @@ func TestQuickInjectionOnlyAffectsLane(t *testing.T) {
 		lane := uint(laneRaw%63) + 1
 		rng := rand.New(rand.NewSource(seed))
 		expr := randExpr(rng, 5, numInputs)
-		b := NewBuilder()
+		b := logic.NewBuilder()
 		ins := b.InputBus("in", numInputs)
 		out := b.MarkOutput(expr.emit(b, ins), "out")
-		n, err := b.Build(BuildOptions{InsertFanoutBranches: true})
+		n, err := b.Build(logic.BuildOptions{InsertFanoutBranches: true})
 		if err != nil {
 			return false
 		}
-		target := NetID(rng.Intn(n.NumNets()))
-		w := NewCompiledSim(Compile(n))
+		target := logic.NetID(rng.Intn(n.NumNets()))
+		w := logic.NewCompiledSim(logic.Compile(n))
 		w.Inject(target, sa1, lane)
 		setInputBus(w, ins, uint64(assignment)&((1<<numInputs)-1))
 		w.Settle()

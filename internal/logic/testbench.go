@@ -13,8 +13,9 @@ import (
 //
 // vectors[i] packs the primary inputs for cycle i (bit b drives
 // Inputs()[b]); expected[i] packs the outputs sampled combinationally in
-// the same cycle, before the clock edge — matching both simulators'
-// strobe point. expected may be nil to emit a stimulus-only bench.
+// the same cycle, before the clock edge — the fault simulator's strobe
+// point, at which fault.ExpectedOutputs packs them. expected may be nil
+// to emit a stimulus-only bench.
 func WriteTestbench(w io.Writer, n *Netlist, moduleName string, vectors []uint64, expected []uint64) error {
 	if expected != nil && len(expected) != len(vectors) {
 		return fmt.Errorf("logic: WriteTestbench: %d expected values for %d vectors", len(expected), len(vectors))
@@ -53,29 +54,4 @@ func WriteTestbench(w io.Writer, n *Netlist, moduleName string, vectors []uint64
 	fmt.Fprintf(w, "    else $display(\"TESTBENCH FAIL: %%0d mismatches\", errors);\n")
 	fmt.Fprintf(w, "    $finish;\n  end\nendmodule\n")
 	return nil
-}
-
-// ExpectedOutputs simulates the vectors on the fault-free netlist and
-// returns the packed primary-output values at each cycle's strobe point,
-// ready for WriteTestbench.
-func ExpectedOutputs(n *Netlist, vectors []uint64) []uint64 {
-	s := NewSimulator(n)
-	inputs := n.Inputs()
-	outputs := n.Outputs()
-	expected := make([]uint64, len(vectors))
-	for cyc, v := range vectors {
-		for b, in := range inputs {
-			s.SetInput(in, v>>uint(b)&1 == 1)
-		}
-		s.Settle()
-		var packed uint64
-		for b, out := range outputs {
-			if s.Value(out) {
-				packed |= 1 << uint(b)
-			}
-		}
-		expected[cyc] = packed
-		s.Step()
-	}
-	return expected
 }

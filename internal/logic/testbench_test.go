@@ -1,34 +1,15 @@
-package logic
+package logic_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/logic"
 )
 
-func TestExpectedOutputs(t *testing.T) {
-	// Shift register: expected output lags input by its depth.
-	b := NewBuilder()
-	din := b.Input("din")
-	q := b.DFF(din, "q0")
-	q = b.DFF(q, "q1")
-	b.MarkOutput(q, "out")
-	n, err := b.Build(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vectors := []uint64{1, 0, 1, 1, 0, 0}
-	exp := ExpectedOutputs(n, vectors)
-	want := []uint64{0, 0, 1, 0, 1, 1}
-	for i := range exp {
-		if exp[i] != want[i] {
-			t.Fatalf("cycle %d: expected %d want %d (all %v)", i, exp[i], want[i], exp)
-		}
-	}
-}
-
 func TestWriteTestbench(t *testing.T) {
-	n, a, bb, cin, _, _ := buildFullAdder(t, BuildOptions{})
+	n, a, bb, cin, _, _ := buildFullAdder(t, logic.BuildOptions{})
 	rng := rand.New(rand.NewSource(3))
 	vectors := make([]uint64, 16)
 	for i := range vectors {
@@ -37,9 +18,14 @@ func TestWriteTestbench(t *testing.T) {
 	_ = a
 	_ = bb
 	_ = cin
-	exp := ExpectedOutputs(n, vectors)
+	// WriteTestbench asserts whatever it is given; the values are
+	// fault.ExpectedOutputs' to get right.
+	exp := make([]uint64, len(vectors))
+	for i, v := range vectors {
+		exp[i] = v & (1<<5 - 1)
+	}
 	var sb strings.Builder
-	if err := WriteTestbench(&sb, n, "adder", vectors, exp); err != nil {
+	if err := logic.WriteTestbench(&sb, n, "adder", vectors, exp); err != nil {
 		t.Fatal(err)
 	}
 	tb := sb.String()
@@ -57,7 +43,7 @@ func TestWriteTestbench(t *testing.T) {
 		t.Errorf("%d assertions for %d vectors", got, len(vectors))
 	}
 	// Mismatched lengths must error.
-	if err := WriteTestbench(&sb, n, "adder", vectors, exp[:3]); err == nil {
+	if err := logic.WriteTestbench(&sb, n, "adder", vectors, exp[:3]); err == nil {
 		t.Error("expected length-mismatch error")
 	}
 }

@@ -1,12 +1,14 @@
-package logic
+package logic_test
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/logic"
 )
 
 func TestWriteVerilog(t *testing.T) {
-	b := NewBuilder()
+	b := logic.NewBuilder()
 	a := b.Input("a")
 	x := b.Input("b[0]") // bracketed names must sanitize
 	s := b.Xor(a, x)
@@ -14,12 +16,12 @@ func TestWriteVerilog(t *testing.T) {
 	y := b.And(q, b.Not(a))
 	m := b.Mux2(a, y, b.Const(true))
 	b.MarkOutput(m, "y")
-	n, err := b.Build(BuildOptions{})
+	n, err := b.Build(logic.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteVerilog(&sb, n, "toy-module"); err != nil {
+	if err := logic.WriteVerilog(&sb, n, "toy-module"); err != nil {
 		t.Fatal(err)
 	}
 	v := sb.String()
@@ -47,9 +49,9 @@ func TestWriteVerilog(t *testing.T) {
 func TestWriteVerilogDSPScale(t *testing.T) {
 	// The full adder from the shared fixture exports without error and
 	// declares every net exactly once.
-	n, _, _, _, _, _ := buildFullAdder(t, BuildOptions{InsertFanoutBranches: true})
+	n, _, _, _, _, _ := buildFullAdder(t, logic.BuildOptions{InsertFanoutBranches: true})
 	var sb strings.Builder
-	if err := WriteVerilog(&sb, n, "adder"); err != nil {
+	if err := logic.WriteVerilog(&sb, n, "adder"); err != nil {
 		t.Fatal(err)
 	}
 	v := sb.String()

@@ -34,26 +34,14 @@ func Signature(n *logic.Netlist, vecs fault.VectorSeq, opts SignatureOptions) (u
 	if len(n.Inputs()) > 64 {
 		return 0, fmt.Errorf("selftest: Signature supports up to 64 primary inputs")
 	}
-	sim := logic.NewSimulator(n)
+	var trace fault.ObservedTrace
 	if opts.Fault != nil {
-		sim.InjectFault(opts.Fault.Site, opts.Fault.SA1)
+		trace = fault.FaultTrace(n, vecs, *opts.Fault)
+	} else {
+		trace = fault.ExpectedOutputs(n, vecs)
 	}
-	inputs := n.Inputs()
-	outputs := n.Outputs()
-	for cyc := 0; cyc < vecs.Len(); cyc++ {
-		v := vecs.At(cyc)
-		for b, in := range inputs {
-			sim.SetInput(in, v>>uint(b)&1 == 1)
-		}
-		sim.Settle()
-		var word uint64
-		for b, out := range outputs {
-			if sim.Value(out) {
-				word |= 1 << uint(b)
-			}
-		}
+	for _, word := range trace {
 		m.Absorb(word)
-		sim.Step()
 	}
 	return m.Signature(), nil
 }

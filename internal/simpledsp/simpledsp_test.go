@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 func TestBehavioralSemantics(t *testing.T) {
@@ -38,7 +38,7 @@ func TestGateMatchesBehavioral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := logic.NewSimulator(n)
+	sim := logictest.NewSimulator(n)
 	beh := &Core{}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 3000; i++ {

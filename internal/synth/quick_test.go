@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // TestQuickMulSignedWidths property-tests the truncated signed
@@ -29,7 +30,7 @@ func TestQuickMulSignedWidths(t *testing.T) {
 	}
 	for _, w := range []int{8, 12, 16, 18} {
 		c := build(w)
-		sim := logic.NewSimulator(c.n)
+		sim := logictest.NewSimulator(c.n)
 		mask := int64(1)<<uint(w) - 1
 		f := func(av, xv int8) bool {
 			sim.SetInputBus(c.a, uint64(uint8(av)))
@@ -57,7 +58,7 @@ func TestQuickAddSubNegate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := logic.NewSimulator(n)
+	sim := logictest.NewSimulator(n)
 	f := func(raw uint16) bool {
 		v := uint64(raw) & 0x3FF
 		sim.SetInputBus(a, v)
@@ -86,7 +87,7 @@ func TestQuickDecoderOneHot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := logic.NewSimulator(n)
+		sim := logictest.NewSimulator(n)
 		for v := 0; v < 1<<uint(w); v++ {
 			sim.SetInputBus(sel, uint64(v))
 			sim.Settle()
@@ -121,7 +122,7 @@ func TestQuickLimiterIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := logic.NewSimulator(n)
+	sim := logictest.NewSimulator(n)
 	f := func(v uint8) bool {
 		sim.SetInputBus(in, uint64(v))
 		sim.Settle()

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/logic"
+	"repro/internal/logic/logictest"
 )
 
 // signExt interprets the low w bits of v as a w-bit two's complement
@@ -31,7 +32,7 @@ func TestAdderRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := logic.NewSimulator(n)
+		s := logictest.NewSimulator(n)
 		rng := rand.New(rand.NewSource(int64(width)))
 		mask := uint64(1)<<uint(width) - 1
 		for i := 0; i < 500; i++ {
@@ -64,7 +65,7 @@ func TestAddSub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	mask := uint64(1)<<width - 1
 	f := func(av, xv uint32, doSub bool) bool {
 		aw, xw := uint64(av)&mask, uint64(xv)&mask
@@ -95,7 +96,7 @@ func TestNegate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	for v := 0; v < 256; v++ {
 		s.SetInputBus(a, uint64(v))
 		s.Settle()
@@ -116,7 +117,7 @@ func TestMulSignedExhaustive8x8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	for av := 0; av < 256; av++ {
 		for xv := 0; xv < 256; xv++ {
 			s.SetInputBus(a, uint64(av))
@@ -172,7 +173,7 @@ func TestBarrelShifter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	rng := rand.New(rand.NewSource(7))
 	mask := uint64(1)<<width - 1
 	for i := 0; i < 4000; i++ {
@@ -205,7 +206,7 @@ func TestBarrelShifterVariableSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	mask := uint64(1)<<width - 1
 	for _, v := range []int64{0, 1, -1, 1000, -1000, 70000, -70000} {
 		for amt := -8; amt <= 7; amt++ {
@@ -237,7 +238,7 @@ func TestTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
 		dv := rng.Uint64() & (1<<18 - 1)
@@ -265,7 +266,7 @@ func TestLimiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	check := func(v int64) {
 		s.SetInputBus(data, uint64(v)&(1<<18-1))
 		s.Settle()
@@ -302,7 +303,7 @@ func TestDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	for v := 0; v < 16; v++ {
 		s.SetInputBus(sel, uint64(v))
 		s.Settle()
@@ -327,7 +328,7 @@ func TestMuxN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	vals := []uint64{3, 9, 12, 6}
 	for i, v := range vals {
 		s.SetInputBus(ins[i], v)
@@ -351,7 +352,7 @@ func TestRegisterHoldAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	// Load 0xA5.
 	s.SetInputBus(d, 0xA5)
 	s.SetInput(en, true)
@@ -387,7 +388,7 @@ func TestRegisterLoopAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	total := uint64(0)
 	for _, v := range []uint64{1, 2, 3, 100, 255, 7} {
 		s.SetInputBus(in, v)
@@ -415,7 +416,7 @@ func TestRegisterFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	ref := make([]uint64, 16)
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 300; i++ {
@@ -453,7 +454,7 @@ func TestEqualIsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := logic.NewSimulator(n)
+	s := logictest.NewSimulator(n)
 	for av := 0; av < 32; av++ {
 		for xv := 0; xv < 32; xv++ {
 			s.SetInputBus(a, uint64(av))
