@@ -28,7 +28,7 @@ import (
 //     the full-sample shadow check detects the divergence and falls
 //     back to the reference kernel,
 //   - a torn checkpoint write (engine.checkpoint.write shortwrite on
-//     the drain-time checkpoint) → Restore salvages the previous
+//     the drain-time checkpoint) → Recover salvages the previous
 //     generation.
 //
 // Despite all of it the campaign completes with DetectedAt and
@@ -157,7 +157,7 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 	// The drain-time checkpoint was torn; restoring salvages the clean
 	// previous generation and the completed result survives.
 	q2 := NewQueue(QueueOptions{Exec: exec})
-	if err := q2.Restore(ckpt); err != nil {
+	if err := q2.Recover(ckpt, nil); err != nil {
 		t.Fatalf("restore after torn final checkpoint: %v", err)
 	}
 	if d := delta("queue.checkpoint_salvaged"); d != 1 {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -18,8 +17,8 @@ func integrityQueue(path string) *Queue {
 	})
 }
 
-// writeGenerations writes two checkpoint generations: one job in the
-// .prev slot, two jobs in the live file.
+// writeGenerations writes two snapshot file generations: one job in
+// the .prev slot, two jobs in the live file.
 func writeGenerations(t *testing.T, path string) {
 	t.Helper()
 	q := integrityQueue(path)
@@ -40,9 +39,9 @@ func writeGenerations(t *testing.T, path string) {
 	}
 }
 
-// TestCheckpointDetectsCorruption: a bit flip anywhere in the live file
-// fails CRC validation, and Restore salvages the previous generation
-// instead of resuming garbage or crashing.
+// TestCheckpointDetectsCorruption: a bit flip in the live file's
+// snapshot run fails CRC validation, and Recover salvages the previous
+// generation instead of resuming garbage or crashing.
 func TestCheckpointDetectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	writeGenerations(t, path)
@@ -58,7 +57,7 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 
 	salvagedBefore := counter("queue.checkpoint_salvaged")
 	q := integrityQueue(path)
-	if err := q.Restore(path); err != nil {
+	if err := q.Recover(path, nil); err != nil {
 		t.Fatalf("restore with valid .prev failed: %v", err)
 	}
 	if d := counter("queue.checkpoint_salvaged") - salvagedBefore; d != 1 {
@@ -71,8 +70,8 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 }
 
 // TestCheckpointTornWriteSalvaged: the engine.checkpoint.write chaos
-// point tears the live file mid-write, exactly like a crash between
-// write and fsync. Restore detects the truncation and salvages .prev.
+// point tears the live file mid-run, like a rename whose data never
+// reached the disk. Recover detects the cut run and salvages .prev.
 func TestCheckpointTornWriteSalvaged(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	q := integrityQueue(path)
@@ -94,12 +93,12 @@ func TestCheckpointTornWriteSalvaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeCheckpoint(data); !errors.Is(err, ErrCheckpointCorrupt) {
+	if _, err := parseLog(data); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("torn file decoded with err %v, want ErrCheckpointCorrupt", err)
 	}
 
 	q2 := integrityQueue(path)
-	if err := q2.Restore(path); err != nil {
+	if err := q2.Recover(path, nil); err != nil {
 		t.Fatalf("restore after torn write failed: %v", err)
 	}
 	if jobs := q2.Jobs(); len(jobs) != 1 {
@@ -108,7 +107,7 @@ func TestCheckpointTornWriteSalvaged(t *testing.T) {
 }
 
 // TestCheckpointBothGenerationsCorrupt: with no loadable generation,
-// Restore reports ErrCheckpointCorrupt (so the caller can decide to
+// Recover reports ErrCheckpointCorrupt (so the caller can decide to
 // start fresh) rather than crashing or silently resuming nothing.
 func TestCheckpointBothGenerationsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
@@ -119,14 +118,14 @@ func TestCheckpointBothGenerationsCorrupt(t *testing.T) {
 		}
 	}
 	q := integrityQueue(path)
-	err := q.Restore(path)
+	err := q.Recover(path, nil)
 	if !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("restore err %v, want ErrCheckpointCorrupt", err)
 	}
 }
 
 // TestCheckpointMissingLiveFallsBackToPrev: a crash after rotation but
-// before the rename leaves only .prev; Restore picks it up.
+// before the rename leaves only .prev; Recover picks it up.
 func TestCheckpointMissingLiveFallsBackToPrev(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	writeGenerations(t, path)
@@ -134,7 +133,7 @@ func TestCheckpointMissingLiveFallsBackToPrev(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := integrityQueue(path)
-	if err := q.Restore(path); err != nil {
+	if err := q.Recover(path, nil); err != nil {
 		t.Fatalf("restore from .prev failed: %v", err)
 	}
 	if jobs := q.Jobs(); len(jobs) != 1 {
@@ -142,19 +141,22 @@ func TestCheckpointMissingLiveFallsBackToPrev(t *testing.T) {
 	}
 }
 
-// TestCheckpointMissingEntirely: no file, no .prev — plain NotExist so
-// callers can distinguish "first boot" from corruption.
+// TestCheckpointMissingEntirely: no file, no .prev — a first boot,
+// which recovers an empty queue without an error, unlike corruption.
 func TestCheckpointMissingEntirely(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	q := integrityQueue(path)
-	err := q.Restore(path)
-	if !os.IsNotExist(err) {
-		t.Fatalf("restore err %v, want NotExist", err)
+	if err := q.Recover(path, nil); err != nil {
+		t.Fatalf("recover of a first boot: %v", err)
+	}
+	if jobs := q.Jobs(); len(jobs) != 0 {
+		t.Fatalf("first boot recovered %+v", jobs)
 	}
 }
 
-// TestCheckpointVersion1Rejected: a pre-integrity checkpoint (no CRC
-// trailer) is refused with a version message, not silently accepted.
+// TestCheckpointVersion1Rejected: a JSON checkpoint of an older build
+// is no log — it opens with no snapshot run — and is refused as
+// corrupt, not silently accepted.
 func TestCheckpointVersion1Rejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	v1 := []byte("{\n  \"version\": 1,\n  \"next_id\": 1,\n  \"jobs\": []\n}\n")
@@ -162,40 +164,36 @@ func TestCheckpointVersion1Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := integrityQueue(path)
-	err := q.Restore(path)
+	err := q.Recover(path, nil)
 	if !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("restore of v1 file err %v, want ErrCheckpointCorrupt", err)
+		t.Fatalf("recover of a v1 file err %v, want ErrCheckpointCorrupt", err)
 	}
 }
 
-// FuzzLoadCheckpoint throws arbitrary bytes at the live checkpoint slot
-// with a valid previous generation alongside. Whatever the corruption —
-// truncation, bit flips, hostile JSON — Restore must never panic, and
-// must land in exactly one of two states: the fuzzed bytes decoded
-// cleanly, or the .prev generation was salvaged.
+// FuzzLoadCheckpoint throws arbitrary bytes at the live slot of a
+// snapshot file with a valid previous generation alongside. Whatever
+// the corruption — truncation, bit flips, hostile frames — Recover must
+// never panic, and must land in exactly one of two states: the fuzzed
+// bytes parsed as a log, or the .prev generation was salvaged.
 func FuzzLoadCheckpoint(f *testing.F) {
-	// Seed with a valid encoding plus characteristic corruptions.
-	valid, err := encodeCheckpoint(&checkpointFile{Version: checkpointVersion, NextID: 1, Jobs: []Job{
-		{ID: "job-0001", Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 10}}, State: JobQueued},
-	}})
-	if err != nil {
-		f.Fatal(err)
-	}
+	// Seed with a valid log plus characteristic corruptions.
+	valid := mustFrames(f,
+		JournalRecord{T: recSnapshot, NextID: 1, Frames: 1},
+		JournalRecord{T: recJob, JobID: "job-0001", Seq: 2, Job: &Job{ID: "job-0001",
+			Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 10}}, State: JobQueued}},
+	)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	flipped := bytes.Clone(valid)
-	flipped[len(flipped)/2] ^= 1
-	f.Add(flipped)
+	f.Add(flipBit(valid, len(valid)/2))
 	f.Add([]byte(""))
 	f.Add([]byte("{}"))
 	f.Add([]byte("#crc32c=00000000\n"))
 
-	prev, err := encodeCheckpoint(&checkpointFile{Version: checkpointVersion, NextID: 2, Jobs: []Job{
-		{ID: "job-0002", Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 20}}, State: JobCompleted},
-	}})
-	if err != nil {
-		f.Fatal(err)
-	}
+	prev := mustFrames(f,
+		JournalRecord{T: recSnapshot, NextID: 2, Frames: 1},
+		JournalRecord{T: recJob, JobID: "job-0002", Job: &Job{ID: "job-0002",
+			Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 20}}, State: JobCompleted}},
+	)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -207,12 +205,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		q := integrityQueue(path)
-		if err := q.Restore(path); err != nil {
-			t.Fatalf("restore with valid .prev errored: %v", err)
+		if err := q.Recover(path, nil); err != nil {
+			t.Fatalf("recover with valid .prev errored: %v", err)
 		}
 		jobs := q.Jobs()
-		if _, derr := decodeCheckpoint(data); derr == nil {
-			return // fuzz happened to build a valid checkpoint; its content won
+		if _, perr := parseLog(data); perr == nil {
+			return // fuzz happened to build a valid log; its content won
 		}
 		// Corrupt live file: the salvaged state must be exactly .prev.
 		if len(jobs) != 1 || jobs[0].ID != "job-0002" || jobs[0].State != JobCompleted {

@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -75,6 +75,7 @@ func TestJournalAppendReplay(t *testing.T) {
 // file so the next append starts on a clean boundary.
 func TestJournalTornTail(t *testing.T) {
 	full := mustFrames(t,
+		JournalRecord{T: recSnapshot},
 		JournalRecord{T: recSubmit, JobID: "job-0001", Job: &Job{ID: "job-0001", Spec: specN(1), State: JobQueued}},
 		JournalRecord{T: recState, JobID: "job-0001", State: JobRunning, Attempts: 1},
 	)
@@ -125,9 +126,10 @@ func flipBit(frame []byte, i int) []byte {
 	return out
 }
 
-// TestJournalTruncate: Mark/Truncate drop exactly the covered prefix,
-// keep the tail byte-for-byte, and the journal stays appendable through
-// the file swap.
+// TestJournalTruncate: a compaction drops exactly the prefix its
+// snapshot covers, keeps the records past its mark byte-for-byte behind
+// the new snapshot run, and the journal stays appendable through the
+// file swap.
 func TestJournalTruncate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, _, err := OpenJournal(path)
@@ -140,13 +142,23 @@ func TestJournalTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mark := j.Mark()
+	tail, run := j.growth()
+	mark := tail + run
 	if err := j.Append(JournalRecord{T: recState, JobID: "old", State: JobRunning, Attempts: 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Truncate(mark); err != nil {
-		t.Fatal(err)
+	compactTo := func(j *Journal, mark int64, run []byte) {
+		t.Helper()
+		tmp, err := createTemp(path, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.compact(tmp, mark, int64(len(run)), func(string) {}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	head := JournalRecord{T: recSnapshot, NextID: 3}
+	compactTo(j, mark, mustFrames(t, head))
 	// The swapped-in file descriptor still appends correctly.
 	if err := j.Append(JournalRecord{T: recFinish, JobID: "old", State: JobCompleted}, true); err != nil {
 		t.Fatal(err)
@@ -159,16 +171,18 @@ func TestJournalTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(recs) != 2 || recs[0].T != recState || recs[1].T != recFinish {
-		t.Fatalf("post-truncate journal replays %+v, want the 2 tail records", recs)
+	if len(recs) != 3 || recs[0] != head || recs[1].T != recState || recs[2].T != recFinish {
+		t.Fatalf("compacted journal replays %+v, want the snapshot head and the 2 tail records", recs)
+	}
+	if prev, err := readLog(prevPath(path)); err != nil || len(prev.recs) != 5 {
+		t.Fatalf("the rotated generation holds %v (%v), want the whole old log", prev, err)
 	}
 
-	// Truncating everything leaves an empty, working journal.
-	if err := j2.Truncate(j2.Mark()); err != nil {
-		t.Fatal(err)
-	}
-	if got := j2.Mark(); got != 0 {
-		t.Fatalf("fully truncated journal has %d logical bytes", got)
+	// Compacting at the end leaves the snapshot run alone, still working.
+	tail, run = j2.growth()
+	compactTo(j2, tail+run, mustFrames(t, head))
+	if tail, run := j2.growth(); tail != 0 || run != int64(len(mustFrames(t, head))) {
+		t.Fatalf("fully compacted journal has %d bytes past a %d-byte run", tail, run)
 	}
 }
 
@@ -192,18 +206,30 @@ func TestDecodeJournalPrefixStability(t *testing.T) {
 
 // FuzzReplayJournal: decodeJournal must never panic, never read past
 // the reported good offset, and always yield a stable prefix — whatever
-// bytes a crash, bit rot, or an adversarial writer left behind.
+// bytes a crash, bit rot, or an adversarial writer left behind. On the
+// same bytes, OpenJournal plus Recover must never panic, must refuse a
+// log whose snapshot run is damaged without shortening the file, and
+// may cut an intact one only at the end of its readable prefix.
 func FuzzReplayJournal(f *testing.F) {
-	valid := mustFrames(f,
-		JournalRecord{T: recSubmit, JobID: "job-0001", Seq: 1, NextID: 1,
-			Job: &Job{ID: "job-0001", Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 64}}, State: JobQueued}},
-		JournalRecord{T: recFinish, JobID: "job-0001", Seq: 2, State: JobCompleted,
+	job := func(id string, state JobState) JournalRecord {
+		return JournalRecord{T: recJob, JobID: id, Seq: 3, Job: &Job{ID: id,
+			Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 64}}, State: state}}
+	}
+	// run renders a snapshot run whose head counts frames.
+	run := func(frames int, recs ...JournalRecord) []byte {
+		return mustFrames(f, append([]JournalRecord{{T: recSnapshot, NextID: 2, Frames: frames}}, recs...)...)
+	}
+	intact := run(2, job("job-0001", JobCompleted), job("job-0002", JobQueued))
+	valid := append(append([]byte{}, intact...), mustFrames(f,
+		JournalRecord{T: recSubmit, JobID: "job-0003", Seq: 1, NextID: 3,
+			Job: &Job{ID: "job-0003", Spec: JobSpec{Kind: JobFaultSim, Vectors: VectorSource{Kind: "bist", Count: 64}}, State: JobQueued}},
+		JournalRecord{T: recFinish, JobID: "job-0003", Seq: 2, State: JobCompleted,
 			Result: &JobResult{Coverage: 1}},
-	)
+	)...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-4])                       // torn tail
-	f.Add(flipBit(valid, len(valid)/2))               // payload corruption
-	f.Add(flipBit(valid, 0))                          // length corruption
+	f.Add(flipBit(valid, len(valid)-len(valid)/8))    // tail corruption
+	f.Add(flipBit(valid, 0))                          // head length corruption
 	f.Add([]byte{})                                   // empty file
 	f.Add(make([]byte, 64))                           // all zeros
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length
@@ -214,6 +240,15 @@ func FuzzReplayJournal(f *testing.F) {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(bogus, castagnoli))
 	copy(frame[8:], bogus)
 	f.Add(append(append([]byte{}, valid...), frame...))
+	// Snapshot runs: intact, cut mid-run, a wrong frame count, duplicate
+	// and empty job IDs, an unknown state, a stray generation.
+	f.Add(intact)
+	f.Add(intact[:len(intact)*2/3])
+	f.Add(run(3, job("job-0001", JobCompleted), job("job-0002", JobQueued)))
+	f.Add(run(2, job("job-0001", JobCompleted), job("job-0001", JobQueued)))
+	f.Add(run(1, job("", JobQueued)))
+	f.Add(run(1, job("job-0001", "lost")))
+	f.Add(run(1, JournalRecord{T: recGaGen, JobID: "job-0001", Ga: &GaGenRecord{}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good := decodeJournal(data)
@@ -230,22 +265,41 @@ func FuzzReplayJournal(f *testing.F) {
 				t.Fatalf("record %d has empty type", i)
 			}
 		}
-		// OpenJournal on the same bytes must agree with the pure decoder
-		// and leave a cleanly truncated file behind.
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j, recs3, err := OpenJournal(path)
-		if err != nil {
-			t.Fatal(err)
+		img, perr := parseLog(data)
+		switch {
+		case len(data) == 0:
+			if err != nil {
+				t.Fatalf("empty file: %v", err)
+			}
+		case perr != nil:
+			// A damaged run with no .prev to salvage: refused, untouched.
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("damaged snapshot run (%v) opened with err %v", perr, err)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(data)) {
+				t.Fatalf("damaged %d-byte log is now %d bytes (err %v)", len(data), fi.Size(), err)
+			}
+			return
+		default:
+			if err != nil {
+				t.Fatalf("intact snapshot run refused: %v", err)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != img.good {
+				t.Fatalf("truncated file is %d bytes (err %v), want %d", fi.Size(), err, img.good)
+			}
+			if len(recs3) > len(img.recs) || len(img.recs)-len(recs3) > 1 {
+				t.Fatalf("OpenJournal replayed %d records, the log holds %d", len(recs3), len(img.recs))
+			}
 		}
 		defer j.Close()
-		if len(recs3) != len(recs) {
-			t.Fatalf("OpenJournal replayed %d records, decodeJournal %d", len(recs3), len(recs))
-		}
-		if fi, err := os.Stat(path); err != nil || fi.Size() != good {
-			t.Fatalf("truncated file is %d bytes (err %v), want %d", fi.Size(), err, good)
+		q := NewQueue(QueueOptions{Journal: j, Exec: instantExec})
+		if err := q.Recover("", recs3); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -326,17 +380,18 @@ func TestReplayRunAheadOfSubmit(t *testing.T) {
 	}
 }
 
-// TestRecoverCheckpointJournalOverlap is the crash window between a
-// durable checkpoint and its journal truncation: recovering from
-// checkpoint+full-journal must equal recovering from the journal alone.
+// TestRecoverCheckpointJournalOverlap is what every compaction writes:
+// a snapshot run followed by records it may already cover. Recovering
+// from a snapshot plus the full journal must equal recovering from the
+// journal alone.
 func TestRecoverCheckpointJournalOverlap(t *testing.T) {
 	recs := replayRecords()
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ckpt.json")
 
-	// Build the checkpoint by recovering the prefix (through job-0001's
-	// finish) and checkpointing that queue — exactly the bytes a real
-	// Checkpoint() would have written before the crash.
+	// Build the snapshot by recovering the prefix (through job-0001's
+	// finish) and compacting that queue — exactly the bytes a real
+	// Checkpoint() would have written.
 	q1 := NewQueue(QueueOptions{Checkpoint: ckpt,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{}, nil
@@ -477,11 +532,13 @@ func TestQueueJournalsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(path)
+	// Drain compacted the log; the generation it rotated to .prev is the
+	// journal the queue wrote while it ran.
+	prev, err := readLog(prevPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
+	recs := prev.recs
 	types := map[string]int{}
 	for _, r := range recs {
 		types[r.T]++
@@ -501,18 +558,18 @@ func TestQueueJournalsLifecycle(t *testing.T) {
 	}
 }
 
-// TestJournalCheckpointTruncates: a successful checkpoint shrinks the
-// journal to just the records appended after the checkpoint's mark.
+// TestJournalCheckpointTruncates: a compaction with nothing journaled
+// since its mark shrinks the log to the snapshot run alone, and that run
+// reconstructs the finished job.
 func TestJournalCheckpointTruncates(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.wal")
-	cpath := filepath.Join(dir, "ckpt.json")
 	j, _, err := OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	q := NewQueue(QueueOptions{Workers: 1, Journal: j, Checkpoint: cpath,
+	q := NewQueue(QueueOptions{Workers: 1, Journal: j,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{Coverage: 1}, nil
 		}})
@@ -525,24 +582,24 @@ func TestJournalCheckpointTruncates(t *testing.T) {
 	if err := q.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Mark(); got != 0 {
-		t.Fatalf("journal holds %d bytes after checkpoint, want 0", got)
+	if tail, _ := j.growth(); tail != 0 {
+		t.Fatalf("journal holds %d bytes past its snapshot run after a compaction", tail)
 	}
-	data, err := os.ReadFile(jpath)
+	img, err := readLog(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, nil) && len(data) != 0 {
-		t.Fatalf("journal file holds %d bytes after checkpoint", len(data))
+	if img.run != img.size || len(img.recs) != 2 {
+		t.Fatalf("log holds %d records over %d bytes past a %d-byte run", len(img.recs), img.size, img.run)
 	}
-	// And the checkpoint alone reconstructs the finished job.
+	// And the snapshot run alone reconstructs the finished job.
 	q2 := NewQueue(QueueOptions{Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		return &JobResult{}, nil
 	}})
-	if err := q2.Recover(cpath, nil); err != nil {
+	if err := q2.Recover("", img.recs); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := q2.Get(job.ID); !ok || got.State != JobCompleted {
-		t.Fatalf("checkpoint-only recovery got %+v", got)
+		t.Fatalf("snapshot-only recovery got %+v", got)
 	}
 }

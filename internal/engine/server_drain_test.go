@@ -90,7 +90,7 @@ func TestServerDrainUnderLoad(t *testing.T) {
 
 	// The final checkpoint must hold exactly the accepted set.
 	q2 := NewQueue(QueueOptions{Exec: exec})
-	if err := q2.Restore(ckpt); err != nil {
+	if err := q2.Recover(ckpt, nil); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]int)

@@ -10,7 +10,9 @@
 #   * the restarted process reports the recovery and serves the SAME
 #     job for a retried submit_id instead of double-running it,
 #   * the recovered campaign's result is bit-identical (modulo wall
-#     time) to an uninterrupted oracle run of the same spec.
+#     time) to an uninterrupted oracle run of the same spec,
+#   * after the final drain, neither coordinator created the -checkpoint
+#     file: a journaled queue keeps its whole state in the journal.
 #
 # Usage: scripts/recovery_smoke.sh [port]
 set -eu
@@ -100,4 +102,9 @@ stable_result >"$DIR/got.json"
 
 diff -u "$DIR/want.json" "$DIR/got.json" || {
 	echo "recovered result diverged from the uninterrupted oracle"; exit 1; }
+kill -TERM "$SBSTD_PID" && wait "$SBSTD_PID"
+SBSTD_PID=""
+for run in oracle crash; do
+	[ ! -e "$DIR/$run/ckpt.json" ] || { echo "$run: the journaled coordinator wrote ckpt.json"; exit 1; }
+done
 echo "recovery smoke passed: recovered result is bit-identical to the oracle"
