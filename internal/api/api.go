@@ -538,7 +538,7 @@ type JobState string
 
 // Lifecycle: queued → running → completed | failed. A forced drain or a
 // recoverable worker panic moves a running job back to queued so a
-// checkpoint restore re-runs it. The full lifecycle, including how each
+// recovery re-runs it. The full lifecycle, including how each
 // state answers GET /v1/jobs/{id}/result, is documented in docs/API.md.
 const (
 	JobQueued    JobState = "queued"
@@ -587,9 +587,9 @@ type JobResult struct {
 	Seconds float64 `json:"seconds,omitempty"`
 }
 
-// DistState is the distribution snapshot of a coordinator job, recorded
-// in checkpoints (schema v3) so a post-mortem can see how far the fleet
-// had carried a campaign: how many work units the fault list was split
+// DistState is the distribution snapshot of a coordinator job, served
+// with a running job so a client or an operator can see how far the fleet
+// has carried a campaign: how many work units the fault list was split
 // into, which were already merged, and each unit's spent attempt count.
 // Unit results themselves are not persisted — a restored job re-plans
 // its units and the fleet re-runs them (deterministically, so the
@@ -612,8 +612,8 @@ type Job struct {
 	Finished *time.Time `json:"finished,omitempty"`
 	Progress Progress   `json:"progress"`
 	Result   *JobResult `json:"result,omitempty"`
-	// Dist is the distribution snapshot for coordinator jobs
-	// (checkpoint v3); nil for locally executed jobs.
+	// Dist is the distribution snapshot of a running coordinator job;
+	// nil for locally executed jobs.
 	Dist *DistState `json:"dist,omitempty"`
 }
 

@@ -47,7 +47,7 @@ type DistOptions struct {
 
 // jobIDKey carries the queue's job ID through the executor context, so
 // a distributed executor can register lease-pool work under the same ID
-// the HTTP surface and the checkpoint use.
+// the HTTP surface and the queue's log use.
 type jobIDKey struct{}
 
 func withJobID(ctx context.Context, id string) context.Context {

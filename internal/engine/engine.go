@@ -1,7 +1,7 @@
 // Package engine is the campaign layer above the fault simulator: one
 // guarded fault-simulation call per campaign, a bounded job queue with
-// panic recovery and JSON checkpoint/resume, and the job executor behind
-// the sbstd HTTP server.
+// panic recovery and resume from one durable log, and the job executor
+// behind the sbstd HTTP server.
 //
 // Simulate is one fault.Simulate call. That call already spends every
 // core — it replays each segment's fault batches on GOMAXPROCS

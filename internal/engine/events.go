@@ -99,8 +99,8 @@ func (b *JobEventBroker) Seed(ev api.JobEvent) {
 // Advance bumps a job's next sequence number to at least seq+1 without
 // publishing anything. Recovery uses it so sequence numbers stay
 // monotonic across a restart even when the tail of the event history
-// (async journal records lost in the crash, or records dropped by a
-// checkpoint truncation) is gone: subscribers resuming with
+// (async journal records lost in the crash, or records a compaction
+// folded into a snapshot) is gone: subscribers resuming with
 // Last-Event-ID never see a number reused for a different event.
 func (b *JobEventBroker) Advance(jobID string, seq int64) {
 	if b == nil || seq <= 0 {
@@ -119,8 +119,8 @@ func (b *JobEventBroker) Advance(jobID string, seq int64) {
 }
 
 // Seqs returns the last assigned sequence number per job (0 entries
-// omitted). Checkpointing persists this so SSE numbering survives
-// journal truncation.
+// omitted). A compaction writes each job's into its snapshot frame so
+// SSE numbering survives the records it drops.
 func (b *JobEventBroker) Seqs() map[string]int64 {
 	if b == nil {
 		return nil

@@ -18,7 +18,7 @@ import (
 // each individual's evaluation is an ordinary fault_sim cell handed to
 // the executor's cellRunner under the derived ID "<job>/g<gen>+i<idx>",
 // so a worker fleet needs zero GA knowledge. Every completed generation
-// is journaled (recGaGen) and mirrored into the checkpoint, so a
+// is journaled (recGaGen) and carried into every snapshot, so a
 // kill -9 mid-search resumes from the last completed generation
 // bit-identically to an uninterrupted run: the GA's random draws depend
 // only on the seed and the fitness values fed back, and those fitness
@@ -48,8 +48,9 @@ var (
 
 // GaGenRecord is one completed generation's evaluation outcome, in
 // population order — exactly the data the GA needs to replay its
-// Advance step after a crash. Journaled as recGaGen and carried in the
-// checkpoint so truncation cannot lose a running search's history.
+// Advance step after a crash. Journaled as recGaGen and carried behind
+// the job's snapshot frame, so compaction cannot lose a running search's
+// history.
 type GaGenRecord struct {
 	Gen      int       `json:"gen"`
 	Coverage []float64 `json:"coverage"`

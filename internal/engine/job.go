@@ -6,7 +6,7 @@ import (
 
 // The job wire types live in internal/api — the single versioned
 // contract shared by the server, the client package and the worker
-// fleet. The engine aliases them so the queue, executor and checkpoint
+// fleet. The engine aliases them so the queue, executor and log
 // code (and their long-standing callers) keep reading naturally;
 // nothing here defines schema.
 

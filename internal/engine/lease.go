@@ -684,7 +684,7 @@ func (p *LeasePool) Counts() api.LeaseCounts {
 	return c
 }
 
-// SnapshotJob renders a job's distribution state for checkpoint v3
+// SnapshotJob renders a job's distribution state for the HTTP surface
 // (nil when the job is not registered).
 func (p *LeasePool) SnapshotJob(jobID string) *api.DistState {
 	p.mu.Lock()

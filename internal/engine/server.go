@@ -430,8 +430,8 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		// A job that went terminal before the broker saw it (restored
-		// from a checkpoint, or its ring trimmed past the result frame)
+		// A job that went terminal before the broker saw it (recovered
+		// from a snapshot, or its ring trimmed past the result frame)
 		// will never publish again: synthesize the terminal frame from
 		// the job snapshot — same Result pointer the polled route serves.
 		if job, ok := s.q.Get(id); ok && (job.State == JobCompleted || job.State == JobFailed) {
