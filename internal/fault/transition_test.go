@@ -107,3 +107,39 @@ func TestTransitionCoverageBelowStuckAt(t *testing.T) {
 		t.Fatal("no transition faults detected by 200 random vectors")
 	}
 }
+
+// TestTransitionQSiteArrivesLate: a slow edge at a flip-flop's Q is one
+// cycle late, as at any other net. The flip-flop latches its D input
+// unforced, so the edge arrives on the next cycle and does not launch
+// again; a Q site is no stuck-at fault.
+func TestTransitionQSiteArrivesLate(t *testing.T) {
+	b := logic.NewBuilder()
+	a, en := b.Input("a"), b.Input("b")
+	q := b.DFF(a, "q")
+	b.MarkOutput(b.And(q, en), "out")
+	n, err := b.Build(logic.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := TransitionFault{Site: q, SlowToRise: true}
+	for _, c := range []struct {
+		vecs Vectors
+		want int
+	}{
+		// q rises at cycle 1 while b masks it, and is 1 from cycle 2 on.
+		{Vectors{1, 1, 1, 3, 3, 3}, -1},
+		// q rises at cycle 1 with b set: the late edge shows.
+		{Vectors{1, 3, 3, 3}, 1},
+	} {
+		res, err := SimulateTransitions(n, c.vecs, []TransitionFault{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(res.DetectedAt[0]); got != c.want {
+			t.Errorf("vectors %v: SimulateTransitions detects at %d, want %d", c.vecs, got, c.want)
+		}
+		if got := serialTransitionDetect(n, f, c.vecs); got != c.want {
+			t.Errorf("vectors %v: serialTransitionDetect detects at %d, want %d", c.vecs, got, c.want)
+		}
+	}
+}
