@@ -140,8 +140,7 @@ func SimulateBridges(n *logic.Netlist, vecs VectorSeq, bridges []Bridge) ([]int3
 				w.ApplyInjectionsToValues()
 				w.Settle()
 				// Unpin before the clock edge: the flip-flops latch D
-				// unforced, unlike SimulateTransitions, which clocks with
-				// its late-edge forcing in place.
+				// unforced.
 				w.ClearInjections()
 			}
 			diff := w.OutputDiff() & liveMask &^ detected

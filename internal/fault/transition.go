@@ -95,7 +95,9 @@ func (r *TransitionResult) CoverageAt(cycle int) float64 {
 // without forcing, to see which faulty machines launch a slow-direction
 // edge at their site (relative to the site's previous driven value in
 // that lane), and once with those lanes' sites held at the previous
-// value. Detected faults drop out at segment boundaries, with per-fault
+// value. The hold is removed before the clock edge, so flip-flops latch
+// the held frame's D values and a Q site shows its latched value next
+// cycle. Detected faults drop out at segment boundaries, with per-fault
 // flip-flop state and previous-driven bits carried across.
 func SimulateTransitions(n *logic.Netlist, vecs VectorSeq, faults []TransitionFault) (*TransitionResult, error) {
 	if len(n.Inputs()) > 64 {
@@ -193,8 +195,10 @@ func SimulateTransitions(n *logic.Netlist, vecs VectorSeq, faults []TransitionFa
 					}
 					detectedMask |= diff
 				}
-				w.ClockAfterSettle()
+				// Unpin before the clock edge: the flip-flops latch D
+				// unforced, so a slow edge at a Q site arrives next cycle.
 				w.ClearInjections()
+				w.ClockAfterSettle()
 			}
 			if !goodSaved {
 				w.LaneState(0, nextGoodState)

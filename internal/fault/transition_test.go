@@ -11,7 +11,8 @@ import (
 // one-cycle-late-edge model: the faulty machine runs with its own state;
 // each cycle it first settles freely to see whether its driver launches
 // a slow-direction edge at the site, then re-settles with the site held
-// at the previous driven value when it does, and clocks from that.
+// at the previous driven value when it does, and clocks with the hold
+// removed.
 func serialTransitionDetect(n *logic.Netlist, f TransitionFault, vecs VectorSeq) int {
 	good := logictest.NewSimulator(n)
 	bad := logictest.NewSimulator(n)
@@ -26,12 +27,12 @@ func serialTransitionDetect(n *logic.Netlist, f TransitionFault, vecs VectorSeq)
 			bad.SetInput(in, v>>uint(b)&1 == 1)
 		}
 		good.Settle()
-		bad.ClearFault()
 		bad.Settle()
 		driven := bad.Value(f.Site)
 		if havePrev && driven != prev && driven == f.SlowToRise {
 			bad.InjectFault(f.Site, prev)
 			bad.Settle()
+			bad.ClearFault()
 		}
 		for _, o := range n.Outputs() {
 			if good.Value(o) != bad.Value(o) {
