@@ -178,11 +178,10 @@ type windowAudit struct {
 	states           []uint64 // stateWords per lane
 	counts, detected []int32
 	good, exit       []uint64
-	// vecs holds the segment's inputs, read from the trace; lanes,
-	// laneFaults, wantC and wantD are one word's replay (replayLanes).
+	// vecs holds the segment's inputs, read from the trace; lanes, wantC
+	// and wantD are one word's replay (replayLanes).
 	vecs         []uint64
 	lanes        [][]uint64
-	laneFaults   []Fault
 	wantC, wantD []int32
 }
 
@@ -245,14 +244,13 @@ func (s *segment) audit(au *windowAudit, b int) {
 func (s *segment) auditWord(au *windowAudit, b, w int) []string {
 	r, sw := s.r, len(au.good)
 	lo, hi := w*63, min(w*63+63, len(au.faults))
-	au.lanes, au.laneFaults = au.lanes[:0], au.laneFaults[:0]
+	au.lanes = au.lanes[:0]
 	for li := lo; li < hi; li++ {
 		au.lanes = append(au.lanes, au.states[li*sw:(li+1)*sw])
-		au.laneFaults = append(au.laneFaults, r.faults[au.faults[li]])
 	}
 	au.wantC = append(au.wantC[:0], au.counts[lo:hi]...)
 	au.wantD = append(au.wantD[:0], au.detected[lo:hi]...)
-	replayLanes(au.ref, s.prog.Netlist().Inputs(), au.good, au.lanes, au.laneFaults, s.start, au.vecs, true,
+	replayLanes(au.ref, s.prog.Netlist().Inputs(), stuckAt(r.faults), au.faults[lo:hi], au.good, au.lanes, s.start, au.vecs, true,
 		func(k, cycle int) bool {
 			au.wantC[k]++
 			if au.wantD[k] < 0 {

@@ -132,7 +132,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 		span.Add("gate_evals_saved", seg.Saved)
 		ctrCyclesSweep.Add(seg.Cycles)
 		span.Add("cycles_sweep", seg.Cycles)
-		r.finishSegment(span, opts, s.survivors(), start, end, total)
+		r.finishSegment(span, opts, r.drop(s.survivors()), start, end, total)
 	}
 	var helped int64
 	for _, cl := range claimers[1:] {
@@ -325,7 +325,7 @@ func (s *segment) replayBatch(cl *claimer, b int) {
 
 // survivors moves each batch's survivors, in batch order, to the front
 // of r.remaining and r.states — the serial loop's compaction (see
-// simulateReference), run after the barrier — and returns them.
+// simRun.sweep), run after the barrier — and returns them.
 func (s *segment) survivors() []int {
 	r, batchCap := s.r, 63*s.lw
 	n := 0

@@ -358,7 +358,7 @@ func Simulate(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error
 // accumulators and the per-fault saved DFF state, survivor-compacted at
 // each segment boundary.
 type simRun struct {
-	faults []Fault
+	faults []Fault // nil for a model other than stuck-at
 	segLen int
 	ndet   int
 	res    *Result
@@ -370,48 +370,49 @@ type simRun struct {
 	// each boundary, so detected faults stop carrying state and late
 	// segments touch a shrinking prefix of the backing memory.
 	states [][]uint64
-	// remaining holds indices into faults still undetected.
+	// remaining holds the indices of the faults still undetected.
 	remaining []int
 }
 
+// newSimRun returns the stuck-at run state of opts.Faults, or of the
+// collapsed fault list when that is nil.
 func newSimRun(n *logic.Netlist, vecs VectorSeq, opts SimOptions, stateWords int) *simRun {
 	faults := opts.Faults
 	if faults == nil {
 		faults, _ = Collapse(n, AllFaults(n))
 	}
-	segLen := opts.SegmentLen
+	r := newLaneRun(len(faults), vecs.Len(), opts.SegmentLen, opts.NDetect, stateWords)
+	r.faults, r.res.Faults = faults, faults
+	return r
+}
+
+// newLaneRun returns the run state of nf faults of any model over
+// cycles vectors, segLen and ndetect read as SimOptions.SegmentLen and
+// SimOptions.NDetect.
+func newLaneRun(nf, cycles, segLen, ndetect, stateWords int) *simRun {
 	if segLen <= 0 {
 		segLen = 1024
 	}
-	ndet := opts.NDetect
-	if ndet < 1 {
-		ndet = 1
-	}
-	res := &Result{
-		Faults:     faults,
-		DetectedAt: make([]int32, len(faults)),
-		Cycles:     vecs.Len(),
-	}
+	res := &Result{DetectedAt: make([]int32, nf), Cycles: cycles}
 	for i := range res.DetectedAt {
 		res.DetectedAt[i] = -1
 	}
-	counts := make([]int32, len(faults))
-	if opts.NDetect > 1 {
+	counts := make([]int32, nf)
+	if ndetect > 1 {
 		res.Detections = counts
 	}
-	backing := make([]uint64, len(faults)*stateWords)
-	states := make([][]uint64, len(faults))
+	backing := make([]uint64, nf*stateWords)
+	states := make([][]uint64, nf)
 	for i := range states {
 		states[i] = backing[i*stateWords : (i+1)*stateWords : (i+1)*stateWords]
 	}
-	remaining := make([]int, len(faults))
+	remaining := make([]int, nf)
 	for i := range remaining {
 		remaining[i] = i
 	}
 	return &simRun{
-		faults:    faults,
 		segLen:    segLen,
-		ndet:      ndet,
+		ndet:      max(ndetect, 1),
 		res:       res,
 		counts:    counts,
 		states:    states,
@@ -419,11 +420,17 @@ func newSimRun(n *logic.Netlist, vecs VectorSeq, opts SimOptions, stateWords int
 	}
 }
 
-// finishSegment applies the common per-segment bookkeeping and
-// telemetry after the survivors of segment [start, end) are known.
-func (r *simRun) finishSegment(span *obs.Span, opts SimOptions, survivors []int, start, end, total int) {
+// drop keeps survivors as the remaining faults and returns how many
+// faults left.
+func (r *simRun) drop(survivors []int) int {
 	dropped := len(r.remaining) - len(survivors)
 	r.remaining = survivors
+	return dropped
+}
+
+// finishSegment applies the common per-segment telemetry once segment
+// [start, end) has dropped its detected faults.
+func (r *simRun) finishSegment(span *obs.Span, opts SimOptions, dropped, start, end, total int) {
 	ctrVectors.Add(int64(end - start))
 	ctrDropped.Add(int64(dropped))
 	span.Add("vectors", int64(end-start))
@@ -460,23 +467,14 @@ func (r *simRun) finish(span *obs.Span, applied int) *Result {
 // oracle for the compiled kernel (see kernel.go). It counts one gate
 // evaluation per netlist gate per settle.
 func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result {
-	inputs := n.Inputs()
-	w := logic.NewCompiledSim(logic.CompiledFor(n))
-	r := newSimRun(n, vecs, opts, w.StateWords())
-	goodState := make([]uint64, w.StateWords())
-	nextGoodState := make([]uint64, w.StateWords())
+	r := newSimRun(n, vecs, opts, (len(n.DFFs())+63)/64)
 	gatesPerSettle := int64(len(n.CombOrder()))
-	segVecs := make([]uint64, 0, r.segLen)
-	batchFaults := make([]Fault, 0, 63)
-
 	ctrRuns.Add(1)
 	span := obs.NewSpan(opts.Sink, "faultsim")
-	total := vecs.Len()
-	applied := 0
-	for start := 0; start < total && len(r.remaining) > 0; start += r.segLen {
+	enter := func() bool {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			r.res.Interrupted = true
-			break
+			return false
 		}
 		// Chaos point: same boundary as the compiled kernel, so chaos
 		// campaigns can stall or crash either engine.
@@ -484,18 +482,59 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 			f.PanicNow()
 			f.Sleep(opts.Ctx)
 		}
-		end := start + r.segLen
-		if end > total {
-			end = total
+		return true
+	}
+	applied := r.sweep(n, vecs, stuckAt(r.faults), enter, func(start, end, settles, dropped int) {
+		segEvals := int64(settles) * gatesPerSettle
+		ctrGateEvals.Add(segEvals)
+		ctrGateEvalsRef.Add(segEvals)
+		span.Add("gate_evals", segEvals)
+		span.Add("gate_evals_saved", 0)
+		r.finishSegment(span, opts, dropped, start, end, vecs.Len())
+	})
+	return r.finish(span, applied)
+}
+
+// sweepModel runs nf faults of model m over vecs on the full-sweep
+// segment loop, with no telemetry, and returns each fault's first
+// detection cycle, or -1. segLen is read as SimOptions.SegmentLen.
+func sweepModel(n *logic.Netlist, vecs VectorSeq, m laneModel, nf, segLen int) ([]int32, error) {
+	if len(n.Inputs()) > 64 {
+		return nil, fmt.Errorf("fault: %d primary inputs exceed the 64 supported", len(n.Inputs()))
+	}
+	r := newLaneRun(nf, vecs.Len(), segLen, 1, (len(n.DFFs())+63)/64)
+	r.sweep(n, vecs, m, nil, nil)
+	return r.res.DetectedAt, nil
+}
+
+// sweep is the full-sweep kernel's drop/repack segment loop. Every
+// segLen cycles it replays each remaining fault, in batches of up to 63,
+// on one logic.CompiledSim through replayLanes under model m, from the
+// fault-free state and each fault's saved state, and keeps only the
+// faults that still need detections. enter, when non-nil, runs before
+// each segment and ends the run by returning false; leave, when non-nil,
+// runs after it with the cycles its batches settled and the faults it
+// dropped. sweep returns the cycles applied.
+func (r *simRun) sweep(n *logic.Netlist, vecs VectorSeq, m laneModel, enter func() bool, leave func(start, end, settles, dropped int)) int {
+	inputs := n.Inputs()
+	w := logic.NewCompiledSim(logic.CompiledFor(n))
+	goodState := make([]uint64, w.StateWords())
+	nextGoodState := make([]uint64, w.StateWords())
+	segVecs := make([]uint64, 0, r.segLen)
+	total := vecs.Len()
+	applied := 0
+	for start := 0; start < total && len(r.remaining) > 0; start += r.segLen {
+		if enter != nil && !enter() {
+			break
 		}
+		end := min(start+r.segLen, total)
 		// Expand the segment's vectors once, so VectorSeq.At runs once
 		// per cycle rather than once per 63-fault batch replay.
 		segVecs = segVecs[:0]
 		for c := start; c < end; c++ {
 			segVecs = append(segVecs, vecs.At(c))
 		}
-		goodSaved := false
-		var segEvals int64
+		settles := 0
 		var survivors, batch []int
 		hit := func(k, cycle int) bool {
 			fi := batch[k]
@@ -507,18 +546,12 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 		}
 		for batchStart := 0; batchStart < len(r.remaining); batchStart += 63 {
 			batch = r.remaining[batchStart:min(batchStart+63, len(r.remaining))]
-			batchFaults = batchFaults[:0]
-			for _, fi := range batch {
-				batchFaults = append(batchFaults, r.faults[fi])
-			}
 			// Once the whole batch is done only the last segment may stop:
 			// the first batch's lane 0 carries the good state to end.
-			settles := replayLanes(w, inputs, goodState, r.states[batchStart:batchStart+len(batch)], batchFaults,
+			settles += replayLanes(w, inputs, m, batch, goodState, r.states[batchStart:batchStart+len(batch)],
 				start, segVecs, end == total, hit)
-			segEvals += int64(settles) * gatesPerSettle
-			if !goodSaved {
+			if batchStart == 0 {
 				w.LaneState(0, nextGoodState)
-				goodSaved = true
 			}
 			for li, fi := range batch {
 				if r.counts[fi] >= int32(r.ndet) {
@@ -533,36 +566,65 @@ func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Resul
 		}
 		goodState, nextGoodState = nextGoodState, goodState
 		applied = end
-		ctrGateEvals.Add(segEvals)
-		ctrGateEvalsRef.Add(segEvals)
-		span.Add("gate_evals", segEvals)
-		span.Add("gate_evals_saved", 0)
-		r.finishSegment(span, opts, survivors, start, end, total)
+		dropped := r.drop(survivors)
+		if leave != nil {
+			leave(start, end, settles, dropped)
+		}
 	}
-	return r.finish(span, applied)
+	return applied
 }
 
-// replayLanes replays up to 63 faults over the cycles vecs drives
-// (vecs[i] is cycle start+i) on w, the full-sweep simulator: lane 0 is
-// the good machine entering in state good, lane k+1 enters in states[k]
-// with faults[k] injected. After every settle hit(k, cycle) is called for
-// each lane k not yet done whose outputs differ from lane 0's, and says
-// whether the lane is now done. With untilDone the replay stops at the
-// settle that leaves every lane done. It returns the cycles settled and
-// leaves every lane's exit state in w. The reference kernel's batches and
-// the compiled kernel's audit (audit.go) both replay through it.
-func replayLanes(w *logic.CompiledSim, inputs []logic.NetID, good []uint64, states [][]uint64, faults []Fault,
+// laneModel is a fault model as a perturbation of a logic.CompiledSim's
+// lanes, in which lane k+1 carries fault batch[k] of the model's list.
+type laneModel interface {
+	// load pins the batch's permanent faults once its lanes are loaded.
+	load(w *logic.CompiledSim, batch []int)
+	// act pins, after cycle's free settle, the sites that act in that
+	// cycle and reports whether it pinned any. replayLanes then settles
+	// again, strobes, and unpins before the clock edge, so a model pins
+	// either in load or in act.
+	act(w *logic.CompiledSim, batch []int, cycle int) bool
+}
+
+// stuckAt is the stuck-at model: every fault is pinned for the whole
+// replay.
+type stuckAt []Fault
+
+func (m stuckAt) load(w *logic.CompiledSim, batch []int) {
+	for k, fi := range batch {
+		w.Inject(m[fi].Site, m[fi].SA1, uint(k+1))
+	}
+}
+
+func (stuckAt) act(*logic.CompiledSim, []int, int) bool { return false }
+
+// replayLanes replays up to 63 faults of model m, batch[k] in lane k+1,
+// over the cycles vecs drives (vecs[i] is cycle start+i) on w, the
+// full-sweep simulator: lane 0 is the good machine entering in state
+// good, lane k+1 enters in states[k]. After every strobe hit(k, cycle)
+// is called for each lane k not yet done whose outputs differ from lane
+// 0's, and says whether the lane is now done. With untilDone the replay
+// stops at the strobe that leaves every lane done. It returns the cycles
+// run and leaves every lane's exit state in w. The full-sweep segment
+// loop and the compiled kernel's audit (audit.go) both replay through
+// it.
+func replayLanes(w *logic.CompiledSim, inputs []logic.NetID, m laneModel, batch []int, good []uint64, states [][]uint64,
 	start int, vecs []uint64, untilDone bool, hit func(k, cycle int) bool) int {
 	w.Reset()
 	w.SetLaneState(0, good)
-	for k, f := range faults {
+	for k := range batch {
 		w.SetLaneState(uint(k+1), states[k])
-		w.Inject(f.Site, f.SA1, uint(k+1))
 	}
+	m.load(w, batch)
 	w.ApplyInjectionsToValues()
 	var done uint64
-	live := uint64(1)<<uint(len(faults)+1) - 2 // lanes 1..len
+	live := uint64(1)<<uint(len(batch)+1) - 2 // lanes 1..len
 	return stepLanes(w, inputs, Vectors(vecs), func(rc int) bool {
+		if m.act(w, batch, start+rc) {
+			w.ApplyInjectionsToValues()
+			w.Settle()
+			w.ClearInjections()
+		}
 		for diff := w.OutputDiff() & live &^ done; diff != 0; diff &= diff - 1 {
 			lane := bits.TrailingZeros64(diff)
 			if hit(lane-1, start+rc) {

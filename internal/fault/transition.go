@@ -89,133 +89,48 @@ func (r *TransitionResult) CoverageAt(cycle int) float64 {
 	return float64(d) / float64(len(r.Faults))
 }
 
-// SimulateTransitions runs transition-fault simulation: lane 0 is the
+// SimulateTransitions runs transition-fault simulation on the
+// full-sweep segment loop (see transitionModel): lane 0 is the
 // fault-free machine and up to 63 faulty machines share each pass, each
-// evolving its own state. Per cycle the frame settles twice: once
-// without forcing, to see which faulty machines launch a slow-direction
-// edge at their site (relative to the site's previous driven value in
-// that lane), and once with those lanes' sites held at the previous
-// value. The hold is removed before the clock edge, so flip-flops latch
-// the held frame's D values and a Q site shows its latched value next
-// cycle. Detected faults drop out at segment boundaries, with per-fault
-// flip-flop state and previous-driven bits carried across.
+// evolving its own state. Detected faults drop out at segment
+// boundaries, with per-fault flip-flop state and previous-driven bits
+// carried across.
 func SimulateTransitions(n *logic.Netlist, vecs VectorSeq, faults []TransitionFault) (*TransitionResult, error) {
-	if len(n.Inputs()) > 64 {
-		return nil, fmt.Errorf("fault: %d primary inputs exceed the 64 supported", len(n.Inputs()))
-	}
 	if faults == nil {
 		faults = AllTransitionFaults(n)
 	}
-	const segLen = 1024
-	// The two-pass settle injects and clears forcings dynamically, so the
-	// cone-sweep kernel does not apply here; the full-sweep CompiledSim
-	// runs it.
-	w := logic.NewCompiledSim(logic.CompiledFor(n))
-	stateWords := w.StateWords()
-	inputs := n.Inputs()
+	at, err := sweepModel(n, vecs, transitionModel{faults, make([]bool, len(faults))}, len(faults), 0)
+	if err != nil {
+		return nil, err
+	}
+	return &TransitionResult{Faults: faults, DetectedAt: at, Cycles: vecs.Len()}, nil
+}
 
-	res := &TransitionResult{
-		Faults:     faults,
-		DetectedAt: make([]int32, len(faults)),
-		Cycles:     vecs.Len(),
-	}
-	for i := range res.DetectedAt {
-		res.DetectedAt[i] = -1
-	}
+// transitionModel is the one-cycle-late-edge model as a lane
+// perturbation. After each free settle it reads every lane's driven site
+// value; a lane whose driver launches a slow-direction edge (against the
+// value it drove the cycle before) has its site held at that previous
+// value for the cycle. The hold is removed before the clock edge, so
+// flip-flops latch the held frame's D values and a Q site shows its
+// latched value next cycle.
+type transitionModel struct {
+	faults []TransitionFault
+	prev   []bool // each fault's site value driven in the last cycle
+}
 
-	states := make([][]uint64, len(faults))
-	for i := range states {
-		states[i] = make([]uint64, stateWords)
-	}
-	prevDriven := make([]bool, len(faults))
-	goodState := make([]uint64, stateWords)
-	nextGoodState := make([]uint64, stateWords)
-	remaining := make([]int, len(faults))
-	for i := range remaining {
-		remaining[i] = i
-	}
+func (transitionModel) load(*logic.CompiledSim, []int) {}
 
-	total := vecs.Len()
-	first := true
-	segVecs := make([]uint64, 0, segLen)
-	for start := 0; start < total && len(remaining) > 0; start += segLen {
-		end := start + segLen
-		if end > total {
-			end = total
+func (m transitionModel) act(w *logic.CompiledSim, batch []int, cycle int) bool {
+	pinned := false
+	for k, fi := range batch {
+		f, lane := m.faults[fi], uint(k+1)
+		driven := w.Word(f.Site)>>lane&1 == 1
+		if cycle > 0 && driven != m.prev[fi] && driven == f.SlowToRise {
+			// Slow edge: the net shows the old value this cycle.
+			w.Inject(f.Site, m.prev[fi], lane)
+			pinned = true
 		}
-		// Memoize the segment's vectors once for all batch replays.
-		segVecs = segVecs[:0]
-		for c := start; c < end; c++ {
-			segVecs = append(segVecs, vecs.At(c))
-		}
-		goodSaved := false
-		var survivors []int
-		for batchStart := 0; batchStart < len(remaining); batchStart += 63 {
-			batch := remaining[batchStart:min(batchStart+63, len(remaining))]
-			w.Reset()
-			w.SetLaneState(0, goodState)
-			for li, fi := range batch {
-				w.SetLaneState(uint(li+1), states[fi])
-			}
-			prev := make([]bool, len(batch)) // per-lane previous driven value at site
-			havePrev := !first
-			for li, fi := range batch {
-				prev[li] = prevDriven[fi]
-			}
-
-			var detectedMask uint64
-			liveMask := uint64(1)<<uint(len(batch)+1) - 2
-			for rc, vec := range segVecs {
-				cycle := start + rc
-				for bi, in := range inputs {
-					w.SetInput(in, vec>>uint(bi)&1 == 1)
-				}
-				// Pass 1: free-running settle to read each lane's driven
-				// site value.
-				w.Settle()
-				for li, fi := range batch {
-					f := faults[fi]
-					driven := w.Word(f.Site)>>uint(li+1)&1 == 1
-					if havePrev && driven != prev[li] && driven == f.SlowToRise {
-						// Slow edge: the net shows the old value this cycle.
-						w.Inject(f.Site, prev[li], uint(li+1))
-					}
-					prev[li] = driven
-				}
-				havePrev = true
-				// Pass 2: settle with the late-edge forcing in place.
-				w.ApplyInjectionsToValues()
-				w.Settle()
-				diff := w.OutputDiff() & liveMask &^ detectedMask
-				if diff != 0 {
-					for li := range batch {
-						if diff>>(uint(li)+1)&1 == 1 {
-							res.DetectedAt[batch[li]] = int32(cycle)
-						}
-					}
-					detectedMask |= diff
-				}
-				// Unpin before the clock edge: the flip-flops latch D
-				// unforced, so a slow edge at a Q site arrives next cycle.
-				w.ClearInjections()
-				w.ClockAfterSettle()
-			}
-			if !goodSaved {
-				w.LaneState(0, nextGoodState)
-				goodSaved = true
-			}
-			for li, fi := range batch {
-				prevDriven[fi] = prev[li]
-				if res.DetectedAt[fi] >= 0 {
-					continue
-				}
-				w.LaneState(uint(li+1), states[fi])
-				survivors = append(survivors, fi)
-			}
-		}
-		goodState, nextGoodState = nextGoodState, goodState
-		remaining = survivors
-		first = false
+		m.prev[fi] = driven
 	}
-	return res, nil
+	return pinned
 }
