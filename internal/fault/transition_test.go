@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -52,25 +55,109 @@ func serialTransitionDetect(n *logic.Netlist, f TransitionFault, vecs VectorSeq)
 	return -1
 }
 
+// TestTransitionSimMatchesSerial holds the batched simulator to the
+// scalar one on two hand-built circuits and on the random netlists
+// TestSimulateBridgesMatchesSerial uses, whose flip-flops put Q sites in
+// the fault list.
 func TestTransitionSimMatchesSerial(t *testing.T) {
-	for name, build := range map[string]func(*testing.T) *logic.Netlist{
-		"adder": buildAdder,
-		"seq":   buildSeq,
-	} {
-		n := build(t)
-		bits := len(n.Inputs())
-		vecs := randomVectors(90, bits, 101)
-		faults := AllTransitionFaults(n)
-		res, err := SimulateTransitions(n, vecs, faults)
+	type tcase struct {
+		name string
+		n    *logic.Netlist
+		vecs Vectors
+	}
+	var cases []tcase
+	for _, c := range []struct {
+		name  string
+		build func(*testing.T) *logic.Netlist
+	}{{"adder", buildAdder}, {"seq", buildSeq}} {
+		n := c.build(t)
+		cases = append(cases, tcase{c.name, n, randomVectors(90, len(n.Inputs()), 101)})
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed*104729 + 17))
+		n := randCircuit(t, rng, seed%2 == 1)
+		vecs := make(Vectors, 40+rng.Intn(120))
+		for i := range vecs {
+			vecs[i] = rng.Uint64()
+		}
+		cases = append(cases, tcase{fmt.Sprintf("random/%d", seed), n, vecs})
+	}
+	for _, c := range cases {
+		faults := AllTransitionFaults(c.n)
+		res, err := SimulateTransitions(c.n, c.vecs, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, f := range faults {
-			want := serialTransitionDetect(n, f, vecs)
+			want := serialTransitionDetect(c.n, f, c.vecs)
 			if got := int(res.DetectedAt[i]); got != want {
-				t.Errorf("%s fault %v: parallel=%d serial=%d", name, f, got, want)
+				t.Errorf("%s fault %v: parallel=%d serial=%d", c.name, f, got, want)
 			}
 		}
+	}
+}
+
+// TestLaneModelsSegmentInvariant: a transition or bridge fault's first
+// detection does not depend on where the full-sweep segment loop drops
+// and repacks, nor on the fault's place in the list. Each transition
+// fault is listed twice, so the list spans several batches.
+func TestLaneModelsSegmentInvariant(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed*104729 + 17))
+		n := randCircuit(t, rng, seed%2 == 1)
+		vecs := make(Vectors, 40+rng.Intn(120))
+		for i := range vecs {
+			vecs[i] = rng.Uint64()
+		}
+		check := func(name string, nf int, model func(order []int) laneModel) {
+			t.Helper()
+			order := make([]int, nf)
+			for i := range order {
+				order[i] = i
+			}
+			want, err := sweepModel(n, vecs, model(order), nf, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, segLen := range []int{1, 7} {
+				got, err := sweepModel(n, vecs, model(order), nf, segLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("seed %d %s: segment length %d moves DetectedAt\n got %v\nwant %v", seed, name, segLen, got, want)
+				}
+			}
+			perm := rng.Perm(nf)
+			for _, segLen := range []int{1, 7, 1024} {
+				got, err := sweepModel(n, vecs, model(perm), nf, segLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range perm {
+					if got[i] != want[p] {
+						t.Errorf("seed %d %s, permuted, segment length %d: fault %d detected at %d, unpermuted %d", seed, name, segLen, p, got[i], want[p])
+					}
+				}
+			}
+		}
+		tf := AllTransitionFaults(n)
+		tf = append(tf, tf...)
+		check("transition", len(tf), func(order []int) laneModel {
+			m := transitionModel{make([]TransitionFault, len(order)), make([]bool, len(order))}
+			for i, p := range order {
+				m.faults[i] = tf[p]
+			}
+			return m
+		})
+		bridges := RandomBridges(n, 80, seed)
+		check("bridge", len(bridges), func(order []int) laneModel {
+			m := make(bridgeModel, len(order))
+			for i, p := range order {
+				m[i] = bridges[p]
+			}
+			return m
+		})
 	}
 }
 
