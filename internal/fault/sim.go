@@ -513,7 +513,7 @@ func sweepModel(n *logic.Netlist, vecs VectorSeq, m laneModel, nf, segLen int) (
 // fault-free state and each fault's saved state, and keeps only the
 // faults that still need detections. enter, when non-nil, runs before
 // each segment and ends the run by returning false; leave, when non-nil,
-// runs after it with the cycles its batches settled and the faults it
+// runs after it with the cycles its batches ran and the faults it
 // dropped. sweep returns the cycles applied.
 func (r *simRun) sweep(n *logic.Netlist, vecs VectorSeq, m laneModel, enter func() bool, leave func(start, end, settles, dropped int)) int {
 	inputs := n.Inputs()

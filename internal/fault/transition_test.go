@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/logic"
 	"repro/internal/logic/logictest"
+	"repro/internal/obs"
 )
 
 // serialTransitionDetect is the scalar reference for the
@@ -159,6 +162,43 @@ func TestLaneModelsSegmentInvariant(t *testing.T) {
 			return m
 		})
 	}
+}
+
+// TestLaneModelsQuiet: transition and bridge runs move no faultsim.*
+// counter and fire no fault.segment chaos point, though they share the
+// reference kernel's segment loop, which does both.
+func TestLaneModelsQuiet(t *testing.T) {
+	n := buildSeq(t)
+	vecs := randomVectors(2100, len(n.Inputs()), 9) // three segments
+	cfg, err := chaos.Parse("fault.segment=panic", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Arm(cfg)
+	defer chaos.Disarm()
+	before, refBefore := obs.Default().Snapshot(), ctrGateEvalsRef.Load()
+	if _, err := SimulateTransitions(n, vecs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SimulateBridges(n, vecs, RandomBridges(n, 20, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range obs.Default().Snapshot() {
+		if strings.HasPrefix(name, "faultsim.") && v != before[name] {
+			t.Errorf("%s moved by %d", name, v-before[name])
+		}
+	}
+	if d := ctrGateEvalsRef.Load() - refBefore; d != 0 {
+		t.Errorf("reference gate evaluations moved by %d", d)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the reference kernel did not reach the armed fault.segment point")
+			}
+		}()
+		Simulate(n, vecs, SimOptions{Kernel: KernelReference})
+	}()
 }
 
 func TestTransitionNeedsTransition(t *testing.T) {
