@@ -112,7 +112,7 @@ func (m bridgeModel) act(w *logic.CompiledSim, batch []int, _ int) bool {
 		br, lane := m[bi], uint(k+1)
 		a := w.Word(br.A)>>lane&1 == 1
 		if a == (w.Word(br.B)>>lane&1 == 1) {
-			continue // equal drivers: the short changes nothing
+			continue // equal values: the short changes nothing
 		}
 		r := a // BridgeADominates
 		switch br.Kind {

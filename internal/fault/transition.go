@@ -108,8 +108,8 @@ func SimulateTransitions(n *logic.Netlist, vecs VectorSeq, faults []TransitionFa
 
 // transitionModel is the one-cycle-late-edge model as a lane
 // perturbation. After each free settle it reads every lane's driven site
-// value; a lane whose driver launches a slow-direction edge (against the
-// value it drove the cycle before) has its site held at that previous
+// value; a lane whose site launches a slow-direction edge (against the
+// value it was driven to the cycle before) is held at that previous
 // value for the cycle. The hold is removed before the clock edge, so
 // flip-flops latch the held frame's D values and a Q site shows its
 // latched value next cycle.
