@@ -1,7 +1,7 @@
 // Command sbst-worker is one member of a distributed campaign fleet:
-// it polls an sbstd coordinator (started with -distributed) for leased
-// work units, simulates each unit's fault slice against the unit's
-// design — resolved from the spec's design ID through the same
+// it polls an sbstd coordinator (started with -distributed) for leases
+// over runs of work units, simulates each lease's fault slice in one
+// call against the unit's design — resolved from the spec's design ID through the same
 // registry the coordinator uses (an LRU keeps recently built designs
 // hot), heartbeats while it runs, and uploads the checksummed
 // detection bitmaps. Workers are stateless and interchangeable — kill

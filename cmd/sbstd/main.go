@@ -88,7 +88,7 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "HTTP request handler timeout (0 = none)")
 	maxInflight := flag.Int("max-inflight", 128, "concurrent HTTP requests before load shedding (0 = unlimited)")
 	distributed := flag.Bool("distributed", false, "run as coordinator: fault campaigns become leased work units for sbst-worker processes")
-	units := flag.Int("units", 8, "work units per distributed campaign (ignored without -distributed)")
+	units := flag.Int("units", 8, "work units per distributed campaign, the retry granularity; a lease covers a run of them, the worker's fair share (ignored without -distributed)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "lease lifetime without a heartbeat (ignored without -distributed)")
 	unitAttempts := flag.Int("unit-attempts", 3, "grants per work unit before the campaign fails (ignored without -distributed)")
 	followJob := flag.String("follow", "", "follow mode: stream this job's SSE events from -coordinator and exit with its result")
@@ -274,7 +274,7 @@ func follow(coordinator, jobID string) error {
 			if ev.Lease == nil {
 				return
 			}
-			fields := map[string]any{"event": ev.Lease.Event, "unit": ev.Lease.Unit}
+			fields := map[string]any{"event": ev.Lease.Event, "unit": ev.Lease.Unit, "unit_end": ev.Lease.UnitEnd}
 			if ev.Lease.WorkerID != "" {
 				fields["worker"] = ev.Lease.WorkerID
 			}

@@ -35,7 +35,7 @@ func wireExamples() []struct {
 		TraceID:     "9f3a1c2b4d5e6f70",
 	}
 	unit := WorkUnit{
-		JobID: "job-0001", Unit: 1, Units: 4, Spec: spec,
+		JobID: "job-0001", Unit: 1, UnitEnd: 2, Units: 4, Spec: spec,
 		FaultLo: 2330, FaultHi: 4660, TotalFaults: 9320,
 		ShadowSample: 0.005, ShadowSeed: 1,
 	}
@@ -158,7 +158,7 @@ func wireExamples() []struct {
 			Seq: 12, Type: JobEventLease, JobID: "job-0001",
 			TraceID: "9f3a1c2b4d5e6f70",
 			Lease: &LeaseEvent{Event: "lease_expired", LeaseID: "lease-0003",
-				Unit: 1, WorkerID: "worker-a", Attempt: 2, Reason: "ttl elapsed"},
+				Unit: 1, UnitEnd: 2, WorkerID: "worker-a", Attempt: 2, Reason: "ttl elapsed"},
 		}},
 		{"JobEventResult", JobEvent{
 			Seq: 13, Type: JobEventResult, JobID: "job-0001",

@@ -53,8 +53,11 @@ type LeaseEvent struct {
 	Event string `json:"event"`
 	// LeaseID names the lease, when one was involved.
 	LeaseID string `json:"lease_id,omitempty"`
-	// Unit is the work-unit index within the job.
-	Unit int `json:"unit"`
+	// Unit is the first work-unit index the event covers, and UnitEnd
+	// the exclusive end: a grant or completion covers the lease's whole
+	// run, a requeue event one unit (UnitEnd = Unit+1).
+	Unit    int `json:"unit"`
+	UnitEnd int `json:"unit_end"`
 	// WorkerID names the worker holding or losing the lease.
 	WorkerID string `json:"worker_id,omitempty"`
 	// Attempt is the unit's attempt number at the time of the event.

@@ -8,8 +8,12 @@ import (
 )
 
 // The lease protocol. A coordinator splits each fault-simulation job's
-// collapsed fault list into contiguous work units; workers pull units
-// with time-bounded leases:
+// collapsed fault list into contiguous work units; workers pull
+// contiguous runs of one job's units with time-bounded leases. A run's
+// length is the worker's fair share of the pending units: the pending
+// units across all jobs divided by the workers the coordinator has
+// heard from within the TTL, rounded up. A worker simulates the whole
+// run in one call.
 //
 //	POST /v1/leases                  LeaseRequest → Lease (200) or no work (204)
 //	POST /v1/leases/{id}/heartbeat   Heartbeat    → HeartbeatAck; extends the TTL
@@ -17,14 +21,14 @@ import (
 //	POST /v1/leases/{id}/fail        LeaseFailure → 200; unit requeued or job failed
 //
 // A lease that outlives its TTL without a heartbeat is expired by the
-// coordinator: the unit goes back to the pending pool (with backoff and
-// an attempt charge) and any late call on the old lease answers 409
+// coordinator: every unit it covers goes back to the pending pool (each
+// with its own backoff and attempt charge) and any late call on the old lease answers 409
 // lease_gone. Fault independence makes per-fault results invariant
 // under partitioning, so the merged campaign is bit-identical to a
 // single-process run no matter how units are distributed, retried or
 // reassigned.
 
-// LeaseRequest asks the coordinator for one work unit.
+// LeaseRequest asks the coordinator for a run of work units.
 type LeaseRequest struct {
 	// WorkerID identifies the requesting worker in logs, lease records
 	// and checkpoints. Required.
@@ -34,20 +38,24 @@ type LeaseRequest struct {
 // WorkUnit is the payload of a lease: everything a worker needs to
 // reproduce its slice of the coordinator's simulation exactly. The
 // worker builds the same gate-level core, collapses the same fault
-// list, simulates Faults[FaultLo:FaultHi] against the spec's stimulus,
-// and uploads the per-fault detection bitmap.
+// list, simulates Faults[FaultLo:FaultHi] against the spec's stimulus
+// in one call, and uploads the per-fault detection bitmap.
 type WorkUnit struct {
 	JobID string `json:"job_id"`
-	// Unit is this unit's index in [0, Units).
-	Unit  int `json:"unit"`
-	Units int `json:"units"`
+	// Unit is the first covered unit's index in [0, Units), and UnitEnd
+	// the exclusive end of the covered run: a lease covers units
+	// [Unit, UnitEnd) of the job's Units.
+	Unit    int `json:"unit"`
+	UnitEnd int `json:"unit_end"`
+	Units   int `json:"units"`
 	// Spec is the owning job's spec (stimulus source, n-detect target,
-	// segment length). Workers must not re-shard across units: the unit
-	// boundaries below are authoritative.
+	// segment length). Workers must not split the range below: it is
+	// authoritative, and the upload covers exactly it.
 	Spec JobSpec `json:"spec"`
-	// FaultLo/FaultHi bound this unit's slice of the collapsed fault
-	// list, and TotalFaults pins the list length the coordinator saw —
-	// a worker whose core build disagrees must refuse the unit.
+	// FaultLo/FaultHi bound the covered run's slice of the collapsed
+	// fault list (FaultHi is where unit UnitEnd-1 ends), and TotalFaults
+	// pins the list length the coordinator saw — a worker whose core
+	// build disagrees must refuse the unit.
 	FaultLo     int `json:"fault_lo"`
 	FaultHi     int `json:"fault_hi"`
 	TotalFaults int `json:"total_faults"`
@@ -68,7 +76,8 @@ type Lease struct {
 	// HeartbeatMillis is the recommended heartbeat interval (a fraction
 	// of the TTL).
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
-	// Attempt counts prior tries of this unit (0 = first grant).
+	// Attempt counts prior tries of the covered units: the most any of
+	// them has had (0 = first grant of every one).
 	Attempt int `json:"attempt"`
 }
 

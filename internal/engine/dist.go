@@ -30,8 +30,10 @@ import (
 // DistOptions configure NewDistExecutor.
 type DistOptions struct {
 	// Units is the number of work units each fault-sim campaign is
-	// split into (default 8). More units than workers keeps the fleet
-	// busy and shrinks the re-run cost of a lost lease.
+	// split into (default 8): the planning and retry granularity. A
+	// lease covers a contiguous run of units, the worker's fair share
+	// of the pending ones, so more units than workers lets the runs
+	// shrink as a campaign drains without costing one call per unit.
 	Units int
 	// ShadowSample/ShadowSeed forward the window audit's policy into
 	// every unit, so workers guard their compiled kernel exactly like the

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -166,5 +168,71 @@ func TestRunWorkUnitValidation(t *testing.T) {
 	if _, err := RunWorkUnit(context.Background(), "w", bad, ExecConfig{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "bad fault range") {
 		t.Fatalf("inverted range = %v, want refusal", err)
+	}
+}
+
+// TestDistFleetInvariance: whatever runs the pool grants — one worker
+// taking a whole job, or several splitting it — the merged campaign is
+// bit-identical to the serial oracle, for 1, 2 and 3 workers and 1, 3
+// and 8 units, on a plain and an n-detect spec.
+func TestDistFleetInvariance(t *testing.T) {
+	const design = "bench/c432"
+	d, err := GetDesign(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []JobSpec{
+		{Kind: JobFaultSim, Design: design, Vectors: VectorSource{Kind: api.VecBIST, Count: 256, Seed: 3}},
+		{Kind: JobNDetect, Design: design, NDetect: 3, Vectors: VectorSource{Kind: api.VecBIST, Count: 256, Seed: 3}},
+	}
+	oracles := make([]*fault.Result, len(specs))
+	for i, spec := range specs {
+		vecs, err := resolveVectors(d, spec.Vectors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracles[i], err = fault.Simulate(d.Netlist, vecs, fault.SimOptions{Faults: d.Faults, NDetect: spec.NDetect})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if oracles[1].Detections == nil {
+		t.Fatal("the n-detect oracle carries no detection counts")
+	}
+	for _, workers := range []int{1, 2, 3} {
+		for _, units := range []int{1, 3, 8} {
+			t.Run(fmt.Sprintf("workers=%d/units=%d", workers, units), func(t *testing.T) {
+				p := NewLeasePool(PoolOptions{TTL: 5 * time.Second})
+				defer p.Close()
+				stop := startTestWorkers(t, p, workers)
+				defer stop()
+				var mu sync.Mutex
+				merged := map[string]*fault.Result{}
+				exec := NewDistExecutor(ExecConfig{}, p, DistOptions{
+					Units: units,
+					OnMerged: func(jobID string, res *fault.Result) {
+						mu.Lock()
+						merged[jobID] = res
+						mu.Unlock()
+					},
+				})
+				for i, spec := range specs {
+					id := fmt.Sprintf("inv-%d", i)
+					if _, err := exec(withJobID(context.Background(), id), spec, func(Progress) {}); err != nil {
+						t.Fatal(err)
+					}
+					mu.Lock()
+					res := merged[id]
+					mu.Unlock()
+					if res == nil {
+						t.Fatalf("%s: OnMerged never fired", spec.Kind)
+					}
+					if !slices.Equal(res.DetectedAt, oracles[i].DetectedAt) ||
+						!slices.Equal(res.Detections, oracles[i].Detections) {
+						t.Fatalf("%s: merged bitmaps differ from the serial oracle", spec.Kind)
+					}
+				}
+			})
+		}
 	}
 }

@@ -556,7 +556,7 @@ func toWorkUnit(t *testing.T, p *LeasePool, leaseID string) api.WorkUnit {
 	if !ok {
 		t.Fatalf("lease %s not in pool", leaseID)
 	}
-	return l.unit.wire
+	return l.wire()
 }
 
 // TestServerGracefulDrain: during a drain, running work finishes,

@@ -1,7 +1,8 @@
 // Package worker is the fleet side of distributed campaign execution:
-// a pull-mode loop that leases work units from an sbstd coordinator,
-// simulates each unit's fault slice against the shared gate-level core,
-// heartbeats while it runs, and uploads checksummed detection bitmaps.
+// a pull-mode loop that leases runs of work units from an sbstd
+// coordinator, simulates each lease's fault slice in one call against
+// the shared gate-level core, heartbeats while it runs, and uploads
+// checksummed detection bitmaps.
 // cmd/sbst-worker wraps it in a binary; the distributed e2e tests run
 // it in-process.
 package worker
@@ -139,7 +140,7 @@ func (w *Worker) idle(ctx context.Context) {
 	}
 }
 
-// runUnit simulates one leased unit under a heartbeat, then uploads the
+// runUnit simulates one lease's run of units under a heartbeat, then uploads the
 // result or reports the failure.
 func (w *Worker) runUnit(ctx context.Context, lease *api.Lease) {
 	// Every call made for this unit — heartbeats, result upload, failure
