@@ -167,20 +167,16 @@ func (a *auditor) err() error {
 	return &e
 }
 
-// windowAudit is what one claimer keeps of a sampled batch, and the
-// simulator it audits the batch's windows on.
+// windowAudit is what one claimer keeps of a sampled batch.
 type windowAudit struct {
-	ref *logic.CompiledSim
 	// words holds a bit per audited word of the current batch; the slices
 	// hold the batch's lanes as they entered the segment, in lane order.
 	words            uint64
 	faults           []int
 	states           []uint64 // stateWords per lane
 	counts, detected []int32
-	good, exit       []uint64
-	// vecs holds the segment's inputs, read from the trace; lanes, wantC
-	// and wantD are one word's replay (replayLanes).
-	vecs         []uint64
+	// exit, lanes, wantC and wantD are one word's replay (replayLanes).
+	exit         []uint64
 	lanes        [][]uint64
 	wantC, wantD []int32
 }
@@ -202,35 +198,27 @@ func (s *segment) keep(au *windowAudit, b int, batch []int, batchStart int) {
 	}
 }
 
-// audit replays batch b's sampled windows and records any disagreement
-// with what the replay left in the run. Its panics, like the replay's,
-// are recovered into the segment (see replay).
-func (s *segment) audit(au *windowAudit, b int) {
+// audit replays batch b's sampled windows on cl's CompiledSim and
+// records any disagreement with what the replay left in the run. Its
+// panics, like the replay's, are recovered into the segment (see
+// replay).
+func (s *segment) audit(cl *claimer, b int) {
 	if plant != nil {
 		plant(s, b)
 	}
+	au := &cl.audit
 	if au.words == 0 {
 		return
 	}
 	from := time.Now()
-	n := s.prog.Netlist()
-	if au.ref == nil {
-		sw := (len(n.DFFs()) + 63) / 64
-		au.ref = logic.NewCompiledSim(s.prog)
-		au.good, au.exit = make([]uint64, sw), make([]uint64, sw)
-	}
-	s.trace.StateInto(s.start, n.DFFs(), au.good)
-	au.vecs = au.vecs[:0]
-	for cyc := s.start; cyc < s.end; cyc++ {
-		var v uint64
-		for bi, in := range n.Inputs() {
-			v |= s.trace.Bit(cyc, in) << uint(bi)
-		}
-		au.vecs = append(au.vecs, v)
+	ref := cl.compiledSim(s.prog)
+	good, vecs := s.inputs()
+	if au.exit == nil {
+		au.exit = make([]uint64, len(good))
 	}
 	for words := au.words; words != 0; words &= words - 1 {
 		w := bits.TrailingZeros64(words)
-		if lanes := s.auditWord(au, b, w); len(lanes) > 0 {
+		if lanes := s.auditWord(au, ref, good, vecs, b, w); len(lanes) > 0 {
 			s.au.record(s.start, b, w, lanes)
 		}
 		s.au.windows.Add(1)
@@ -238,11 +226,12 @@ func (s *segment) audit(au *windowAudit, b int) {
 	s.au.nanos.Add(int64(time.Since(from)))
 }
 
-// auditWord replays word w of batch b over the segment on the reference
-// simulator, from the lanes' entering state, and describes every lane
-// whose detection cycle, count or exit state the replay left otherwise.
-func (s *segment) auditWord(au *windowAudit, b, w int) []string {
-	r, sw := s.r, len(au.good)
+// auditWord replays word w of batch b on ref over the segment's inputs
+// vecs, from the good state entering it and the lanes' entering state,
+// and describes every lane whose detection cycle, count or exit state
+// the replay left otherwise.
+func (s *segment) auditWord(au *windowAudit, ref *logic.CompiledSim, good, vecs []uint64, b, w int) []string {
+	r, sw := s.r, len(good)
 	lo, hi := w*63, min(w*63+63, len(au.faults))
 	au.lanes = au.lanes[:0]
 	for li := lo; li < hi; li++ {
@@ -250,7 +239,7 @@ func (s *segment) auditWord(au *windowAudit, b, w int) []string {
 	}
 	au.wantC = append(au.wantC[:0], au.counts[lo:hi]...)
 	au.wantD = append(au.wantD[:0], au.detected[lo:hi]...)
-	replayLanes(au.ref, s.prog.Netlist().Inputs(), stuckAt(r.faults), au.faults[lo:hi], au.good, au.lanes, s.start, au.vecs, true,
+	replayLanes(ref, s.prog.Netlist().Inputs(), stuckAt(r.faults), au.faults[lo:hi], good, au.lanes, s.start, vecs,
 		func(k, cycle int) bool {
 			au.wantC[k]++
 			if au.wantD[k] < 0 {
@@ -274,7 +263,7 @@ func (s *segment) auditWord(au *windowAudit, b, w int) []string {
 				lanes = append(lanes, fmt.Sprintf("fault %d: detected at %d with count %d, the audit says %d with count %d",
 					fi, gotD, gotC, au.wantD[k], au.wantC[k]))
 			case survived:
-				au.ref.LaneState(uint(k+1), au.exit)
+				ref.LaneState(uint(k+1), au.exit)
 				if !slices.Equal(au.exit, r.states[slot]) {
 					lanes = append(lanes, fmt.Sprintf("fault %d: exit state %x, the audit says %x", fi, r.states[slot], au.exit))
 				}

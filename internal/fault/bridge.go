@@ -89,12 +89,13 @@ func RandomBridges(n *logic.Netlist, count int, seed int64) []Bridge {
 }
 
 // SimulateBridges fault-simulates the bridges bit-parallel on the
-// full-sweep segment loop (see bridgeModel) and returns, per bridge, the
-// first cycle with an output difference, or -1. Lane 0 of a
-// logic.CompiledSim is the fault-free machine and lanes 1..63 each carry
-// one bridge, every machine starting from the all-zero flip-flop state.
+// segment driver's logic.CompiledSim replayer (see bridgeModel) and
+// returns, per bridge, the first cycle with an output difference, or -1.
+// Lane 0 of a logic.CompiledSim is the fault-free machine and lanes
+// 1..63 each carry one bridge, every machine starting from the all-zero
+// flip-flop state.
 func SimulateBridges(n *logic.Netlist, vecs VectorSeq, bridges []Bridge) ([]int32, error) {
-	return sweepModel(n, vecs, bridgeModel(bridges), len(bridges), 0)
+	return simulateModel(n, vecs, bridgeModel(bridges), len(bridges), 0)
 }
 
 // bridgeModel evaluates bridges zero-delay as a lane perturbation: after

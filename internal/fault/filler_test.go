@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -394,7 +395,9 @@ func TestDefaultAuditCoversEveryCall(t *testing.T) {
 // with a complete pinned trace, read the same results, Progress
 // sequence, counter deltas and audited window count at GOMAXPROCS 1, 2
 // and 4. The random netlists run once more with every window audited,
-// which must change none of it either.
+// which must change none of it either. The reference kernel, on a dsp
+// sample and the random netlists, and transition and bridge runs on the
+// random netlists replay on the same work list and must not move either.
 func TestSimulateGOMAXPROCSInvariant(t *testing.T) {
 	type job struct {
 		name string
@@ -402,8 +405,18 @@ func TestSimulateGOMAXPROCSInvariant(t *testing.T) {
 		vecs fault.Vectors
 		opts fault.SimOptions
 	}
+	// model is a transition or bridge run, which returns DetectedAt.
+	type model struct {
+		name string
+		run  func() ([]int32, error)
+	}
 	d := dspDesign(t)
-	jobs := []job{{"dsp", d.Netlist, bist.PseudorandomVectors(1024, 1), fault.SimOptions{Faults: d.Faults}}}
+	dspVecs := bist.PseudorandomVectors(1024, 1)
+	jobs := []job{
+		{"dsp", d.Netlist, dspVecs, fault.SimOptions{Faults: d.Faults}},
+		{"dsp reference", d.Netlist, dspVecs[:256], fault.SimOptions{Faults: everyNth(d.Faults, 64), Kernel: fault.KernelReference}},
+	}
+	var models []model
 	for seed := 0; seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)*7919 + 3))
 		n, err := logictest.RandomNetlist(rng, seed%2 == 1)
@@ -416,10 +429,23 @@ func TestSimulateGOMAXPROCSInvariant(t *testing.T) {
 		}
 		for _, ndet := range []int{1, 3} {
 			jobs = append(jobs, job{fmt.Sprintf("random %d ndet %d", seed, ndet), n, vecs,
-				fault.SimOptions{Faults: fault.AllFaults(n), NDetect: ndet, LaneWords: 1}})
+				fault.SimOptions{Faults: fault.AllFaults(n), NDetect: ndet, LaneWords: 1}},
+				job{fmt.Sprintf("random %d ndet %d reference", seed, ndet), n, vecs,
+					fault.SimOptions{Faults: fault.AllFaults(n), NDetect: ndet, Kernel: fault.KernelReference}})
 		}
 		jobs = append(jobs, job{fmt.Sprintf("random %d audited", seed), n, vecs,
 			fault.SimOptions{Faults: fault.AllFaults(n), LaneWords: 1, ShadowSample: 1}})
+		models = append(models,
+			model{fmt.Sprintf("random %d transitions", seed), func() ([]int32, error) {
+				res, err := fault.SimulateTransitions(n, vecs, nil)
+				if err != nil {
+					return nil, err
+				}
+				return res.DetectedAt, nil
+			}},
+			model{fmt.Sprintf("random %d bridges", seed), func() ([]int32, error) {
+				return fault.SimulateBridges(n, vecs, fault.RandomBridges(n, 150, int64(seed)))
+			}})
 	}
 	for _, j := range jobs {
 		pinned := j.opts
@@ -430,6 +456,22 @@ func TestSimulateGOMAXPROCSInvariant(t *testing.T) {
 				if diff := sameRun(one, observe(t, procs, j.n, j.vecs, opts)); diff != "" {
 					t.Fatalf("%s, pinned=%v: GOMAXPROCS 1 vs %d: %s", j.name, opts.Trace != nil, procs, diff)
 				}
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, m := range models {
+		var one []int32
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := m.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				one = got
+			} else if !slices.Equal(got, one) {
+				t.Fatalf("%s: GOMAXPROCS 1 vs %d: DetectedAt\n%v\nvs\n%v", m.name, procs, one, got)
 			}
 		}
 	}

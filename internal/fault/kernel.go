@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,36 +13,43 @@ import (
 	"repro/internal/obs"
 )
 
-// kernel.go is the compiled cone-sweep fault-simulation kernel
-// (SimOptions.Kernel == KernelCompiled, the default).
+// kernel.go is the one drop/repack segment driver, behind both stuck-at
+// kernels, SimulateTransitions and SimulateBridges.
 //
 // The fault-free machine is simulated exactly once per segment
 // (logic.GoodTrace.Extend), recording every net's settled value per
 // cycle. Without a pinned SimOptions.Trace that fill runs one segment
 // ahead of the fault batches on a goroutine of its own (goodFiller);
 // with one (the artifact cache's complete trace) there is no fill at
-// all. Each batch of up to 63×W faults (W = SimOptions.LaneWords) then
-// replays the segment on a logic.ConeSim, which sweeps only the batch's
-// fanout-cone logic — everything outside the cone is read from the
-// trace — so a batch pays for its cone instead of the whole frame. W is
-// the widest a batch gets: a part-filled one (the list's tail, and every
-// batch once survivors thin out) replays on stripes of the narrowest of
-// 1, 2, 4 and W words that holds it (see logic.ConeSim.BeginBatch), so
-// empty lane words are not swept. A segment's batches are independent,
-// so every core replays them (see segment): the caller, one helper
-// goroutine per spare core and the filler while it is parked each claim
-// one batch at a time. The drop/repack segmentation, detection
-// bookkeeping and telemetry match simulateReference cycle for cycle;
-// the differential tests in this package and kernel_equiv_test.go at the
-// repo root enforce bit-identical results at every lane width.
-func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error) {
+// all. A segment's batches are independent, so every core replays them
+// (see segment): the caller, one helper goroutine per spare core and the
+// filler while it is parked each claim one batch at a time. The compiled
+// kernel (the default) replays up to 63×W stuck-at faults (W =
+// SimOptions.LaneWords) on a logic.ConeSim, which sweeps only the
+// batch's fanout-cone logic and reads the rest from the trace; a
+// part-filled batch replays on the narrowest stripes of 1, 2, 4 and W
+// words that hold it (logic.ConeSim.BeginBatch). Every other run replays
+// up to 63 faults of a laneModel through replayLanes on a
+// logic.CompiledSim, the whole program every cycle, from the state and
+// inputs the trace recorded (segment.inputs). The differential tests in
+// this package and kernel_equiv_test.go at the repo root hold the two
+// stuck-at kernels bit-identical at every lane width.
+
+// simulateSegments runs r's faults to the end of vecs or of opts.Ctx: on
+// the ConeSim replayer when m is nil, under model m on the CompiledSim
+// replayer otherwise. A run of a model other than stuck-at (r.faults
+// nil) is quiet: it moves no counter and fires no chaos point.
+func simulateSegments(n *logic.Netlist, vecs VectorSeq, opts SimOptions, r *simRun, m laneModel) (*Result, error) {
 	c := opts.Program
 	if c == nil {
 		c = logic.CompiledFor(n)
 	}
+	quiet := r.faults == nil
+	lw, kernelEvals := 1, ctrGateEvalsRef
+	if m == nil {
+		lw, kernelEvals = EffectiveLaneWords(opts, len(r.faults)), ctrGateEvalsCompiled
+	}
 	stateWords := (len(n.DFFs()) + 63) / 64
-	r := newSimRun(n, vecs, opts, stateWords)
-	lw := EffectiveLaneWords(opts, len(r.faults))
 	nextGoodState := make([]uint64, stateWords)
 
 	total := vecs.Len()
@@ -60,7 +68,9 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 	var fillWait, barrierWait time.Duration
 	au := newAuditor(opts, len(r.remaining), lw)
 
-	ctrRuns.Add(1)
+	if !quiet {
+		ctrRuns.Add(1)
+	}
 	span := obs.NewSpan(opts.Sink, "faultsim")
 	applied := 0
 	for start := 0; start < total && len(r.remaining) > 0; start = applied {
@@ -70,9 +80,11 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 		}
 		// Chaos point: a stall or crash at a segment boundary (recovered
 		// and retried by engine.Simulate's call supervisor).
-		if f := chaos.Maybe("fault.segment"); f != nil {
-			f.PanicNow()
-			f.Sleep(opts.Ctx)
+		if !quiet {
+			if f := chaos.Maybe("fault.segment"); f != nil {
+				f.PanicNow()
+				f.Sleep(opts.Ctx)
+			}
 		}
 		end := sched.next(start)
 
@@ -89,7 +101,9 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 				panic(fmt.Sprintf("fault: filler sent segment [%d, %d), want [%d, %d)", g.start, g.end, start, end))
 			}
 			trace = g.trace
-			ctrGoodCycles.Add(int64(end - start))
+			if !quiet {
+				ctrGoodCycles.Add(int64(end - start))
+			}
 			seg.Evals = g.evals
 		}
 		// The fault-free state entering the next segment, for survivor
@@ -97,7 +111,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 		// of a pinned trace.
 		trace.StateInto(end, n.DFFs(), nextGoodState)
 
-		s := &segment{r: r, prog: c, lw: lw, ctx: opts.Ctx, trace: trace, start: start, end: end, nextGood: nextGoodState, au: au}
+		s := &segment{r: r, prog: c, model: m, lw: lw, ctx: opts.Ctx, trace: trace, start: start, end: end, nextGood: nextGoodState, au: au}
 		s.cut()
 		helpers := max(0, min(runtime.GOMAXPROCS(0)-ownCores, s.batches-1))
 		for len(claimers) < ownCores+helpers {
@@ -124,15 +138,7 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 			fill.free <- trace
 		}
 		applied = end
-		ctrSweepBlocks.Add(seg.Blocks)
-		ctrGateEvals.Add(seg.Evals)
-		ctrGateEvalsCompiled.Add(seg.Evals)
-		ctrGateEvalsSaved.Add(seg.Saved)
-		span.Add("gate_evals", seg.Evals)
-		span.Add("gate_evals_saved", seg.Saved)
-		ctrCyclesSweep.Add(seg.Cycles)
-		span.Add("cycles_sweep", seg.Cycles)
-		r.finishSegment(span, opts, r.drop(s.survivors()), start, end, total)
+		r.finishSegment(span, opts, s.survivors(), seg, kernelEvals, start, end, total)
 	}
 	var helped int64
 	for _, cl := range claimers[1:] {
@@ -155,20 +161,27 @@ func simulateCompiled(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Resul
 // through an atomic counter. Batches are cut from r.remaining exactly as
 // a serial loop cuts them, 63×W faults in list order, so which faults
 // share a batch — and with it every counter — does not depend on who
-// replays what. A batch writes only its own faults' counts and
-// detection cycles, its own ranges of r.remaining and r.states and its
-// own kept slot; the trace window and nextGood are read-only while the
-// segment is out. The barrier (wait) is the last batch finishing;
-// survivors then compacts the batches' survivors in batch order.
+// replays what. A batch writes only its own faults' counts, detection
+// cycles and model state, its own ranges of r.remaining and r.states and
+// its own kept slot; the trace window, nextGood and the inputs once read
+// are read-only while the segment is out. The barrier (wait) is the last
+// batch finishing; survivors then compacts the batches' survivors in
+// batch order.
 type segment struct {
 	r          *simRun
 	prog       *logic.Compiled
-	lw         int
+	model      laneModel // nil: stuck-at on the ConeSim replayer
+	lw         int       // 1 on the CompiledSim replayer
 	ctx        context.Context
 	trace      *logic.GoodTrace
 	start, end int
 	nextGood   []uint64 // the fault-free state entering end
 	au         *auditor // the call's window audit (audit.go)
+
+	// good and vecs are what the trace recorded of the segment, read in
+	// by the first call of inputs.
+	inputsOnce sync.Once
+	good, vecs []uint64
 
 	batches int
 	next    atomic.Int64  // the next batch to claim
@@ -211,16 +224,21 @@ func (s *segment) claim(cl *claimer) bool {
 	return true
 }
 
-// replay runs replayBatch, recovering a panic into the segment's record:
-// on a helper or the filler an unrecovered panic would crash the
-// process, and the caller re-raises it from wait instead.
+// replay replays batch b on the segment's replayer, recovering a panic
+// into the segment's record: on a helper or the filler an unrecovered
+// panic would crash the process, and the caller re-raises it from wait
+// instead.
 func (s *segment) replay(cl *claimer, b int) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panicked.CompareAndSwap(nil, &p)
 		}
 	}()
-	s.replayBatch(cl, b)
+	if s.model != nil {
+		s.replayCompiled(cl, b)
+	} else {
+		s.replayBatch(cl, b)
+	}
 }
 
 // wait blocks until every batch of the segment has finished, then
@@ -320,12 +338,65 @@ func (s *segment) replayBatch(cl *claimer, b int) {
 	s.kept[b] = kept
 	cl.stats.Add(cone.EndBatch())
 	cl.batches++
-	s.audit(&cl.audit, b)
+	s.audit(cl, b)
+}
+
+// replayCompiled replays batch b of up to 63 faults over the segment
+// under s.model on cl's CompiledSim, from the good state and inputs the
+// trace recorded, and stops once every lane is done. Like replayBatch it
+// leaves the batch's survivors at the front of its own ranges.
+func (s *segment) replayCompiled(cl *claimer, b int) {
+	r, w := s.r, cl.compiledSim(s.prog)
+	good, vecs := s.inputs()
+	batchStart := b * 63
+	batch := r.remaining[batchStart:min(batchStart+63, len(r.remaining))]
+	cycles := replayLanes(w, s.prog.Netlist().Inputs(), s.model, batch, good, r.states[batchStart:batchStart+len(batch)],
+		s.start, vecs, func(k, cycle int) bool {
+			fi := batch[k]
+			r.counts[fi]++
+			if r.res.DetectedAt[fi] < 0 {
+				r.res.DetectedAt[fi] = int32(cycle)
+			}
+			return r.counts[fi] >= int32(r.ndet)
+		})
+	kept := 0
+	for li, fi := range batch {
+		if r.counts[fi] >= int32(r.ndet) {
+			continue
+		}
+		// kept <= li: the slot written was loaded into w or is this
+		// lane's own.
+		w.LaneState(uint(li+1), r.states[batchStart+kept])
+		batch[kept] = fi
+		kept++
+	}
+	s.kept[b] = kept
+	// The full sweep settles every gate of the netlist each cycle.
+	cl.stats.Evals += int64(cycles) * int64(len(s.prog.Netlist().CombOrder()))
+	cl.batches++
+}
+
+// inputs returns the fault-free state entering the segment and the
+// segment's inputs (vecs[i] drives cycle start+i), read from the trace
+// rows by the first caller. The CompiledSim replayer and the audit share
+// the one read, and a segment neither replays nor audits reads nothing.
+func (s *segment) inputs() (good, vecs []uint64) {
+	s.inputsOnce.Do(func() {
+		n := s.prog.Netlist()
+		s.good = make([]uint64, len(s.nextGood))
+		s.trace.StateInto(s.start, n.DFFs(), s.good)
+		s.vecs = make([]uint64, s.end-s.start)
+		for i := range s.vecs {
+			for bi, in := range n.Inputs() {
+				s.vecs[i] |= s.trace.Bit(s.start+i, in) << uint(bi)
+			}
+		}
+	})
+	return s.good, s.vecs
 }
 
 // survivors moves each batch's survivors, in batch order, to the front
-// of r.remaining and r.states — the serial loop's compaction (see
-// simRun.sweep), run after the barrier — and returns them.
+// of r.remaining and r.states, after the barrier, and returns them.
 func (s *segment) survivors() []int {
 	r, batchCap := s.r, 63*s.lw
 	n := 0
@@ -342,9 +413,11 @@ func (s *segment) survivors() []int {
 }
 
 // claimer is what one goroutine needs to replay batches: a ConeSim and
-// its scratch, built at its first batch, and the cost of the batches it
+// its scratch, built at its first batch, a CompiledSim, built at its
+// first CompiledSim replay or audit, and the cost of the batches it
 // replayed — stats for the current segment, batches for the run.
 type claimer struct {
+	sim                     *logic.CompiledSim
 	cone                    *logic.ConeSim
 	batchFaults             []logic.BatchFault
 	laneStates              [][]uint64
@@ -352,6 +425,14 @@ type claimer struct {
 	stats                   logic.BatchStats
 	batches                 int64
 	audit                   windowAudit
+}
+
+// compiledSim returns cl's CompiledSim, building it at the first call.
+func (cl *claimer) compiledSim(prog *logic.Compiled) *logic.CompiledSim {
+	if cl.sim == nil {
+		cl.sim = logic.NewCompiledSim(prog)
+	}
+	return cl.sim
 }
 
 func (cl *claimer) init(prog *logic.Compiled, lw int) {
@@ -363,16 +444,16 @@ func (cl *claimer) init(prog *logic.Compiled, lw int) {
 	cl.liveMask = make([]uint64, lw)
 }
 
-// segSchedule walks the compiled kernel's segment boundaries. Results are
-// segment-length-invariant (every cycle of every batch replay checks
-// detection), so segment length is purely a scheduling choice. Short
-// early segments repack survivors while coverage ramps steeply —
-// detected faults stop occupying batch lanes within tens of cycles
-// instead of replaying a full 1024-cycle frame — and the length doubles
-// toward segLen as drops become rare. An explicit SimOptions.SegmentLen
-// pins the boundaries (the differential fuzz tests rely on that to align
-// both kernels' telemetry). The schedule depends on nothing a run
-// computes, so the filler and the batch loop each walk a copy of it.
+// segSchedule walks the segment driver's boundaries, for every kernel
+// and model. Results are segment-length-invariant (every cycle of every
+// batch replay checks detection), so segment length is purely a
+// scheduling choice. Short early segments repack survivors while
+// coverage ramps steeply — detected faults stop occupying batch lanes
+// within tens of cycles instead of replaying a full 1024-cycle frame —
+// and the length doubles toward segLen as drops become rare. An explicit
+// SimOptions.SegmentLen pins the boundaries. The schedule depends on
+// nothing a run computes, so the filler and the batch loop each walk a
+// copy of it.
 type segSchedule struct {
 	cur, max, total int
 }
@@ -540,7 +621,7 @@ func (f *goodFiller) close() {
 // EffectiveLaneWords reports the widest stripe a compiled-kernel run
 // with these options uses on a fault list of the given size — a full
 // batch's width; part-filled batches run narrower (see
-// simulateCompiled): the explicit LaneWords clamped to
+// simulateSegments): the explicit LaneWords clamped to
 // logic.MaxLaneWords, or the automatic width when unset. Benchmarks use
 // it to label results with the width that actually ran.
 func EffectiveLaneWords(opts SimOptions, numFaults int) int {

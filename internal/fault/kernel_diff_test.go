@@ -124,8 +124,8 @@ func TestKernelDifferentialFuzz(t *testing.T) {
 			LaneWords: rng.Intn(7),
 		}
 		if seed%5 == 0 {
-			// Default segmentation: the compiled kernel's adaptive
-			// schedule against the reference kernel's fixed frames.
+			// Default segmentation: both kernels on the adaptive
+			// schedule, which a fixed SegmentLen pins everywhere else.
 			opts.SegmentLen = 0
 		}
 		refOpts, cmpOpts := opts, opts

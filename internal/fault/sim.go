@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/chaos"
 	"repro/internal/logic"
 	"repro/internal/obs"
 )
@@ -66,8 +65,10 @@ const (
 	// (logic.ConeSim). Bit-identical to KernelReference.
 	KernelCompiled Kernel = iota
 	// KernelReference runs the full-sweep kernel on logic.CompiledSim:
-	// the whole compiled program, every cycle, every batch. It is the
-	// oracle, so it is not audited (SimOptions.ShadowSample). It stays for
+	// the whole compiled program, every cycle, every 63-fault batch, on
+	// the compiled kernel's segment driver. It is the oracle, so it is not
+	// audited (SimOptions.ShadowSample), and it fills its own trace with
+	// its own program, ignoring SimOptions.Trace and Program. It stays for
 	// three callers that cannot move yet: the engine's quarantine re-run,
 	// kernel_diff_test.go and the benchmark's oracle sample
 	// (bench/kernel.go); see ROADMAP item 14(d).
@@ -348,10 +349,16 @@ func Simulate(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error
 	if t := opts.Trace; t != nil && t.ValidThrough() < vecs.Len() {
 		return nil, fmt.Errorf("fault: SimOptions.Trace records %d of %d cycles", t.ValidThrough(), vecs.Len())
 	}
+	r := newSimRun(n, vecs, opts, (len(n.DFFs())+63)/64)
+	var m laneModel
 	if opts.Kernel == KernelReference {
-		return simulateReference(n, vecs, opts), nil
+		// The oracle fills its own trace with its own program, so the
+		// engine's quarantine re-run reads none of the artifacts it falls
+		// back from.
+		opts.Trace, opts.Program = nil, nil
+		m = stuckAt(r.faults)
 	}
-	return simulateCompiled(n, vecs, opts)
+	return simulateSegments(n, vecs, opts, r, m)
 }
 
 // simRun is the kernel-independent run state: the fault list, result
@@ -420,21 +427,27 @@ func newLaneRun(nf, cycles, segLen, ndetect, stateWords int) *simRun {
 	}
 }
 
-// drop keeps survivors as the remaining faults and returns how many
-// faults left.
-func (r *simRun) drop(survivors []int) int {
+// finishSegment keeps segment [start, end)'s survivors as the remaining
+// faults and reports the segment: seg is what its fill and batches cost,
+// kernel the gate-evaluation counter of the kernel that ran them. A run
+// of a model other than stuck-at (r.faults nil) moves no counter.
+func (r *simRun) finishSegment(span *obs.Span, opts SimOptions, survivors []int, seg logic.BatchStats, kernel *obs.Counter, start, end, total int) {
 	dropped := len(r.remaining) - len(survivors)
 	r.remaining = survivors
-	return dropped
-}
-
-// finishSegment applies the common per-segment telemetry once segment
-// [start, end) has dropped its detected faults.
-func (r *simRun) finishSegment(span *obs.Span, opts SimOptions, dropped, start, end, total int) {
-	ctrVectors.Add(int64(end - start))
-	ctrDropped.Add(int64(dropped))
+	if r.faults != nil {
+		ctrVectors.Add(int64(end - start))
+		ctrDropped.Add(int64(dropped))
+		ctrSweepBlocks.Add(seg.Blocks)
+		ctrGateEvals.Add(seg.Evals)
+		kernel.Add(seg.Evals)
+		ctrGateEvalsSaved.Add(seg.Saved)
+		ctrCyclesSweep.Add(seg.Cycles)
+	}
 	span.Add("vectors", int64(end-start))
 	span.Add("faults_dropped", int64(dropped))
+	span.Add("gate_evals", seg.Evals)
+	span.Add("gate_evals_saved", seg.Saved)
+	span.Add("cycles_sweep", seg.Cycles)
 	if opts.Progress != nil {
 		opts.Progress(end, len(r.faults)-len(r.remaining), len(r.remaining))
 	}
@@ -463,115 +476,19 @@ func (r *simRun) finish(span *obs.Span, applied int) *Result {
 	return r.res
 }
 
-// simulateReference is the full-sweep kernel, kept as the differential
-// oracle for the compiled kernel (see kernel.go). It counts one gate
-// evaluation per netlist gate per settle.
-func simulateReference(n *logic.Netlist, vecs VectorSeq, opts SimOptions) *Result {
-	r := newSimRun(n, vecs, opts, (len(n.DFFs())+63)/64)
-	gatesPerSettle := int64(len(n.CombOrder()))
-	ctrRuns.Add(1)
-	span := obs.NewSpan(opts.Sink, "faultsim")
-	enter := func() bool {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			r.res.Interrupted = true
-			return false
-		}
-		// Chaos point: same boundary as the compiled kernel, so chaos
-		// campaigns can stall or crash either engine.
-		if f := chaos.Maybe("fault.segment"); f != nil {
-			f.PanicNow()
-			f.Sleep(opts.Ctx)
-		}
-		return true
-	}
-	applied := r.sweep(n, vecs, stuckAt(r.faults), enter, func(start, end, settles, dropped int) {
-		segEvals := int64(settles) * gatesPerSettle
-		ctrGateEvals.Add(segEvals)
-		ctrGateEvalsRef.Add(segEvals)
-		span.Add("gate_evals", segEvals)
-		span.Add("gate_evals_saved", 0)
-		r.finishSegment(span, opts, dropped, start, end, vecs.Len())
-	})
-	return r.finish(span, applied)
-}
-
-// sweepModel runs nf faults of model m over vecs on the full-sweep
-// segment loop, with no telemetry, and returns each fault's first
+// simulateModel runs nf faults of model m over vecs on the segment
+// driver, quietly (see simulateSegments), and returns each fault's first
 // detection cycle, or -1. segLen is read as SimOptions.SegmentLen.
-func sweepModel(n *logic.Netlist, vecs VectorSeq, m laneModel, nf, segLen int) ([]int32, error) {
+func simulateModel(n *logic.Netlist, vecs VectorSeq, m laneModel, nf, segLen int) ([]int32, error) {
 	if len(n.Inputs()) > 64 {
 		return nil, fmt.Errorf("fault: %d primary inputs exceed the 64 supported", len(n.Inputs()))
 	}
 	r := newLaneRun(nf, vecs.Len(), segLen, 1, (len(n.DFFs())+63)/64)
-	r.sweep(n, vecs, m, nil, nil)
-	return r.res.DetectedAt, nil
-}
-
-// sweep is the full-sweep kernel's drop/repack segment loop. Every
-// segLen cycles it replays each remaining fault, in batches of up to 63,
-// on one logic.CompiledSim through replayLanes under model m, from the
-// fault-free state and each fault's saved state, and keeps only the
-// faults that still need detections. enter, when non-nil, runs before
-// each segment and ends the run by returning false; leave, when non-nil,
-// runs after it with the cycles its batches ran and the faults it
-// dropped. sweep returns the cycles applied.
-func (r *simRun) sweep(n *logic.Netlist, vecs VectorSeq, m laneModel, enter func() bool, leave func(start, end, settles, dropped int)) int {
-	inputs := n.Inputs()
-	w := logic.NewCompiledSim(logic.CompiledFor(n))
-	goodState := make([]uint64, w.StateWords())
-	nextGoodState := make([]uint64, w.StateWords())
-	segVecs := make([]uint64, 0, r.segLen)
-	total := vecs.Len()
-	applied := 0
-	for start := 0; start < total && len(r.remaining) > 0; start += r.segLen {
-		if enter != nil && !enter() {
-			break
-		}
-		end := min(start+r.segLen, total)
-		// Expand the segment's vectors once, so VectorSeq.At runs once
-		// per cycle rather than once per 63-fault batch replay.
-		segVecs = segVecs[:0]
-		for c := start; c < end; c++ {
-			segVecs = append(segVecs, vecs.At(c))
-		}
-		settles := 0
-		var survivors, batch []int
-		hit := func(k, cycle int) bool {
-			fi := batch[k]
-			r.counts[fi]++
-			if r.res.DetectedAt[fi] < 0 {
-				r.res.DetectedAt[fi] = int32(cycle)
-			}
-			return r.counts[fi] >= int32(r.ndet)
-		}
-		for batchStart := 0; batchStart < len(r.remaining); batchStart += 63 {
-			batch = r.remaining[batchStart:min(batchStart+63, len(r.remaining))]
-			// Once the whole batch is done only the last segment may stop:
-			// the first batch's lane 0 carries the good state to end.
-			settles += replayLanes(w, inputs, m, batch, goodState, r.states[batchStart:batchStart+len(batch)],
-				start, segVecs, end == total, hit)
-			if batchStart == 0 {
-				w.LaneState(0, nextGoodState)
-			}
-			for li, fi := range batch {
-				if r.counts[fi] >= int32(r.ndet) {
-					continue
-				}
-				// Compact: survivor k's state lands in slot k, which is
-				// at or before this lane's old slot batchStart+li, so no
-				// live state is overwritten.
-				w.LaneState(uint(li+1), r.states[len(survivors)])
-				survivors = append(survivors, fi)
-			}
-		}
-		goodState, nextGoodState = nextGoodState, goodState
-		applied = end
-		dropped := r.drop(survivors)
-		if leave != nil {
-			leave(start, end, settles, dropped)
-		}
+	res, err := simulateSegments(n, vecs, SimOptions{SegmentLen: segLen}, r, m)
+	if err != nil {
+		return nil, err
 	}
-	return applied
+	return res.DetectedAt, nil
 }
 
 // laneModel is a fault model as a perturbation of a logic.CompiledSim's
@@ -603,13 +520,13 @@ func (stuckAt) act(*logic.CompiledSim, []int, int) bool { return false }
 // full-sweep simulator: lane 0 is the good machine entering in state
 // good, lane k+1 enters in states[k]. After every strobe hit(k, cycle)
 // is called for each lane k not yet done whose outputs differ from lane
-// 0's, and says whether the lane is now done. With untilDone the replay
-// stops at the strobe that leaves every lane done. It returns the cycles
-// run and leaves every lane's exit state in w. The full-sweep segment
-// loop and the compiled kernel's audit (audit.go) both replay through
-// it.
+// 0's, and says whether the lane is now done. The replay stops at the
+// strobe that leaves every lane done. It returns the cycles run and
+// leaves every lane's exit state in w. The segment driver's CompiledSim
+// replayer (segment.replayCompiled) and the compiled kernel's audit
+// (audit.go) both replay through it.
 func replayLanes(w *logic.CompiledSim, inputs []logic.NetID, m laneModel, batch []int, good []uint64, states [][]uint64,
-	start int, vecs []uint64, untilDone bool, hit func(k, cycle int) bool) int {
+	start int, vecs []uint64, hit func(k, cycle int) bool) int {
 	w.Reset()
 	w.SetLaneState(0, good)
 	for k := range batch {
@@ -631,7 +548,7 @@ func replayLanes(w *logic.CompiledSim, inputs []logic.NetID, m laneModel, batch 
 				done |= 1 << uint(lane)
 			}
 		}
-		return !untilDone || done != live
+		return done != live
 	})
 }
 

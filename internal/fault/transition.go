@@ -89,17 +89,17 @@ func (r *TransitionResult) CoverageAt(cycle int) float64 {
 	return float64(d) / float64(len(r.Faults))
 }
 
-// SimulateTransitions runs transition-fault simulation on the
-// full-sweep segment loop (see transitionModel): lane 0 is the
-// fault-free machine and up to 63 faulty machines share each pass, each
-// evolving its own state. Detected faults drop out at segment
-// boundaries, with per-fault flip-flop state and previous-driven bits
-// carried across.
+// SimulateTransitions runs transition-fault simulation on the segment
+// driver's logic.CompiledSim replayer (see transitionModel): lane 0 is
+// the fault-free machine and up to 63 faulty machines share each pass,
+// each evolving its own state, and a segment's passes run on every core.
+// Detected faults drop out at segment boundaries, with per-fault
+// flip-flop state and previous-driven bits carried across.
 func SimulateTransitions(n *logic.Netlist, vecs VectorSeq, faults []TransitionFault) (*TransitionResult, error) {
 	if faults == nil {
 		faults = AllTransitionFaults(n)
 	}
-	at, err := sweepModel(n, vecs, transitionModel{faults, make([]bool, len(faults))}, len(faults), 0)
+	at, err := simulateModel(n, vecs, transitionModel{faults, make([]bool, len(faults))}, len(faults), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,10 @@ func SimulateTransitions(n *logic.Netlist, vecs VectorSeq, faults []TransitionFa
 // latched value next cycle.
 type transitionModel struct {
 	faults []TransitionFault
-	prev   []bool // each fault's site value driven in the last cycle
+	// prev is each fault's site value driven in the last cycle, kept per
+	// fault, not per lane: concurrent batches write disjoint faults, and
+	// a survivor's lane changes at every repack.
+	prev []bool
 }
 
 func (transitionModel) load(*logic.CompiledSim, []int) {}

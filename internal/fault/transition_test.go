@@ -3,9 +3,13 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/logic"
@@ -101,66 +105,71 @@ func TestTransitionSimMatchesSerial(t *testing.T) {
 }
 
 // TestLaneModelsSegmentInvariant: a transition or bridge fault's first
-// detection does not depend on where the full-sweep segment loop drops
-// and repacks, nor on the fault's place in the list. Each transition
-// fault is listed twice, so the list spans several batches.
+// detection does not depend on where the segment driver drops and
+// repacks, nor on the fault's place in the list, at GOMAXPROCS 1, 2 and
+// 4. Each transition fault is listed twice, so the list spans several
+// batches.
 func TestLaneModelsSegmentInvariant(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed*104729 + 17))
-		n := randCircuit(t, rng, seed%2 == 1)
-		vecs := make(Vectors, 40+rng.Intn(120))
-		for i := range vecs {
-			vecs[i] = rng.Uint64()
-		}
-		check := func(name string, nf int, model func(order []int) laneModel) {
-			t.Helper()
-			order := make([]int, nf)
-			for i := range order {
-				order[i] = i
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(seed*104729 + 17))
+			n := randCircuit(t, rng, seed%2 == 1)
+			vecs := make(Vectors, 40+rng.Intn(120))
+			for i := range vecs {
+				vecs[i] = rng.Uint64()
 			}
-			want, err := sweepModel(n, vecs, model(order), nf, 1024)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, segLen := range []int{1, 7} {
-				got, err := sweepModel(n, vecs, model(order), nf, segLen)
+			check := func(name string, nf int, model func(order []int) laneModel) {
+				t.Helper()
+				order := make([]int, nf)
+				for i := range order {
+					order[i] = i
+				}
+				want, err := simulateModel(n, vecs, model(order), nf, 1024)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(got, want) {
-					t.Errorf("seed %d %s: segment length %d moves DetectedAt\n got %v\nwant %v", seed, name, segLen, got, want)
+				for _, segLen := range []int{1, 7} {
+					got, err := simulateModel(n, vecs, model(order), nf, segLen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("seed %d %s: segment length %d moves DetectedAt\n got %v\nwant %v", seed, name, segLen, got, want)
+					}
 				}
-			}
-			perm := rng.Perm(nf)
-			for _, segLen := range []int{1, 7, 1024} {
-				got, err := sweepModel(n, vecs, model(perm), nf, segLen)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, p := range perm {
-					if got[i] != want[p] {
-						t.Errorf("seed %d %s, permuted, segment length %d: fault %d detected at %d, unpermuted %d", seed, name, segLen, p, got[i], want[p])
+				perm := rng.Perm(nf)
+				for _, segLen := range []int{1, 7, 1024} {
+					got, err := simulateModel(n, vecs, model(perm), nf, segLen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, p := range perm {
+						if got[i] != want[p] {
+							t.Errorf("seed %d %s, permuted, segment length %d: fault %d detected at %d, unpermuted %d", seed, name, segLen, p, got[i], want[p])
+						}
 					}
 				}
 			}
+			tf := AllTransitionFaults(n)
+			tf = append(tf, tf...)
+			check("transition", len(tf), func(order []int) laneModel {
+				m := transitionModel{make([]TransitionFault, len(order)), make([]bool, len(order))}
+				for i, p := range order {
+					m.faults[i] = tf[p]
+				}
+				return m
+			})
+			bridges := RandomBridges(n, 80, seed)
+			check("bridge", len(bridges), func(order []int) laneModel {
+				m := make(bridgeModel, len(order))
+				for i, p := range order {
+					m[i] = bridges[p]
+				}
+				return m
+			})
 		}
-		tf := AllTransitionFaults(n)
-		tf = append(tf, tf...)
-		check("transition", len(tf), func(order []int) laneModel {
-			m := transitionModel{make([]TransitionFault, len(order)), make([]bool, len(order))}
-			for i, p := range order {
-				m.faults[i] = tf[p]
-			}
-			return m
-		})
-		bridges := RandomBridges(n, 80, seed)
-		check("bridge", len(bridges), func(order []int) laneModel {
-			m := make(bridgeModel, len(order))
-			for i, p := range order {
-				m[i] = bridges[p]
-			}
-			return m
-		})
 	}
 }
 
@@ -199,6 +208,168 @@ func TestLaneModelsQuiet(t *testing.T) {
 		}()
 		Simulate(n, vecs, SimOptions{Kernel: KernelReference})
 	}()
+}
+
+// rendezvousPanic is a lane model whose batches panic in pairs: the
+// first batch to act waits there until a second batch acts, and then
+// both panic. The caller's goroutine is blocked in at most one of the
+// two, so a batch claimed by a helper or the parked filler panics on
+// every run.
+type rendezvousPanic struct {
+	first  atomic.Int64 // 1 + the first fault of the first batch to act
+	second chan struct{}
+	once   sync.Once
+}
+
+const lanePanic = "lane model failed"
+
+func (*rendezvousPanic) load(*logic.CompiledSim, []int) {}
+
+func (m *rendezvousPanic) act(_ *logic.CompiledSim, batch []int, _ int) bool {
+	id := int64(batch[0]) + 1
+	if m.first.CompareAndSwap(0, id) || m.first.Load() == id {
+		select {
+		case <-m.second:
+		case <-time.After(10 * time.Second):
+		}
+	} else {
+		m.once.Do(func() { close(m.second) })
+	}
+	panic(lanePanic)
+}
+
+// TestLaneModelsPanicReachesCaller: a lane model that panics on a batch
+// a helper or the parked filler claimed panics the run on the caller's
+// goroutine, at GOMAXPROCS 1, 2 and 4, and leaves no goroutine behind.
+func TestLaneModelsPanicReachesCaller(t *testing.T) {
+	n := buildSeq(t)
+	vecs := randomVectors(300, len(n.Inputs()), 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	baseline := runtime.NumGoroutine()
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		m := &rendezvousPanic{second: make(chan struct{})}
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			simulateModel(n, vecs, m, 200, 0) // four batches in the first segment
+			return nil
+		}()
+		if got != lanePanic {
+			t.Fatalf("GOMAXPROCS %d: the run panicked with %v, want %q", procs, got, lanePanic)
+		}
+		select {
+		case <-m.second:
+		default:
+			t.Fatalf("GOMAXPROCS %d: no second batch acted while the first waited", procs)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestReferenceKernelCounters pins what one reference-kernel run adds to
+// the counters, at the default SegmentLen. It fills the good machine
+// once, as the compiled kernel does, and counts the fill's instructions
+// as gate evaluations. It replays its batches on the adaptive segment
+// schedule, and a batch stops at the cycle its last lane is detected,
+// so its full sweeps settle only the cycles the serial bookkeeping below
+// says they need.
+func TestReferenceKernelCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	n := randCircuit(t, rng, true)
+	vecs := randomVectors(2100, len(n.Inputs()), 8)
+	// The faults the vectors detect come first, so the early batches can
+	// finish before their segment ends, and the rest last, so the run
+	// lasts all 2 100 cycles.
+	first, err := Simulate(n, vecs, SimOptions{Faults: AllFaults(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faults, undetected []Fault
+	for i, f := range first.Faults {
+		if first.DetectedAt[i] >= 0 {
+			faults = append(faults, f)
+		} else {
+			undetected = append(undetected, f)
+		}
+	}
+	faults = append(faults, undetected...)
+	fill := ctrGateEvals.Load()
+	FillGoodTrace(n, nil, vecs, logic.NewGoodTrace(n.NumNets(), vecs.Len()), vecs.Len())
+	fill = ctrGateEvals.Load() - fill
+
+	names := []string{"faultsim.good_cycles", "faultsim.gate_evals", "faultsim.gate_evals_saved", "faultsim.sweep_blocks"}
+	before, refBefore := obs.Default().Snapshot(), ctrGateEvalsRef.Load()
+	rec := &recordSink{}
+	res, err := Simulate(n, vecs, SimOptions{Faults: faults, Kernel: KernelReference, Sink: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Default().Snapshot()
+	var done []int
+	for _, ev := range rec.events {
+		if ev.Type == obs.EventSegment {
+			done = append(done, ev.Fields["done"].(int))
+		}
+	}
+	delta := map[string]int64{"reference": ctrGateEvalsRef.Load() - refBefore}
+	for _, name := range names {
+		delta[name] = after[name] - before[name]
+	}
+	if res.Detected() == len(faults) || res.Detected() == 0 {
+		t.Fatalf("fixture: %d of %d faults detected, want some of them", res.Detected(), len(faults))
+	}
+
+	// The serial bookkeeping: batches of 63 remaining faults in list
+	// order; a batch whose every fault is detected inside the segment
+	// settles through the last detection, any other the whole segment.
+	wantDone := []int{64, 192, 448, 960, 1984, 2100}
+	var settles, full int64
+	remaining := make([]int, len(faults))
+	for i := range remaining {
+		remaining[i] = i
+	}
+	start := 0
+	for _, end := range wantDone {
+		var survivors []int
+		for b := 0; b < len(remaining); b += 63 {
+			last := start - 1
+			for _, fi := range remaining[b:min(b+63, len(remaining))] {
+				at := int(res.DetectedAt[fi])
+				if at < 0 || at >= end {
+					survivors = append(survivors, fi)
+					last = end - 1
+				} else {
+					last = max(last, at)
+				}
+			}
+			settles += int64(last - start + 1)
+			full += int64(end - start)
+		}
+		remaining, start = survivors, end
+	}
+	evals := fill + settles*int64(len(n.CombOrder()))
+
+	if settles == full {
+		t.Fatal("fixture: no batch is done before its segment ends")
+	}
+	if !slices.Equal(done, wantDone) {
+		t.Errorf("segment events end at %v, want %v", done, wantDone)
+	}
+	for name, want := range map[string]int64{
+		"faultsim.good_cycles":      int64(vecs.Len()),
+		"faultsim.gate_evals":       evals,
+		"reference":                 evals,
+		"faultsim.gate_evals_saved": 0,
+		"faultsim.sweep_blocks":     0,
+	} {
+		if delta[name] != want {
+			t.Errorf("%s moved by %d, want %d (fill %d, %d settles of %d gates)", name, delta[name], want, fill, settles, len(n.CombOrder()))
+		}
+	}
 }
 
 func TestTransitionNeedsTransition(t *testing.T) {
