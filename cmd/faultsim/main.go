@@ -151,7 +151,7 @@ func main() {
 	}
 	if *curve {
 		fmt.Println("\ncoverage vs vectors:")
-		for v := 1024; v <= res.Cycles; v *= 2 {
+		for v := 1024; v < res.Cycles; v *= 2 {
 			fmt.Printf("  %8d  %.2f%%\n", v, 100*res.CoverageAt(v))
 		}
 		fmt.Printf("  %8d  %.2f%%\n", res.Cycles, 100*res.Coverage())
