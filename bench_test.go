@@ -101,7 +101,7 @@ func BenchmarkPhase1Cover(b *testing.B) {
 	_, _, rep := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p1 := selftest.Phase1(rep.Table)
+		p1 := selftest.Phase1Traced(rep.Table, nil)
 		if len(p1.Chosen) == 0 {
 			b.Fatal("empty cover")
 		}
@@ -202,7 +202,7 @@ func BenchmarkATPGBaseline(b *testing.B) {
 	core, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bist.SequentialATPG(core.Netlist, 2, 200, 200, nil)
+		res, err := bist.SequentialATPGOpts(core.Netlist, bist.SeqATPGOptions{Frames: 2, SampleEvery: 200, MaxBacktracks: 200})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func BenchmarkDiagnose(b *testing.B) {
 	observed := fault.FaultTrace(core.Netlist, vecs, faults[123])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands, err := fault.Diagnose(core.Netlist, vecs, observed, faults)
+		cands, err := fault.DiagnoseOpts(core.Netlist, vecs, observed, faults, fault.DiagnoseOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("observed %d failing cycles of %d\n", failures, len(observed))
 	span.Add("failing_cycles", int64(failures))
 
-	// Stage 1 goes through engine.Simulate instead of Diagnose's own
+	// Stage 1 goes through engine.Simulate instead of DiagnoseOpts' own
 	// fault.Simulate call (both spend every core) for the call
 	// supervisor's retry, quarantine of a diverging kernel, and the
 	// -trace sink.

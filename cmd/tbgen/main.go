@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	progPath := flag.String("prog", "", "program file (selftest Source format); default: generate one")
+	progPath := flag.String("prog", "", "program file (.once/.loop assembler, as selftest.ParseProgram reads it); default: generate one")
 	iters := flag.Int("iters", 2, "loop iterations to expand into the testbench")
 	out := flag.String("o", "dsp_core", "output basename (<o>.v and <o>_tb.v)")
 	obsCfg := obs.Flags()

@@ -10,10 +10,10 @@ import (
 	"log"
 
 	"repro/internal/bist"
-	"repro/internal/core"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/selftest"
 )
 
 func main() {
@@ -25,9 +25,9 @@ func main() {
 	const vectors = 16384
 
 	eng := metrics.NewEngine(metrics.Config{CTrials: 12000, OGoodRuns: 8, Seed: 1})
-	prog, _ := core.NewGenerator(eng).Generate()
+	prog, _ := selftest.NewGenerator(eng).Generate()
 	iters := vectors/prog.Len() + 1
-	sbstVecs := core.Expand(prog, core.ExpandOptions{Iterations: iters})[:vectors]
+	sbstVecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: iters})[:vectors]
 
 	bistVecs := bist.PseudorandomVectors(vectors, 1)
 

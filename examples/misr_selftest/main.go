@@ -11,7 +11,6 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/metrics"
@@ -24,8 +23,8 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := metrics.NewEngine(metrics.Config{CTrials: 12000, OGoodRuns: 8, Seed: 1})
-	prog, _ := core.NewGenerator(eng).Generate()
-	vecs := core.Expand(prog, core.ExpandOptions{Iterations: 200})
+	prog, _ := selftest.NewGenerator(eng).Generate()
+	vecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: 200})
 
 	// The core's 8-bit output stream, optionally with one injected
 	// fault, compacted into a 16-bit MISR.

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/selftest"
 )
 
 func main() {
@@ -20,14 +20,14 @@ func main() {
 	//    self-test program (Phases 1–2). Small trial counts keep this
 	//    example fast; see cmd/experiments for paper-scale settings.
 	eng := metrics.NewEngine(metrics.Config{CTrials: 12000, OGoodRuns: 8, Seed: 1})
-	gen := core.NewGenerator(eng)
+	gen := selftest.NewGenerator(eng)
 	prog, report := gen.Generate()
 	fmt.Printf("generated self-test loop (%d instructions):\n\n%s\n", prog.Len(), prog)
 	fmt.Println(report.Summary())
 
 	// 2. Expand the template: LFSR1 fills load immediates, LFSR2 rotates
 	//    register fields each iteration.
-	vecs := core.Expand(prog, core.ExpandOptions{Iterations: 500})
+	vecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: 500})
 	fmt.Printf("expanded to %d test vectors\n", vecs.Len())
 
 	// 3. Build the gate-level core and fault-simulate.

@@ -123,15 +123,6 @@ func VectorKinds() []VectorKind {
 	return []VectorKind{VecBIST, VecProgram, VecSelfTest}
 }
 
-// Valid reports whether k is a known stimulus source.
-func (k VectorKind) Valid() bool {
-	switch k {
-	case VecBIST, VecProgram, VecSelfTest:
-		return true
-	}
-	return false
-}
-
 // VectorSource describes where a job's stimulus stream comes from.
 type VectorSource struct {
 	// Kind is the stimulus source (see VectorKind).

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -300,8 +301,8 @@ func TestKindValidation(t *testing.T) {
 	if !JobFaultSim.Valid() || !JobExperiment.Valid() || JobKind("bogus").Valid() {
 		t.Fatal("JobKind.Valid misclassifies")
 	}
-	if !VecBIST.Valid() || VecSelfTest != "selftest" || VectorKind("csv").Valid() {
-		t.Fatal("VectorKind.Valid misclassifies")
+	if !slices.Contains(VectorKinds(), VecBIST) || VecSelfTest != "selftest" || slices.Contains(VectorKinds(), "csv") {
+		t.Fatal("VectorKinds misclassifies")
 	}
 
 	unknownKind := JobSpec{Kind: "bogus"}

@@ -112,9 +112,6 @@ var defaultStore = NewStore(DefaultBudget)
 // through unless SimOptions.Artifacts overrides it.
 func Default() *Store { return defaultStore }
 
-// Budget returns the store's byte budget.
-func (s *Store) Budget() int64 { return s.budget }
-
 // Bytes returns the store's current resident size.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()

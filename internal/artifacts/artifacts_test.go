@@ -186,8 +186,8 @@ func TestEvictionLRUAndRefs(t *testing.T) {
 	if _, ok := s.entries[key(4)]; !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if s.Bytes() > s.Budget() {
-		t.Fatalf("store over budget after eviction: %d > %d", s.Bytes(), s.Budget())
+	if s.Bytes() > s.budget {
+		t.Fatalf("store over budget after eviction: %d > %d", s.Bytes(), s.budget)
 	}
 	h0.Release()
 }

@@ -55,25 +55,6 @@ func (r ATPGBaselineResult) Coverage() float64 {
 	return float64(r.DetectedTotal) / float64(r.TotalFaults)
 }
 
-// SequentialATPG runs the gate-level sequential ATPG baseline: the core
-// is unrolled `frames` time frames from the reset state, PODEM targets
-// every sampleEvery-th collapsed fault, and the resulting test set is
-// fault-simulated (each test from reset) against the full fault list.
-//
-// A pipelined core defeats this flow for the reason the paper gives: a
-// useful test needs a long, coherent instruction sequence (load, compute,
-// out), which a bounded unroll from reset cannot express — so coverage
-// collapses to single digits.
-func SequentialATPG(n *logic.Netlist, frames, sampleEvery, maxBacktracks int,
-	progress func(done, total int)) (*ATPGBaselineResult, error) {
-	return SequentialATPGOpts(n, SeqATPGOptions{
-		Frames:        frames,
-		SampleEvery:   sampleEvery,
-		MaxBacktracks: maxBacktracks,
-		Progress:      progress,
-	})
-}
-
 // SeqATPGOptions configure the sequential-ATPG baseline.
 type SeqATPGOptions struct {
 	// Frames is the time-frame unroll depth.
@@ -90,8 +71,16 @@ type SeqATPGOptions struct {
 	Sink obs.Sink
 }
 
-// SequentialATPGOpts is SequentialATPG with the full option set,
-// including structured per-fault tracing.
+// SequentialATPGOpts runs the gate-level sequential ATPG baseline: the
+// core is unrolled opts.Frames time frames from the reset state, PODEM
+// targets every opts.SampleEvery-th collapsed fault, and the resulting
+// test set is fault-simulated (each test from reset) against the full
+// fault list.
+//
+// A pipelined core defeats this flow for the reason the paper gives: a
+// useful test needs a long, coherent instruction sequence (load, compute,
+// out), which a bounded unroll from reset cannot express — so coverage
+// collapses to single digits.
 func SequentialATPGOpts(n *logic.Netlist, opts SeqATPGOptions) (*ATPGBaselineResult, error) {
 	faults, _ := fault.Collapse(n, fault.AllFaults(n))
 	u, err := atpg.Unroll(n, opts.Frames)

@@ -29,7 +29,7 @@ func TestSequentialATPGBaselineCollapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SequentialATPG(core.Netlist, 3, 40, 300, nil)
+	res, err := SequentialATPGOpts(core.Netlist, SeqATPGOptions{Frames: 3, SampleEvery: 40, MaxBacktracks: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestSequentialATPGOnShallowPipeline(t *testing.T) {
 	// With 4 frames every fault is within reach; coverage should be
 	// high — the contrast with the DSP core's collapse shows the effect
 	// is pipeline depth + state justification, not the tool.
-	res, err := SequentialATPG(n, 4, 1, 2000, nil)
+	res, err := SequentialATPGOpts(n, SeqATPGOptions{Frames: 4, SampleEvery: 1, MaxBacktracks: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestSequentialATPGOnShallowPipeline(t *testing.T) {
 
 func TestSequentialATPGOneFrameMissesDeepFaults(t *testing.T) {
 	n := buildPipeline(t)
-	deep, err := SequentialATPG(n, 1, 1, 2000, nil)
+	deep, err := SequentialATPGOpts(n, SeqATPGOptions{Frames: 1, SampleEvery: 1, MaxBacktracks: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SequentialATPG(n, 4, 1, 2000, nil)
+	full, err := SequentialATPGOpts(n, SeqATPGOptions{Frames: 4, SampleEvery: 1, MaxBacktracks: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,12 @@ func TestSequentialATPGOneFrameMissesDeepFaults(t *testing.T) {
 func TestSequentialATPGProgressCallback(t *testing.T) {
 	n := buildPipeline(t)
 	calls := 0
-	_, err := SequentialATPG(n, 2, 1, 500, func(done, total int) {
+	_, err := SequentialATPGOpts(n, SeqATPGOptions{Frames: 2, SampleEvery: 1, MaxBacktracks: 500, Progress: func(done, total int) {
 		calls++
 		if done > total {
 			t.Fatalf("done %d > total %d", done, total)
 		}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSequentialATPGGradingConsistent(t *testing.T) {
 	// DetectedTotal must equal a direct fault-simulation grade of the
 	// test set.
 	n := buildPipeline(t)
-	res, err := SequentialATPG(n, 4, 1, 2000, nil)
+	res, err := SequentialATPGOpts(n, SeqATPGOptions{Frames: 4, SampleEvery: 1, MaxBacktracks: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}

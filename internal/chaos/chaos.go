@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,16 +122,6 @@ type Config struct {
 	// reproducible.
 	Seed   int64
 	points map[string]*point
-}
-
-// Points returns the armed point names, sorted (diagnostics).
-func (c *Config) Points() []string {
-	names := make([]string, 0, len(c.points))
-	for n := range c.points {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Parse compiles a spec string (see the package comment for the
@@ -225,9 +214,6 @@ func Disarm() {
 	current = nil
 	armed.Store(false)
 }
-
-// Armed reports whether any injection point is live.
-func Armed() bool { return armed.Load() }
 
 // Maybe is the injection point: it returns a Fire when the named point
 // is armed and its schedule (after/times/p) says this hit fires, and

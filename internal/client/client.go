@@ -112,15 +112,6 @@ func (c *Client) Job(ctx context.Context, id string) (*api.Job, error) {
 	return &j, nil
 }
 
-// Jobs lists every job in submission order.
-func (c *Client) Jobs(ctx context.Context) ([]api.Job, error) {
-	var l api.JobList
-	if _, err := c.do(ctx, http.MethodGet, "/jobs", nil, &l); err != nil {
-		return nil, err
-	}
-	return l.Jobs, nil
-}
-
 // ListOptions filter and page a ListJobs walk.
 type ListOptions struct {
 	// Kind/State, when non-zero, restrict the listing server-side.
@@ -166,21 +157,6 @@ func (c *Client) ListJobs(ctx context.Context, opts ListOptions, fn func(api.Job
 		}
 		after = l.NextAfter
 	}
-}
-
-// SubmitFaultSim enqueues a fault-simulation campaign on a design.
-func (c *Client) SubmitFaultSim(ctx context.Context, design string, vectors api.VectorSource) (*api.Job, error) {
-	return c.SubmitJob(ctx, api.JobSpec{Kind: api.JobFaultSim, Design: design, Vectors: vectors})
-}
-
-// SubmitMatrix enqueues a campaign-matrix job (designs × schemes).
-func (c *Client) SubmitMatrix(ctx context.Context, m api.MatrixSpec) (*api.Job, error) {
-	return c.SubmitJob(ctx, api.JobSpec{Kind: api.JobCampaignMatrix, Matrix: &m})
-}
-
-// SubmitOnline enqueues an online_burst job for a design.
-func (c *Client) SubmitOnline(ctx context.Context, design string, vectors api.VectorSource, o api.OnlineSpec) (*api.Job, error) {
-	return c.SubmitJob(ctx, api.JobSpec{Kind: api.JobOnlineBurst, Design: design, Vectors: vectors, Online: &o})
 }
 
 // SubmitGA enqueues a ga_search job: the coordinator evolves a

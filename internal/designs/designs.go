@@ -58,11 +58,6 @@ type Ref struct {
 	Bench  string       // bundled netlist name when Kind == KindBench
 }
 
-// InstructionDriven reports whether the design's primary inputs form
-// the DSP instruction port — the designs that can run program and
-// selftest stimulus. Everything else is driven by raw vectors only.
-func (r Ref) InstructionDriven() bool { return r.Kind == KindDSP }
-
 // Parse validates a design ID. The empty ID is the default design.
 // Unresolvable IDs return an error wrapping ErrUnknown.
 func Parse(id string) (Ref, error) {
@@ -121,7 +116,9 @@ type Design struct {
 	Core *dspgate.Core
 }
 
-// InstructionDriven mirrors Ref.InstructionDriven on the built design.
+// InstructionDriven reports whether the design's primary inputs form
+// the DSP instruction port — the designs that can run program and
+// selftest stimulus. Everything else is driven by raw vectors only.
 func (d *Design) InstructionDriven() bool { return d.Core != nil }
 
 // SizeBytes estimates the built design's resident size — the netlist

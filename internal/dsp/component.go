@@ -112,21 +112,6 @@ func (c Component) String() string {
 	return fmt.Sprintf("Component(%d)", uint8(c))
 }
 
-// ShifterModeName names the shifter's four control-bit modes.
-func ShifterModeName(mode int) string {
-	switch mode {
-	case 0:
-		return "pass"
-	case 1:
-		return "variable"
-	case 2:
-		return "left1"
-	case 3:
-		return "right1"
-	}
-	return "?"
-}
-
 // Probe observes (and may override) component outputs during behavioral
 // simulation. Observe is called once per active component evaluation per
 // cycle; mode is the component's active control-bit mode (0 for unmoded
@@ -173,9 +158,6 @@ var signalInfo = [numSignals]struct {
 	SigSrcVal:   {"srcVal", 8},
 	SigOutVal:   {"outVal", 8},
 }
-
-// Name returns the signal's display name.
-func (s Signal) Name() string { return signalInfo[s].name }
 
 // Width returns the signal's width in bits.
 func (s Signal) Width() int { return signalInfo[s].width }

@@ -145,9 +145,6 @@ func (c *Core) SetAcc(a isa.Acc, v uint32) {
 	}
 }
 
-// Cycle returns the number of Step calls since reset.
-func (c *Core) Cycle() int64 { return c.cycle }
-
 func (c *Core) observe(comp Component, mode int, value uint32) uint32 {
 	if c.probe == nil {
 		return value
@@ -379,14 +376,6 @@ func (c *Core) RestoreState(s State) {
 	c.accA = s.AccA & Mask18
 	c.accB = s.AccB & Mask18
 	c.outPort = s.OutPort
-}
-
-// Run feeds the program followed by enough NOPs to drain the pipeline.
-func (c *Core) Run(prog []isa.Instr) {
-	for _, in := range prog {
-		c.StepInstr(in)
-	}
-	c.Drain()
 }
 
 // Drain feeds NOPs until the pipeline is empty (three cycles).

@@ -1,6 +1,8 @@
 package dsp
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -40,5 +42,43 @@ func TestTracer(t *testing.T) {
 	tr2.Step(New(), 0x1F<<12)
 	if !strings.Contains(sb2.String(), "-") {
 		t.Error("trap word not rendered as '-'")
+	}
+}
+
+// Tracer logs one line per retiring cycle of a behavioral Core run —
+// the disassembled instruction entering the pipeline plus the
+// architectural state after the clock edge.
+type Tracer struct {
+	W io.Writer
+	// Regs selects which registers to show (nil = R0..R3).
+	Regs []int
+}
+
+// Step advances the core one cycle and logs it.
+func (t *Tracer) Step(c *Core, word uint32) {
+	c.Step(word)
+	regs := t.Regs
+	if regs == nil {
+		regs = []int{0, 1, 2, 3}
+	}
+	dis := "-"
+	if in, err := isa.Decode(word); err == nil {
+		dis = in.String()
+	}
+	fmt.Fprintf(t.W, "%5d  %-22s out=%02x accA=%05x accB=%05x", c.cycle, dis,
+		c.Output(), c.AccValue(isa.AccA), c.AccValue(isa.AccB))
+	for _, r := range regs {
+		fmt.Fprintf(t.W, " R%d=%02x", r, c.Reg(r))
+	}
+	fmt.Fprintln(t.W)
+}
+
+// Run traces a whole program (with pipeline drain).
+func (t *Tracer) Run(c *Core, prog []isa.Instr) {
+	for _, in := range prog {
+		t.Step(c, in.Encode())
+	}
+	for i := 0; i < 3; i++ {
+		t.Step(c, 0)
 	}
 }

@@ -38,7 +38,7 @@ func TestArtifactTraceBytesFollowRowWidth(t *testing.T) {
 	if got := store.Bytes() - prog.SizeBytes(); got != want {
 		t.Fatalf("trace accounts %d bytes, want %d (%d cycles × %d words + frontier)", got, want, cycles, rowWords)
 	}
-	if netWide := int64(cycles*((prog.NumNets()+63)/64)) * 8; want*2 > netWide {
+	if netWide := int64(cycles*((prog.Netlist().NumNets()+63)/64)) * 8; want*2 > netWide {
 		t.Fatalf("a %d-bit row is not under half a net-wide one (%d of %d bytes)", prog.TraceBits(), want, netWide)
 	}
 	gauge := obs.Default().GaugeFamily("sbst.artifact_bytes", "").Gauge()

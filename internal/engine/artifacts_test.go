@@ -78,10 +78,11 @@ func TestArtifactRepeatSubmissionSkipsWork(t *testing.T) {
 // untouched — no lease, no shared trace — so direct Simulate callers
 // (benchmarks, tests) keep the cold path they always had.
 func TestArtifactsOffByDefault(t *testing.T) {
-	core, faults, err := SharedCore()
+	d, err := GetDesign(designs.DefaultID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	core, faults := d.Core, d.Faults
 	vecs := bist.PseudorandomVectors(64, 1)
 	store := artifacts.NewStore(0)
 	res, err := Simulate(core.Netlist, vecs, SimOptions{

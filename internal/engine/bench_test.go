@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bist"
+	"repro/internal/designs"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -17,10 +18,11 @@ import (
 const benchVectors = 8192
 
 func benchSimulate(b *testing.B, shadowSample float64) {
-	core, faults, err := SharedCore()
+	d, err := GetDesign(designs.DefaultID)
 	if err != nil {
 		b.Fatal(err)
 	}
+	core, faults := d.Core, d.Faults
 	vecs := bist.PseudorandomVectors(benchVectors, 1)
 	evals := obs.Default().Counter("faultsim.gate_evals")
 	evals0 := evals.Load()

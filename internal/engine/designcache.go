@@ -149,10 +149,9 @@ func (c *designCache) get(id string) (*designs.Design, error) {
 // and CLI entry point resolves designs through.
 var sharedDesigns = newDesignCache(designCacheCap)
 
-// GetDesign resolves a design ID through the process-wide cache — the
-// multi-design successor of SharedCore. Both coordinator and worker
-// call it, so a fleet agrees on each design's fault indices by
-// construction.
+// GetDesign resolves a design ID through the process-wide cache. Both
+// coordinator and worker call it, so a fleet agrees on each design's
+// fault indices by construction.
 func GetDesign(id string) (*designs.Design, error) { return sharedDesigns.get(id) }
 
 // validateSpecDesigns checks every design ID a spec references against

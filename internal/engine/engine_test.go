@@ -6,16 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/bist"
+	"repro/internal/designs"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
 )
 
 func testCore(t testing.TB) (*dspgate.Core, []fault.Fault) {
 	t.Helper()
-	core, faults, err := SharedCore()
+	d, err := GetDesign(designs.DefaultID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	core, faults := d.Core, d.Faults
 	return core, faults
 }
 

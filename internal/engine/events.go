@@ -169,21 +169,3 @@ func (b *JobEventBroker) Subscribe(jobID string, after int64) ([]api.JobEvent, <
 	}
 	return replay, ch, cancel
 }
-
-// Forget drops a job's ring and disconnects its subscribers (job
-// eviction; subscribers see a closed channel and re-subscribe, finding
-// an empty ring).
-func (b *JobEventBroker) Forget(jobID string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	if l := b.logs[jobID]; l != nil {
-		for ch := range l.subs {
-			delete(l.subs, ch)
-			close(ch)
-		}
-		delete(b.logs, jobID)
-	}
-	b.mu.Unlock()
-}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bist"
 	"repro/internal/chaos"
 	"repro/internal/designs"
-	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -32,19 +31,6 @@ var (
 	defProgOnce sync.Once
 	defProg     *selftest.Program
 )
-
-// SharedCore exposes the default campaign fixture: the gate-level DSP
-// core and its collapsed fault list. It is now a view over the design
-// cache — GetDesign(designs.DefaultID) — kept because the distributed
-// end-to-end tests use it as the serial oracle; new code should resolve
-// designs by ID through GetDesign instead.
-func SharedCore() (*dspgate.Core, []fault.Fault, error) {
-	d, err := GetDesign(designs.DefaultID)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.Core, d.Faults, nil
-}
 
 // specNDetect resolves a spec's effective n-detect target: zero for
 // plain campaigns, the spec's value (defaulted to the paper's n=5)

@@ -10,10 +10,6 @@ import (
 // code (and their long-standing callers) keep reading naturally;
 // nothing here defines schema.
 
-// JobKind selects the campaign a job runs (validated enum; see
-// api.JobKind).
-type JobKind = api.JobKind
-
 // The campaign kinds the executor understands.
 const (
 	JobFaultSim       = api.JobFaultSim

@@ -18,7 +18,7 @@ import (
 var ctrServerShed = obs.Default().Counter("sbstd.shed")
 
 // ServerOptions are the degradation knobs for the HTTP layer. The zero
-// value disables them all, preserving NewServer's original behavior.
+// value disables them all.
 type ServerOptions struct {
 	// RequestTimeout bounds each request's handler time; expired
 	// requests answer 503 with a JSON error envelope. Zero disables.
@@ -80,9 +80,6 @@ type Server struct {
 	inflight chan struct{}
 	handler  http.Handler
 }
-
-// NewServer wraps a queue in the HTTP API with no degradation limits.
-func NewServer(q *Queue) *Server { return NewServerWith(q, ServerOptions{}) }
 
 // NewServerWith wraps a queue in the HTTP API with the given
 // degradation options.

@@ -24,7 +24,7 @@ func testServer(t *testing.T, opts QueueOptions) (*httptest.Server, *Queue) {
 	}
 	q := NewQueue(opts)
 	q.Start()
-	srv := httptest.NewServer(NewServer(q))
+	srv := httptest.NewServer(NewServerWith(q, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	return srv, q
 }

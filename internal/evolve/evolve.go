@@ -185,9 +185,6 @@ func New(p Params) *Search {
 	return s
 }
 
-// Gen returns the current generation index (0 = the initial population).
-func (s *Search) Gen() int { return s.gen }
-
 // Population returns deep copies of the current generation's genomes,
 // in breeding order.
 func (s *Search) Population() []Genome {

@@ -103,8 +103,8 @@ func TestAdvanceElitism(t *testing.T) {
 	if got := s.Population()[0].String(); got != best {
 		t.Fatalf("elite slot 0 is not the best individual:\n got %s\nwant %s", got, best)
 	}
-	if s.Gen() != 1 {
-		t.Fatalf("Gen() = %d after one Advance, want 1", s.Gen())
+	if s.gen != 1 {
+		t.Fatalf("Gen() = %d after one Advance, want 1", s.gen)
 	}
 }
 

@@ -1,39 +1,6 @@
 package fault
 
-import (
-	"math"
-	"testing"
-)
-
-func TestCurveSampling(t *testing.T) {
-	n := buildAdder(t)
-	vecs := make(Vectors, 512)
-	for i := range vecs {
-		vecs[i] = uint64(i)
-	}
-	res, err := Simulate(n, vecs, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := res.Curve(nil)
-	if len(pts) == 0 {
-		t.Fatal("empty curve")
-	}
-	prev := -1.0
-	for _, p := range pts {
-		if p.Coverage < prev {
-			t.Fatalf("coverage not monotone at %d", p.Cycle)
-		}
-		prev = p.Coverage
-	}
-	if last := pts[len(pts)-1]; last.Cycle != 512 || last.Coverage != res.Coverage() {
-		t.Fatalf("final point %+v", last)
-	}
-	custom := res.Curve([]int{10, 100})
-	if len(custom) != 2 || custom[0].Cycle != 10 {
-		t.Fatalf("custom sweep %+v", custom)
-	}
-}
+import "testing"
 
 func TestCoverageAtEdgeCases(t *testing.T) {
 	// Empty result: every helper must degrade to zero, not divide by
@@ -134,38 +101,5 @@ func TestRegionCoverageEdgeCases(t *testing.T) {
 	// Unknown region: zero faults fall inside it.
 	if det, tot := res.RegionCoverage(n, "nosuchregion"); det != 0 || tot != 0 {
 		t.Fatalf("unknown region counts %d/%d", det, tot)
-	}
-}
-
-func TestFitSaturationOnRealRun(t *testing.T) {
-	n := buildSeq(t)
-	vecs := randomVectors(600, 4, 5)
-	res, err := Simulate(n, vecs, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.FitSaturation()
-	if m.Tau <= 0 || m.A <= 0 {
-		t.Fatalf("degenerate model %+v", m)
-	}
-	// The model must roughly track the measured curve on held-out
-	// points.
-	for _, v := range []int{48, 96, 300} {
-		got := m.Coverage(float64(v))
-		want := res.CoverageAt(v)
-		if math.Abs(got-want) > 0.2 {
-			t.Errorf("model at %d: %.3f vs measured %.3f", v, got, want)
-		}
-	}
-	// LengthFor inverts Coverage (probe where the model is positive:
-	// below ~Tau·ln(A/Cmax) the clamped model is not invertible).
-	probe := 3 * m.Tau
-	if target := m.Coverage(probe); target > 0 {
-		if l := m.LengthFor(target); math.Abs(l-probe) > 1e-6*probe+1 {
-			t.Errorf("LengthFor(Coverage(%f)) = %f", probe, l)
-		}
-	}
-	if m.LengthFor(m.Cmax+0.01) != -1 {
-		t.Error("unreachable target should return -1")
 	}
 }

@@ -72,10 +72,10 @@ func (c Candidate) Score() int {
 	return s
 }
 
-// DiagnoseOptions tune Diagnose.
+// DiagnoseOptions tune DiagnoseOpts.
 type DiagnoseOptions struct {
 	// Presim, when non-nil, supplies the stage-1 first-detection result
-	// for the candidate list, so Diagnose skips its own Simulate call.
+	// for the candidate list, so DiagnoseOpts skips its own Simulate call.
 	// That call already spends every core; a result from engine.Simulate
 	// adds the call supervisor's retry, quarantine of a diverging
 	// kernel, and the caller's trace sink. Its Faults slice replaces the
@@ -83,7 +83,7 @@ type DiagnoseOptions struct {
 	Presim *Result
 }
 
-// Diagnose performs cause-effect single-stuck-at diagnosis: it simulates
+// DiagnoseOpts performs cause-effect single-stuck-at diagnosis: it simulates
 // every candidate fault against the test and ranks candidates by how
 // well their response matches the observed failing trace. This is the
 // classical fault-dictionary flow a production test setup runs when a
@@ -92,12 +92,6 @@ type DiagnoseOptions struct {
 // The first stage uses the bit-parallel simulator to discard candidates
 // whose first-failure cycle disagrees with the observation; survivors
 // are trace-matched exactly.
-func Diagnose(n *logic.Netlist, vecs VectorSeq, observed ObservedTrace,
-	candidates []Fault) ([]Candidate, error) {
-	return DiagnoseOpts(n, vecs, observed, candidates, DiagnoseOptions{})
-}
-
-// DiagnoseOpts is Diagnose with the full option set.
 func DiagnoseOpts(n *logic.Netlist, vecs VectorSeq, observed ObservedTrace,
 	candidates []Fault, opts DiagnoseOptions) ([]Candidate, error) {
 

@@ -30,7 +30,7 @@ func TestDiagnoseFindsInjectedFault(t *testing.T) {
 			continue // fault not excited by this test; nothing to diagnose
 		}
 		tested++
-		cands, err := Diagnose(n, vecs, observed, faults)
+		cands, err := DiagnoseOpts(n, vecs, observed, faults, DiagnoseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestDiagnosePassingMachine(t *testing.T) {
 	n := buildSeq(t)
 	vecs := randomVectors(50, 4, 3)
 	observed := ExpectedOutputs(n, vecs)
-	cands, err := Diagnose(n, vecs, observed, nil)
+	cands, err := DiagnoseOpts(n, vecs, observed, nil, DiagnoseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,9 @@ func Example() {
 	// coverage: 100% of 4 faults
 }
 
-// ExampleDiagnose shows cause-effect diagnosis: given only a failing
+// ExampleDiagnoseOpts shows cause-effect diagnosis: given only a failing
 // output trace, the true fault ranks first with an exact match.
-func ExampleDiagnose() {
+func ExampleDiagnoseOpts() {
 	b := logic.NewBuilder()
 	x := b.Input("x")
 	y := b.Input("y")
@@ -47,7 +47,7 @@ func ExampleDiagnose() {
 	hidden := fault.Fault{Site: a, SA1: true}
 	observed := fault.FaultTrace(n, vecs, hidden)
 
-	cands, err := fault.Diagnose(n, vecs, observed, nil)
+	cands, err := fault.DiagnoseOpts(n, vecs, observed, nil, fault.DiagnoseOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -423,6 +423,20 @@ func TestTooManyInputsRejected(t *testing.T) {
 	}
 }
 
+// FuncSeq adapts a generator function to a VectorSeq. The function must
+// be deterministic in the cycle index because segments are replayed once
+// per fault batch.
+type FuncSeq struct {
+	N  int
+	Fn func(cycle int) uint64
+}
+
+// Len returns the number of cycles.
+func (f FuncSeq) Len() int { return f.N }
+
+// At returns the packed input assignment for a cycle.
+func (f FuncSeq) At(i int) uint64 { return f.Fn(i) }
+
 func TestFuncSeq(t *testing.T) {
 	fs := FuncSeq{N: 10, Fn: func(c int) uint64 { return uint64(c * 3) }}
 	if fs.Len() != 10 || fs.At(4) != 12 {

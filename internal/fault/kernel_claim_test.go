@@ -99,7 +99,7 @@ func TestBatchPanicOnHelper(t *testing.T) {
 func TestBatchPanicOnParkedFiller(t *testing.T) {
 	prog, vecs, trace := claimFixture(t)
 	baseline := runtime.NumGoroutine()
-	f := startGoodFiller(prog, prog.NumNets(), vecs, newSegSchedule(64, false, vecs.Len()), 64, &claimer{})
+	f := startGoodFiller(prog, prog.Netlist().NumNets(), vecs, newSegSchedule(64, false, vecs.Len()), 64, &claimer{})
 	var once sync.Once
 	closeFiller := func() { once.Do(f.close) }
 	defer closeFiller()
@@ -189,7 +189,7 @@ func TestAuditPanicOnHelper(t *testing.T) {
 // parked, which survives to fill the next segment.
 func TestAuditPanicOnParkedFiller(t *testing.T) {
 	prog, vecs, _ := claimFixture(t)
-	f := startGoodFiller(prog, prog.NumNets(), vecs, newSegSchedule(64, false, vecs.Len()), 64, &claimer{})
+	f := startGoodFiller(prog, prog.Netlist().NumNets(), vecs, newSegSchedule(64, false, vecs.Len()), 64, &claimer{})
 	defer f.close()
 	g0, g1 := f.receive(), f.receive()
 	s := openSegment(t, prog, vecs, g0.trace)

@@ -98,20 +98,6 @@ func (v Vectors) Len() int { return len(v) }
 // At returns the packed input assignment for a cycle.
 func (v Vectors) At(i int) uint64 { return v[i] }
 
-// FuncSeq adapts a generator function to a VectorSeq. The function must
-// be deterministic in the cycle index because segments are replayed once
-// per fault batch.
-type FuncSeq struct {
-	N  int
-	Fn func(cycle int) uint64
-}
-
-// Len returns the number of cycles.
-func (f FuncSeq) Len() int { return f.N }
-
-// At returns the packed input assignment for a cycle.
-func (f FuncSeq) At(i int) uint64 { return f.Fn(i) }
-
 // SimOptions tune Simulate.
 type SimOptions struct {
 	// Faults to simulate. Nil means the collapsed full fault list.

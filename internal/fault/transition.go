@@ -75,20 +75,6 @@ func (r *TransitionResult) Coverage() float64 {
 	return float64(r.Detected()) / float64(len(r.Faults))
 }
 
-// CoverageAt returns the coverage achieved by the given cycle.
-func (r *TransitionResult) CoverageAt(cycle int) float64 {
-	if len(r.Faults) == 0 {
-		return 0
-	}
-	d := 0
-	for _, c := range r.DetectedAt {
-		if c >= 0 && int(c) <= cycle {
-			d++
-		}
-	}
-	return float64(d) / float64(len(r.Faults))
-}
-
 // SimulateTransitions runs transition-fault simulation on the segment
 // driver's logic.CompiledSim replayer (see transitionModel): lane 0 is
 // the fault-free machine and up to 63 faulty machines share each pass,

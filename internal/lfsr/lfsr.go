@@ -47,20 +47,6 @@ var primitiveTaps = map[int]uint64{
 	32: 0xA3000000,
 }
 
-// SupportedWidths lists the widths with built-in primitive polynomials.
-func SupportedWidths() []int {
-	ws := make([]int, 0, len(primitiveTaps))
-	for w := range primitiveTaps {
-		ws = append(ws, w)
-	}
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j-1] > ws[j]; j-- {
-			ws[j-1], ws[j] = ws[j], ws[j-1]
-		}
-	}
-	return ws
-}
-
 // maximalCache memoizes MaximalTaps scans per width: the scan is a
 // brute-force period check (O(n · 2^width) steps), cheap enough for the
 // template widths but not worth repeating per search.
@@ -199,9 +185,6 @@ func widthMask(width int) uint64 {
 	return uint64(1)<<uint(width) - 1
 }
 
-// Width returns the register width in bits.
-func (l *LFSR) Width() int { return l.width }
-
 // State returns the current register contents without advancing.
 func (l *LFSR) State() uint64 { return l.state }
 
@@ -220,20 +203,6 @@ func (l *LFSR) NextBits(k int) uint64 {
 		v = l.Next()
 	}
 	return v
-}
-
-// Period measures the sequence length by stepping until the seed state
-// recurs. Intended for tests and small widths; O(period).
-func (l *LFSR) Period() uint64 {
-	start := l.state
-	var count uint64
-	for {
-		l.Next()
-		count++
-		if l.state == start {
-			return count
-		}
-	}
 }
 
 func parity64(v uint64) uint64 {
@@ -265,9 +234,6 @@ func NewMISR(width int) (*MISR, error) {
 	return &MISR{taps: taps, width: width}, nil
 }
 
-// Width returns the register width in bits.
-func (m *MISR) Width() int { return m.width }
-
 // Absorb folds one response word into the signature.
 func (m *MISR) Absorb(word uint64) {
 	fb := parity64(m.state & m.taps)
@@ -276,6 +242,3 @@ func (m *MISR) Absorb(word uint64) {
 
 // Signature returns the current compacted signature.
 func (m *MISR) Signature() uint64 { return m.state }
-
-// Reset clears the signature to zero.
-func (m *MISR) Reset() { m.state = 0 }

@@ -189,3 +189,34 @@ func TestMaximalTaps(t *testing.T) {
 		t.Fatal("impossible pool size did not error")
 	}
 }
+
+// SupportedWidths lists the widths with built-in primitive polynomials.
+func SupportedWidths() []int {
+	ws := make([]int, 0, len(primitiveTaps))
+	for w := range primitiveTaps {
+		ws = append(ws, w)
+	}
+	for i := 1; i < len(ws); i++ {
+		for j := i; j > 0 && ws[j-1] > ws[j]; j-- {
+			ws[j-1], ws[j] = ws[j], ws[j-1]
+		}
+	}
+	return ws
+}
+
+// Period measures the sequence length by stepping until the seed state
+// recurs. Intended for tests and small widths; O(period).
+func (l *LFSR) Period() uint64 {
+	start := l.state
+	var count uint64
+	for {
+		l.Next()
+		count++
+		if l.state == start {
+			return count
+		}
+	}
+}
+
+// Reset clears the signature to zero.
+func (m *MISR) Reset() { m.state = 0 }

@@ -50,10 +50,6 @@ func NewBuilder() *Builder {
 	return b
 }
 
-// Err returns the first error recorded during construction, if any.
-// Build also returns it; checking eagerly is optional.
-func (b *Builder) Err() error { return b.err }
-
 func (b *Builder) fail(format string, args ...any) NetID {
 	if b.err == nil {
 		b.err = fmt.Errorf("logic: "+format, args...)

@@ -6,9 +6,6 @@ import "fmt"
 // least-significant bit first (Bus[0] is bit 0).
 type Bus []NetID
 
-// Width returns the number of bits.
-func (bus Bus) Width() int { return len(bus) }
-
 // Slice returns bits [lo, hi) as a new Bus.
 func (bus Bus) Slice(lo, hi int) Bus { return bus[lo:hi:hi] }
 
@@ -84,20 +81,6 @@ func (b *Builder) SignExtend(bus Bus, width int) Bus {
 	copy(out, bus)
 	for i := len(bus); i < width; i++ {
 		out[i] = bus.MSB()
-	}
-	return out
-}
-
-// ZeroExtend widens bus to width with constant-zero high bits.
-func (b *Builder) ZeroExtend(bus Bus, width int) Bus {
-	if width < len(bus) {
-		b.fail("ZeroExtend: target width %d narrower than %d", width, len(bus))
-		return nil
-	}
-	out := make(Bus, width)
-	copy(out, bus)
-	for i := len(bus); i < width; i++ {
-		out[i] = b.Const(false)
 	}
 	return out
 }

@@ -365,13 +365,6 @@ func (c *Compiled) buildFill() {
 // but the elided buffers, whose bit is their source's.
 func (c *Compiled) TraceBits() int { return c.fill.bits }
 
-// NumBlocks returns the number of cache blocks the schedule was cut
-// into (see BlockSlots).
-func (c *Compiled) NumBlocks() int { return len(c.blockOff) - 1 }
-
-// Schedule returns the cone-clustered emission order (read-only).
-func (c *Compiled) Schedule() []NetID { return c.schedule }
-
 // SizeBytes estimates the program's resident size, for artifact-cache
 // byte budgeting: the instruction stream plus the per-net metadata
 // tables and the buffer-free fill program (the netlist itself is
@@ -448,13 +441,6 @@ func CompiledFor(n *Netlist) *Compiled {
 
 // Netlist returns the compiled circuit.
 func (c *Compiled) Netlist() *Netlist { return c.n }
-
-// NumInstrs returns the instruction count of one full frame sweep (the
-// gate-evaluation cost unit the fault simulator's counters report in).
-func (c *Compiled) NumInstrs() int { return len(c.code) }
-
-// NumNets returns the number of real nets (temporary slots excluded).
-func (c *Compiled) NumNets() int { return c.numNets }
 
 // readers returns the fanout of net id as a CSR slice.
 func (c *Compiled) readers(id NetID) []NetID {

@@ -13,8 +13,8 @@ import "fmt"
 // It is the full-sweep simulator behind fault.KernelReference, the
 // fault models whose forcing changes cycle by cycle (transition and
 // bridging faults), and every consumer of one machine's response:
-// expected outputs, fault traces, MISR signatures, path delay and VCD
-// dumps. The tests in this package hold it to logictest.Simulator.
+// expected outputs, fault traces, MISR signatures and path delay. The
+// tests in this package hold it to logictest.Simulator.
 type CompiledSim struct {
 	c    *Compiled
 	vals []uint64 // len c.slots; indices >= c.numNets are temporaries
@@ -174,6 +174,3 @@ func (s *CompiledSim) SetLaneState(lane uint, src []uint64) {
 		}
 	}
 }
-
-// StateWords returns the number of uint64 words needed by LaneState.
-func (s *CompiledSim) StateWords() int { return (len(s.c.n.dffs) + 63) / 64 }

@@ -201,10 +201,6 @@ func alignedWords(n int) []uint64 {
 	return buf[off : off+n]
 }
 
-// LaneWords returns the stripe width W (64-bit words per net) the
-// simulator was built with: the widest batch it takes.
-func (e *ConeSim) LaneWords() int { return e.maxLW }
-
 // BeginBatch installs a fault batch: injection masks, the reachable
 // cone (transitive fanout of the sites, closed through DFF D→Q edges)
 // and its sweep program, and each fault's initial flip-flop divergence

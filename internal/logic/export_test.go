@@ -3,7 +3,8 @@ package logic
 // export_test.go keeps the fill this package had before GoodTrace.Extend
 // — a CompiledSim settling the full compiled program, buffers and all,
 // and a per-net snapshot of its lane 0 — as the oracle the trace tests
-// here and in package logic_test compare Extend against.
+// here and in package logic_test compare Extend against, and the
+// accessors and builder helpers that only tests use.
 
 // Record snapshots lane 0 of the simulator's settled frame at the given
 // absolute cycle, one bit per net in net order (the identity alias), and
@@ -62,3 +63,24 @@ func (t *GoodTrace) OracleExtend(c *Compiled, end int, at func(int) uint64) {
 
 // ExportNames is exportNames, for the package logic_test tests.
 var ExportNames = exportNames
+
+// StateWords returns the number of uint64 words needed by LaneState.
+func (s *CompiledSim) StateWords() int { return (len(s.c.n.dffs) + 63) / 64 }
+
+// NumInstrs returns the instruction count of one full frame sweep (the
+// gate-evaluation cost unit the fault simulator's counters report in).
+func (c *Compiled) NumInstrs() int { return len(c.code) }
+
+// ZeroExtend widens bus to width with constant-zero high bits.
+func (b *Builder) ZeroExtend(bus Bus, width int) Bus {
+	if width < len(bus) {
+		b.fail("ZeroExtend: target width %d narrower than %d", width, len(bus))
+		return nil
+	}
+	out := make(Bus, width)
+	copy(out, bus)
+	for i := len(bus); i < width; i++ {
+		out[i] = b.Const(false)
+	}
+	return out
+}

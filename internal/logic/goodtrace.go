@@ -72,9 +72,6 @@ func (t *GoodTrace) EnsureCycles(cycles int) {
 	t.cap = cycles
 }
 
-// Cycles returns the window capacity in rows.
-func (t *GoodTrace) Cycles() int { return t.cap }
-
 // ValidThrough returns the absolute cycle bound of the recorded prefix:
 // rows for cycles [off, ValidThrough()) hold fault-free values.
 func (t *GoodTrace) ValidThrough() int { return t.valid }

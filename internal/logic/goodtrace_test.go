@@ -80,8 +80,8 @@ func TestGoodTraceEnsureCyclesRegrow(t *testing.T) {
 	record(1, false)
 
 	tr.EnsureCycles(5)
-	if tr.Cycles() != 5 {
-		t.Fatalf("Cycles()=%d after EnsureCycles(5)", tr.Cycles())
+	if tr.cap != 5 {
+		t.Fatalf("Cycles()=%d after EnsureCycles(5)", tr.cap)
 	}
 	if tr.ValidThrough() != 2 {
 		t.Fatalf("regrow moved the watermark: %d", tr.ValidThrough())
@@ -99,8 +99,8 @@ func TestGoodTraceEnsureCyclesRegrow(t *testing.T) {
 	}
 	// A no-op Ensure (already big enough) must not reallocate rows away.
 	tr.EnsureCycles(3)
-	if tr.Cycles() != 5 || tr.ValidThrough() != 5 {
-		t.Fatalf("shrinking EnsureCycles changed the window: cap=%d valid=%d", tr.Cycles(), tr.ValidThrough())
+	if tr.cap != 5 || tr.ValidThrough() != 5 {
+		t.Fatalf("shrinking EnsureCycles changed the window: cap=%d valid=%d", tr.cap, tr.ValidThrough())
 	}
 }
 

@@ -80,7 +80,7 @@ func TestExtendHelpers(t *testing.T) {
 			t.Fatalf("ZeroExtend(%d) = %x", v, got)
 		}
 	}
-	if got := bus.Slice(1, 3).Width(); got != 2 {
+	if got := len(bus.Slice(1, 3)); got != 2 {
 		t.Fatalf("Slice width %d", got)
 	}
 	if bus.MSB() != bus[3] {

@@ -60,9 +60,6 @@ type Engine struct {
 // NewEngine returns an Engine with defaults applied.
 func NewEngine(cfg Config) *Engine { return &Engine{cfg: cfg.withDefaults()} }
 
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Sequence is an instruction sequence with a designated target
 // instruction whose metrics are measured. Wrapper instructions before
 // and after the target (the paper's Load/Out wrappers, Phase-2

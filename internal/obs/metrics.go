@@ -50,9 +50,6 @@ var disarmed atomic.Bool
 // load — the cost a hypothetical compiled-out build would still pay.
 func SetArmed(on bool) { disarmed.Store(!on) }
 
-// Armed reports whether metric mutation is enabled.
-func Armed() bool { return !disarmed.Load() }
-
 // Gauge is a float64 gauge handle. All methods are nil-safe.
 type Gauge struct {
 	bits atomic.Uint64
@@ -62,20 +59,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	if g != nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add increments the gauge by delta (CAS loop; gauges are cold-path).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
 	}
 }
 
@@ -175,15 +158,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// reset zeroes the histogram (Registry.Reset).
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // child is one labeled instance of a family.
 type child struct {
 	values  []string
@@ -205,12 +179,6 @@ type Family struct {
 	mu       sync.RWMutex
 	children map[string]*child
 }
-
-// Name returns the family's registered name.
-func (f *Family) Name() string { return f.name }
-
-// Type returns the family's metric type.
-func (f *Family) Type() MetricType { return f.typ }
 
 const labelSep = "\x1f"
 

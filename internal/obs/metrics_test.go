@@ -175,7 +175,7 @@ func TestRegistryConcurrentShards(t *testing.T) {
 			h := r.HistogramFamily("shard_seconds", "time", []float64{0.1, 1}, "shard").Histogram(label)
 			for i := 0; i < iters; i++ {
 				ctr.Add(1)
-				g.Add(0.5)
+				g.Set(float64(i))
 				h.Observe(float64(i%3) * 0.2)
 				r.Counter("shard.flat").Add(1)
 			}

@@ -76,12 +76,6 @@ func Emit(s Sink, ev Event) {
 	}
 }
 
-// NullSink discards every event.
-type NullSink struct{}
-
-// Emit discards the event.
-func (NullSink) Emit(Event) {}
-
 // MultiSink fans an event out to several sinks.
 type MultiSink []Sink
 
@@ -146,23 +140,6 @@ func (s *Span) Child(name string) *Span {
 	return NewSpan(s.sink, s.name+"/"+name)
 }
 
-// Name returns the span's hierarchical name ("" for nil spans).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Sink returns the span's sink (nil for nil spans), letting
-// span-carrying code hand the raw sink to layers that take one.
-func (s *Span) Sink() Sink {
-	if s == nil {
-		return nil
-	}
-	return s.sink
-}
-
 // Add accumulates a named counter on the span. The counters are
 // attached to the span_end event.
 func (s *Span) Add(counter string, delta int64) {
@@ -193,14 +170,6 @@ func (s *Span) EventNamed(typ, name string, fields map[string]any) {
 		return
 	}
 	s.sink.Emit(Event{Type: typ, Name: s.name + "/" + name, Fields: fields})
-}
-
-// Elapsed returns the time since the span started (0 for nil spans).
-func (s *Span) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Since(s.start)
 }
 
 // End closes the span, emitting span_end with the elapsed seconds and

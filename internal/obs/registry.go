@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -19,13 +18,6 @@ type Counter struct {
 func (c *Counter) Add(delta int64) {
 	if c != nil && !disarmed.Load() {
 		c.v.Add(delta)
-	}
-}
-
-// Set stores an absolute value (gauge semantics). Nil-safe.
-func (c *Counter) Set(v int64) {
-	if c != nil {
-		c.v.Store(v)
 	}
 }
 
@@ -69,12 +61,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Add increments a named counter (convenience for cold paths).
-func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
-
-// Set stores a gauge value.
-func (r *Registry) Set(name string, v int64) { r.Counter(name).Set(v) }
-
 // Snapshot returns a copy of every counter's current value.
 func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.RLock()
@@ -86,45 +72,8 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// Names returns the registered counter names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset zeroes every counter and every family child (tests and
-// repeated in-process runs). Family schemas and children survive —
-// only their values are cleared.
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.Set(0)
-	}
-	for _, f := range r.families {
-		f.mu.RLock()
-		for _, ch := range f.children {
-			ch.counter.Set(0)
-			ch.gauge.Set(0)
-			if ch.hist != nil {
-				ch.hist.reset()
-			}
-		}
-		f.mu.RUnlock()
-	}
-}
-
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry the internal packages
 // report through.
 func Default() *Registry { return defaultRegistry }
-
-// Add increments a named counter on the default registry.
-func Add(name string, delta int64) { defaultRegistry.Add(name, delta) }

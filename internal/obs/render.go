@@ -37,13 +37,6 @@ func NewRenderer(w io.Writer) *Renderer {
 	return &Renderer{w: w, minPeriod: time.Second, now: time.Now, rates: map[string]*rateState{}}
 }
 
-// SetMinPeriod overrides the repaint throttle (0 disables throttling).
-func (r *Renderer) SetMinPeriod(d time.Duration) {
-	r.mu.Lock()
-	r.minPeriod = d
-	r.mu.Unlock()
-}
-
 // Emit renders one event.
 func (r *Renderer) Emit(ev Event) {
 	r.mu.Lock()

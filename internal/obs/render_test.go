@@ -10,7 +10,7 @@ import (
 func TestRendererRateAndETA(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRenderer(&buf)
-	r.SetMinPeriod(0)
+	r.minPeriod = 0
 	fake := time.Now()
 	r.now = func() time.Time { return fake }
 
@@ -41,7 +41,7 @@ func TestRendererThrottles(t *testing.T) {
 	r := NewRenderer(&buf)
 	fake := time.Now()
 	r.now = func() time.Time { return fake }
-	r.SetMinPeriod(time.Second)
+	r.minPeriod = time.Second
 
 	for i := 0; i < 50; i++ {
 		fake = fake.Add(10 * time.Millisecond) // 100 Hz event stream
@@ -57,7 +57,7 @@ func TestRendererThrottles(t *testing.T) {
 func TestRendererFinalAndSummaryLines(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRenderer(&buf)
-	r.SetMinPeriod(time.Hour) // final events must bypass the throttle
+	r.minPeriod = time.Hour // final events must bypass the throttle
 	r.Emit(Event{Type: EventProgress, Name: "sim", Fields: map[string]any{"done": 100, "total": 100}})
 	r.Emit(Event{Type: EventSpanEnd, Name: "sim", Fields: map[string]any{"seconds": 1.5, "vectors": int64(9)}})
 	r.Emit(Event{Type: EventSummary, Name: "sim", Fields: map[string]any{"coverage": 0.97}})

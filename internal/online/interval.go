@@ -196,9 +196,6 @@ func (s *IntervalSet) Intervals() []Interval { return s.intervals }
 // BurstCycles returns the whole schedule's length in cycles.
 func (s *IntervalSet) BurstCycles() int { return s.total }
 
-// Policy returns the configured preemption policy.
-func (s *IntervalSet) Policy() Policy { return s.cfg.Policy }
-
 // runInterval feeds one interval into the core and returns its MISR
 // signature. The core is left at the interval's exit boundary
 // (pipeline drained).

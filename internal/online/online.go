@@ -95,12 +95,6 @@ func normalizationPreamble() []isa.Instr {
 	return p
 }
 
-// Golden returns the characterized signature.
-func (s *Selftest) Golden() uint64 { return s.golden }
-
-// BurstCycles returns the burst length in clock cycles.
-func (s *Selftest) BurstCycles() int { return len(s.vecs) }
-
 // runBurst feeds the burst into the core and compacts the output port.
 func (s *Selftest) runBurst(core *dsp.Core) (uint64, error) {
 	m, err := lfsr.NewMISR(s.cfg.MISRWidth)

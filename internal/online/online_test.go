@@ -35,10 +35,10 @@ func TestBurstPassesOnHealthyCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Pass {
-		t.Fatalf("healthy core failed: sig %x golden %x", res.Signature, st.Golden())
+		t.Fatalf("healthy core failed: sig %x golden %x", res.Signature, st.golden)
 	}
-	if res.Cycles != st.BurstCycles() {
-		t.Fatalf("cycles %d != %d", res.Cycles, st.BurstCycles())
+	if res.Cycles != len(st.vecs) {
+		t.Fatalf("cycles %d != %d", res.Cycles, len(st.vecs))
 	}
 }
 
@@ -124,14 +124,14 @@ func TestGoldenStableAcrossCharacterizations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Golden() != b.Golden() {
+	if a.golden != b.golden {
 		t.Fatal("characterization not deterministic")
 	}
 	c, err := New(testProgram(), Config{Iterations: 6, Seed1: 10, Seed2: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Golden() == a.Golden() {
+	if c.golden == a.golden {
 		t.Fatal("different seeds should give different signatures")
 	}
 }
@@ -144,7 +144,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BurstCycles() == 0 {
+	if len(st.vecs) == 0 {
 		t.Fatal("empty burst")
 	}
 }

@@ -25,14 +25,12 @@ type Phase1Result struct {
 	Uncovered []int
 }
 
-// Phase1 runs the paper's global coverage phase: remove the columns the
-// Load/Out wrappers cover, then repeatedly pick the instruction variant
-// covering the most remaining columns until no instruction covers any.
-func Phase1(t *metrics.Table) *Phase1Result { return Phase1Traced(t, nil) }
-
-// Phase1Traced is Phase1 with an optional span: each greedy pick emits
-// an obs.EventPhase (row, name, covered, remaining) so the covering
-// pass is visible while it runs and replayable from a trace.
+// Phase1Traced runs the paper's global coverage phase: remove the
+// columns the Load/Out wrappers cover, then repeatedly pick the
+// instruction variant covering the most remaining columns until no
+// instruction covers any. With a non-nil span each greedy pick emits an
+// obs.EventPhase (row, name, covered, remaining) so the covering pass
+// is visible while it runs and replayable from a trace.
 func Phase1Traced(t *metrics.Table, span *obs.Span) *Phase1Result {
 	res := &Phase1Result{CoveredBy: make(map[int]int)}
 	remaining := make(map[int]bool, len(t.Cols))

@@ -107,7 +107,7 @@ func TestPhase1GreedyOptimalOnTable1SizedInstances(t *testing.T) {
 	}
 	for i, covered := range cases {
 		tab := synthTable(covered)
-		p1 := Phase1(tab)
+		p1 := Phase1Traced(tab, nil)
 		want := exhaustiveCoverSize(covered)
 		if got := len(p1.Chosen); got != want {
 			t.Errorf("case %d: greedy used %d rows, optimum %d", i, got, want)
@@ -136,7 +136,7 @@ func TestPhase1WrapperPrePass(t *testing.T) {
 		{false, true},
 	})
 	tab.Rows[0].Op = isa.OpLdi // becomes a wrapper row
-	p1 := Phase1(tab)
+	p1 := Phase1Traced(tab, nil)
 	if r, ok := p1.CoveredBy[0]; !ok || r != -1 {
 		t.Fatalf("column 0 should be wrapper-covered, got %v %v", r, ok)
 	}
@@ -147,7 +147,7 @@ func TestPhase1WrapperPrePass(t *testing.T) {
 
 func TestPhase1EmptyTable(t *testing.T) {
 	tab := &metrics.Table{CThreshold: 0.7, OThreshold: 0.5}
-	p1 := Phase1(tab)
+	p1 := Phase1Traced(tab, nil)
 	if len(p1.Chosen) != 0 || len(p1.Uncovered) != 0 {
 		t.Fatalf("empty table: %+v", p1)
 	}

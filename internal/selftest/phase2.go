@@ -30,16 +30,12 @@ type Phase2Result struct {
 	Trials, Injections int
 }
 
-// Phase2 targets the columns Phase 1 left uncovered with knowledge-based
-// instruction sequences, validating each candidate with the metrics
-// engine before accepting it.
-func Phase2(eng *metrics.Engine, t *metrics.Table, p1 *Phase1Result) *Phase2Result {
-	return Phase2Traced(eng, t, p1, nil)
-}
-
-// Phase2Traced is Phase2 with an optional span: every column resolution
-// (sequence found, discarded as unreachable, or unresolved) emits an
-// obs.EventPhase, and candidate validations are counted on the span.
+// Phase2Traced targets the columns Phase 1 left uncovered with
+// knowledge-based instruction sequences, validating each candidate with
+// the metrics engine before accepting it. With a non-nil span every
+// column resolution (sequence found, discarded as unreachable, or
+// unresolved) emits an obs.EventPhase, and candidate validations are
+// counted on the span.
 func Phase2Traced(eng *metrics.Engine, t *metrics.Table, p1 *Phase1Result, span *obs.Span) *Phase2Result {
 	res := &Phase2Result{}
 	for _, col := range p1.Uncovered {

@@ -7,32 +7,10 @@ import (
 	"repro/internal/isa"
 )
 
-// Source renders the program in a round-trippable assembler format:
-// optional ".once" and ".loop" section directives followed by one
-// instruction per line (comments preserved). ParseProgram reads it back.
-func (p *Program) Source() string {
-	var sb strings.Builder
-	write := func(ins []isa.Instr) {
-		for _, in := range ins {
-			sb.WriteString(in.String())
-			if in.Comment != "" {
-				sb.WriteString("  // ")
-				sb.WriteString(in.Comment)
-			}
-			sb.WriteByte('\n')
-		}
-	}
-	if len(p.Once) > 0 {
-		sb.WriteString(".once\n")
-		write(p.Once)
-	}
-	sb.WriteString(".loop\n")
-	write(p.Loop)
-	return sb.String()
-}
-
-// ParseProgram parses the Source format. Plain assembler with no
-// directives is accepted and treated as a loop body.
+// ParseProgram parses a program file: optional ".once" and ".loop"
+// section directives followed by one instruction per line, "//"
+// comments allowed. Plain assembler with no directives is accepted and
+// treated as a loop body.
 func ParseProgram(src string) (*Program, error) {
 	p := &Program{}
 	section := &p.Loop

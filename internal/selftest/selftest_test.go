@@ -135,7 +135,7 @@ func sharedGenerator() *Generator {
 func TestPhase1GreedyCover(t *testing.T) {
 	g := sharedGenerator()
 	tab := g.Table()
-	p1 := Phase1(tab)
+	p1 := Phase1Traced(tab, nil)
 	if len(p1.Chosen) == 0 {
 		t.Fatal("phase 1 chose nothing")
 	}
@@ -179,8 +179,8 @@ func TestPhase1GreedyCover(t *testing.T) {
 func TestPhase2CoversAccumulators(t *testing.T) {
 	g := sharedGenerator()
 	tab := g.Table()
-	p1 := Phase1(tab)
-	p2 := Phase2(tableEng, tab, p1)
+	p1 := Phase1Traced(tab, nil)
+	p2 := Phase2Traced(tableEng, tab, p1, nil)
 
 	// Shifter mode 11 is unreachable: must be discarded, not unresolved.
 	m11 := tab.ColumnIndex(dsp.CompShifter, 3)

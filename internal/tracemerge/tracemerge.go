@@ -99,19 +99,6 @@ func MergeFiles(paths []string, traceID string) (*Timeline, error) {
 	return merge(named, traceID)
 }
 
-// Merge merges NDJSON traces from readers; names supply the fallback
-// source labels for files without a trace_open header.
-func Merge(names []string, readers []io.Reader, traceID string) (*Timeline, error) {
-	if len(names) != len(readers) {
-		return nil, fmt.Errorf("tracemerge: %d names for %d readers", len(names), len(readers))
-	}
-	named := make([]namedReader, len(readers))
-	for i := range readers {
-		named[i] = namedReader{name: names[i], r: readers[i]}
-	}
-	return merge(named, traceID)
-}
-
 type namedReader struct {
 	name string
 	r    io.Reader

@@ -1,7 +1,6 @@
 package tracemerge
 
 import (
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -30,10 +29,11 @@ const (
 
 func mergeAll(t *testing.T, traceID string) *Timeline {
 	t.Helper()
-	tl, err := Merge(
-		[]string{"coord.ndjson", "wa.ndjson", "wb.ndjson"},
-		[]io.Reader{strings.NewReader(coordTrace), strings.NewReader(workerATrace), strings.NewReader(workerBTrace)},
-		traceID)
+	tl, err := merge([]namedReader{
+		{name: "coord.ndjson", r: strings.NewReader(coordTrace)},
+		{name: "wa.ndjson", r: strings.NewReader(workerATrace)},
+		{name: "wb.ndjson", r: strings.NewReader(workerBTrace)},
+	}, traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRecoverSpanFromEndEvent(t *testing.T) {
 	trace := `{"t":0,"type":"trace_open","name":"p","epoch_unix":100.0}
 {"t":5.0,"type":"span_end","name":"orphan","trace":"x","seconds":2.0}
 `
-	tl, err := Merge([]string{"p.ndjson"}, []io.Reader{strings.NewReader(trace)}, "x")
+	tl, err := merge([]namedReader{{name: "p.ndjson", r: strings.NewReader(trace)}}, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestRecoverSpanFromEndEvent(t *testing.T) {
 }
 
 func TestMergeErrors(t *testing.T) {
-	if _, err := Merge([]string{"a"}, []io.Reader{strings.NewReader("")}, ""); err == nil {
+	if _, err := merge([]namedReader{{name: "a", r: strings.NewReader("")}}, ""); err == nil {
 		t.Fatal("empty input must error")
 	}
-	if _, err := Merge([]string{"a"}, []io.Reader{strings.NewReader(coordTrace)}, "zzzz"); err == nil {
+	if _, err := merge([]namedReader{{name: "a", r: strings.NewReader(coordTrace)}}, "zzzz"); err == nil {
 		t.Fatal("unmatched trace ID must error")
 	}
-	if _, err := Merge([]string{"a"}, []io.Reader{strings.NewReader("not json\n")}, "x"); err == nil {
+	if _, err := merge([]namedReader{{name: "a", r: strings.NewReader("not json\n")}}, "x"); err == nil {
 		t.Fatal("malformed NDJSON must error")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/bist"
 	"repro/internal/client"
+	"repro/internal/designs"
 	"repro/internal/engine"
 	"repro/internal/fault"
 )
@@ -25,10 +26,11 @@ func TestDistributedCampaignE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed e2e in -short mode")
 	}
-	core, faults, err := engine.SharedCore()
+	d, err := engine.GetDesign(designs.DefaultID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	core, faults := d.Core, d.Faults
 	const (
 		vecCount = 240
 		vecSeed  = 7

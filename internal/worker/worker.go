@@ -9,7 +9,6 @@ package worker
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -265,7 +264,3 @@ func (w *Worker) emit(lease *api.Lease, event string, extra map[string]any) {
 		Trace: lease.Unit.Spec.TraceID, Fields: fields,
 	})
 }
-
-// IsTerminal reports whether a Run error is a startup handshake
-// failure (the only kind Run returns).
-func IsTerminal(err error) bool { return err != nil && !errors.Is(err, context.Canceled) }

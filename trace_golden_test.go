@@ -113,7 +113,7 @@ func TestTraceGolden(t *testing.T) {
 	vecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: 20})
 	faults, _ := fault.Collapse(core.Netlist, fault.AllFaults(core.Netlist))
 	observed := fault.FaultTrace(core.Netlist, vecs, faults[123])
-	cands, err := fault.Diagnose(core.Netlist, vecs, observed, faults)
+	cands, err := fault.DiagnoseOpts(core.Netlist, vecs, observed, faults, fault.DiagnoseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
