@@ -76,6 +76,33 @@ func TestShifterConstraintStudyShape(t *testing.T) {
 	}
 }
 
+// TestShifterConstraintStudyRejectsBadSets holds the study to rejecting,
+// before any simulation, a set it cannot run as written: no mode at all,
+// a mode the two-bit control field cannot take (it used to alias onto
+// m&3 and report another set's answer under its own label), or a mode
+// listed twice.
+func TestShifterConstraintStudyRejectsBadSets(t *testing.T) {
+	for _, set := range []ConstraintSet{
+		{Label: "empty"},
+		{Label: "mode 4", Modes: []uint8{4}},
+		{Label: "modes 0 and 7", Modes: []uint8{0, 7}},
+		{Label: "01 twice", Modes: []uint8{1, 0, 1}},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: panicked: %v", set.Label, p)
+				}
+			}()
+			// The valid set first: a bad set anywhere fails the call.
+			res, err := ShifterConstraintStudy([]ConstraintSet{{Label: "only 00", Modes: []uint8{0}}, set})
+			if err == nil {
+				t.Errorf("%s: no error, results %+v", set.Label, res)
+			}
+		}()
+	}
+}
+
 func TestTopUpSynthesizesVerifiedPatterns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs gate-level core + fault simulation")
