@@ -41,7 +41,26 @@ func (r ConstraintResult) Coverage() float64 {
 // then constrained PODEM settles each survivor exactly. The paper's
 // conclusion — mode 01 (variable) is essential while 10/11 are nearly
 // redundant — justifies discarding those metric columns.
+//
+// A set must list each mode it allows once, and only modes of the
+// two-bit control field (0–3); any other set is an error, reported
+// before anything is simulated.
 func ShifterConstraintStudy(sets []ConstraintSet) ([]ConstraintResult, error) {
+	for _, set := range sets {
+		if len(set.Modes) == 0 {
+			return nil, fmt.Errorf("selftest: constraint set %q allows no mode", set.Label)
+		}
+		var seen [4]bool
+		for _, m := range set.Modes {
+			if m > 3 {
+				return nil, fmt.Errorf("selftest: constraint set %q: mode %d is not a two-bit mode", set.Label, m)
+			}
+			if seen[m] {
+				return nil, fmt.Errorf("selftest: constraint set %q lists mode %d twice", set.Label, m)
+			}
+			seen[m] = true
+		}
+	}
 	b := logic.NewBuilder()
 	data := b.InputBus("d", 18)
 	amt := b.InputBus("amt", 4)
