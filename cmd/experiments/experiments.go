@@ -547,17 +547,20 @@ func writeGaArtifact(rc *runContext, g *api.GaSpec, res *api.JobResult, baseCov,
 func classifyUndetected(c *dspgate.Core, res *fault.Result) (untestable, aborted int) {
 	opts := atpg.FullScan(c.Netlist)
 	opts.MaxBacktracks = 2000
-	solver := atpg.NewSolver(c.Netlist, opts)
+	var targets []atpg.Target
 	for i, f := range res.Faults {
-		if res.DetectedAt[i] >= 0 {
-			continue
+		if res.DetectedAt[i] < 0 {
+			targets = append(targets, atpg.Target{Fault: f})
 		}
-		switch solver.Generate(f).Status {
+	}
+	atpg.Each(c.Netlist, opts, targets, func(_ int, r atpg.Result) bool {
+		switch r.Status {
 		case atpg.Untestable:
 			untestable++
 		case atpg.Aborted:
 			aborted++
 		}
-	}
+		return true
+	})
 	return untestable, aborted
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -130,9 +131,11 @@ func goldenLine(label string, r Result) string {
 // rewrites the file from the copy in reference_test.go and reproduces
 // them byte for byte. The unroll3 lines passed in that form too, and
 // were then rewritten with the multi-site activation fallback that
-// reference_test.go describes (20 of 156 moved). Both forms are held to
-// the golden: a Solver reused across each case's faults, and the
-// one-shot Generate.
+// reference_test.go describes (20 of 156 moved). Three forms are held
+// to the golden: a Solver reused across each case's faults, the
+// one-shot Generate, and Each at GOMAXPROCS 1, 2 and 4, whose Stats
+// must also equal the reused solver's (GateEvals included: a run's
+// counts do not depend on the runs its solver made before).
 func TestEquivalenceGolden(t *testing.T) {
 	cases := goldenCases(t)
 	if *update {
@@ -154,21 +157,37 @@ func TestEquivalenceGolden(t *testing.T) {
 	}
 	data := readGolden(t)
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	line := 0
 	for _, c := range cases {
 		s := NewSolver(c.n, c.opts)
+		// The reused solver's runs, for Each to repeat: the job and
+		// golden line of each, its result, and which of them the
+		// one-shot sample holds.
+		var targets []Target
+		var jobs, lines, sample []int
+		var reused []Result
 		for k, j := range c.jobs {
 			if line >= len(want) {
 				t.Fatalf("golden has %d lines, fewer than the cases list", len(want))
 			}
 			// The one-shot form differs only in building its own solver, so
 			// a sample of each case pins it; -short (the race job over the
-			// whole tree) checks the reused solver on that sample only.
+			// whole tree) checks the reused solver and Each on that sample
+			// only.
 			sampled := k%8 == 0
 			if sampled || !testing.Short() {
-				if got := goldenLine(j.label, s.Generate(j.f, j.extra...)); got != want[line] {
+				r := s.Generate(j.f, j.extra...)
+				if got := goldenLine(j.label, r); got != want[line] {
 					t.Fatalf("reused solver, line %d:\n got %s\nwant %s", line+1, got, want[line])
 				}
+				if sampled {
+					sample = append(sample, len(targets))
+				}
+				targets = append(targets, Target{Fault: j.f, Extra: j.extra})
+				jobs = append(jobs, k)
+				lines = append(lines, line)
+				reused = append(reused, r)
 			}
 			if sampled {
 				opts := c.opts
@@ -178,6 +197,42 @@ func TestEquivalenceGolden(t *testing.T) {
 				}
 			}
 			line++
+		}
+		all := make([]int, len(targets))
+		for i := range all {
+			all[i] = i
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			// One worker runs the targets in order on one solver, which is
+			// the reused form above, so the sample pins it.
+			pick := all
+			if procs == 1 {
+				pick = sample
+			}
+			picked := make([]Target, len(pick))
+			for k, i := range pick {
+				picked[k] = targets[i]
+			}
+			next := 0
+			Each(c.n, c.opts, picked, func(k int, r Result) bool {
+				if k != next {
+					t.Fatalf("Each at GOMAXPROCS %d: yielded target %d, want %d", procs, k, next)
+				}
+				next++
+				i := pick[k]
+				l := lines[i]
+				if got := goldenLine(c.jobs[jobs[i]].label, r); got != want[l] {
+					t.Fatalf("Each at GOMAXPROCS %d, line %d:\n got %s\nwant %s", procs, l+1, got, want[l])
+				}
+				if r.Stats != reused[i].Stats {
+					t.Fatalf("Each at GOMAXPROCS %d, line %d: stats %+v, reused solver %+v", procs, l+1, r.Stats, reused[i].Stats)
+				}
+				return true
+			})
+			if next != len(picked) {
+				t.Fatalf("Each at GOMAXPROCS %d yielded %d of %d targets", procs, next, len(picked))
+			}
 		}
 	}
 	if line != len(want) {

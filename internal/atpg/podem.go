@@ -2,7 +2,8 @@
 // the PODEM algorithm over a five-valued calculus (0, 1, X, D, D̄), plus
 // bounded time-frame unrolling for sequential targets. A Solver holds
 // what depends only on the netlist and the options, so a loop over a
-// fault list pays for it once; Generate is the one-shot form.
+// fault list pays for it once; Generate is the one-shot form, and Each
+// runs a fault list on every core, one Solver per goroutine.
 //
 // Three consumers in this repository:
 //   - the Phase-3 "random resistant patterns" top-up, which runs PODEM on
@@ -18,6 +19,7 @@ package atpg
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -238,6 +240,8 @@ type Result struct {
 	Assignment map[logic.NetID]bool
 	// Stats breaks down the search effort of this run.
 	Stats Stats
+	// Elapsed is the run's wall time.
+	Elapsed time.Duration
 }
 
 // Default-registry counters aggregated across every PODEM run in the
@@ -395,6 +399,7 @@ func NewSolver(n *logic.Netlist, opts Options) *Solver {
 	}
 	p.propagate()
 	p.trail = p.trail[:0]
+	ctrGateEvals.Add(int64(p.evals))
 	return p
 }
 
@@ -413,13 +418,15 @@ func (p *Solver) computeReach() {
 // Generate runs PODEM for one stuck-at fault, injected at f.Site, at
 // Options.ExtraSites and at extraSites (the per-fault form of the same
 // thing: one physical fault seen once per unrolled time frame). The
-// solver is back in its base state when Generate returns. The first
-// run's Stats.GateEvals includes the base implication's evaluations, so
-// sums over a solver's runs count all the work done.
+// solver is back in its base state when Generate returns. Stats count
+// this fault's search alone, so they do not depend on which runs the
+// solver did before; NewSolver adds the base implication's evaluations
+// to the podem.gate_evals counter itself.
 func (p *Solver) Generate(f fault.Fault, extraSites ...logic.NetID) Result {
+	start := time.Now()
 	p.sites = append(append(append(p.sites[:0], f.Site), p.extra...), extraSites...)
 	p.sa1 = f.SA1
-	p.bts, p.decisions, p.implies = 0, 0, 0
+	p.bts, p.decisions, p.implies, p.evals = 0, 0, 0, 0
 	for _, s := range p.sites {
 		p.siteSet[s] = true
 	}
@@ -456,7 +463,7 @@ func (p *Solver) Generate(f fault.Fault, extraSites ...logic.NetID) Result {
 	for _, s := range p.sites {
 		p.siteSet[s] = false
 	}
-	p.evals = 0
+	res.Elapsed = time.Since(start)
 
 	ctrRuns.Add(1)
 	ctrDecisions.Add(int64(res.Stats.Decisions))

@@ -6,8 +6,6 @@
 package bist
 
 import (
-	"time"
-
 	"repro/internal/atpg"
 	"repro/internal/fault"
 	"repro/internal/lfsr"
@@ -93,22 +91,24 @@ func SequentialATPGOpts(n *logic.Netlist, opts SeqATPGOptions) (*ATPGBaselineRes
 		sampleEvery = 1
 	}
 	span := obs.NewSpan(opts.Sink, "seqatpg")
-	targets := (len(faults) + sampleEvery - 1) / sampleEvery
+	total := (len(faults) + sampleEvery - 1) / sampleEvery
 	numInputs := len(n.Inputs())
-	solver := atpg.NewSolver(u.Netlist, atpg.Options{MaxBacktracks: opts.MaxBacktracks})
+	// A fault whose site no frame copies is untestable without a search;
+	// the others are PODEM targets.
+	var targets []atpg.Target
+	var index []int // index[k]: the fault list position of targets[k]
 	for i := 0; i < len(faults); i += sampleEvery {
-		f := faults[i]
 		res.FaultsTried++
-		sites := u.Sites(f.Site)
-		if len(sites) == 0 {
+		if sites := u.Sites(faults[i].Site); len(sites) > 0 {
+			targets = append(targets, atpg.Target{Fault: fault.Fault{Site: sites[0], SA1: faults[i].SA1}, Extra: sites[1:]})
+			index = append(index, i)
+		} else {
 			res.Untestable++
-			continue
 		}
-		var faultStart time.Time
-		if span != nil {
-			faultStart = time.Now()
-		}
-		r := solver.Generate(fault.Fault{Site: sites[0], SA1: f.SA1}, sites[1:]...)
+	}
+	atpg.Each(u.Netlist, atpg.Options{MaxBacktracks: opts.MaxBacktracks}, targets, func(k int, r atpg.Result) bool {
+		i := index[k]
+		done := i/sampleEvery + 1 // every sampled fault up to this one has been tried
 		res.Stats.Merge(r.Stats)
 		switch r.Status {
 		case atpg.Detected:
@@ -135,17 +135,18 @@ func SequentialATPGOpts(n *logic.Netlist, opts SeqATPGOptions) (*ATPGBaselineRes
 				"status":     r.Status.String(),
 				"backtracks": r.Stats.Backtracks,
 				"decisions":  r.Stats.Decisions,
-				"seconds":    time.Since(faultStart).Seconds(),
+				"seconds":    r.Elapsed.Seconds(),
 			})
 			span.Event(obs.EventProgress, map[string]any{
-				"done":  res.FaultsTried,
-				"total": targets,
+				"done":  done,
+				"total": total,
 			})
 		}
 		if opts.Progress != nil {
-			opts.Progress(res.FaultsTried, targets)
+			opts.Progress(done, total)
 		}
-	}
+		return true
+	})
 	span.Add("tests_found", int64(res.TestsFound))
 	span.Add("untestable", int64(res.Untestable))
 	span.Add("aborted", int64(res.Aborted))

@@ -1,9 +1,12 @@
 package bist
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -92,11 +95,18 @@ func (r *recordSink) Emit(ev obs.Event) {
 	r.mu.Unlock()
 }
 
+// TestSequentialATPGStatsAndTrace also holds the run to fault order,
+// although the searches run on every core: per-fault events carry
+// strictly increasing indices, and Progress counts up one fault at a
+// time.
 func TestSequentialATPGStatsAndTrace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	n := buildPipeline(t)
 	rec := &recordSink{}
+	var done []int
 	res, err := SequentialATPGOpts(n, SeqATPGOptions{
 		Frames: 4, SampleEvery: 1, MaxBacktracks: 2000, Sink: rec,
+		Progress: func(d, _ int) { done = append(done, d) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +114,15 @@ func TestSequentialATPGStatsAndTrace(t *testing.T) {
 	if res.Stats.Implications == 0 || res.Stats.Decisions == 0 {
 		t.Fatalf("aggregated PODEM stats empty: %+v", res.Stats)
 	}
-	perFault, summaries := 0, 0
+	for k, d := range done {
+		if d != k+1 {
+			t.Fatalf("Progress calls %v: call %d reports done=%d", done, k+1, d)
+		}
+	}
+	if len(done) != res.FaultsTried {
+		t.Fatalf("Progress called %d times, faults tried %d", len(done), res.FaultsTried)
+	}
+	perFault, summaries, last := 0, 0, -1
 	for _, ev := range rec.events {
 		switch {
 		case ev.Type == obs.EventPhase && ev.Name == "seqatpg/fault":
@@ -113,6 +131,11 @@ func TestSequentialATPGStatsAndTrace(t *testing.T) {
 				if _, ok := ev.Fields[key]; !ok {
 					t.Fatalf("per-fault event missing %q: %+v", key, ev.Fields)
 				}
+			}
+			if i := ev.Fields["index"].(int); i <= last {
+				t.Fatalf("per-fault event index %d after %d", i, last)
+			} else {
+				last = i
 			}
 		case ev.Type == obs.EventSummary:
 			summaries++
@@ -128,6 +151,35 @@ func TestSequentialATPGStatsAndTrace(t *testing.T) {
 	}
 	if summaries != 1 {
 		t.Fatalf("summary events %d", summaries)
+	}
+}
+
+// TestSequentialATPGGOMAXPROCSInvariant runs the baseline on a dsp
+// sample at GOMAXPROCS 1 and 4: the searches fan out over the cores, and
+// every count, the Stats and the tests in fault order must not move.
+func TestSequentialATPGGOMAXPROCSInvariant(t *testing.T) {
+	core, err := dspgate.Build(dspgate.Options{InsertFanoutBranches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var one *ATPGBaselineResult
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		res, err := SequentialATPGOpts(core.Netlist, SeqATPGOptions{Frames: 3, SampleEvery: 10, MaxBacktracks: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one == nil {
+			one = res
+			continue
+		}
+		if !reflect.DeepEqual(res, one) {
+			t.Fatalf("GOMAXPROCS 4 differs from 1:\n%+v\n%+v", res, one)
+		}
+	}
+	if one.TestsFound == 0 || one.Untestable+one.Aborted == 0 {
+		t.Fatalf("sample exercises one outcome only: %+v", one)
 	}
 }
 

@@ -72,18 +72,6 @@ func ShifterConstraintStudy(sets []ConstraintSet) ([]ConstraintResult, error) {
 		return nil, err
 	}
 	faults, _ := fault.Collapse(n, fault.AllFaults(n))
-	// One PODEM solver per mode value, built on first use and shared by
-	// every set that allows the mode.
-	var solvers [4]*atpg.Solver
-	solverFor := func(m uint8) *atpg.Solver {
-		if solvers[m&3] == nil {
-			solvers[m&3] = atpg.NewSolver(n, atpg.Options{
-				Fixed:         map[logic.NetID]bool{mode[0]: m&1 == 1, mode[1]: m&2 == 2},
-				MaxBacktracks: 8000,
-			})
-		}
-		return solvers[m&3]
-	}
 	results := make([]ConstraintResult, 0, len(sets))
 	for _, set := range sets {
 		res := ConstraintResult{Label: set.Label, Allowed: set.Modes, Total: len(faults)}
@@ -103,27 +91,38 @@ func ShifterConstraintStudy(sets []ConstraintSet) ([]ConstraintResult, error) {
 			return nil, err
 		}
 
-		// Exact pass for survivors.
+		// Exact pass for survivors: one PODEM pass per allowed mode, in
+		// set order, over the survivors no earlier mode detected. A
+		// fault is aborted if no mode detects it and one gave up.
+		var survivors []atpg.Target
 		for i, f := range faults {
 			if sim.DetectedAt[i] >= 0 {
 				res.Testable++
-				continue
+			} else {
+				survivors = append(survivors, atpg.Target{Fault: f})
 			}
-			status := atpg.Untestable
-			for _, m := range set.Modes {
-				r := solverFor(m).Generate(f)
+		}
+		aborted := make([]bool, len(survivors))
+		for _, m := range set.Modes {
+			opts := atpg.Options{
+				Fixed:         map[logic.NetID]bool{mode[0]: m&1 == 1, mode[1]: m&2 == 2},
+				MaxBacktracks: 8000,
+			}
+			var left []atpg.Target
+			var leftAborted []bool
+			atpg.Each(n, opts, survivors, func(i int, r atpg.Result) bool {
 				if r.Status == atpg.Detected {
-					status = atpg.Detected
-					break
+					res.Testable++
+				} else {
+					left = append(left, survivors[i])
+					leftAborted = append(leftAborted, aborted[i] || r.Status == atpg.Aborted)
 				}
-				if r.Status == atpg.Aborted {
-					status = atpg.Aborted
-				}
-			}
-			switch status {
-			case atpg.Detected:
-				res.Testable++
-			case atpg.Aborted:
+				return true
+			})
+			survivors, aborted = left, leftAborted
+		}
+		for _, a := range aborted {
+			if a {
 				res.Aborted++
 			}
 		}
