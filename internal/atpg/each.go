@@ -34,6 +34,7 @@ func Each(n *logic.Netlist, opts Options, targets []Target, yield func(i int, r 
 		panicked any
 	}
 	workers := min(runtime.GOMAXPROCS(0), len(targets))
+	// A slot per worker, so no worker waits while the caller is in yield.
 	out := make(chan outcome, workers)
 	quit := make(chan struct{})
 	var next atomic.Int64
