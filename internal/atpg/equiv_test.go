@@ -133,9 +133,10 @@ func goldenLine(label string, r Result) string {
 // were then rewritten with the multi-site activation fallback that
 // reference_test.go describes (20 of 156 moved). Three forms are held
 // to the golden: a Solver reused across each case's faults, the
-// one-shot Generate, and Each at GOMAXPROCS 1, 2 and 4, whose Stats
-// must also equal the reused solver's (GateEvals included: a run's
-// counts do not depend on the runs its solver made before).
+// one-shot Generate, and Each at GOMAXPROCS 1, 2 and 4 (4 on every
+// line the reused solver ran, 1 and 2 on the one-shot sample). Each's
+// Stats must also equal the reused solver's, GateEvals included: a
+// run's counts do not depend on the runs its solver made before.
 func TestEquivalenceGolden(t *testing.T) {
 	cases := goldenCases(t)
 	if *update {
@@ -205,10 +206,12 @@ func TestEquivalenceGolden(t *testing.T) {
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			// One worker runs the targets in order on one solver, which is
-			// the reused form above, so the sample pins it.
-			pick := all
-			if procs == 1 {
-				pick = sample
+			// the reused form above, so the sample pins it. The sample
+			// serves two workers too; four, which interleave the most,
+			// run every target.
+			pick := sample
+			if procs == 4 {
+				pick = all
 			}
 			picked := make([]Target, len(pick))
 			for k, i := range pick {
