@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
@@ -240,6 +241,41 @@ func TestEquivalenceGolden(t *testing.T) {
 	}
 	if line != len(want) {
 		t.Fatalf("golden has %d lines, the cases list %d", len(want), line)
+	}
+}
+
+// TestGateEvalsPinned pins what the golden lines leave out: the work the
+// implication passes did. Per batch of goldenCases (dsp, the three
+// shifter modes, unroll3) it sums Stats.GateEvals and Implications over
+// every run of a reused solver. The expected sums were read from the
+// solver that kept its events in a rank-ordered heap; a queue that
+// evaluates a gate twice in one pass, or skips one whose input changed,
+// moves GateEvals while every golden line still matches.
+func TestGateEvalsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every golden case (seconds); the full atpg run checks it")
+	}
+	want := map[string][2]int{ // batch: {GateEvals, Implications}
+		"dsp":      {817908, 8622},
+		"shifter0": {30166487, 916849},
+		"shifter1": {14751289, 454534},
+		"shifter2": {30643222, 934729},
+		"unroll3":  {846432, 9047},
+	}
+	got := map[string][2]int{}
+	for _, c := range goldenCases(t) {
+		s := NewSolver(c.n, c.opts)
+		for _, j := range c.jobs {
+			r := s.Generate(j.f, j.extra...)
+			batch, _, _ := strings.Cut(j.label, " ")
+			sum := got[batch]
+			sum[0] += r.Stats.GateEvals
+			sum[1] += r.Stats.Implications
+			got[batch] = sum
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("{GateEvals, Implications} per batch:\n got %v\nwant %v", got, want)
 	}
 }
 
