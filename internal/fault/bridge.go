@@ -64,23 +64,14 @@ func RandomBridges(n *logic.Netlist, count int, seed int64) []Bridge {
 	if len(nets) < 2 {
 		return nil
 	}
-	// level[net]: topological level; a bridge between equal-level nets
-	// can never be in each other's cone.
-	level := make([]int32, n.NumNets())
-	for _, id := range n.CombOrder() {
-		g := n.Gate(id)
-		for _, in := range g.In {
-			if level[in]+1 > level[id] {
-				level[id] = level[in] + 1
-			}
-		}
-	}
 	rng := rand.New(rand.NewSource(seed))
 	var out []Bridge
 	for tries := 0; len(out) < count && tries < 50*count; tries++ {
 		a := nets[rng.Intn(len(nets))]
 		b := nets[rng.Intn(len(nets))]
-		if a == b || level[a] != level[b] {
+		// A bridge between equal-level nets can never be in each
+		// other's cone.
+		if a == b || n.Level(a) != n.Level(b) {
 			continue
 		}
 		out = append(out, Bridge{A: a, B: b, Kind: BridgeKind(rng.Intn(3))})

@@ -27,31 +27,23 @@ func (p Path) String() string {
 // paper synthesizes test programs for exactly these). Paths are traced
 // back from the deepest nets through each gate's deepest input.
 func LongestPaths(n *logic.Netlist, count int) []Path {
-	order := n.CombOrder()
-	level := make([]int32, n.NumNets())
-	deepest := make([]logic.NetID, n.NumNets())
-	for i := range deepest {
-		deepest[i] = logic.InvalidNet
-	}
-	for _, id := range order {
-		g := n.Gate(id)
-		for _, in := range g.In {
-			if level[in]+1 > level[id] {
-				level[id] = level[in] + 1
-				deepest[id] = in
-			}
-		}
-	}
 	// Endpoints sorted by depth, deepest first.
-	ends := append([]logic.NetID(nil), order...)
-	sort.Slice(ends, func(i, j int) bool { return level[ends[i]] > level[ends[j]] })
+	ends := append([]logic.NetID(nil), n.CombOrder()...)
+	sort.Slice(ends, func(i, j int) bool { return n.Level(ends[i]) > n.Level(ends[j]) })
 	var paths []Path
 	for _, end := range ends {
 		if len(paths) >= count {
 			break
 		}
-		var nets []logic.NetID
-		for id := end; id != logic.InvalidNet; id = deepest[id] {
+		nets := []logic.NetID{end}
+		for id := end; n.Level(id) > 0; {
+			// The gate's first input one level down is its deepest.
+			for _, in := range n.Gate(id).In {
+				if n.Level(in) == n.Level(id)-1 {
+					id = in
+					break
+				}
+			}
 			nets = append(nets, id)
 		}
 		// Reverse to source-first order.

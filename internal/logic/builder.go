@@ -347,8 +347,12 @@ func (b *Builder) regionsOf(id NetID) []string {
 
 var errCombLoop = errors.New("logic: combinational loop detected")
 
-// levelize topologically orders the combinational frame. DFF Q nets,
-// primary inputs and constants are sources; DFF D pins are sinks.
+// levelize topologically orders the combinational frame and records
+// each net's rank in that order and its level. DFF Q nets, primary
+// inputs and constants are sources; DFF D pins are sinks. The queue is
+// first in, first out, so the order runs level by level: a gate joins
+// it when the last of its inputs leaves, and by induction that input is
+// its deepest, one level below the gate.
 func (n *Netlist) levelize() error {
 	indeg := make([]int32, len(n.gates))
 	for i := range n.gates {
@@ -415,6 +419,17 @@ func (n *Netlist) levelize() error {
 		return fmt.Errorf("%w: %d of %d combinational gates ordered", errCombLoop, len(order), want)
 	}
 	n.order = order
+	n.level = make([]int32, len(n.gates))
+	n.rank = make([]int32, len(n.gates))
+	for i := range n.rank {
+		n.rank[i] = -1
+	}
+	for r, id := range order {
+		n.rank[id] = int32(r)
+		for _, in := range n.gates[id].In {
+			n.level[id] = max(n.level[id], n.level[in]+1)
+		}
+	}
 	return nil
 }
 

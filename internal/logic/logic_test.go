@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dspgate"
 	"repro/internal/logic"
 	"repro/internal/logic/logictest"
 )
@@ -340,5 +341,66 @@ func TestLookupAndStats(t *testing.T) {
 	}
 	if st.Levels < 4 {
 		t.Fatalf("4-bit ripple adder should have >=4 levels, got %d", st.Levels)
+	}
+}
+
+// TestLevelAndRank recounts every net's level from its definition (0 at
+// a frame source, one more than the deepest input otherwise) by a
+// depth-first walk that never reads CombOrder, and checks CombRank is
+// the inverse of CombOrder and CombOrder runs level by level, on 40
+// random netlists and on the dsp core.
+func TestLevelAndRank(t *testing.T) {
+	var nets []*logic.Netlist
+	for seed := int64(0); seed < 40; seed++ {
+		n, err := logictest.RandomNetlist(rand.New(rand.NewSource(seed)), seed%2 == 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n)
+	}
+	core, err := dspgate.Build(dspgate.Options{InsertFanoutBranches: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, core.Netlist)
+	for k, n := range nets {
+		level := make([]int, n.NumNets())
+		done := make([]bool, n.NumNets())
+		var recount func(id logic.NetID) int
+		recount = func(id logic.NetID) int {
+			if !done[id] {
+				done[id] = true
+				switch g := n.Gate(id); g.Kind {
+				case logic.GateInput, logic.GateConst0, logic.GateConst1, logic.GateDFF:
+				default:
+					for _, in := range g.In {
+						level[id] = max(level[id], recount(in)+1)
+					}
+				}
+			}
+			return level[id]
+		}
+		maxLevel := 0
+		for id := range level {
+			net := logic.NetID(id)
+			if got, want := n.Level(net), recount(net); got != want {
+				t.Fatalf("netlist %d net %d: Level %d, recount %d", k, id, got, want)
+			}
+			maxLevel = max(maxLevel, level[id])
+			if r := n.CombRank(net); r >= 0 && n.CombOrder()[r] != net || r < 0 && level[id] > 0 {
+				t.Fatalf("netlist %d net %d: CombRank %d", k, id, r)
+			}
+		}
+		for r, id := range n.CombOrder() {
+			if n.CombRank(id) != r {
+				t.Fatalf("netlist %d: CombOrder()[%d] = %d has CombRank %d", k, r, id, n.CombRank(id))
+			}
+			if r > 0 && n.Level(n.CombOrder()[r-1]) > n.Level(id) {
+				t.Fatalf("netlist %d: CombOrder()[%d] has level %d, below the %d before it", k, r, n.Level(id), n.Level(n.CombOrder()[r-1]))
+			}
+		}
+		if st := n.Stats(); st.Levels != maxLevel {
+			t.Fatalf("netlist %d: Stats().Levels %d, recount %d", k, st.Levels, maxLevel)
+		}
 	}
 }

@@ -110,9 +110,14 @@ type Netlist struct {
 	dffs    []NetID // Q nets of all flip-flops in declaration order
 
 	// order holds non-input, non-DFF, non-const gate output nets in
-	// topological order of the combinational frame. DFF Q nets and
-	// primary inputs act as frame sources.
+	// topological order of the combinational frame, level by level. DFF
+	// Q nets and primary inputs act as frame sources.
 	order []NetID
+
+	// level[n] is net n's topological level and rank[n] its position in
+	// order (-1 for a frame source); see Level and CombRank.
+	level []int32
+	rank  []int32
 
 	// fanout[n] lists the nets whose driving gates read net n.
 	fanout [][]NetID
@@ -131,8 +136,8 @@ func (n *Netlist) NumNets() int { return len(n.gates) }
 
 // SizeBytes estimates the netlist's resident size — the gate table
 // with its fan-in lists, the fanout lists, and the fixed-width net
-// slices — for cache budgeting (the engine's design cache evicts by
-// bytes, like the artifact store). Names and region maps are ignored:
+// slices and per-net tables — for cache budgeting (the engine's design
+// cache evicts by bytes, like the artifact store). Names and region maps are ignored:
 // they are a small fraction and an estimate is all budgeting needs.
 func (n *Netlist) SizeBytes() int64 {
 	s := int64(len(n.gates))*32 + int64(len(n.names))*16
@@ -142,7 +147,7 @@ func (n *Netlist) SizeBytes() int64 {
 	for _, fo := range n.fanout {
 		s += 24 + int64(len(fo))*4
 	}
-	s += int64(len(n.inputs)+len(n.outputs)+len(n.dffs)+len(n.order)) * 4
+	s += int64(len(n.inputs)+len(n.outputs)+len(n.dffs)+len(n.order)+len(n.level)+len(n.rank)) * 4
 	return s
 }
 
@@ -183,8 +188,18 @@ func (n *Netlist) Outputs() []NetID { return n.outputs }
 // DFFs returns the Q nets of all flip-flops in declaration order.
 func (n *Netlist) DFFs() []NetID { return n.dffs }
 
-// CombOrder returns the combinational frame in topological order.
+// CombOrder returns the combinational frame in topological order,
+// level by level: Level never decreases along it.
 func (n *Netlist) CombOrder() []NetID { return n.order }
+
+// CombRank returns net id's position in CombOrder, or -1 for a frame
+// source (primary input, constant or DFF Q net).
+func (n *Netlist) CombRank(id NetID) int { return int(n.rank[id]) }
+
+// Level returns net id's topological level: 0 for a frame source, and
+// one more than the deepest input for a gate of the combinational
+// frame, so a gate's level exceeds that of every net it reads.
+func (n *Netlist) Level(id NetID) int { return int(n.level[id]) }
 
 // Fanout returns the nets driven by gates that read net id.
 func (n *Netlist) Fanout(id NetID) []NetID { return n.fanout[id] }
@@ -208,20 +223,9 @@ type Stats struct {
 
 // Stats computes summary statistics.
 func (n *Netlist) Stats() Stats {
-	level := make([]int32, len(n.gates))
 	maxLevel := int32(0)
-	for _, id := range n.order {
-		g := &n.gates[id]
-		lv := int32(0)
-		for _, in := range g.In {
-			if level[in]+1 > lv {
-				lv = level[in] + 1
-			}
-		}
-		level[id] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
+	for _, lv := range n.level {
+		maxLevel = max(maxLevel, lv)
 	}
 	return Stats{
 		Nets:    len(n.gates),
