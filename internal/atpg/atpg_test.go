@@ -289,8 +289,8 @@ func TestUnrollShiftRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1 := Generate(u1.Netlist, fault.Fault{Site: u1.Sites(q0)[0], SA1: true},
-		Options{ExtraSites: u1.Sites(q0)[1:]})
+	res1 := NewSolver(u1.Netlist, Options{}).Generate(fault.Fault{Site: u1.Sites(q0)[0], SA1: true},
+		u1.Sites(q0)[1:]...)
 	if res1.Status == Detected {
 		t.Fatal("1 frame cannot expose a q0 fault")
 	}
@@ -300,8 +300,8 @@ func TestUnrollShiftRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	sites := u3.Sites(q0)
-	res3 := Generate(u3.Netlist, fault.Fault{Site: sites[0], SA1: true},
-		Options{ExtraSites: sites[1:]})
+	res3 := NewSolver(u3.Netlist, Options{}).Generate(fault.Fault{Site: sites[0], SA1: true},
+		sites[1:]...)
 	if res3.Status != Detected {
 		t.Fatalf("3 frames should expose q0/sa1: %v", res3.Status)
 	}

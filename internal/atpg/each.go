@@ -22,7 +22,9 @@ type Target struct {
 // they become available. The searches are independent, so they run on
 // min(GOMAXPROCS, len(targets)) goroutines, each with a Solver of its
 // own that claims the next unclaimed target; a result is the one
-// NewSolver(n, opts).Generate would return for the target alone.
+// NewSolver(n, opts).Generate would return for the target alone. The
+// goroutines take their solvers from the pool Generate uses and put them
+// back when they stop, unless their search panicked.
 //
 // yield returning false stops the run. So does a panic in yield or in a
 // search, which Each re-raises on the caller's goroutine. Either way no
@@ -44,6 +46,11 @@ func Each(n *logic.Netlist, opts Options, targets []Target, yield func(i int, r 
 		go func() {
 			defer wg.Done()
 			var s *Solver
+			defer func() {
+				if s != nil {
+					idle.Put(s)
+				}
+			}()
 			for {
 				select {
 				case <-quit:
@@ -57,10 +64,13 @@ func Each(n *logic.Netlist, opts Options, targets []Target, yield func(i int, r 
 				func() {
 					defer func() { o.panicked = recover() }()
 					if s == nil {
-						s = NewSolver(n, opts)
+						s = acquire(n, opts)
 					}
 					o.r = s.Generate(targets[o.i].Fault, targets[o.i].Extra...)
 				}()
+				if o.panicked != nil {
+					s = nil // possibly mid-search: not put back
+				}
 				select {
 				case out <- o:
 				case <-quit:

@@ -134,7 +134,8 @@ func goldenLine(label string, r Result) string {
 // were then rewritten with the multi-site activation fallback that
 // reference_test.go describes (20 of 156 moved). Three forms are held
 // to the golden: a Solver reused across each case's faults, the
-// one-shot Generate, and Each at GOMAXPROCS 1, 2 and 4 (4 on every
+// one-shot Generate (a fresh Solver on the multi-site unroll3 lines,
+// which Generate does not inject), and Each at GOMAXPROCS 1, 2 and 4 (4 on every
 // line the reused solver ran, 1 and 2 on the one-shot sample). Each's
 // Stats must also equal the reused solver's, GateEvals included: a
 // run's counts do not depend on the runs its solver made before.
@@ -144,9 +145,7 @@ func TestEquivalenceGolden(t *testing.T) {
 		var out bytes.Buffer
 		for _, c := range cases {
 			for _, j := range c.jobs {
-				opts := c.opts
-				opts.ExtraSites = j.extra
-				fmt.Fprintln(&out, goldenLine(j.label, referenceGenerate(c.n, j.f, opts)))
+				fmt.Fprintln(&out, goldenLine(j.label, referenceGenerate(c.n, j.f, c.opts, j.extra...)))
 			}
 		}
 		var packed bytes.Buffer
@@ -173,8 +172,8 @@ func TestEquivalenceGolden(t *testing.T) {
 			if line >= len(want) {
 				t.Fatalf("golden has %d lines, fewer than the cases list", len(want))
 			}
-			// The one-shot form differs only in building its own solver, so
-			// a sample of each case pins it; -short (the race job over the
+			// The one-shot form differs only in where its solver comes
+			// from, so a sample of each case pins it; -short (the race job over the
 			// whole tree) checks the reused solver and Each on that sample
 			// only.
 			sampled := k%8 == 0
@@ -192,9 +191,15 @@ func TestEquivalenceGolden(t *testing.T) {
 				reused = append(reused, r)
 			}
 			if sampled {
-				opts := c.opts
-				opts.ExtraSites = j.extra
-				if got := goldenLine(j.label, Generate(c.n, j.f, opts)); got != want[line] {
+				// The one-shot Generate injects one site; a multi-site run
+				// takes a solver built for it alone instead.
+				var r Result
+				if len(j.extra) == 0 {
+					r = Generate(c.n, j.f, c.opts)
+				} else {
+					r = NewSolver(c.n, c.opts).Generate(j.f, j.extra...)
+				}
+				if got := goldenLine(j.label, r); got != want[line] {
 					t.Fatalf("one-shot, line %d:\n got %s\nwant %s", line+1, got, want[line])
 				}
 			}
@@ -364,9 +369,7 @@ func TestIncrementalImplicationMatchesSweep(t *testing.T) {
 				extra = append(extra, logic.NetID(rng.Intn(n.NumNets())))
 			}
 			got := s.Generate(f, extra...)
-			refOpts := opts
-			refOpts.ExtraSites = extra
-			want := referenceGenerate(n, f, refOpts)
+			want := referenceGenerate(n, f, opts, extra...)
 			if g, w := goldenLine("", got), goldenLine("", want); g != w {
 				t.Fatalf("seed %d fault %v extra %v:\n got %s\nwant %s", seed, f, extra, g, w)
 			}

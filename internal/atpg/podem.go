@@ -3,9 +3,10 @@
 // bounded time-frame unrolling for sequential targets. Implication is
 // event-driven over the levels logic.Netlist computes at build, at O(1)
 // per scheduled gate. A Solver holds what depends on the options as
-// well as the netlist, so a loop over a fault list pays for it once;
-// Generate is the one-shot form, and Each runs a fault list on every
-// core, one Solver per goroutine.
+// well as the netlist. Generate, the one-shot form, and Each, which runs
+// a fault list on every core, take their solvers from one process-wide
+// pool of idle ones, so a run pays for its fault and, once the pool
+// holds a solver for the netlist and options, not for a solver.
 //
 // Three consumers in this repository:
 //   - the Phase-3 "random resistant patterns" top-up, which runs PODEM on
@@ -20,7 +21,9 @@ package atpg
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -199,10 +202,21 @@ type Options struct {
 	Observe []logic.NetID
 	// MaxBacktracks bounds the search (default 2000).
 	MaxBacktracks int
-	// ExtraSites injects the same fault at additional nets (used by
-	// time-frame unrolling, where one physical fault appears once per
-	// frame). Sites that differ per fault go to Solver.Generate instead.
-	ExtraSites []logic.NetID
+}
+
+// clone copies o deeply, so that edits to the caller's slices and map
+// do not reach the copy.
+func (o Options) clone() Options {
+	o.PIs = slices.Clone(o.PIs)
+	o.Fixed = maps.Clone(o.Fixed)
+	o.Observe = slices.Clone(o.Observe)
+	return o
+}
+
+// equal reports whether o and p have equal contents.
+func (o Options) equal(p Options) bool {
+	return o.MaxBacktracks == p.MaxBacktracks && slices.Equal(o.PIs, p.PIs) &&
+		slices.Equal(o.Observe, p.Observe) && maps.Equal(o.Fixed, p.Fixed)
 }
 
 // FullScan returns the full-scan bound for n: every primary input and
@@ -269,15 +283,38 @@ var (
 	ctrRuns         = obs.Default().Counter("podem.runs")
 )
 
-// Generate runs PODEM for one stuck-at fault: the one-shot form of
-// NewSolver(n, opts).Generate(f). Loops over many faults of one netlist
-// under one set of options should build the Solver once.
+// idle holds the solvers Generate and Each have finished with. A solver
+// ends every run in its base state, and a run's Result does not depend
+// on the runs before it, so a solver taken from here answers as a fresh
+// one would.
+var idle sync.Pool
+
+// acquire takes an idle solver built for n under options equal to opts,
+// or builds one. An idle solver built for anything else is dropped.
+func acquire(n *logic.Netlist, opts Options) *Solver {
+	if s, ok := idle.Get().(*Solver); ok && s.n == n && s.opts.equal(opts) {
+		return s
+	}
+	return NewSolver(n, opts)
+}
+
+// Generate runs PODEM for one stuck-at fault and returns what
+// NewSolver(n, opts).Generate(f) would. It takes the solver from a
+// process-wide pool of idle ones and puts it back afterwards, so
+// successive calls on one netlist under equal options build it once;
+// "equal" compares the contents of the options, not their slice and map
+// headers. Generate is safe for concurrent use.
 func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
-	return NewSolver(n, opts).Generate(f)
+	s := acquire(n, opts)
+	r := s.Generate(f)
+	// Not deferred: a search that panics may leave its fault injected,
+	// so its solver is dropped.
+	idle.Put(s)
+	return r
 }
 
 // Solver runs PODEM for any number of faults of one netlist under one
-// set of Options. The netlist carries each net's CombOrder rank and
+// set of Options, of which it keeps a copy. The netlist carries each net's CombOrder rank and
 // topological level; what depends on the options as well — which nets
 // an assignable PI can reach, and the fault-free values implied by the
 // constants and by Options.Fixed — is computed once by NewSolver,
@@ -295,13 +332,13 @@ func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
 // A Solver is not safe for concurrent use.
 type Solver struct {
 	n     *logic.Netlist
+	opts  Options // the caller's, deep-copied
 	vals  []Value
 	isPI  []bool
 	isObs []bool
 	// reach[net] reports whether an assignable PI lies in the net's
 	// input cone (guides backtrace away from dead paths).
 	reach []bool
-	extra []logic.NetID // Options.ExtraSites
 	maxBT int
 
 	// assign[pi] is the value decided for pi, VX while undecided.
@@ -368,6 +405,7 @@ func NewSolver(n *logic.Netlist, opts Options) *Solver {
 	}
 	p := &Solver{
 		n:       n,
+		opts:    opts.clone(),
 		vals:    values[:nets],
 		assign:  values[nets:],
 		isPI:    flags[:nets],
@@ -380,7 +418,6 @@ func NewSolver(n *logic.Netlist, opts Options) *Solver {
 		head:    make([]logic.NetID, levels),
 		next:    make([]logic.NetID, nets),
 		lo:      levels,
-		extra:   opts.ExtraSites,
 		maxBT:   opts.MaxBacktracks,
 	}
 	if p.maxBT <= 0 {
@@ -441,16 +478,16 @@ func (p *Solver) computeReach() {
 	}
 }
 
-// Generate runs PODEM for one stuck-at fault, injected at f.Site, at
-// Options.ExtraSites and at extraSites (the per-fault form of the same
-// thing: one physical fault seen once per unrolled time frame). The
-// solver is back in its base state when Generate returns. Stats count
-// this fault's search alone, so they do not depend on which runs the
-// solver did before; NewSolver adds the base implication's evaluations
-// to the podem.gate_evals counter itself.
+// Generate runs PODEM for one stuck-at fault, injected at f.Site and at
+// extraSites (used by time-frame unrolling, where one physical fault
+// appears once per frame). The solver is back in its base state when
+// Generate returns; one whose Generate panicked must not be used again.
+// Stats count this fault's search alone, so they do not depend on which
+// runs the solver did before; NewSolver adds the base implication's
+// evaluations to the podem.gate_evals counter itself.
 func (p *Solver) Generate(f fault.Fault, extraSites ...logic.NetID) Result {
 	start := time.Now()
-	p.sites = append(append(append(p.sites[:0], f.Site), p.extra...), extraSites...)
+	p.sites = append(append(p.sites[:0], f.Site), extraSites...)
 	p.sa1 = f.SA1
 	p.bts, p.decisions, p.implies, p.evals = 0, 0, 0, 0
 	for _, s := range p.sites {

@@ -2,7 +2,10 @@ package atpg
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dspgate"
@@ -117,4 +120,155 @@ func TestGenerateMatchesFreshSolver(t *testing.T) {
 	run("shifter mode 01 after dsp", shifter, shOpts, shFaults)
 	shOpts.Fixed[mode[0]], shOpts.Fixed[mode[1]] = false, true
 	edited("shifter mode 10, Fixed edited", shifter, shOpts, shFaults, shRes)
+}
+
+// TestPanickedSolverIsDropped panics a search after it has injected its
+// fault at f.Site, with an extra site past the last net, through Each,
+// and a one-shot Generate with such a site. The solver of a panicked
+// search is not put back, so the next runs on the same netlist and
+// options, through Generate and through Each, answer as fresh solvers.
+// The half-injected site is an inverter that alone reads a net whose
+// fault is detected: left injected, it would block that fault's effect.
+// One proc keeps every solver put back where the next Get looks first.
+func TestPanickedSolverIsDropped(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dsp, opts, faults, _, _, _, _ := poolFixture(t)
+	bad := logic.NetID(dsp.NumNets())
+	s := NewSolver(dsp, opts)
+	inv := logic.InvalidNet
+	for _, id := range dsp.CombOrder() {
+		g := dsp.Gate(id)
+		if g.Kind != logic.GateNot || len(dsp.Fanout(g.In[0])) != 1 {
+			continue
+		}
+		if f := (fault.Fault{Site: g.In[0]}); s.Generate(f).Status == Detected {
+			inv, faults = id, append(faults, f)
+			break
+		}
+	}
+	if inv == logic.InvalidNet {
+		t.Fatal("no inverter is the only reader of a net with a detected fault")
+	}
+	want := make([]Result, len(faults))
+	targets := make([]Target, len(faults))
+	for k, f := range faults {
+		want[k] = NewSolver(dsp, opts).Generate(f)
+		targets[k] = Target{Fault: f}
+	}
+	check := func(step string, got []Result) {
+		t.Helper()
+		for k := range want {
+			if !sameResult(got[k], want[k]) {
+				t.Fatalf("%s, fault %v:\n got %+v\nwant %+v", step, faults[k], got[k], want[k])
+			}
+		}
+	}
+	viaGenerate := func() []Result {
+		got := make([]Result, len(faults))
+		for k, f := range faults {
+			got[k] = Generate(dsp, f, opts)
+		}
+		return got
+	}
+	viaEach := func() []Result {
+		got := make([]Result, len(faults))
+		Each(dsp, opts, targets, func(k int, r Result) bool { got[k] = r; return true })
+		return got
+	}
+	mustPanic := func(step string, run func()) {
+		t.Helper()
+		defer func() {
+			if _, ok := recover().(runtime.Error); !ok {
+				t.Fatalf("%s did not panic with a runtime error", step)
+			}
+		}()
+		run()
+	}
+	halfInjected := []Target{{Fault: fault.Fault{Site: inv}, Extra: []logic.NetID{bad}}}
+
+	check("Generate before any panic", viaGenerate())
+	mustPanic("Generate at a site past the last net", func() { Generate(dsp, fault.Fault{Site: bad}, opts) })
+	check("Generate after Generate panicked", viaGenerate())
+	mustPanic("Each with an extra site past the last net", func() { Each(dsp, opts, halfInjected, nil) })
+	check("Generate after Each panicked", viaGenerate())
+	mustPanic("Each with an extra site past the last net", func() { Each(dsp, opts, halfInjected, nil) })
+	check("Each after Each panicked", viaEach())
+}
+
+// TestGenerateConcurrentCallers runs the one-shot Generate on four
+// goroutines over interleaved dsp and shifter faults, the shifter under
+// two modes, so the callers take, drop and put back solvers of three
+// kinds from the one pool. At GOMAXPROCS 1, 2 and 4 every result must
+// equal the serial run's.
+func TestGenerateConcurrentCallers(t *testing.T) {
+	dsp, dspOpts, dspFaults, shifter, mode, mode00, shFaults := poolFixture(t)
+	mode01 := Options{Fixed: map[logic.NetID]bool{mode[0]: true, mode[1]: false}, MaxBacktracks: 600}
+	type job struct {
+		n    *logic.Netlist
+		opts Options
+		f    fault.Fault
+	}
+	var jobs []job
+	for k := range max(len(dspFaults), len(shFaults)) {
+		if k < len(dspFaults) {
+			jobs = append(jobs, job{dsp, dspOpts, dspFaults[k]})
+		}
+		if k < len(shFaults) {
+			jobs = append(jobs, job{shifter, mode00, shFaults[k]}, job{shifter, mode01, shFaults[k]})
+		}
+	}
+	want := make([]Result, len(jobs))
+	for k, j := range jobs {
+		want[k] = NewSolver(j.n, j.opts).Generate(j.f)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := make([]Result, len(jobs))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := int(next.Add(1) - 1); k < len(jobs); k = int(next.Add(1) - 1) {
+					got[k] = Generate(jobs[k].n, jobs[k].f, jobs[k].opts)
+				}
+			}()
+		}
+		wg.Wait()
+		for k := range jobs {
+			if !sameResult(got[k], want[k]) {
+				t.Fatalf("GOMAXPROCS %d, job %d (fault %v):\n got %+v\nwant %+v", procs, k, jobs[k].f, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestGenerateOneShotAllocs pins what a one-shot Generate costs once a
+// solver for its netlist and options is idle: an untestable dsp fault
+// under the full-scan bound, whose Result has no assignment to
+// allocate, takes at most a few allocations instead of a solver's
+// dozens. Race builds are skipped: there sync.Pool drops a quarter of
+// what it is given, by design.
+func TestGenerateOneShotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	dsp, opts, _, _, _, _, _ := poolFixture(t)
+	all, _ := fault.Collapse(dsp, fault.AllFaults(dsp))
+	s := NewSolver(dsp, opts)
+	var f fault.Fault
+	for k, stride := 0, len(all)/200; ; k++ {
+		if k == 200 {
+			t.Fatal("no untestable fault in the golden's dsp sample")
+		}
+		if f = all[k*stride]; s.Generate(f).Status == Untestable {
+			break
+		}
+	}
+	Generate(dsp, f, opts) // warm-up: builds the solver the runs reuse
+	if n := testing.AllocsPerRun(20, func() { Generate(dsp, f, opts) }); n > 8 {
+		t.Fatalf("one-shot Generate of an untestable dsp fault: %.1f allocations per run, want at most 8", n)
+	}
 }

@@ -10,7 +10,7 @@ package atpg
 //
 // One change to the search: objective falls back to activating a site
 // that is still X when the D-frontier is empty. The parent backtracked
-// there, which for a multi-site fault (ExtraSites) could skip the only
+// there, which for a multi-site fault (extra sites) could skip the only
 // tests and report a testable fault untestable; single-site runs never
 // reach the fallback, so for them this is the parent's search verbatim.
 
@@ -41,8 +41,9 @@ type refPodem struct {
 }
 
 // referenceGenerate is the parent's Generate, verbatim apart from the
-// dropped obs counters and Result.Backtracks.
-func referenceGenerate(n *logic.Netlist, f fault.Fault, opts Options) Result {
+// dropped obs counters and Result.Backtracks, and from taking the extra
+// sites as an argument rather than in Options.
+func referenceGenerate(n *logic.Netlist, f fault.Fault, opts Options, extra ...logic.NetID) Result {
 	p := &refPodem{
 		n:       n,
 		vals:    make([]Value, n.NumNets()),
@@ -69,7 +70,7 @@ func referenceGenerate(n *logic.Netlist, f fault.Fault, opts Options) Result {
 		p.isFixed[net] = true
 		p.vals[net] = fromBool(v)
 	}
-	p.sites = append([]logic.NetID{f.Site}, opts.ExtraSites...)
+	p.sites = append([]logic.NetID{f.Site}, extra...)
 	for _, s := range p.sites {
 		p.siteSet[s] = true
 	}
