@@ -473,8 +473,8 @@ func BenchmarkPODEM(b *testing.B) {
 }
 
 // BenchmarkPODEMOneShot measures the same sample through the one-shot
-// atpg.Generate, a solver built per fault, as the atpg_podem bench
-// workload calls it. Every fault must end as on a reused solver, and
+// atpg.Generate, which takes an idle solver from its pool, as the
+// atpg_podem bench workload calls it. Every fault must end as on a reused solver, and
 // as internal/atpg/testdata/podem_golden.txt.gz records: its dsp lines
 // are this sample, written by the full-sweep reference engine, so a
 // fault the solver itself gets wrong fails here too.

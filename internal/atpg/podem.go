@@ -5,8 +5,8 @@
 // per scheduled gate. A Solver holds what depends on the options as
 // well as the netlist. Generate, the one-shot form, and Each, which runs
 // a fault list on every core, take their solvers from one process-wide
-// pool of idle ones, so a run pays for its fault and, once the pool
-// holds a solver for the netlist and options, not for a solver.
+// pool of idle ones: once it holds a solver for a netlist and options,
+// a run on them pays for its fault alone.
 //
 // Three consumers in this repository:
 //   - the Phase-3 "random resistant patterns" top-up, which runs PODEM on
@@ -314,12 +314,13 @@ func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
 }
 
 // Solver runs PODEM for any number of faults of one netlist under one
-// set of Options, of which it keeps a copy. The netlist carries each net's CombOrder rank and
-// topological level; what depends on the options as well — which nets
-// an assignable PI can reach, and the fault-free values implied by the
-// constants and by Options.Fixed — is computed once by NewSolver,
-// beside the state arrays and the event queue. Each Generate injects
-// its fault into that base state, searches, and undoes its own changes.
+// set of Options, of which it keeps a copy. The netlist carries each
+// net's CombOrder rank and topological level; what depends on the
+// options as well — which nets an assignable PI can reach, and the
+// fault-free values implied by the constants and by Options.Fixed — is
+// computed once by NewSolver, beside the state arrays and the event
+// queue. Each Generate injects its fault into that base state,
+// searches, and undoes its own changes.
 //
 // Implication is event-driven: a changed net puts the gates reading it
 // in the bucket of their level, one pass empties the buckets in level
