@@ -22,9 +22,7 @@ type Target struct {
 // they become available. The searches are independent, so they run on
 // min(GOMAXPROCS, len(targets)) goroutines, each with a Solver of its
 // own that claims the next unclaimed target; a result is the one
-// NewSolver(n, opts).Generate would return for the target alone. The
-// goroutines take their solvers from the pool Generate uses and put them
-// back when they stop, unless their search panicked.
+// NewSolver(n, opts).Generate would return for the target alone.
 //
 // yield returning false stops the run. So does a panic in yield or in a
 // search, which Each re-raises on the caller's goroutine. Either way no
@@ -46,11 +44,6 @@ func Each(n *logic.Netlist, opts Options, targets []Target, yield func(i int, r 
 		go func() {
 			defer wg.Done()
 			var s *Solver
-			defer func() {
-				if s != nil {
-					idle.Put(s)
-				}
-			}()
 			for {
 				select {
 				case <-quit:
@@ -64,13 +57,10 @@ func Each(n *logic.Netlist, opts Options, targets []Target, yield func(i int, r 
 				func() {
 					defer func() { o.panicked = recover() }()
 					if s == nil {
-						s = acquire(n, opts)
+						s = NewSolver(n, opts)
 					}
 					o.r = s.Generate(targets[o.i].Fault, targets[o.i].Extra...)
 				}()
-				if o.panicked != nil {
-					s = nil // possibly mid-search: not put back
-				}
 				select {
 				case out <- o:
 				case <-quit:

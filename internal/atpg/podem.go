@@ -3,10 +3,11 @@
 // bounded time-frame unrolling for sequential targets. Implication is
 // event-driven over the levels logic.Netlist computes at build, at O(1)
 // per scheduled gate. A Solver holds what depends on the options as
-// well as the netlist. Generate, the one-shot form, and Each, which runs
-// a fault list on every core, take their solvers from one process-wide
-// pool of idle ones: once it holds a solver for a netlist and options,
-// a run on them pays for its fault alone.
+// well as the netlist, so a loop over a fault list pays for it once;
+// Each runs a fault list on every core, one Solver per goroutine.
+// Generate, the one-shot form, takes its solver from a process-wide pool
+// of idle ones: once it holds a solver for a netlist and options, a call
+// on them pays for its fault alone.
 //
 // Three consumers in this repository:
 //   - the Phase-3 "random resistant patterns" top-up, which runs PODEM on
@@ -283,19 +284,26 @@ var (
 	ctrRuns         = obs.Default().Counter("podem.runs")
 )
 
-// idle holds the solvers Generate and Each have finished with. A solver
-// ends every run in its base state, and a run's Result does not depend
-// on the runs before it, so a solver taken from here answers as a fresh
-// one would.
+// pooled is an idle solver beside a deep copy of the options it was
+// built from: with the solver's netlist, the key acquire matches. The
+// copy keeps edits to the caller's slices and map from reaching the key.
+type pooled struct {
+	s    *Solver
+	opts Options
+}
+
+// idle holds the solvers Generate has finished with. A solver ends every
+// run in its base state, and a run's Result does not depend on the runs
+// before it, so a solver taken from here answers as a fresh one would.
 var idle sync.Pool
 
 // acquire takes an idle solver built for n under options equal to opts,
 // or builds one. An idle solver built for anything else is dropped.
-func acquire(n *logic.Netlist, opts Options) *Solver {
-	if s, ok := idle.Get().(*Solver); ok && s.n == n && s.opts.equal(opts) {
-		return s
+func acquire(n *logic.Netlist, opts Options) *pooled {
+	if p, ok := idle.Get().(*pooled); ok && p.s.n == n && p.opts.equal(opts) {
+		return p
 	}
-	return NewSolver(n, opts)
+	return &pooled{NewSolver(n, opts), opts.clone()}
 }
 
 // Generate runs PODEM for one stuck-at fault and returns what
@@ -305,22 +313,21 @@ func acquire(n *logic.Netlist, opts Options) *Solver {
 // "equal" compares the contents of the options, not their slice and map
 // headers. Generate is safe for concurrent use.
 func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
-	s := acquire(n, opts)
-	r := s.Generate(f)
+	p := acquire(n, opts)
+	r := p.s.Generate(f)
 	// Not deferred: a search that panics may leave its fault injected,
 	// so its solver is dropped.
-	idle.Put(s)
+	idle.Put(p)
 	return r
 }
 
 // Solver runs PODEM for any number of faults of one netlist under one
-// set of Options, of which it keeps a copy. The netlist carries each
-// net's CombOrder rank and topological level; what depends on the
-// options as well — which nets an assignable PI can reach, and the
-// fault-free values implied by the constants and by Options.Fixed — is
-// computed once by NewSolver, beside the state arrays and the event
-// queue. Each Generate injects its fault into that base state,
-// searches, and undoes its own changes.
+// set of Options. The netlist carries each net's CombOrder rank and
+// topological level; what depends on the options as well — which nets
+// an assignable PI can reach, and the fault-free values implied by the
+// constants and by Options.Fixed — is computed once by NewSolver,
+// beside the state arrays and the event queue. Each Generate injects
+// its fault into that base state, searches, and undoes its own changes.
 //
 // Implication is event-driven: a changed net puts the gates reading it
 // in the bucket of their level, one pass empties the buckets in level
@@ -333,7 +340,6 @@ func Generate(n *logic.Netlist, f fault.Fault, opts Options) Result {
 // A Solver is not safe for concurrent use.
 type Solver struct {
 	n     *logic.Netlist
-	opts  Options // the caller's, deep-copied
 	vals  []Value
 	isPI  []bool
 	isObs []bool
@@ -406,7 +412,6 @@ func NewSolver(n *logic.Netlist, opts Options) *Solver {
 	}
 	p := &Solver{
 		n:       n,
-		opts:    opts.clone(),
 		vals:    values[:nets],
 		assign:  values[nets:],
 		isPI:    flags[:nets],

@@ -122,77 +122,62 @@ func TestGenerateMatchesFreshSolver(t *testing.T) {
 	edited("shifter mode 10, Fixed edited", shifter, shOpts, shFaults, shRes)
 }
 
-// TestPanickedSolverIsDropped panics a search after it has injected its
-// fault at f.Site, with an extra site past the last net, through Each,
-// and a one-shot Generate with such a site. The solver of a panicked
-// search is not put back, so the next runs on the same netlist and
-// options, through Generate and through Each, answer as fresh solvers.
-// The half-injected site is an inverter that alone reads a net whose
-// fault is detected: left injected, it would block that fault's effect.
-// One proc keeps every solver put back where the next Get looks first.
+// TestPanickedSolverIsDropped makes a one-shot Generate on dsp take an
+// idle solver whose search panics at the end of its first implication
+// pass, with its fault injected. That solver must not go back to the
+// pool, and the next calls on the same netlist and options must answer
+// as fresh solvers. Generate passes no extra sites, so only a panic
+// inside the search can leave its solver half-injected: a site past the
+// last net panics before the solver changes. Each builds its own
+// solvers (TestEachStopsItsWorkers covers its panics). One proc keeps a
+// solver put back where the next Get looks first; under the race
+// detector Put drops some solvers, so the seeding is retried.
 func TestPanickedSolverIsDropped(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dsp, opts, faults, _, _, _, _ := poolFixture(t)
-	bad := logic.NetID(dsp.NumNets())
-	s := NewSolver(dsp, opts)
-	inv := logic.InvalidNet
-	for _, id := range dsp.CombOrder() {
-		g := dsp.Gate(id)
-		if g.Kind != logic.GateNot || len(dsp.Fanout(g.In[0])) != 1 {
-			continue
+	drain := func() []*pooled {
+		var out []*pooled
+		for x := idle.Get(); x != nil; x = idle.Get() {
+			out = append(out, x.(*pooled))
 		}
-		if f := (fault.Fault{Site: g.In[0]}); s.Generate(f).Status == Detected {
-			inv, faults = id, append(faults, f)
-			break
-		}
+		return out
 	}
-	if inv == logic.InvalidNet {
-		t.Fatal("no inverter is the only reader of a net with a detected fault")
-	}
-	want := make([]Result, len(faults))
-	targets := make([]Target, len(faults))
-	for k, f := range faults {
-		want[k] = NewSolver(dsp, opts).Generate(f)
-		targets[k] = Target{Fault: f}
-	}
-	check := func(step string, got []Result) {
-		t.Helper()
-		for k := range want {
-			if !sameResult(got[k], want[k]) {
-				t.Fatalf("%s, fault %v:\n got %+v\nwant %+v", step, faults[k], got[k], want[k])
-			}
+	seed := &pooled{NewSolver(dsp, opts), opts.clone()}
+	armed := true
+	seed.s.afterPass = func() {
+		if armed {
+			armed = false
+			panic("search interrupted")
 		}
 	}
-	viaGenerate := func() []Result {
-		got := make([]Result, len(faults))
-		for k, f := range faults {
-			got[k] = Generate(dsp, f, opts)
+	for try := 0; armed; try++ {
+		if try == 100 {
+			t.Fatal("Generate never took the seeded solver")
 		}
-		return got
-	}
-	viaEach := func() []Result {
-		got := make([]Result, len(faults))
-		Each(dsp, opts, targets, func(k int, r Result) bool { got[k] = r; return true })
-		return got
-	}
-	mustPanic := func(step string, run func()) {
-		t.Helper()
-		defer func() {
-			if _, ok := recover().(runtime.Error); !ok {
-				t.Fatalf("%s did not panic with a runtime error", step)
-			}
+		drain()
+		idle.Put(seed)
+		func() {
+			defer func() {
+				if r := recover(); r != nil && armed {
+					t.Fatalf("Generate panicked before the search: %v", r)
+				}
+			}()
+			Generate(dsp, faults[0], opts)
 		}()
-		run()
 	}
-	halfInjected := []Target{{Fault: fault.Fault{Site: inv}, Extra: []logic.NetID{bad}}}
-
-	check("Generate before any panic", viaGenerate())
-	mustPanic("Generate at a site past the last net", func() { Generate(dsp, fault.Fault{Site: bad}, opts) })
-	check("Generate after Generate panicked", viaGenerate())
-	mustPanic("Each with an extra site past the last net", func() { Each(dsp, opts, halfInjected, nil) })
-	check("Generate after Each panicked", viaGenerate())
-	mustPanic("Each with an extra site past the last net", func() { Each(dsp, opts, halfInjected, nil) })
-	check("Each after Each panicked", viaEach())
+	if !seed.s.siteSet[faults[0].Site] {
+		t.Fatal("the search panicked before injecting its fault")
+	}
+	for _, p := range drain() {
+		if p == seed {
+			t.Fatal("the solver of a panicked search was put back in the pool")
+		}
+	}
+	for _, f := range faults {
+		if got, want := Generate(dsp, f, opts), NewSolver(dsp, opts).Generate(f); !sameResult(got, want) {
+			t.Fatalf("fault %v after the panic:\n got %+v\nwant %+v", f, got, want)
+		}
+	}
 }
 
 // TestGenerateConcurrentCallers runs the one-shot Generate on four
