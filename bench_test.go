@@ -474,10 +474,11 @@ func BenchmarkPODEM(b *testing.B) {
 
 // BenchmarkPODEMOneShot measures the same sample through the one-shot
 // atpg.Generate, which takes an idle solver from its pool, as the
-// atpg_podem bench workload calls it. Every fault must end as on a reused solver, and
-// as internal/atpg/testdata/podem_golden.txt.gz records: its dsp lines
-// are this sample, written by the full-sweep reference engine, so a
-// fault the solver itself gets wrong fails here too.
+// atpg_podem bench workload calls it. Every fault must end as on a
+// reused solver, and as internal/atpg/testdata/podem_golden.txt.gz
+// records: its dsp lines are this sample, written by the full-sweep
+// reference engine, so a fault the solver itself gets wrong fails here
+// too.
 func BenchmarkPODEMOneShot(b *testing.B) {
 	n, opts, sample := podemSample(b)
 	golden := podemGoldenStatus(b)
