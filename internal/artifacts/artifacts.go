@@ -1,11 +1,12 @@
 // Package artifacts is the content-addressed cross-job artifact cache:
-// compiled evaluation programs (logic.Compiled) and fault-free machine
-// traces (logic.GoodTrace) keyed by what they were derived from — the
-// design's netlist content hash and a hash of the expanded vector
-// sequence — instead of by job or process identity. Two submissions of
-// the same (design, vector source) pair resolve to the same artifacts,
-// so the second one performs zero compiles and zero good-machine
-// cycles regardless of which job, matrix cell or queue retry asked.
+// fault-free machine traces (logic.GoodTrace) keyed by what they were
+// derived from — the design's netlist content hash and a hash of the
+// expanded vector sequence — instead of by job or process identity. Two
+// submissions of the same (design, vector source) pair resolve to the
+// same trace, so the second one performs zero good-machine cycles
+// regardless of which job, matrix cell or queue retry asked. The
+// compiled program a trace is filled with is not cached here: it is the
+// netlist's own (logic.CompiledFor).
 //
 // The store is a refcounted LRU under a byte budget. Leased entries
 // (refs > 0) are never evicted — a call may be replaying the trace —
@@ -35,22 +36,22 @@ import (
 const DefaultBudget int64 = 256 << 20
 
 // Prometheus families (see docs/OBSERVABILITY.md naming). Hits count
-// leases that found a complete trace — the full compile-and-simulate
-// skip; misses count leases that found anything less. Bytes is the
+// leases that found a complete trace — the whole good machine skipped;
+// misses count leases that found anything less. Bytes is the
 // resident size across all stores (in practice the Default one).
 var (
 	ctrHits = obs.Default().CounterFamily("sbst.artifact_hits_total",
 		"Artifact-cache leases that found a complete good-machine trace.").Counter()
 	ctrMisses = obs.Default().CounterFamily("sbst.artifact_misses_total",
-		"Artifact-cache leases that had to compile or simulate.").Counter()
+		"Artifact-cache leases that found no complete good-machine trace.").Counter()
 	gaugeBytes = obs.Default().GaugeFamily("sbst.artifact_bytes",
-		"Resident bytes of cached compiled programs and good traces.").Gauge()
+		"Resident bytes of cached good traces.").Gauge()
 )
 
 // Key addresses an artifact entry by content: the design's netlist
 // hash (designs.Design.Hash) and the vector-source hash (HashVectors
-// over the expanded sequence). Everything a compiled program and a
-// good trace depend on is a pure function of these two.
+// over the expanded sequence). Everything a good trace depends on is a
+// pure function of these two.
 type Key struct {
 	Design  string
 	Vectors string
@@ -85,9 +86,6 @@ type entry struct {
 	key  Key
 	refs int
 	use  int64 // lru tick of the last lease
-
-	prog     *logic.Compiled
-	building chan struct{} // non-nil while a leaseholder compiles
 
 	trace    *logic.GoodTrace
 	complete bool // trace recorded through its full window; immutable
@@ -135,8 +133,7 @@ type Handle struct {
 
 // Lease pins the entry for key, creating it on first use, and records
 // the hit/miss outcome: a hit means a complete trace is already
-// resident, so the leaseholder skips compilation and the good machine
-// entirely.
+// resident, so the leaseholder skips the good machine entirely.
 func (s *Store) Lease(key Key) *Handle {
 	s.mu.Lock()
 	e := s.entries[key]
@@ -167,49 +164,15 @@ func (h *Handle) Release() {
 	h.e = nil
 	s.mu.Lock()
 	e.refs--
-	if e.refs == 0 && e.prog == nil && e.trace == nil {
+	if e.refs == 0 && e.trace == nil {
 		// Nothing was ever produced under this key (the campaign failed
-		// before compiling, or the trace was refused as oversized): drop
+		// before its fill, or the trace was refused as oversized): drop
 		// the empty entry instead of letting keys accrete. An incomplete
 		// trace prefix is kept — a retry resumes its fill.
 		delete(s.entries, e.key)
 	}
 	s.evictLocked()
 	s.mu.Unlock()
-}
-
-// Program returns the cached compiled program, building it via build
-// on first use. Concurrent leaseholders share one build: the first
-// caller compiles, the rest wait on it.
-func (h *Handle) Program(build func() *logic.Compiled) *logic.Compiled {
-	s, e := h.s, h.e
-	for {
-		s.mu.Lock()
-		if e.prog != nil {
-			p := e.prog
-			s.mu.Unlock()
-			return p
-		}
-		if e.building != nil {
-			ch := e.building
-			s.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		e.building = ch
-		s.mu.Unlock()
-
-		p := build()
-
-		s.mu.Lock()
-		e.prog = p
-		e.building = nil
-		s.addBytesLocked(e, p.SizeBytes())
-		s.mu.Unlock()
-		close(ch)
-		return p
-	}
 }
 
 // Trace returns the shared good trace for the entry, filling it on
@@ -278,7 +241,7 @@ func (s *Store) evictLocked() {
 	for s.bytes > s.budget {
 		var victim *entry
 		for _, e := range s.entries {
-			if e.refs > 0 || e.filling || e.building != nil {
+			if e.refs > 0 || e.filling {
 				continue
 			}
 			if victim == nil || e.use < victim.use {

@@ -35,7 +35,7 @@ func TestArtifactTraceBytesFollowRowWidth(t *testing.T) {
 	rowWords := (prog.TraceBits() + 63) / 64
 	frontierWords := (len(d.Netlist.DFFs()) + 63) / 64
 	want := int64(cycles*rowWords+frontierWords) * 8
-	if got := store.Bytes() - prog.SizeBytes(); got != want {
+	if got := store.Bytes(); got != want {
 		t.Fatalf("trace accounts %d bytes, want %d (%d cycles × %d words + frontier)", got, want, cycles, rowWords)
 	}
 	if netWide := int64(cycles*((prog.Netlist().NumNets()+63)/64)) * 8; want*2 > netWide {

@@ -53,25 +53,18 @@ type SimOptions struct {
 	// the fraction of the call's windows audited. It stays because the
 	// benchmark sets it here.
 	ShadowSample float64
-	// DiagDir, when non-empty, receives a JSON diagnostic bundle per
-	// kernel divergence (the divergent window's segment, batch and lane
-	// word, and its disagreeing lanes). Divergences are always reported
-	// through the Sink and counters regardless.
-	DiagDir string
 	// DesignHash, when non-empty, enables the cross-job artifact cache:
-	// the compiled program and the fault-free good trace are resolved
-	// from (and published to) the artifact store under
-	// (DesignHash, hash of the expanded vectors), so a repeated
-	// submission of the same design and vector source performs zero
-	// compiles and zero good-machine cycles. Use designs.Design.Hash —
-	// the caller owns the guarantee that the hash matches the netlist.
+	// the fault-free good trace is resolved from (and published to) the
+	// artifact store under (DesignHash, hash of the expanded vectors), so
+	// a repeated submission of the same design and vector source performs
+	// zero good-machine cycles. Use designs.Design.Hash — the caller owns
+	// the guarantee that the hash matches the netlist.
 	DesignHash string
 	// Artifacts overrides the process-wide artifact store; nil selects
 	// artifacts.Default(). Tests and benchmarks inject private stores.
 	Artifacts *artifacts.Store
 	// NoArtifacts disables artifact resolution even with a DesignHash
-	// set — the cold path, for benchmarks that price compilation and
-	// the good machine.
+	// set — the cold path, for benchmarks that price the good machine.
 	NoArtifacts bool
 }
 
@@ -88,8 +81,8 @@ func Simulate(n *logic.Netlist, vecs fault.VectorSeq, opts SimOptions) (*fault.R
 	}
 	start := time.Now()
 	// Artifact resolution (no-op without a DesignHash): shares the
-	// compiled program and the completed good trace across jobs keyed by
-	// content, and holds the store lease until the call is done.
+	// completed good trace across jobs keyed by content, and holds the
+	// store lease until the call is done.
 	release := resolveArtifacts(n, vecs, &opts)
 	defer release()
 	sim := opts.SimOptions
@@ -100,7 +93,7 @@ func Simulate(n *logic.Netlist, vecs fault.VectorSeq, opts SimOptions) (*fault.R
 	res, err := supervise(n, vecs, sim)
 	var div *fault.DivergenceError
 	if errors.As(err, &div) {
-		res, err = quarantine(n, vecs, opts, sim, div)
+		res, err = quarantine(n, vecs, sim, div)
 	}
 	if err != nil {
 		return nil, err

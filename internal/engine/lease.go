@@ -297,22 +297,29 @@ func (p *LeasePool) Register(jobID string, spec api.JobSpec, totalFaults, units 
 // updateUnitGaugesLocked refreshes the pool's unit-state gauges.
 // Caller holds p.mu.
 func (p *LeasePool) updateUnitGaugesLocked() {
-	var pending, leased, done float64
+	c := p.countsLocked()
+	gaugeUnitsPending.Set(float64(c.Pending))
+	gaugeUnitsLeased.Set(float64(c.Leased))
+	gaugeUnitsDone.Set(float64(c.Done))
+}
+
+// countsLocked counts the registered jobs' units by state. Caller holds
+// p.mu.
+func (p *LeasePool) countsLocked() api.LeaseCounts {
+	var c api.LeaseCounts
 	for _, j := range p.jobs {
 		for _, u := range j.units {
 			switch u.state {
 			case unitPending:
-				pending++
+				c.Pending++
 			case unitLeased:
-				leased++
+				c.Leased++
 			case unitDone:
-				done++
+				c.Done++
 			}
 		}
 	}
-	gaugeUnitsPending.Set(pending)
-	gaugeUnitsLeased.Set(leased)
-	gaugeUnitsDone.Set(done)
+	return c
 }
 
 // publishLease emits a lease-typed JobEvent on the shared broker
@@ -655,7 +662,7 @@ func (p *LeasePool) requeueLocked(j *distJob, u *poolUnit, event, reason string)
 		}
 		event = "unit_exhausted"
 	} else {
-		u.notBefore = p.opts.now().Add(p.unitBackoffLocked(u.attempts))
+		u.notBefore = p.opts.now().Add(backoff(p.opts.RetryBase, p.opts.RetryMax, u.attempts, p.rng))
 	}
 	p.updateUnitGaugesLocked()
 	obs.Emit(p.opts.Sink, obs.Event{
@@ -670,20 +677,6 @@ func (p *LeasePool) requeueLocked(j *distJob, u *poolUnit, event, reason string)
 	p.publishLease(j, api.LeaseEvent{
 		Event: event, Unit: u.wire.Unit, UnitEnd: u.wire.UnitEnd, Attempt: u.attempts, Reason: reason,
 	})
-}
-
-// unitBackoffLocked is the queue's retry formula applied to units:
-// RetryBase doubled per spent attempt, capped at RetryMax, jitter from
-// the upper half of the window. Caller holds p.mu (for the rng).
-func (p *LeasePool) unitBackoffLocked(attempts int) time.Duration {
-	d := p.opts.RetryBase
-	for i := 1; i < attempts && d < p.opts.RetryMax; i++ {
-		d *= 2
-	}
-	if d > p.opts.RetryMax {
-		d = p.opts.RetryMax
-	}
-	return d/2 + time.Duration(p.rng.Int63n(int64(d)/2+1))
 }
 
 // scanner expires leases whose workers stopped heartbeating: every
@@ -758,20 +751,7 @@ func (p *LeasePool) jobProgressLocked(j *distJob) (api.Progress, func(api.Progre
 func (p *LeasePool) Counts() api.LeaseCounts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var c api.LeaseCounts
-	for _, j := range p.jobs {
-		for _, u := range j.units {
-			switch u.state {
-			case unitPending:
-				c.Pending++
-			case unitLeased:
-				c.Leased++
-			case unitDone:
-				c.Done++
-			}
-		}
-	}
-	return c
+	return p.countsLocked()
 }
 
 // SnapshotJob renders a job's distribution state for the HTTP surface

@@ -752,7 +752,7 @@ func (q *Queue) run(id string) {
 // scheduleRetryLocked arms the backoff timer for a requeued job. Caller
 // holds q.mu.
 func (q *Queue) scheduleRetryLocked(id string, attempts int) {
-	delay := q.retryDelayLocked(attempts)
+	delay := backoff(q.opts.RetryBase, q.opts.RetryMax, attempts, q.rng)
 	ctrQueueRetries.Add(1)
 	obs.Emit(q.opts.Sink, obs.Event{
 		Type: obs.EventPhase,
@@ -766,19 +766,19 @@ func (q *Queue) scheduleRetryLocked(id string, attempts int) {
 	q.timers[id] = time.AfterFunc(delay, func() { q.requeue(id) })
 }
 
-// retryDelayLocked computes attempt N's backoff: RetryBase doubled per
-// prior attempt, capped at RetryMax, with jitter drawn from the upper
-// half of the window so synchronized failures fan out. Caller holds
-// q.mu (for the rng).
-func (q *Queue) retryDelayLocked(attempts int) time.Duration {
-	d := q.opts.RetryBase
-	for i := 1; i < attempts && d < q.opts.RetryMax; i++ {
+// backoff is the retry formula of the queue's jobs and the lease pool's
+// units: base doubled per prior attempt, capped at ceiling, with jitter
+// drawn from rng in the upper half of the window so synchronized
+// failures fan out. The caller holds the lock that guards rng.
+func backoff(base, ceiling time.Duration, attempts int, rng *rand.Rand) time.Duration {
+	d := base
+	for i := 1; i < attempts && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > q.opts.RetryMax {
-		d = q.opts.RetryMax
+	if d > ceiling {
+		d = ceiling
 	}
-	return d/2 + time.Duration(q.rng.Int63n(int64(d)/2+1))
+	return d/2 + time.Duration(rng.Int63n(int64(d)/2+1))
 }
 
 // requeue moves a backoff-expired job back into the work channel. If

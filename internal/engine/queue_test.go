@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,5 +236,28 @@ func TestQueueForcedDrainRequeuesRunning(t *testing.T) {
 	}
 	if got.Attempts != 0 {
 		t.Fatalf("interrupted job consumed %d attempts, want 0", got.Attempts)
+	}
+}
+
+// TestBackoffWindow holds the retry formula shared by the queue's jobs
+// and the lease pool's units to its window at both callers' defaults:
+// attempt a waits between d/2 and d, d = min(base·2^(a−1), max).
+func TestBackoffWindow(t *testing.T) {
+	for _, c := range []struct {
+		caller    string
+		base, max time.Duration
+	}{
+		{"queue", 50 * time.Millisecond, 5 * time.Second},
+		{"lease pool", 100 * time.Millisecond, 5 * time.Second},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		for a := 1; a <= 8; a++ {
+			d := min(c.base<<(a-1), c.max)
+			for draw := 0; draw < 50; draw++ {
+				if got := backoff(c.base, c.max, a, rng); got < d/2 || got > d {
+					t.Fatalf("%s attempt %d: backoff %v outside [%v, %v]", c.caller, a, got, d/2, d)
+				}
+			}
+		}
 	}
 }

@@ -67,9 +67,10 @@ func TestShadowCleanRunMatchesReference(t *testing.T) {
 
 // TestShadowCatchesCorruptedKernel is the core cross-checking
 // guarantee: with chaos corrupting compiled-kernel batch words, the
-// full-sample shadow check must detect the divergence, quarantine the
-// compiled kernel for the shard, and fall back to the reference kernel
-// so the merged result is still bit-identical to the oracle.
+// full-sample shadow check must detect the divergence, report it with
+// its disagreeing lanes to the Sink, quarantine the compiled kernel for
+// the call, and fall back to the reference kernel so the result is still
+// bit-identical to the oracle.
 func TestShadowCatchesCorruptedKernel(t *testing.T) {
 	core, faults := testCore(t)
 	if len(faults) > 800 {
@@ -81,12 +82,11 @@ func TestShadowCatchesCorruptedKernel(t *testing.T) {
 	armChaos(t, "logic.eventsim.diff=corrupt:times=100", 42)
 	divBefore := counter("kernel.divergence")
 	injBefore := counter("chaos.injected")
-	diagDir := t.TempDir()
+	sink := &captureSink{}
 	res, err := Simulate(core.Netlist, vecs, SimOptions{
-		SimOptions:   fault.SimOptions{Faults: faults},
+		SimOptions:   fault.SimOptions{Faults: faults, Sink: sink},
 		Workers:      2,
 		ShadowSample: 1,
-		DiagDir:      diagDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +96,19 @@ func TestShadowCatchesCorruptedKernel(t *testing.T) {
 	}
 	if got := counter("kernel.divergence") - divBefore; got < 1 {
 		t.Fatal("corrupted kernel batches produced no recorded divergence")
+	}
+	divEvents := 0
+	for _, ev := range sink.events {
+		if ev.Fields["event"] != "kernel.divergence" {
+			continue
+		}
+		divEvents++
+		if lanes, _ := ev.Fields["lanes"].([]string); len(lanes) == 0 {
+			t.Fatalf("kernel.divergence event carries no lanes: %v", ev.Fields)
+		}
+	}
+	if divEvents == 0 {
+		t.Fatal("the Sink saw no kernel.divergence event")
 	}
 	if !reflect.DeepEqual(res.DetectedAt, want.DetectedAt) {
 		t.Fatal("result after quarantine fallback diverges from reference oracle")

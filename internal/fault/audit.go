@@ -48,14 +48,14 @@ const defaultShadowSample = 0.001
 // start cycle), Batch and Word locate the first divergent window in
 // (segment, batch, word) order.
 type DivergenceError struct {
-	Segment int `json:"segment"`
-	Batch   int `json:"batch"`
-	Word    int `json:"word"`
+	Segment int
+	Batch   int
+	Word    int
 	// Lanes describes each disagreeing lane of that window.
-	Lanes []string `json:"lanes"`
+	Lanes []string
 	// Divergent counts the windows that disagreed, of Audited audited.
-	Divergent int `json:"divergent"`
-	Audited   int `json:"audited"`
+	Divergent int
+	Audited   int
 }
 
 func (e *DivergenceError) Error() string {

@@ -40,10 +40,7 @@ import (
 // replayer otherwise. A run of a model other than stuck-at (r.faults
 // nil) is quiet: it moves no counter and fires no chaos point.
 func simulateSegments(n *logic.Netlist, vecs VectorSeq, opts SimOptions, r *simRun, m laneModel) (*Result, error) {
-	c := opts.Program
-	if c == nil {
-		c = logic.CompiledFor(n)
-	}
+	c := logic.CompiledFor(n)
 	quiet := r.faults == nil
 	lw, kernelEvals := 1, ctrGateEvalsRef
 	if m == nil {
@@ -657,10 +654,11 @@ func autoLaneWords(faults int) int {
 
 // FillGoodTrace records the fault-free machine's trace for vecs into
 // trace through cycle end (clamped to the sequence length), resuming
-// from whatever prefix is already recorded. The engine uses it to
-// complete a shared artifact trace once, before the call starts — after
-// which every run on the same (design, vectors) pair replays with zero
-// good-machine cycles.
+// from whatever prefix is already recorded, by running prog, a program
+// for n (nil selects logic.CompiledFor(n), the netlist's own). The
+// engine uses it to complete a shared artifact trace once, before the
+// call starts — after which every run on the same (design, vectors)
+// pair replays with zero good-machine cycles.
 func FillGoodTrace(n *logic.Netlist, prog *logic.Compiled, vecs VectorSeq, trace *logic.GoodTrace, end int) {
 	if end > vecs.Len() {
 		end = vecs.Len()

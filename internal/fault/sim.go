@@ -134,13 +134,10 @@ type SimOptions struct {
 	// list size; values clamp to [1, logic.MaxLaneWords]. Results are
 	// bit-identical at every width; the reference kernel ignores it.
 	LaneWords int
-	// Program, when non-nil, is a pre-compiled program for the netlist —
-	// the content-addressed artifact reuse path (internal/artifacts).
-	// Nil compiles on demand via logic.CompiledFor's per-netlist memo.
-	Program *logic.Compiled
 	// Trace, when non-nil, is a complete good-machine trace for exactly
 	// this (netlist, vector sequence) pair: every cycle of the sequence
-	// recorded, addressed by absolute cycle (see FillGoodTrace). The run
+	// recorded, addressed by absolute cycle (see FillGoodTrace) — the
+	// artifact store's shared trace (internal/artifacts). The run
 	// replays it read-only and simulates no fault-free cycle, so one
 	// trace is safe to share across concurrent runs. Simulate rejects a
 	// trace that records fewer cycles than the sequence has. The caller
@@ -338,10 +335,9 @@ func Simulate(n *logic.Netlist, vecs VectorSeq, opts SimOptions) (*Result, error
 	r := newSimRun(n, vecs, opts, (len(n.DFFs())+63)/64)
 	var m laneModel
 	if opts.Kernel == KernelReference {
-		// The oracle fills its own trace with its own program, so the
-		// engine's quarantine re-run reads none of the artifacts it falls
-		// back from.
-		opts.Trace, opts.Program = nil, nil
+		// The oracle fills its own trace, so the engine's quarantine
+		// re-run reads none of the artifacts it falls back from.
+		opts.Trace = nil
 		m = stuckAt(r.faults)
 	}
 	return simulateSegments(n, vecs, opts, r, m)

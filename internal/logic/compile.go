@@ -1,7 +1,5 @@
 package logic
 
-import "sync"
-
 // compile.go flattens a levelized Netlist into a compact evaluation
 // program so simulation kernels can run without chasing Gate structs or
 // variable-length In slices. The program is a struct-of-arrays
@@ -365,18 +363,6 @@ func (c *Compiled) buildFill() {
 // but the elided buffers, whose bit is their source's.
 func (c *Compiled) TraceBits() int { return c.fill.bits }
 
-// SizeBytes estimates the program's resident size, for artifact-cache
-// byte budgeting: the instruction stream plus the per-net metadata
-// tables and the buffer-free fill program (the netlist itself is
-// accounted by its own owner).
-func (c *Compiled) SizeBytes() int64 {
-	perInstr := int64(1 + 4*4) // code + dst/a0/a1/a2
-	perNet := int64(8 * 4)     // int32 tables, fill.slot among them
-	fan := int64(len(c.foList)) * 4
-	return int64(len(c.code)+len(c.fill.code))*perInstr + int64(c.numNets)*perNet + fan +
-		int64(len(c.schedule)+len(c.blockOff)+len(c.dNet))*4
-}
-
 // emitNet appends the instruction chain computing net id.
 func (c *Compiled) emitNet(id NetID) {
 	g := &c.n.gates[id]
@@ -424,19 +410,20 @@ func (c *Compiled) emit(op opcode, dst, a0, a1, a2 int32) {
 	c.a2 = append(c.a2, a2)
 }
 
-// compileCache memoizes Compile per Netlist so every simulator sharing a
-// circuit — the campaign engine spawns one per shard — reuses one
-// program. Netlists are immutable after Build, so identity keying is
-// sound; a rare duplicate Compile under contention is only wasted work.
-var compileCache sync.Map // *Netlist -> *Compiled
-
-// CompiledFor returns the (cached) evaluation program for n.
+// CompiledFor returns n's evaluation program, compiling it on first
+// use. The program is kept on the netlist, so every simulator sharing a
+// circuit reuses one program and it is freed with its netlist. Netlists
+// are immutable after Build; a rare duplicate Compile under contention
+// is only wasted work.
 func CompiledFor(n *Netlist) *Compiled {
-	if c, ok := compileCache.Load(n); ok {
-		return c.(*Compiled)
+	if c := n.compiled.Load(); c != nil {
+		return c
 	}
-	c, _ := compileCache.LoadOrStore(n, Compile(n))
-	return c.(*Compiled)
+	c := Compile(n)
+	if !n.compiled.CompareAndSwap(nil, c) {
+		return n.compiled.Load()
+	}
+	return c
 }
 
 // Netlist returns the compiled circuit.

@@ -14,7 +14,10 @@
 // combinational frame, samples primary outputs and then clocks every DFF.
 package logic
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // NetID identifies a single-bit net within one Netlist. IDs are dense,
 // starting at 0, in creation order (which is also a valid topological
@@ -129,6 +132,10 @@ type Netlist struct {
 	regions map[string][]NetID
 	// regionOrder preserves scope creation order for deterministic output.
 	regionOrder []string
+
+	// compiled is the netlist's evaluation program, set once by
+	// CompiledFor.
+	compiled atomic.Pointer[Compiled]
 }
 
 // NumNets returns the total number of nets (one per gate).
