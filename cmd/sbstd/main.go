@@ -12,7 +12,7 @@
 // The API is served under /v1 only — the historical unversioned routes
 // answer 404 with a Link header to their successor.
 //
-//	sbstd -addr :8321 -checkpoint campaigns.json
+//	sbstd -addr :8321 -journal campaigns.wal
 //
 //	curl -X POST localhost:8321/v1/jobs \
 //	     -d '{"kind":"fault_sim","vectors":{"kind":"bist","count":20000}}'
@@ -42,24 +42,21 @@
 // With -journal the queue's state is one log: a snapshot of every job
 // followed by a record of every transition since, compacted in the
 // background and salvaged from its .prev generation if its snapshot is
-// damaged. Without it, -checkpoint names a snapshot file rewritten
-// after every finished job.
-//
-//	sbstd -addr :8321 -journal campaigns.wal
+// damaged. Without it the queue lives in memory alone. A snapshot file
+// an older build wrote with -checkpoint is such a log and opens with
+// -journal.
 //
 // SIGTERM/SIGINT drains gracefully: submissions get 503, running jobs
 // finish (until -drain-timeout, after which they stop at the next
 // segment boundary and return to the queue), and a final snapshot
-// captures every job so a restart with the same -journal (or
-// -checkpoint) resumes the campaign. The NDJSON trace buffer is
-// flushed the moment the drain begins, so a process killed mid-drain
-// has persisted its tail events.
+// captures every job so a restart with the same -journal resumes the
+// campaign. The NDJSON trace buffer is flushed the moment the drain
+// begins, so a process killed mid-drain has persisted its tail events.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -80,7 +77,6 @@ func main() {
 	queueWorkers := flag.Int("queue-workers", 2, "concurrent job executors")
 	maxPending := flag.Int("max-pending", 64, "bounded pending-job buffer")
 	maxAttempts := flag.Int("max-attempts", 2, "attempts per job before a retryable failure fails it")
-	checkpoint := flag.String("checkpoint", "", "snapshot file of a queue run without -journal")
 	journalPath := flag.String("journal", "", "the queue's log: snapshots and every transition")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "forced-stop deadline after SIGTERM")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-time bound (0 = none; spec deadline_sec can tighten)")
@@ -174,7 +170,6 @@ func main() {
 		MaxPending:   *maxPending,
 		MaxAttempts:  *maxAttempts,
 		Exec:         exec,
-		Checkpoint:   *checkpoint,
 		Sink:         rt.Sink(),
 		JobTimeout:   *jobTimeout,
 		StuckTimeout: *stuckTimeout,
@@ -182,32 +177,18 @@ func main() {
 		Events:       events,
 		Journal:      journal,
 	})
-	if *checkpoint != "" || journal != nil {
-		switch err := q.Recover(*checkpoint, journalRecs); {
-		case err == nil:
-			resumed := 0
-			for _, j := range q.Jobs() {
-				if j.State == engine.JobQueued {
-					resumed++
-				}
+	if err := q.Recover("", journalRecs); err != nil {
+		fail(rt, err)
+	}
+	if len(journalRecs) > 0 {
+		resumed := 0
+		for _, j := range q.Jobs() {
+			if j.State == engine.JobQueued {
+				resumed++
 			}
-			if len(q.Jobs()) > 0 || len(journalRecs) > 0 {
-				src := *checkpoint
-				if journal != nil {
-					src = *journalPath
-				}
-				fmt.Fprintf(os.Stderr, "sbstd: recovered %d jobs (%d resumable, %d log records) from %s\n",
-					len(q.Jobs()), resumed, len(journalRecs), src)
-			}
-		case errors.Is(err, engine.ErrCheckpointCorrupt):
-			// Neither generation of the snapshot file was loadable.
-			// Starting an empty campaign is the graceful option — the
-			// corrupt files stay on disk for post-mortem until the next
-			// successful write rotates them out.
-			fmt.Fprintf(os.Stderr, "sbstd: warning: %v; starting fresh\n", err)
-		default:
-			fail(rt, err)
 		}
+		fmt.Fprintf(os.Stderr, "sbstd: recovered %d jobs (%d resumable, %d log records) from %s\n",
+			len(q.Jobs()), resumed, len(journalRecs), *journalPath)
 	}
 	q.Start()
 

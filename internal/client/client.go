@@ -112,28 +112,25 @@ func (c *Client) Job(ctx context.Context, id string) (*api.Job, error) {
 	return &j, nil
 }
 
-// ListOptions filter and page a ListJobs walk.
+// ListOptions filter a ListJobs walk.
 type ListOptions struct {
 	// Kind/State, when non-zero, restrict the listing server-side.
 	Kind  api.JobKind
 	State api.JobState
-	// PageSize is the per-request limit (default 50).
-	PageSize int
 }
+
+// listLimit is the limit of one ListJobs request.
+const listLimit = 50
 
 // ListJobs walks the job listing page by page (GET /v1/jobs with
 // cursor pagination), calling fn for each job in submission order.
 // Return false from fn to stop early. One coordinator round-trip per
-// PageSize jobs.
+// listLimit jobs.
 func (c *Client) ListJobs(ctx context.Context, opts ListOptions, fn func(api.Job) bool) error {
-	size := opts.PageSize
-	if size <= 0 {
-		size = 50
-	}
 	after := ""
 	for {
 		q := url.Values{}
-		q.Set("limit", strconv.Itoa(size))
+		q.Set("limit", strconv.Itoa(listLimit))
 		if after != "" {
 			q.Set("after", after)
 		}

@@ -27,9 +27,9 @@ import (
 //   - 50 corrupted compiled-kernel batch words (logic.eventsim.diff) →
 //     the full-sample shadow check detects the divergence and falls
 //     back to the reference kernel,
-//   - a torn checkpoint write (engine.checkpoint.write shortwrite on
-//     the drain-time checkpoint) → Recover salvages the previous
-//     generation.
+//   - a torn compaction (engine.checkpoint.write shortwrite on the
+//     drain-time compaction of the queue's journal) → recovery
+//     salvages the previous generation.
 //
 // Despite all of it the campaign completes with DetectedAt and
 // Coverage bit-identical to the clean reference oracle, and every
@@ -53,7 +53,7 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 	spec := "engine.exec=delay:delay=4s:times=1," +
 		"engine.shard=panic:times=1," +
 		"logic.eventsim.diff=corrupt:times=50," +
-		"engine.checkpoint.write=shortwrite:after=1:times=1"
+		"engine.checkpoint.write=shortwrite:times=1"
 	armChaos(t, spec, seed)
 
 	before := map[string]int64{}
@@ -101,13 +101,17 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 		}, nil
 	}
 
-	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := NewQueue(QueueOptions{
 		Workers:      1,
 		MaxAttempts:  4,
 		RetryBase:    2 * time.Millisecond,
 		StuckTimeout: time.Second,
-		Checkpoint:   ckpt,
+		Journal:      j,
 		Exec:         exec,
 	})
 	q.Start()
@@ -154,17 +158,20 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 		t.Error("queue.watchdog_trips never advanced: stall was not detected")
 	}
 
-	// The drain-time checkpoint was torn; restoring salvages the clean
+	// The drain-time compaction was torn; recovery salvages the clean
 	// previous generation and the completed result survives.
-	q2 := NewQueue(QueueOptions{Exec: exec})
-	if err := q2.Recover(ckpt, nil); err != nil {
-		t.Fatalf("restore after torn final checkpoint: %v", err)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := recoverLog(path)
+	if err != nil {
+		t.Fatalf("recovery after a torn final compaction: %v", err)
 	}
 	if d := delta("queue.checkpoint_salvaged"); d != 1 {
 		t.Errorf("queue.checkpoint_salvaged advanced by %d, want 1", d)
 	}
-	rj, ok := q2.Get(job.ID)
-	if !ok || rj.State != JobCompleted || rj.Result == nil || rj.Result.Coverage != want.Coverage() {
-		t.Fatalf("salvaged job %+v does not carry the completed result", rj)
+	if len(jobs) != 1 || jobs[0].ID != job.ID || jobs[0].State != JobCompleted ||
+		jobs[0].Result == nil || jobs[0].Result.Coverage != want.Coverage() {
+		t.Fatalf("salvaged jobs %+v do not carry the completed result", jobs)
 	}
 }

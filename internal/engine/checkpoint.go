@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"time"
 
 	"repro/internal/api"
@@ -13,7 +10,7 @@ import (
 )
 
 var (
-	ctrCheckpointWrites   = obs.Default().CounterFamily("sbst_checkpoint_writes_total", "Queue compactions: snapshot runs written (journal compactions, drains, and every finish of a journal-less queue).").Counter()
+	ctrCheckpointWrites   = obs.Default().CounterFamily("sbst_checkpoint_writes_total", "Queue compactions: snapshot runs written to the journal (size-triggered compactions, drains, and finishes after the journal failed).").Counter()
 	ctrCheckpointErrors   = obs.Default().CounterFamily("sbst_checkpoint_errors_total", "Queue compactions that failed.").Counter()
 	gaugeCheckpointBytes  = obs.Default().GaugeFamily("sbst_checkpoint_bytes", "Size of the last snapshot run written.").Gauge()
 	histCheckpointSeconds = obs.Default().HistogramFamily("sbst_checkpoint_seconds", "Wall time of one compaction.", obs.DefBuckets).Histogram()
@@ -42,15 +39,15 @@ const (
 	stepFinish   = "finish"   // a job's synced finish record appended
 )
 
-// Checkpoint compacts the queue's log (see journal.go). A queue without
-// a Journal writes the snapshot run alone to QueueOptions.Checkpoint; a
-// queue with neither is a no-op. It is single-flight — the compactor,
-// Drain and direct callers share one mutex — because a mark is an
-// offset into the log before the swap, and two interleaved sequences
-// could rename the older snapshot into place last: either way
-// acknowledged finishes would drop out of the recoverable state.
+// Checkpoint compacts the queue's log (see journal.go); on a queue
+// without a Journal, which keeps no durable state, it is a no-op. It is
+// single-flight — the compactor, Drain and direct callers share one
+// mutex — because a mark is an offset into the log before the swap, and
+// two interleaved sequences could rename the older snapshot into place
+// last: either way acknowledged finishes would drop out of the
+// recoverable state.
 func (q *Queue) Checkpoint() error {
-	if q.opts.Journal == nil && q.opts.Checkpoint == "" {
+	if q.opts.Journal == nil {
 		return nil
 	}
 	q.compactMu.Lock()
@@ -119,42 +116,27 @@ func (q *Queue) compact() (int, error) {
 		return 0, err
 	}
 	q.hook(stepSnapshot, "")
-	path := q.opts.Checkpoint
-	if j != nil {
-		path = j.path
-	}
 	// Chaos point: a compaction that fails outright (error), or whose
 	// rename lands with its data torn (shortwrite: the live slot holds
-	// half the run after the old log rotated to .prev, where a journal
+	// half the run after the old log rotated to .prev, where the journal
 	// appends on and recovery salvages it).
 	if f := chaos.Maybe("engine.checkpoint.write"); f != nil {
 		if ierr := f.Err(); ierr != nil {
 			return 0, fmt.Errorf("engine: write log: %w", ierr)
 		}
 		if torn, ok := f.ShortWrite(run); ok {
-			if j == nil {
-				tearLog(path, path, torn)
-			} else {
-				j.mu.Lock()
-				j.cur = tearLog(path, j.cur, torn)
-				j.mu.Unlock()
-			}
+			j.mu.Lock()
+			j.cur = tearLog(j.path, j.cur, torn)
+			j.mu.Unlock()
 			return len(run), nil
 		}
 	}
-	tmp, err := createTemp(path, run)
+	tmp, err := createTemp(j.path, run)
 	if err != nil {
 		return 0, err
 	}
 	q.hook(stepWritten, "")
-	hook := func(step string) { q.hook(step, "") }
-	if j != nil {
-		return len(run), j.compact(tmp, mark, int64(len(run)), hook)
-	}
-	if err := installLog(tmp, path, path, hook); err != nil {
-		return 0, err
-	}
-	return len(run), tmp.Close()
+	return len(run), j.compact(tmp, mark, int64(len(run)), func(step string) { q.hook(step, "") })
 }
 
 // snapshotRun encodes the queue state as a snapshot run: the head with
@@ -192,29 +174,10 @@ func (q *Queue) snapshotRun() ([]byte, error) {
 	return run, nil
 }
 
-// Recover installs a log into a fresh queue before Start, re-enqueueing
-// every non-terminal job: the records OpenJournal returned, after, for
-// a queue without a Journal, the snapshot file at path. A missing file
-// is a first boot; a damaged one is salvaged from .prev, and with no
-// intact generation Recover fails with ErrCheckpointCorrupt. A file at
-// path beside a Journal is refused: an older build split that state
-// between two files, and neither half alone is the queue.
+// Recover installs the records OpenJournal returned into a fresh queue
+// before Start, re-enqueueing every non-terminal job. path is ignored:
+// the journal's log is the queue's whole state.
 func (q *Queue) Recover(path string, recs []JournalRecord) error {
-	if path != "" && q.opts.Journal != nil {
-		if _, err := os.Stat(path); err == nil {
-			return fmt.Errorf("engine: %s is a snapshot file of a queue run without a journal; this queue's state is its log %s, so move one of the two away",
-				path, q.opts.Journal.path)
-		}
-	} else if path != "" {
-		img, err := loadLog(path)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-		case err != nil:
-			return err
-		default:
-			recs = append(img.recs, recs...)
-		}
-	}
 	q.mu.Lock()
 	if q.started || len(q.jobs) > 0 {
 		q.mu.Unlock()

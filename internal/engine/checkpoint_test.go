@@ -68,11 +68,16 @@ func fixedQueue(t *testing.T, opts QueueOptions) *Queue {
 // TestCheckpointRunGolden pins the log's bytes: the snapshot run a
 // compaction writes for fixedQueue's state, with a ga_search job's
 // generations and the jobs' SSE numbers, and the same bytes again after
-// a Recover of that file and a compaction of the recovered queue.
+// the log is reopened, recovered and compacted.
 func TestCheckpointRunGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "snapshot_run.golden")
-	path := filepath.Join(t.TempDir(), "ckpt.log")
-	q := fixedQueue(t, QueueOptions{Checkpoint: path, Events: NewJobEventBroker()})
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	q := fixedQueue(t, QueueOptions{Journal: j, Events: NewJobEventBroker()})
 	ga, err := q.Submit(JobSpec{Kind: JobGaSearch, Ga: &api.GaSpec{
 		Population: 2, Generations: 4, Seed: 3, Slots: 4, Iterations: 10}})
 	if err != nil {
@@ -99,12 +104,17 @@ func TestCheckpointRunGolden(t *testing.T) {
 		t.Errorf("snapshot run drifted from %s:\ngot:\n%q\nwant:\n%q", golden, got, want)
 	}
 
-	again := filepath.Join(t.TempDir(), "again.log")
-	q2 := NewQueue(QueueOptions{Checkpoint: again, Events: NewJobEventBroker(),
-		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
-			return &JobResult{}, nil
-		}})
-	if err := q2.Recover(golden, nil); err != nil {
+	again := filepath.Join(t.TempDir(), "again.wal")
+	if err := os.WriteFile(again, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, recs, err := OpenJournal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	q2 := NewQueue(QueueOptions{Journal: j2, Events: NewJobEventBroker(), Exec: instantExec})
+	if err := q2.Recover("", recs); err != nil {
 		t.Fatal(err)
 	}
 	// A requeued job's spent attempts survive the round trip, so retry
@@ -137,10 +147,10 @@ func TestCheckpointRunGolden(t *testing.T) {
 }
 
 // TestCheckpointResume is the restart story: drain a queue with work
-// still pending, restore the checkpoint into a fresh queue, and watch
-// the pending job run to completion while finished results survive.
+// still pending, reopen its log into a fresh queue, and watch the
+// pending job run to completion while finished results survive.
 func TestCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(t.TempDir(), "journal.wal")
 	release := make(chan struct{})
 	exec := func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		if spec.Vectors.Count == 200 {
@@ -156,7 +166,11 @@ func TestCheckpointResume(t *testing.T) {
 		return &JobResult{Coverage: 0.5, Cycles: spec.Vectors.Count}, nil
 	}
 
-	q1 := NewQueue(QueueOptions{Workers: 1, Checkpoint: path, Exec: exec})
+	j1, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := NewQueue(QueueOptions{Workers: 1, Journal: j1, Exec: exec})
 	q1.Start()
 	first, _ := q1.Submit(specN(100))
 	waitState(t, q1, first.ID, JobCompleted)
@@ -170,10 +184,18 @@ func TestCheckpointResume(t *testing.T) {
 	if j, _ := q1.Get(second.ID); j.State != JobQueued {
 		t.Fatalf("interrupted job state %s, want queued", j.State)
 	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	close(release)
-	q2 := NewQueue(QueueOptions{Workers: 1, Checkpoint: path, Exec: exec})
-	if err := q2.Recover(path, nil); err != nil {
+	j2, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	q2 := NewQueue(QueueOptions{Workers: 1, Journal: j2, Exec: exec})
+	if err := q2.Recover("", recs); err != nil {
 		t.Fatal(err)
 	}
 	if j, ok := q2.Get(first.ID); !ok || j.State != JobCompleted || j.Result == nil || j.Result.Cycles != 100 {

@@ -496,9 +496,9 @@ func TestRecoverJournalOnlyTornTail(t *testing.T) {
 
 // TestFinishPathIsCheckpointFree pins the cadence by counting writes,
 // not by timing them: a journaled queue's finishes write no snapshot
-// until Drain; a journal-less queue still writes one per finish; and
-// what makes the compactor write is journal bytes, not the number of
-// jobs.
+// until Drain; a queue without a journal writes none at all; a failed
+// journal makes every finish compact; and what makes the compactor
+// write is journal bytes, not the number of jobs.
 func TestFinishPathIsCheckpointFree(t *testing.T) {
 	type wiring struct {
 		jobs    int
@@ -520,9 +520,7 @@ func TestFinishPathIsCheckpointFree(t *testing.T) {
 		dir := t.TempDir()
 		opts := QueueOptions{Workers: 2, MaxPending: w.jobs, Exec: instantExec, compactFloor: w.floor}
 		var q *Queue
-		if !w.journal {
-			opts.Checkpoint = filepath.Join(dir, "ckpt.json")
-		} else {
+		if w.journal {
 			j, _, err := OpenJournal(filepath.Join(dir, "journal.wal"))
 			if err != nil {
 				t.Fatal(err)
@@ -584,13 +582,13 @@ func TestFinishPathIsCheckpointFree(t *testing.T) {
 	})
 	t.Run("no journal", func(t *testing.T) {
 		const jobs = 300
-		if got := run(t, wiring{jobs: jobs}); got.writes != jobs+1 {
-			t.Errorf("%d snapshot writes for %d finishes and a drain, want one each", got.writes, jobs)
+		if got := run(t, wiring{jobs: jobs}); got.writes != 0 {
+			t.Errorf("%d snapshot writes for %d finishes and a drain of an in-memory queue, want none", got.writes, jobs)
 		}
 	})
 	t.Run("journal failed", func(t *testing.T) {
 		// Every append fails, so no finish is in the journal and each
-		// falls back to the write a journal-less queue makes.
+		// falls back to a compaction of its own.
 		const jobs = 20
 		if got := run(t, wiring{jobs: jobs, journal: true, broken: true}); got.writes != jobs+1 {
 			t.Errorf("%d snapshot writes for %d unjournaled finishes and a drain, want one each", got.writes, jobs)

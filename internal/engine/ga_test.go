@@ -90,7 +90,6 @@ func TestGaSearchResume(t *testing.T) {
 
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal")
-	cpath := filepath.Join(dir, "checkpoint.json")
 
 	j1, recs, err := OpenJournal(jpath)
 	if err != nil {
@@ -101,7 +100,7 @@ func TestGaSearchResume(t *testing.T) {
 	}
 	q1 := NewQueue(QueueOptions{
 		Workers: 1, Exec: NewExecutor(ExecConfig{Workers: 2}),
-		Journal: j1, Checkpoint: cpath,
+		Journal: j1,
 	})
 	q1.Start()
 	job, err := q1.Submit(tinyGaSpec())
@@ -144,9 +143,9 @@ func TestGaSearchResume(t *testing.T) {
 	}
 	q2 := NewQueue(QueueOptions{
 		Workers: 1, Exec: NewExecutor(ExecConfig{Workers: 2}),
-		Journal: j2, Checkpoint: cpath,
+		Journal: j2,
 	})
-	if err := q2.Recover(cpath, recs); err != nil {
+	if err := q2.Recover("", recs); err != nil {
 		t.Fatal(err)
 	}
 	q2.mu.Lock()

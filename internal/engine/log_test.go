@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -236,31 +235,6 @@ func TestJournalBothGenerationsCorrupt(t *testing.T) {
 		if fi, err := os.Stat(p); err != nil || fi.Size() != int64(size) {
 			t.Fatalf("%s was %d bytes, is %v (%v)", p, size, fi.Size(), err)
 		}
-	}
-}
-
-// TestRecoverRefusesCheckpointBesideJournal: a snapshot file at
-// QueueOptions.Checkpoint beside a Journal is a state split by an older
-// build. Recover refuses it, naming both files, with an error that is
-// not ErrCheckpointCorrupt.
-func TestRecoverRefusesCheckpointBesideJournal(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.json")
-	if err := os.WriteFile(ckpt, []byte("{\"version\": 3}\n#crc32c=00000000\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, recs, err := OpenJournal(filepath.Join(dir, "journal.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	q := NewQueue(QueueOptions{Journal: j, Checkpoint: ckpt, Exec: instantExec})
-	err = q.Recover(ckpt, recs)
-	if err == nil || errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("recover beside a snapshot file returned %v, want a refusal", err)
-	}
-	if !strings.Contains(err.Error(), ckpt) || !strings.Contains(err.Error(), j.Path()) {
-		t.Fatalf("refusal %q does not name both %s and %s", err, ckpt, j.Path())
 	}
 }
 

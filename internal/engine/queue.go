@@ -73,12 +73,9 @@ type QueueOptions struct {
 	MaxAttempts int
 	// Exec runs jobs; required.
 	Exec Executor
-	// Checkpoint, when non-empty, is the snapshot file of a queue run
-	// without a Journal: a log holding the snapshot run alone (see
-	// Queue.Checkpoint), written after every terminal job transition,
-	// before the worker takes its next job, and on drain. A queue with a
-	// Journal keeps its state in the journal's log and writes no file
-	// here; Recover refuses one it finds.
+	// Checkpoint is ignored: a queue's durable state is its Journal's
+	// log. A snapshot file an older build wrote here opens unchanged
+	// with OpenJournal.
 	Checkpoint string
 	// Sink receives queue lifecycle events (job state transitions).
 	Sink obs.Sink
@@ -731,9 +728,9 @@ func (q *Queue) run(id string) {
 	// every record below its mark, and a crash inside that fsync re-runs
 	// a deterministic job.) With the record in the journal that is all a
 	// finish costs — the compactor folds it into a snapshot once the log
-	// has grown enough. Without it (no journal wired, or one that has
-	// failed) a compaction is this finish's only durable record and is
-	// written here, before the worker takes its next job.
+	// has grown enough. With a journal that has failed, a compaction is
+	// this finish's only durable record and is written here, before the
+	// worker takes its next job.
 	journaled := q.journal(JournalRecord{
 		T: recFinish, JobID: id, Seq: seq, At: fin, State: snap.State,
 		Result: snap.Result, Error: snap.Error, Attempts: snap.Attempts,

@@ -34,14 +34,13 @@ func TestRecoveredStateGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "recovered_state.golden.json")
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.wal")
-	cpath := filepath.Join(dir, "ckpt.json")
 	clock := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 
 	j, _, err := OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := fixedQueue(t, QueueOptions{Journal: j, Checkpoint: cpath, Events: NewJobEventBroker()})
+	q := fixedQueue(t, QueueOptions{Journal: j, Events: NewJobEventBroker()})
 	ga, err := q.Submit(JobSpec{Kind: JobGaSearch, Ga: &api.GaSpec{
 		Population: 2, Generations: 4, Seed: 3, Slots: 4, Iterations: 10}})
 	if err != nil {
@@ -84,11 +83,11 @@ func TestRecoveredStateGolden(t *testing.T) {
 	}
 	defer j2.Close()
 	events := NewJobEventBroker()
-	q2 := NewQueue(QueueOptions{Journal: j2, Checkpoint: cpath, Events: events,
+	q2 := NewQueue(QueueOptions{Journal: j2, Events: events,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return &JobResult{}, nil
 		}})
-	if err := q2.Recover(cpath, recs); err != nil {
+	if err := q2.Recover("", recs); err != nil {
 		t.Fatal(err)
 	}
 	got := recoveredState{Jobs: q2.Jobs(), NextSeqs: map[string]int64{}}

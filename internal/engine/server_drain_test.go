@@ -15,16 +15,19 @@ import (
 
 // TestServerDrainUnderLoad hammers POST /jobs from many goroutines
 // while the queue drains mid-flight. The invariant: every job the
-// server accepted (202) appears in the final checkpoint exactly once —
-// no accepted job is lost, none is duplicated — and a restore sees the
-// same set.
+// server accepted (202) appears in the log Drain compacts exactly once —
+// no accepted job is lost, none is duplicated.
 func TestServerDrainUnderLoad(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec := func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		time.Sleep(time.Millisecond) // keep a few jobs in flight during drain
 		return &JobResult{Coverage: 1}, nil
 	}
-	q := NewQueue(QueueOptions{Workers: 2, MaxPending: 256, Checkpoint: ckpt, Exec: exec})
+	q := NewQueue(QueueOptions{Workers: 2, MaxPending: 256, Journal: j, Exec: exec})
 	q.Start()
 	srv := httptest.NewServer(NewServerWith(q, ServerOptions{MaxInflight: 64}))
 	defer srv.Close()
@@ -88,23 +91,26 @@ func TestServerDrainUnderLoad(t *testing.T) {
 		t.Fatal("no job was accepted before the drain; test proves nothing")
 	}
 
-	// The final checkpoint must hold exactly the accepted set.
-	q2 := NewQueue(QueueOptions{Exec: exec})
-	if err := q2.Recover(ckpt, nil); err != nil {
+	// The drained log must hold exactly the accepted set.
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := recoverLog(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]int)
-	for _, j := range q2.Jobs() {
-		seen[j.ID]++
+	for _, job := range jobs {
+		seen[job.ID]++
 	}
 	for id := range accepted {
 		if seen[id] != 1 {
-			t.Errorf("accepted job %s appears %d times in checkpoint, want 1", id, seen[id])
+			t.Errorf("accepted job %s appears %d times in the log, want 1", id, seen[id])
 		}
 	}
 	for id, n := range seen {
 		if !accepted[id] {
-			t.Errorf("checkpoint holds job %s (%d times) that no client saw accepted", id, n)
+			t.Errorf("the log holds job %s (%d times) that no client saw accepted", id, n)
 		}
 	}
 }

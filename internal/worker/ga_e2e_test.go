@@ -213,7 +213,6 @@ func TestGaCrashRecoveryE2E(t *testing.T) {
 			"-lease-ttl", "2s",
 			"-queue-workers", "1",
 			"-journal", filepath.Join(dir, "journal.wal"),
-			"-checkpoint", filepath.Join(dir, "ckpt.json"),
 		)
 		cmd.Stdout, cmd.Stderr = logf, logf
 		if err := cmd.Start(); err != nil {

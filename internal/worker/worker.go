@@ -51,8 +51,6 @@ type Options struct {
 	Client *client.Client
 	// Sink receives worker lifecycle events.
 	Sink obs.Sink
-	// SkipMetaCheck disables the startup capability handshake (tests).
-	SkipMetaCheck bool
 }
 
 // Worker runs the lease loop against one coordinator.
@@ -87,10 +85,8 @@ func (w *Worker) ID() string { return w.opts.ID }
 // retryable, so another worker picks it up). Only a startup handshake
 // mismatch is a hard error.
 func (w *Worker) Run(ctx context.Context) error {
-	if !w.opts.SkipMetaCheck {
-		if err := w.handshake(ctx); err != nil {
-			return err
-		}
+	if err := w.handshake(ctx); err != nil {
+		return err
 	}
 	for {
 		if ctx.Err() != nil {

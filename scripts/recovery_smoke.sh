@@ -2,7 +2,7 @@
 # recovery_smoke.sh — kill -9 crash-recovery smoke for sbstd.
 #
 # Starts a journaled coordinator, submits a matrix campaign, SIGKILLs
-# the process mid-run (no drain, no final checkpoint), restarts it on
+# the process mid-run (no drain, no final compaction), restarts it on
 # the same state directory, and asserts:
 #
 #   * the write-ahead journal captured the in-flight campaign (the file
@@ -10,9 +10,7 @@
 #   * the restarted process reports the recovery and serves the SAME
 #     job for a retried submit_id instead of double-running it,
 #   * the recovered campaign's result is bit-identical (modulo wall
-#     time) to an uninterrupted oracle run of the same spec,
-#   * after the final drain, neither coordinator created the -checkpoint
-#     file: a journaled queue keeps its whole state in the journal.
+#     time) to an uninterrupted oracle run of the same spec.
 #
 # Usage: scripts/recovery_smoke.sh [port]
 set -eu
@@ -39,7 +37,7 @@ SPEC='{"kind":"campaign_matrix","submit_id":"smoke/recovery-1","matrix":{
 
 start_coordinator() {
 	"$DIR/sbstd" -addr "127.0.0.1:$PORT" -queue-workers 1 \
-		-journal "$DIR/$1/journal.wal" -checkpoint "$DIR/$1/ckpt.json" \
+		-journal "$DIR/$1/journal.wal" \
 		>>"$DIR/$1.log" 2>&1 &
 	SBSTD_PID=$!
 	for i in $(seq 1 100); do
@@ -104,7 +102,4 @@ diff -u "$DIR/want.json" "$DIR/got.json" || {
 	echo "recovered result diverged from the uninterrupted oracle"; exit 1; }
 kill -TERM "$SBSTD_PID" && wait "$SBSTD_PID"
 SBSTD_PID=""
-for run in oracle crash; do
-	[ ! -e "$DIR/$run/ckpt.json" ] || { echo "$run: the journaled coordinator wrote ckpt.json"; exit 1; }
-done
 echo "recovery smoke passed: recovered result is bit-identical to the oracle"
