@@ -93,7 +93,8 @@ type wbRegs struct {
 // Core is the behavioral DSP core. The zero value is not ready;
 // use New.
 type Core struct {
-	probe Probe
+	probe    Probe
+	sigProbe SignalProbe // probe, when it also reports signals
 
 	regs    [isa.NumRegs]uint8
 	accA    uint32 // 18-bit
@@ -103,20 +104,20 @@ type Core struct {
 	ir uint32 // stage-1 instruction register
 	ex exRegs
 	wb wbRegs
-
-	cycle int64
 }
 
 // New returns a reset Core with no probe installed.
 func New() *Core { return &Core{} }
 
 // SetProbe installs (or removes, with nil) the component probe.
-func (c *Core) SetProbe(p Probe) { c.probe = p }
+func (c *Core) SetProbe(p Probe) {
+	c.probe = p
+	c.sigProbe, _ = p.(SignalProbe)
+}
 
 // Reset returns all architectural and pipeline state to zero.
 func (c *Core) Reset() {
-	p := c.probe
-	*c = Core{probe: p}
+	*c = Core{probe: c.probe, sigProbe: c.sigProbe}
 }
 
 // Output returns the current value of the 8-bit output port.
@@ -154,15 +155,11 @@ func (c *Core) observe(comp Component, mode int, value uint32) uint32 {
 }
 
 func (c *Core) signal(sig Signal, value uint32) {
-	if c.probe == nil {
-		return
-	}
-	sp, ok := c.probe.(SignalProbe)
-	if !ok {
+	if c.sigProbe == nil {
 		return
 	}
 	mask := uint32(1)<<uint(sig.Width()) - 1
-	sp.Signal(sig, value&mask)
+	c.sigProbe.Signal(sig, value&mask)
 }
 
 // SignExtend18 interprets an 18-bit value as signed.
@@ -349,7 +346,6 @@ func (c *Core) Step(instrWord uint32) {
 	c.wb = wbNext
 	c.ex = exNext
 	c.ir = instrWord & (1<<isa.Width - 1)
-	c.cycle++
 }
 
 // StepInstr is Step on an assembled instruction.

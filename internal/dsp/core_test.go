@@ -396,7 +396,7 @@ func TestResetClearsEverything(t *testing.T) {
 		OUT R2
 	`)
 	c.Reset()
-	if c.Output() != 0 || c.Reg(0) != 0 || c.AccValue(isa.AccA) != 0 || c.cycle != 0 {
+	if c.Output() != 0 || c.Reg(0) != 0 || c.AccValue(isa.AccA) != 0 || c.ex != (exRegs{}) {
 		t.Fatal("Reset left state behind")
 	}
 }

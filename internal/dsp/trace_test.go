@@ -52,11 +52,14 @@ type Tracer struct {
 	W io.Writer
 	// Regs selects which registers to show (nil = R0..R3).
 	Regs []int
+	// cycles counts the steps traced so far.
+	cycles int
 }
 
 // Step advances the core one cycle and logs it.
 func (t *Tracer) Step(c *Core, word uint32) {
 	c.Step(word)
+	t.cycles++
 	regs := t.Regs
 	if regs == nil {
 		regs = []int{0, 1, 2, 3}
@@ -65,7 +68,7 @@ func (t *Tracer) Step(c *Core, word uint32) {
 	if in, err := isa.Decode(word); err == nil {
 		dis = in.String()
 	}
-	fmt.Fprintf(t.W, "%5d  %-22s out=%02x accA=%05x accB=%05x", c.cycle, dis,
+	fmt.Fprintf(t.W, "%5d  %-22s out=%02x accA=%05x accB=%05x", t.cycles, dis,
 		c.Output(), c.AccValue(isa.AccA), c.AccValue(isa.AccB))
 	for _, r := range regs {
 		fmt.Fprintf(t.W, " R%d=%02x", r, c.Reg(r))

@@ -199,29 +199,24 @@ func (i Instr) Encode() uint32 {
 	panic("isa: unknown format")
 }
 
-// opcodeIndex maps 5-bit opcodes back to (Op, Acc).
-var opcodeIndex = func() map[uint32]struct {
+// opcodeEntry is what a 5-bit opcode decodes to; ok is false for an
+// unassigned opcode.
+type opcodeEntry struct {
 	op  Op
 	acc Acc
-} {
-	m := make(map[uint32]struct {
-		op  Op
-		acc Acc
-	})
+	ok  bool
+}
+
+// decodeTable maps each 5-bit opcode back to its (Op, Acc).
+var decodeTable = func() (t [32]opcodeEntry) {
 	for op := Op(0); op < numOps; op++ {
 		info := opTable[op]
-		m[info.opcodeA] = struct {
-			op  Op
-			acc Acc
-		}{op, AccA}
+		t[info.opcodeA] = opcodeEntry{op, AccA, true}
 		if info.macFamily {
-			m[info.opcodeB] = struct {
-				op  Op
-				acc Acc
-			}{op, AccB}
+			t[info.opcodeB] = opcodeEntry{op, AccB, true}
 		}
 	}
-	return m
+	return t
 }()
 
 // Decode unpacks a 17-bit word. Unassigned opcodes return an error (the
@@ -231,8 +226,8 @@ func Decode(word uint32) (Instr, error) {
 		return Instr{}, fmt.Errorf("isa: word %#x exceeds %d bits", word, Width)
 	}
 	oc := word >> 12 & 0x1F
-	entry, ok := opcodeIndex[oc]
-	if !ok {
+	entry := decodeTable[oc]
+	if !entry.ok {
 		return Instr{}, fmt.Errorf("isa: unassigned opcode %#05b", oc)
 	}
 	i := Instr{Op: entry.op, Acc: entry.acc}

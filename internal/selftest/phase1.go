@@ -90,19 +90,10 @@ func Phase1Traced(t *metrics.Table, span *obs.Span) *Phase1Result {
 		span.Add("picks", 1)
 	}
 
-	for c := range t.Cols {
+	for c := range t.Cols { // ascending, the order Phase 2 reports in
 		if remaining[c] {
 			res.Uncovered = append(res.Uncovered, c)
 		}
 	}
-	sortInts(res.Uncovered)
 	return res
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }
