@@ -137,7 +137,7 @@ type VectorSource struct {
 	// Iterations is the loop count for VecProgram/VecSelfTest expansion.
 	Iterations int `json:"iterations,omitempty"`
 	// CTrials and OGoodRuns size the metrics engine behind VecSelfTest
-	// generation; zero selects fast defaults.
+	// generation; zero selects fast defaults, 200 000 and 200 are the most.
 	CTrials   int `json:"c_trials,omitempty"`
 	OGoodRuns int `json:"o_good_runs,omitempty"`
 	// Seed2 seeds the template architecture's LFSR2 (the register-field
@@ -508,6 +508,11 @@ func validateVectorSource(v VectorSource, what string) error {
 		// Generated program; all fields optional.
 	default:
 		return fmt.Errorf("%w: vector source %q (want one of %v)", ErrUnknownKind, v.Kind, VectorKinds())
+	}
+	// The metrics engine's sizing is bounded by the paper's full-scale
+	// table; its memory grows with c_trials (4 bytes a trial and port).
+	if v.CTrials < 0 || v.CTrials > 200000 || v.OGoodRuns < 0 || v.OGoodRuns > 200 {
+		return fmt.Errorf("api: %s c_trials %d or o_good_runs %d outside 0..200000 or 0..200", what, v.CTrials, v.OGoodRuns)
 	}
 	if v.Taps>>16 != 0 {
 		return fmt.Errorf("api: %s taps %#x exceeds the 16-bit LFSR1 mask", what, v.Taps)
