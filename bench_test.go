@@ -85,8 +85,8 @@ func BenchmarkTable2MetricsRow(b *testing.B) {
 
 // BenchmarkMetricsTable builds the whole Table 2 at the configuration
 // the repository benchmark's paper_flow workload uses, so its ns/op is
-// that workload's metrics.engine_s without the harness: 165–181 ms at
-// -cpu 1 and 82–116 ms at -cpu 2 on a 2-vCPU Xeon at 2.10 GHz, with
+// that workload's metrics.engine_s without the harness: 95–106 ms at
+// -cpu 1 and 56–85 ms at -cpu 2 on a 2-vCPU Xeon at 2.10 GHz, with
 // 0.8 MB and about 365 allocations per table.
 func BenchmarkMetricsTable(b *testing.B) {
 	eng := metrics.NewEngine(metrics.Config{CTrials: 6000, OGoodRuns: 4, Seed: 33})

@@ -70,6 +70,44 @@ func decodeCtrl(op isa.Op, acc isa.Acc) ctrl {
 	return c
 }
 
+// stage2 is what the second stage decodes from an opcode: the control
+// word and the masks that pick the immediate (bits [11:4]) and the
+// destination (bits [3:0]) out of the word, zero where the opcode's
+// format has no such field.
+type stage2 struct {
+	c        ctrl
+	immMask  uint32
+	destMask uint32
+	valid    bool // false for an unassigned opcode
+}
+
+// stage2Table is indexed by the opcode field, bits [16:12]. It is built
+// from isa.Decode and decodeCtrl, so the encoding and the control bits
+// keep their one definition: an opcode's field masks are what
+// isa.Decode reads out of a word whose low twelve bits are all ones.
+var stage2Table = func() (t [32]stage2) {
+	for oc := range t {
+		in, err := isa.Decode(uint32(oc)<<12 | 0xFFF)
+		if err != nil {
+			continue
+		}
+		t[oc] = stage2{
+			c:        decodeCtrl(in.Op, in.Acc),
+			immMask:  uint32(in.Imm),
+			destMask: uint32(in.RD),
+			valid:    true,
+		}
+	}
+	return t
+}()
+
+// decode is the second stage's decoder: the control word, immediate and
+// destination of a 17-bit word, and false for an unassigned opcode.
+func decode(ir uint32) (c ctrl, imm, dest uint8, ok bool) {
+	d := &stage2Table[ir>>12&0x1F]
+	return d.c, uint8(ir >> 4 & d.immMask), uint8(ir & d.destMask), d.valid
+}
+
 // exRegs are the pipeline registers feeding the execute stage.
 type exRegs struct {
 	c      ctrl
@@ -146,18 +184,29 @@ func (c *Core) SetAcc(a isa.Acc, v uint32) {
 	}
 }
 
+// observe and signal are a nil test on a cycle without a probe; the
+// masking and the interface call are out of line, so Step inlines them.
 func (c *Core) observe(comp Component, mode int, value uint32) uint32 {
 	if c.probe == nil {
 		return value
 	}
+	return c.probeObserve(comp, mode, value)
+}
+
+func (c *Core) signal(sig Signal, value uint32) {
+	if c.sigProbe != nil {
+		c.probeSignal(sig, value)
+	}
+}
+
+//go:noinline
+func (c *Core) probeObserve(comp Component, mode int, value uint32) uint32 {
 	mask := uint32(1)<<uint(comp.Width()) - 1
 	return c.probe.Observe(comp, mode, value&mask) & mask
 }
 
-func (c *Core) signal(sig Signal, value uint32) {
-	if c.sigProbe == nil {
-		return
-	}
+//go:noinline
+func (c *Core) probeSignal(sig Signal, value uint32) {
 	mask := uint32(1)<<uint(sig.Width()) - 1
 	c.sigProbe.Signal(sig, value&mask)
 }
@@ -215,11 +264,8 @@ func limit8(v uint32) uint8 {
 func (c *Core) Step(instrWord uint32) {
 	// ---- Stage 2: decode + register read (uses c.ir) ----
 	var exNext exRegs
-	if in, err := isa.Decode(c.ir); err == nil {
-		exNext.c = decodeCtrl(in.Op, in.Acc)
-		exNext.imm = in.Imm
-		exNext.dest = in.RD
-
+	var ok bool
+	if exNext.c, exNext.imm, exNext.dest, ok = decode(c.ir); ok {
 		// Read-port addresses come from fixed instruction bit positions,
 		// as in the hardware: port A reads bits [11:8] (RegA) except for
 		// OUT/MOV, which read the Source field in bits [7:4]; port B

@@ -13,13 +13,13 @@ type Config struct {
 	// controllability metric. The paper used 2000 for narrow signals and
 	// "much more" (via generated C++) for wide ones; 20000 is a usable
 	// default, 200000+ gives publication-quality wide-signal entropy.
-	// Measured cost per 1000 trials per row: about 0.85 ms of one CPU,
+	// Measured cost per 1000 trials per row: about 0.6 ms of one CPU,
 	// and a 4 KB sample buffer for each port the row samples.
 	CTrials int
 	// OGoodRuns is the number of good simulations per row for the
 	// observability metric; each spawns 2×n error injections per
 	// component (paper Section 2.2) — up to 384 on this core. Measured
-	// cost: about 0.28 ms of one CPU per good run per row (6.6 ms per
+	// cost: about 0.17 ms of one CPU per good run per row (4 ms per
 	// good run for the table).
 	OGoodRuns int
 	// Seed makes the engine deterministic.
@@ -27,9 +27,6 @@ type Config struct {
 	// CThreshold and OThreshold are the coverage thresholds
 	// (paper defaults: Cθ = 0.70, Oθ = 0.50).
 	CThreshold, OThreshold float64
-	// DrainCycles is how long outputs are watched past the end of a
-	// sequence when detecting propagated errors.
-	DrainCycles int
 }
 
 func (c Config) withDefaults() Config {
@@ -44,9 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OThreshold == 0 {
 		c.OThreshold = 0.50
-	}
-	if c.DrainCycles == 0 {
-		c.DrainCycles = 6
 	}
 	return c
 }
@@ -266,35 +260,64 @@ func (t *tape) Uint32() uint32 {
 	return w
 }
 
-// scratch is the working memory of one measurement: the core with its
-// probe, the port histograms of every column, the draw tape and the
-// output traces. One goroutine uses a scratch at a time; the pool hands
-// it on between measurements so the sample buffers are allocated once.
+// slot is one instruction of the loaded sequence as the core fetches it.
+type slot struct {
+	word   uint32 // the encoded instruction; its immediate is zero when rndImm
+	rndImm bool   // each trial ORs a random immediate into bits [11:4]
+	out    bool   // an OUT: it drives the output port in writeback
+}
+
+// scratch is the working memory of one measurement: the sequence with
+// its encoded words, the core with its probe, the port histograms of
+// every column, the draw tape and the output traces. One goroutine uses
+// a scratch at a time; the pool hands it on between measurements so the
+// sample buffers are allocated once.
 type scratch struct {
-	core *dsp.Core
-	rec  recorder
+	seq   Sequence
+	slots []slot
+	core  *dsp.Core
+	rec   recorder
 	// hists[column][port], allocated when a measurement first exercises
 	// the column and emptied after each measurement.
 	hists [][]*Histogram
-	tape  tape
-	good  []uint8
-	bad   []uint8
+	// The distinct sample streams of a measurement, their entropies and,
+	// for each sampled port in column order, its stream's index.
+	distinct []*Histogram
+	entropy  []float64
+	streams  []int
+	tape     tape
+	good     []uint8
+	bad      []uint8
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &scratch{core: dsp.New(), hists: make([][]*Histogram, len(columns))}
 }}
 
-// runTrial executes one randomized trial of the sequence for the given
-// number of cycles and returns the output trace, one entry per cycle,
-// appended to trace[:0]. When inject targets an accumulator, the stored
-// state is corrupted right after the target's execute cycle (errors at
-// a register's output are errors in its contents); other components are
-// overridden through the probe.
-func (sc *scratch) runTrial(seq Sequence, src source, cycles int, trace []uint8,
-	injectAcc dsp.Component, accErr uint32) []uint8 {
+// load makes seq the sequence runTrial runs, encoding its words once.
+// A random immediate (LDRND, or LD marked RndImm) is drawn per trial.
+func (sc *scratch) load(seq Sequence) {
+	sc.seq, sc.slots = seq, sc.slots[:0]
+	for _, in := range seq.Instrs {
+		s := slot{out: in.Op == isa.OpOut}
+		if in.Op == isa.OpLdRnd || in.Op == isa.OpLdi && in.RndImm {
+			in.Op, in.Imm, s.rndImm = isa.OpLdi, 0, true
+		}
+		s.word = in.Encode()
+		sc.slots = append(sc.slots, s)
+	}
+}
 
-	core, rec := sc.core, &sc.rec
+// runTrial executes one randomized trial of the loaded sequence up to
+// the last instruction's writeback and returns the output trace, one
+// entry per cycle, appended to trace[:0]. Only an OUT in writeback
+// changes the output port, so a longer run would only repeat the last
+// entry, in a good run and a faulty run alike. When inject targets an
+// accumulator, the stored state is corrupted right after the target's
+// execute cycle (errors at a register's output are errors in its
+// contents); other components are overridden through the probe.
+func (sc *scratch) runTrial(src source, trace []uint8, injectAcc dsp.Component, accErr uint32) []uint8 {
+	core, rec, slots := sc.core, &sc.rec, sc.slots
 	core.SetProbe(nil)
 	core.Reset()
 	rec.resetTrial()
@@ -302,7 +325,7 @@ func (sc *scratch) runTrial(seq Sequence, src source, cycles int, trace []uint8,
 		core.SetReg(i, uint8(src.Uint32()))
 	}
 	var accA, accB uint32
-	if seq.State == AccRandom {
+	if sc.seq.State == AccRandom {
 		accA = src.Uint32() & dsp.Mask18
 		accB = src.Uint32() & dsp.Mask18
 	}
@@ -310,21 +333,17 @@ func (sc *scratch) runTrial(seq Sequence, src source, cycles int, trace []uint8,
 	core.SetAcc(isa.AccB, accB)
 
 	trace = trace[:0]
-	s2Cycle := seq.Target + 1
-	exCycle := seq.Target + dsp.EXLatency
+	s2Cycle := sc.seq.Target + 1
+	exCycle := sc.seq.Target + dsp.EXLatency
 
 	attached := false
-	for cyc := 0; cyc < cycles; cyc++ {
+	for cyc := 0; cyc < len(slots)+dsp.PipelineDepth-1; cyc++ {
 		word := uint32(0)
-		if cyc < len(seq.Instrs) {
-			in := seq.Instrs[cyc]
-			if in.Op == isa.OpLdi || in.Op == isa.OpLdRnd {
-				if in.RndImm || in.Op == isa.OpLdRnd {
-					in.Imm = uint8(src.Uint32())
-					in.Op = isa.OpLdi
-				}
+		if cyc < len(slots) {
+			word = slots[cyc].word
+			if slots[cyc].rndImm {
+				word |= uint32(uint8(src.Uint32())) << 4
 			}
-			word = in.Encode()
 		}
 		switch cyc {
 		case s2Cycle:
@@ -338,7 +357,7 @@ func (sc *scratch) runTrial(seq Sequence, src source, cycles int, trace []uint8,
 		// while an OUT is in writeback, driving the output port; on every
 		// other cycle the core runs without it.
 		fed := cyc - (dsp.PipelineDepth - 1)
-		probed := rec.armed || fed >= 0 && fed < len(seq.Instrs) && seq.Instrs[fed].Op == isa.OpOut
+		probed := rec.armed || fed >= 0 && slots[fed].out
 		if probed != attached {
 			if attached = probed; probed {
 				core.SetProbe(rec)

@@ -45,6 +45,12 @@ func (h *Histogram) Add(v uint32) {
 	h.samples = append(h.samples, v&(uint32(1)<<uint(h.width)-1))
 }
 
+// sameSamples reports whether o holds the same samples at the same width
+// in the same order.
+func (h *Histogram) sameSamples(o *Histogram) bool {
+	return h.width == o.width && slices.Equal(h.samples, o.samples)
+}
+
 // Reset clears all samples, keeping the allocation.
 func (h *Histogram) Reset() { h.samples = h.samples[:0] }
 
@@ -63,14 +69,29 @@ func (h *Histogram) Entropy() float64 {
 	}
 	h.sort()
 	n := float64(len(h.samples))
+	// Short runs recur, so each short run length's term is computed
+	// once (a term is never 0 unless a single run holds every sample).
+	// The conversion rounds the product before the subtraction, on every
+	// architecture, whether the term was computed now or before.
+	var short [64]float64
 	var hPlug float64
 	distinct, run := 0, 0
 	for i, v := range h.samples {
 		if run++; i+1 < len(h.samples) && h.samples[i+1] == v {
 			continue // the run of v goes on
 		}
-		p := float64(run) / n
-		hPlug -= p * math.Log2(p)
+		var t float64
+		if run < len(short) {
+			t = short[run]
+		}
+		if t == 0 {
+			p := float64(run) / n
+			t = float64(p * math.Log2(p))
+			if run < len(short) {
+				short[run] = t
+			}
+		}
+		hPlug -= t
 		distinct, run = distinct+1, 0
 	}
 	hMM := hPlug + float64(distinct-1)/(2*n*math.Ln2)
@@ -118,6 +139,11 @@ func Controllability(ports ...*Histogram) float64 {
 		hSum += p.Entropy()
 		wSum += float64(p.Width())
 	}
+	return normalized(hSum, wSum)
+}
+
+// normalized is a summed entropy over its total width, at most 1.
+func normalized(hSum, wSum float64) float64 {
 	if wSum == 0 {
 		return 0
 	}

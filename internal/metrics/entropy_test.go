@@ -149,3 +149,66 @@ func TestExactEntropyNarrowPorts(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedEntropyMatchesOwnCopies measures every standard row at the
+// paper_flow configuration and every Phase 2 candidate shape (at 1 000
+// trials, which keeps the race-checked CI rounds short), and requires
+// each column's C to be bit-identical to Controllability over copies of
+// that column's own sample buffers, sharing nothing. AccA, AccB and
+// Limiter sample the same truncater output, so they must share one
+// stream.
+func TestSharedEntropyMatchesOwnCopies(t *testing.T) {
+	type measured struct {
+		e   *Engine
+		seq Sequence
+	}
+	var seqs []measured
+	rows := NewEngine(Config{CTrials: 6000, OGoodRuns: 4, Seed: 33})
+	for _, row := range StandardRows() {
+		seqs = append(seqs, measured{rows, StandardSequence(row.Op, row.Acc, row.State)})
+	}
+	shapes := NewEngine(Config{CTrials: 1000, OGoodRuns: 4, Seed: 33})
+	for _, seq := range phase2Shapes() {
+		seqs = append(seqs, measured{shapes, seq})
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	ports, streams := 0, 0
+	for i, m := range seqs {
+		seq := m.seq
+		cells := make([]Cell, len(columns))
+		sc.rec = recorder{}
+		sc.load(seq)
+		m.e.sample(sc, cells)
+		own := make([]float64, len(columns))
+		stream := make([]int, len(columns)) // the stream of each column's first port
+		next := 0
+		for ci, hists := range sc.hists {
+			if !cells[ci].Active {
+				continue
+			}
+			var copies []*Histogram
+			for _, h := range hists {
+				copies = append(copies, &Histogram{width: h.width, samples: slices.Clone(h.samples)})
+			}
+			own[ci] = Controllability(copies...)
+			stream[ci] = next
+			next += len(hists)
+		}
+		sc.controllability(cells)
+		for ci := range columns {
+			if math.Float64bits(cells[ci].C) != math.Float64bits(own[ci]) {
+				t.Fatalf("sequence %d %v, column %s: shared C %v, own copies %v",
+					i, seq.Instrs, columns[ci].Label(), cells[ci].C, own[ci])
+			}
+		}
+		acc := sc.streams[stream[columnIndex(dsp.CompAccA, 0)]]
+		for _, comp := range []dsp.Component{dsp.CompAccB, dsp.CompLimiter} {
+			if s := sc.streams[stream[columnIndex(comp, 0)]]; s != acc {
+				t.Fatalf("sequence %d %v: %s reads stream %d, AccA stream %d", i, seq.Instrs, comp.Name(), s, acc)
+			}
+		}
+		ports, streams = ports+len(sc.streams), streams+len(sc.distinct)
+	}
+	t.Logf("%d sequences: %d sampled ports, %d distinct streams", len(seqs), ports, streams)
+}

@@ -117,30 +117,47 @@ func randomSequence(rng *rand.Rand) Sequence {
 	return seq
 }
 
+// trialCase is a sequence the trial-level tests run.
+type trialCase struct {
+	name string
+	seq  Sequence
+}
+
+// trialCases returns every standard row's sequence, every Phase 2
+// candidate shape and 200 random sequences drawn from rng.
+func trialCases(rng *rand.Rand) []trialCase {
+	var cases []trialCase
+	for _, row := range StandardRows() {
+		cases = append(cases, trialCase{"row " + row.Name, StandardSequence(row.Op, row.Acc, row.State)})
+	}
+	for i, seq := range phase2Shapes() {
+		cases = append(cases, trialCase{fmt.Sprintf("phase 2 shape %d", i), seq})
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, trialCase{fmt.Sprintf("random %d", i), randomSequence(rng)})
+	}
+	return cases
+}
+
+// injectInto returns runTrial's accumulator argument and a recorder set
+// to inject errVal into comp through the probe (noAcc: no injection).
+func injectInto(comp dsp.Component, errVal uint32) (dsp.Component, recorder) {
+	injectAcc := noAcc
+	if comp == dsp.CompAccA || comp == dsp.CompAccB {
+		injectAcc = comp
+	}
+	return injectAcc, recorder{inject: comp != noAcc && injectAcc == noAcc, injectComp: comp, injectVal: errVal}
+}
+
 // TestGatedProbeMatchesEveryCycle runs trials with the gated probe and
 // the same trials with the probe on every cycle, and requires the same
 // output trace and the same recorder state: on every standard row,
 // every Phase 2 candidate shape and 200 random sequences, under both
-// accumulator states, over the controllability and the observability
-// trial lengths, with no injection and with an injection into each
+// accumulator states, with no injection and with an injection into each
 // component.
 func TestGatedProbeMatchesEveryCycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	type namedSeq struct {
-		name string
-		seq  Sequence
-	}
-	var cases []namedSeq
-	for _, row := range StandardRows() {
-		cases = append(cases, namedSeq{"row " + row.Name, StandardSequence(row.Op, row.Acc, row.State)})
-	}
-	for i, seq := range phase2Shapes() {
-		cases = append(cases, namedSeq{fmt.Sprintf("phase 2 shape %d", i), seq})
-	}
-	for i := 0; i < 200; i++ {
-		cases = append(cases, namedSeq{fmt.Sprintf("random %d", i), randomSequence(rng)})
-	}
-
+	cases := trialCases(rng)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	injections := append([]dsp.Component{noAcc}, components...)
@@ -149,32 +166,77 @@ func TestGatedProbeMatchesEveryCycle(t *testing.T) {
 		for _, state := range []AccState{AccZero, AccRandom} {
 			seq := c.seq
 			seq.State = state
-			for _, cycles := range []int{len(seq.Instrs) + dsp.PipelineDepth - 1, len(seq.Instrs) + 6} {
-				for _, comp := range injections {
-					seed, errVal := rng.Int63(), rng.Uint32()&(1<<18-1)
-					injectAcc := noAcc
-					if comp == dsp.CompAccA || comp == dsp.CompAccB {
-						injectAcc = comp
+			sc.load(seq)
+			for _, comp := range injections {
+				seed, errVal := rng.Int63(), rng.Uint32()&(1<<18-1)
+				injectAcc, rec := injectInto(comp, errVal)
+				sc.rec = rec
+				gated := sc.runTrial(rand.New(rand.NewSource(seed)), nil, injectAcc, errVal)
+				gatedRec := sc.rec
+				sc.rec = rec
+				every := sc.runTrialEveryCycle(seq, rand.New(rand.NewSource(seed)),
+					len(seq.Instrs)+dsp.PipelineDepth-1, nil, injectAcc, errVal)
+				everyRec := sc.rec
+				if string(gated) != string(every) || gatedRec != everyRec {
+					injected := "nothing"
+					if comp != noAcc {
+						injected = comp.Name()
 					}
-					run := func(trial func(Sequence, source, int, []uint8, dsp.Component, uint32) []uint8) ([]uint8, recorder) {
-						sc.rec = recorder{inject: comp != noAcc && injectAcc == noAcc, injectComp: comp, injectVal: errVal}
-						trace := trial(seq, rand.New(rand.NewSource(seed)), cycles, nil, injectAcc, errVal)
-						return trace, sc.rec
-					}
-					gated, gatedRec := run(sc.runTrial)
-					every, everyRec := run(sc.runTrialEveryCycle)
-					if string(gated) != string(every) || gatedRec != everyRec {
-						injected := "nothing"
-						if comp != noAcc {
-							injected = comp.Name()
-						}
-						t.Fatalf("%s, state %s, %d cycles, injecting into %s:\n gated: trace %v recorder %+v\n every: trace %v recorder %+v",
-							c.name, state, cycles, injected, gated, gatedRec, every, everyRec)
-					}
-					pairs++
+					t.Fatalf("%s, state %s, injecting into %s:\n gated: trace %v recorder %+v\n every: trace %v recorder %+v",
+						c.name, state, injected, gated, gatedRec, every, everyRec)
 				}
+				pairs++
 			}
 		}
 	}
 	t.Logf("%d sequences, %d trial pairs", len(cases), pairs)
+}
+
+// TestDrainTrimKeepsVerdicts replays each injection at the full length
+// the observability pass once ran, six cycles past the last fetch, in
+// the test-local loop above, and requires runTrial, which stops at the
+// last instruction's writeback, to reach the same detect/no-detect
+// verdict: on the gate test's cases, under both accumulator states,
+// injecting into each component.
+func TestDrainTrimKeepsVerdicts(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	cases := trialCases(rng)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	runs, detected := 0, 0
+	for _, c := range cases {
+		for _, state := range []AccState{AccZero, AccRandom} {
+			seq := c.seq
+			seq.State = state
+			sc.load(seq)
+			full := len(seq.Instrs) + 6
+			for _, comp := range components {
+				seed, errVal := rng.Int63(), rng.Uint32()&(1<<comp.Width()-1)
+				injectAcc, rec := injectInto(comp, errVal)
+
+				sc.rec = recorder{}
+				good := sc.runTrial(rand.New(rand.NewSource(seed)), nil, noAcc, 0)
+				sc.rec = rec
+				bad := sc.runTrial(rand.New(rand.NewSource(seed)), nil, injectAcc, errVal)
+				trimmed := string(good) != string(bad)
+
+				sc.rec = recorder{}
+				good = sc.runTrialEveryCycle(seq, rand.New(rand.NewSource(seed)), full, nil, noAcc, 0)
+				sc.rec = rec
+				bad = sc.runTrialEveryCycle(seq, rand.New(rand.NewSource(seed)), full, nil, injectAcc, errVal)
+				if untrimmed := string(good) != string(bad); trimmed != untrimmed {
+					t.Fatalf("%s, state %s, injecting %#x into %s: detected %t at %d cycles, %t at %d",
+						c.name, state, errVal, comp.Name(), trimmed, len(seq.Instrs)+dsp.PipelineDepth-1, untrimmed, full)
+				}
+				runs++
+				if trimmed {
+					detected++
+				}
+			}
+		}
+	}
+	if detected == 0 || detected == runs {
+		t.Fatalf("%d of %d injections detected: the verdicts do not discriminate", detected, runs)
+	}
+	t.Logf("%d sequences, %d injections, %d detected", len(cases), runs, detected)
 }

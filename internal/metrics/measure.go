@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/dsp"
@@ -48,22 +49,20 @@ func (e *Engine) MeasureSequence(seq Sequence) []Cell {
 func (e *Engine) measure(seq Sequence, sc *scratch) []Cell {
 	cells := make([]Cell, len(columns))
 	sc.rec = recorder{} // nothing observed by the scratch's last user survives
-	e.controllability(seq, sc, cells)
-	e.observability(seq, sc, cells)
+	sc.load(seq)
+	e.sample(sc, cells)
+	sc.controllability(cells)
+	e.observability(sc, cells)
 	return cells
 }
 
-// controllability fills Active, C and CSamples from CTrials monitored
-// trials. It leaves sc's histograms empty again.
-func (e *Engine) controllability(seq Sequence, sc *scratch, cells []Cell) {
+// sample runs CTrials monitored trials, marking the columns they
+// exercise Active and filling those columns' port histograms.
+func (e *Engine) sample(sc *scratch, cells []Cell) {
 	rec := &sc.rec
 	rng := rand.New(rand.NewSource(e.cfg.Seed))
-	// Nothing is sampled after the last instruction's writeback, and the
-	// draws all happen while instructions are fed, so the drain cycles
-	// past the pipeline depth — there for error propagation — are not run.
-	cycles := len(seq.Instrs) + min(e.cfg.DrainCycles, dsp.PipelineDepth-1)
 	for trial := 0; trial < e.cfg.CTrials; trial++ {
-		sc.good = sc.runTrial(seq, rng, cycles, sc.good, noAcc, 0)
+		sc.good = sc.runTrial(rng, sc.good, noAcc, 0)
 		for _, comp := range components {
 			mode, seen := observedMode(rec, comp)
 			if !seen {
@@ -87,28 +86,63 @@ func (e *Engine) controllability(seq Sequence, sc *scratch, cells []Cell) {
 			}
 		}
 	}
+}
+
+// controllability fills C and CSamples of the active columns from their
+// port histograms and empties them. Ports whose sample streams are
+// equal share one Entropy: AccA, AccB and Limiter all sample the
+// truncater's output, and on MAC rows AddSub's ports repeat MuxA's and
+// MuxB's outputs and Buffer's SrcVal repeats Multiplier's OpA. The
+// streams are compared before Entropy sorts any of them.
+func (sc *scratch) controllability(cells []Cell) {
+	distinct, streams := sc.distinct[:0], sc.streams[:0]
 	for ci, ports := range sc.hists {
 		if !cells[ci].Active {
 			continue
 		}
-		cells[ci].C = Controllability(ports...)
+		for _, h := range ports {
+			s := slices.IndexFunc(distinct, h.sameSamples)
+			if s < 0 {
+				s, distinct = len(distinct), append(distinct, h)
+			}
+			streams = append(streams, s)
+		}
+	}
+	entropy := sc.entropy[:0]
+	for _, h := range distinct {
+		entropy = append(entropy, h.Entropy())
+	}
+	next := 0
+	for ci, ports := range sc.hists {
+		if !cells[ci].Active {
+			continue
+		}
+		var hSum, wSum float64
+		for _, h := range ports {
+			if h.Total() > 0 {
+				hSum += entropy[streams[next]]
+				wSum += float64(h.Width())
+			}
+			next++
+		}
+		cells[ci].C = normalized(hSum, wSum)
 		cells[ci].CSamples = ports[0].Total()
 		for _, h := range ports {
 			h.Reset()
 		}
 	}
+	sc.distinct, sc.streams, sc.entropy = distinct, streams, entropy
 }
 
 // observability fills Injections, Detections and O: each of OGoodRuns
 // good trials is recorded on sc's tape and replayed once per injected
 // error, and an error counts as detected when the output trace differs.
-func (e *Engine) observability(seq Sequence, sc *scratch, cells []Cell) {
+func (e *Engine) observability(sc *scratch, cells []Cell) {
 	rec := &sc.rec
 	errRng := rand.New(rand.NewSource(e.cfg.Seed ^ 0x5bd1e995))
-	cycles := len(seq.Instrs) + e.cfg.DrainCycles
 	for g := 0; g < e.cfg.OGoodRuns; g++ {
 		sc.tape.record(rand.New(rand.NewSource(e.cfg.Seed + int64(g)*7919 + 1)))
-		sc.good = sc.runTrial(seq, &sc.tape, cycles, sc.good, noAcc, 0)
+		sc.good = sc.runTrial(&sc.tape, sc.good, noAcc, 0)
 		good := *rec // snapshot of observed values and modes
 
 		for _, comp := range components {
@@ -143,7 +177,7 @@ func (e *Engine) observability(seq Sequence, sc *scratch, cells []Cell) {
 				rec.injectComp = comp
 				rec.injectVal = errVal
 				sc.tape.rewind()
-				sc.bad = sc.runTrial(seq, &sc.tape, cycles, sc.bad, injectAcc, errVal)
+				sc.bad = sc.runTrial(&sc.tape, sc.bad, injectAcc, errVal)
 				rec.inject = false
 				if !sc.tape.spent() {
 					panic("metrics: an injection run drew fewer random words than its good run")

@@ -360,11 +360,11 @@ func TestTapeReplayReproducesGoodRun(t *testing.T) {
 	seq := StandardSequence(isa.OpLdi, isa.AccA, AccRandom) // registers, accumulators and an immediate drawn
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	cycles := len(seq.Instrs) + 6
+	sc.load(seq)
 	for seed := int64(1); seed <= 20; seed++ {
 		sc.rec = recorder{}
 		sc.tape.record(rand.New(rand.NewSource(seed)))
-		sc.good = sc.runTrial(seq, &sc.tape, cycles, sc.good, noAcc, 0)
+		sc.good = sc.runTrial(&sc.tape, sc.good, noAcc, 0)
 		good := sc.rec
 		if want := isa.NumRegs + 2 + 1; len(sc.tape.words) != want {
 			t.Fatalf("good run recorded %d words, want %d", len(sc.tape.words), want)
@@ -372,7 +372,7 @@ func TestTapeReplayReproducesGoodRun(t *testing.T) {
 
 		sc.rec = recorder{}
 		sc.tape.rewind()
-		sc.bad = sc.runTrial(seq, &sc.tape, cycles, sc.bad, noAcc, 0)
+		sc.bad = sc.runTrial(&sc.tape, sc.bad, noAcc, 0)
 		if !sc.tape.spent() {
 			t.Fatalf("seed %d: replay drew %d of %d words", seed, sc.tape.next, len(sc.tape.words))
 		}
@@ -384,7 +384,7 @@ func TestTapeReplayReproducesGoodRun(t *testing.T) {
 		}
 
 		// And a fresh generator with the same seed is the same trial too.
-		fresh := sc.runTrial(seq, rand.New(rand.NewSource(seed)), cycles, nil, noAcc, 0)
+		fresh := sc.runTrial(rand.New(rand.NewSource(seed)), nil, noAcc, 0)
 		if string(fresh) != string(sc.good) || sc.rec != good {
 			t.Fatalf("seed %d: re-seeded run differs from the recorded one", seed)
 		}
