@@ -1,6 +1,6 @@
 // Command diagnose demonstrates the post-self-test diagnosis flow: it
 // injects a hidden stuck-at fault into the gate-level core, runs the
-// generated self-test program, and — given only the observed failing
+// paper's self-test program, and — given only the observed failing
 // output trace — ranks candidate faults by cause-effect trace matching.
 // In production the observed trace comes from the tester after a MISR
 // signature mismatch triggers per-cycle capture.
@@ -17,7 +17,6 @@ import (
 	"repro/internal/dspgate"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/selftest"
 )
@@ -38,9 +37,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	eng := metrics.NewEngine(metrics.Config{CTrials: 8000, OGoodRuns: 6, Seed: 1})
-	prog, _ := selftest.NewGenerator(eng).WithObs(span).Generate()
-	vecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: *iters})
+	vecs := selftest.Expand(selftest.PaperProgram(), selftest.ExpandOptions{Iterations: *iters})
 
 	faults, _ := fault.Collapse(core.Netlist, fault.AllFaults(core.Netlist))
 	rng := rand.New(rand.NewSource(*seed))

@@ -1,7 +1,8 @@
 // Command tbgen emits the verification collateral the paper's Perl
 // scripts produced: the gate-level core as structural Verilog plus a
-// self-checking testbench that applies an expanded self-test program and
-// asserts the fault-free responses. Feed both files to any Verilog
+// self-checking testbench that applies an expanded self-test program —
+// the paper program (selftest.PaperProgram) unless -prog names another —
+// and asserts the fault-free responses. Feed both files to any Verilog
 // simulator to confirm the fault-simulation model behaves correctly.
 //
 //	tbgen -iters 3 -o core        # writes core.v and core_tb.v
@@ -16,13 +17,12 @@ import (
 	"repro/internal/dspgate"
 	"repro/internal/fault"
 	"repro/internal/logic"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/selftest"
 )
 
 func main() {
-	progPath := flag.String("prog", "", "program file (.once/.loop assembler, as selftest.ParseProgram reads it); default: generate one")
+	progPath := flag.String("prog", "", "program file (.once/.loop assembler, as selftest.ParseProgram reads it); default: the paper program")
 	iters := flag.Int("iters", 2, "loop iterations to expand into the testbench")
 	out := flag.String("o", "dsp_core", "output basename (<o>.v and <o>_tb.v)")
 	obsCfg := obs.Flags()
@@ -33,7 +33,7 @@ func main() {
 	span := rt.Span("tbgen")
 	defer span.End()
 
-	var prog *selftest.Program
+	prog := selftest.PaperProgram()
 	if *progPath != "" {
 		src, err := os.ReadFile(*progPath)
 		if err != nil {
@@ -43,9 +43,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-	} else {
-		eng := metrics.NewEngine(metrics.Config{CTrials: 8000, OGoodRuns: 6, Seed: 1})
-		prog, _ = selftest.NewGenerator(eng).WithObs(span).Generate()
 	}
 
 	core, err := dspgate.Build(dspgate.Options{})

@@ -12,7 +12,6 @@ import (
 	"repro/internal/bist"
 	"repro/internal/dspgate"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/selftest"
 )
 
@@ -24,8 +23,7 @@ func main() {
 
 	const vectors = 16384
 
-	eng := metrics.NewEngine(metrics.Config{CTrials: 12000, OGoodRuns: 8, Seed: 1})
-	prog, _ := selftest.NewGenerator(eng).Generate()
+	prog := selftest.PaperProgram()
 	iters := vectors/prog.Len() + 1
 	sbstVecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: iters})[:vectors]
 

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dspgate"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/selftest"
 )
 
@@ -22,8 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng := metrics.NewEngine(metrics.Config{CTrials: 12000, OGoodRuns: 8, Seed: 1})
-	prog, _ := selftest.NewGenerator(eng).Generate()
+	prog := selftest.PaperProgram()
 	vecs := selftest.Expand(prog, selftest.ExpandOptions{Iterations: 200})
 
 	// The core's 8-bit output stream, optionally with one injected

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/isa"
-	"repro/internal/metrics"
 	"repro/internal/online"
 	"repro/internal/selftest"
 )
@@ -32,8 +31,7 @@ func (p *breakableProbe) Observe(comp dsp.Component, mode int, value uint32) uin
 
 func main() {
 	// Characterize the self-test burst once ("at the factory").
-	eng := metrics.NewEngine(metrics.Config{CTrials: 8000, OGoodRuns: 6, Seed: 1})
-	prog, _ := selftest.NewGenerator(eng).Generate()
+	prog := selftest.PaperProgram()
 	st, err := online.New(prog, online.Config{Iterations: 12})
 	if err != nil {
 		log.Fatal(err)

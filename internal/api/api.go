@@ -111,7 +111,7 @@ type VectorKind string
 
 // The stimulus sources: raw 17-bit LFSR vectors, an inline self-test
 // program in assembler syntax (looped through the template
-// architecture), or the metrics-driven generated program.
+// architecture), or the paper's committed self-test program.
 const (
 	VecBIST     VectorKind = "bist"
 	VecProgram  VectorKind = "program"
@@ -136,10 +136,6 @@ type VectorSource struct {
 	Program string `json:"program,omitempty"`
 	// Iterations is the loop count for VecProgram/VecSelfTest expansion.
 	Iterations int `json:"iterations,omitempty"`
-	// CTrials and OGoodRuns size the metrics engine behind VecSelfTest
-	// generation; zero selects fast defaults, 200 000 and 200 are the most.
-	CTrials   int `json:"c_trials,omitempty"`
-	OGoodRuns int `json:"o_good_runs,omitempty"`
 	// Seed2 seeds the template architecture's LFSR2 (the register-field
 	// XOR mask) for VecProgram/VecSelfTest expansion; zero keeps the
 	// built-in seed.
@@ -422,8 +418,8 @@ func (s *JobSpec) Validate() error {
 	case JobOnlineBurst:
 		// The interval scheduler drives the behavioral DSP core with a
 		// self-test program: the stimulus must be a program source
-		// (inline or generated). An empty Vectors defaults to the
-		// generated self-test program.
+		// (inline or the paper's). An empty Vectors defaults to the
+		// paper's self-test program.
 		switch s.Vectors.Kind {
 		case "", VecSelfTest:
 		case VecProgram:
@@ -485,8 +481,7 @@ func (s *JobSpec) Validate() error {
 // holds a slice, so it cannot be compared against a zero literal).
 func (v VectorSource) isZero() bool {
 	return v.Kind == "" && v.Count == 0 && v.Seed == 0 && v.Program == "" &&
-		v.Iterations == 0 && v.CTrials == 0 && v.OGoodRuns == 0 &&
-		v.Seed2 == 0 && v.Taps == 0 && v.ReseedEvery == 0 && len(v.Reseeds) == 0
+		v.Iterations == 0 && v.Seed2 == 0 && v.Taps == 0 && v.ReseedEvery == 0 && len(v.Reseeds) == 0
 }
 
 // validateVectorSource checks one stimulus source; what names it in
@@ -505,14 +500,9 @@ func validateVectorSource(v VectorSource, what string) error {
 			return fmt.Errorf("api: bad program: %w", err)
 		}
 	case VecSelfTest:
-		// Generated program; all fields optional.
+		// The committed paper program; all fields optional.
 	default:
 		return fmt.Errorf("%w: vector source %q (want one of %v)", ErrUnknownKind, v.Kind, VectorKinds())
-	}
-	// The metrics engine's sizing is bounded by the paper's full-scale
-	// table; its memory grows with c_trials (4 bytes a trial and port).
-	if v.CTrials < 0 || v.CTrials > 200000 || v.OGoodRuns < 0 || v.OGoodRuns > 200 {
-		return fmt.Errorf("api: %s c_trials %d or o_good_runs %d outside 0..200000 or 0..200", what, v.CTrials, v.OGoodRuns)
 	}
 	if v.Taps>>16 != 0 {
 		return fmt.Errorf("api: %s taps %#x exceeds the 16-bit LFSR1 mask", what, v.Taps)

@@ -393,34 +393,6 @@ func TestVectorSourceLFSRGenes(t *testing.T) {
 	}
 }
 
-// TestVectorSourceMetricsBounds: a stimulus may size the metrics engine
-// up to the paper's full-scale table and no further, since the engine's
-// memory grows with c_trials.
-func TestVectorSourceMetricsBounds(t *testing.T) {
-	base := VectorSource{Kind: VecSelfTest}
-	for _, v := range []VectorSource{
-		{Kind: VecSelfTest, CTrials: 200000, OGoodRuns: 200},
-		{Kind: VecProgram, Program: "OUT R2", CTrials: 1, OGoodRuns: 1},
-	} {
-		if err := (&JobSpec{Kind: JobFaultSim, Vectors: v}).Validate(); err != nil {
-			t.Errorf("%+v rejected: %v", v, err)
-		}
-	}
-	for name, mut := range map[string]func(*VectorSource){
-		"c_trials over the bound":    func(v *VectorSource) { v.CTrials = 200001 },
-		"c_trials of 10^7":           func(v *VectorSource) { v.CTrials = 10_000_000 },
-		"negative c_trials":          func(v *VectorSource) { v.CTrials = -1 },
-		"o_good_runs over the bound": func(v *VectorSource) { v.OGoodRuns = 201 },
-		"negative o_good_runs":       func(v *VectorSource) { v.OGoodRuns = -1 },
-	} {
-		v := base
-		mut(&v)
-		if err := (&JobSpec{Kind: JobFaultSim, Vectors: v}).Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 // TestMatrixValidation pins the campaign_matrix spec rules: the matrix
 // block is mandatory and non-empty, duplicate designs are rejected,
 // and each scheme is validated like a top-level stimulus source.

@@ -3,14 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/api"
 	"repro/internal/bist"
 	"repro/internal/chaos"
 	"repro/internal/designs"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/selftest"
 )
@@ -24,13 +22,6 @@ type ExecConfig struct {
 	// Sink receives each campaign's event stream.
 	Sink obs.Sink
 }
-
-// The default metrics-driven self-test program is generated once on
-// first use; built designs live in the designCache (designcache.go).
-var (
-	defProgOnce sync.Once
-	defProg     *selftest.Program
-)
 
 // specNDetect resolves a spec's effective n-detect target: zero for
 // plain campaigns, the spec's value (defaulted to the paper's n=5)
@@ -144,23 +135,6 @@ func resolveVectors(d *designs.Design, src VectorSource) (fault.Vectors, error) 
 	default:
 		return nil, fmt.Errorf("engine: unknown vector source %q", src.Kind)
 	}
-}
-
-// generatedProgram runs the metrics-driven generator. The default
-// configuration is generated once and shared; explicit CTrials/OGoodRuns
-// produce a fresh program.
-func generatedProgram(src VectorSource) *selftest.Program {
-	generate := func() *selftest.Program {
-		prog, _ := selftest.NewGenerator(metrics.NewEngine(metrics.Config{
-			CTrials: orDefault(src.CTrials, 8000), OGoodRuns: orDefault(src.OGoodRuns, 6), Seed: 1,
-		})).Generate()
-		return prog
-	}
-	if src.CTrials == 0 && src.OGoodRuns == 0 {
-		defProgOnce.Do(func() { defProg = generate() })
-		return defProg
-	}
-	return generate()
 }
 
 // simulateUnit fault-simulates spec's stimulus against d.Faults[lo:hi]:

@@ -22,8 +22,8 @@ const (
 )
 
 // resolveProgram yields the self-test program behind program and
-// selftest stimulus — an inline assembled program or the metrics-driven
-// generated one. online_burst schedules it; resolveVectors expands it.
+// selftest stimulus — an inline assembled program or the paper's
+// committed one. online_burst schedules it; resolveVectors expands it.
 func resolveProgram(src VectorSource) (*selftest.Program, error) {
 	switch src.Kind {
 	case api.VecProgram:
@@ -33,11 +33,7 @@ func resolveProgram(src VectorSource) (*selftest.Program, error) {
 		}
 		return &selftest.Program{Loop: prog}, nil
 	case "", api.VecSelfTest:
-		prog := generatedProgram(src)
-		if prog == nil {
-			return nil, fmt.Errorf("engine: self-test program generation failed")
-		}
-		return prog, nil
+		return selftest.PaperProgram(), nil
 	default:
 		return nil, fmt.Errorf("engine: online_burst takes program or selftest stimulus, not %q", src.Kind)
 	}

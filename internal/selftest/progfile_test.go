@@ -119,3 +119,18 @@ func (p *Program) Source() string {
 	write(p.Loop)
 	return sb.String()
 }
+
+// TestPaperProgramIsFresh: each call hands out its own copy.
+func TestPaperProgramIsFresh(t *testing.T) {
+	a, b := PaperProgram(), PaperProgram()
+	if len(a.Loop) != 79 || len(a.Once) != 0 {
+		t.Fatalf("paper program: %d loop, %d once instructions; want 79 and 0", len(a.Loop), len(a.Once))
+	}
+	a.Loop[0].RD ^= 1
+	if a.Loop[0].Encode() == b.Loop[0].Encode() {
+		t.Fatal("editing one caller's program changed another's")
+	}
+	if PaperProgram().Loop[0].Encode() != b.Loop[0].Encode() {
+		t.Fatal("an edit leaked into a later call")
+	}
+}
