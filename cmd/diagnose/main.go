@@ -42,7 +42,11 @@ func main() {
 	faults, _ := fault.Collapse(core.Netlist, fault.AllFaults(core.Netlist))
 	rng := rand.New(rand.NewSource(*seed))
 	hidden := faults[rng.Intn(len(faults))]
-	fmt.Printf("hidden fault: %s (%s)\n", hidden, core.Netlist.NameOf(hidden.Site))
+	if name := core.Netlist.NameOf(hidden.Site); name != "" {
+		fmt.Printf("hidden fault: %s (%s)\n", hidden, name)
+	} else {
+		fmt.Printf("hidden fault: %s\n", hidden)
+	}
 
 	observed := fault.FaultTrace(core.Netlist, vecs, hidden)
 	good := fault.ExpectedOutputs(core.Netlist, vecs)

@@ -38,7 +38,6 @@ func wireExamples() []struct {
 	unit := WorkUnit{
 		JobID: "job-0001", Unit: 1, UnitEnd: 2, Units: 4, Spec: spec,
 		FaultLo: 2330, FaultHi: 4660, TotalFaults: 9320,
-		ShadowSample: 0.005, ShadowSeed: 1,
 	}
 	return []struct {
 		Name string

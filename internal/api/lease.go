@@ -59,11 +59,6 @@ type WorkUnit struct {
 	FaultLo     int `json:"fault_lo"`
 	FaultHi     int `json:"fault_hi"`
 	TotalFaults int `json:"total_faults"`
-	// ShadowSample/ShadowSeed forward the coordinator's window-audit
-	// policy onto the worker's kernel (fault.SimOptions; see
-	// docs/RESILIENCE.md).
-	ShadowSample float64 `json:"shadow_sample,omitempty"`
-	ShadowSeed   int64   `json:"shadow_seed,omitempty"`
 }
 
 // Lease is a granted work unit with its keep-alive contract.

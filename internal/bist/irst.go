@@ -24,13 +24,13 @@ type IRSTOptions struct {
 	// OutEvery forces an OUT instruction every k-th word (the scheme's
 	// "restriction" that keeps responses observable). Zero disables.
 	OutEvery int
-	// Ops restricts the opcode pool (nil = every operation).
-	Ops []isa.Op
+	// ops restricts the opcode pool in tests (nil = every operation).
+	ops []isa.Op
 }
 
 // IRSTVectors generates the randomized-instruction stream.
 func IRSTVectors(opts IRSTOptions) fault.Vectors {
-	ops := opts.Ops
+	ops := opts.ops
 	if ops == nil {
 		ops = isa.Ops()
 	}

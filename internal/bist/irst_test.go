@@ -31,7 +31,7 @@ func TestIRSTVectorsDecodable(t *testing.T) {
 }
 
 func TestIRSTRestrictedOps(t *testing.T) {
-	vecs := IRSTVectors(IRSTOptions{Vectors: 500, Seed: 1, Ops: []isa.Op{isa.OpLdi, isa.OpMpy}})
+	vecs := IRSTVectors(IRSTOptions{Vectors: 500, Seed: 1, ops: []isa.Op{isa.OpLdi, isa.OpMpy}})
 	for _, v := range vecs {
 		in, err := isa.Decode(uint32(v))
 		if err != nil {

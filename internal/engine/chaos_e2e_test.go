@@ -109,7 +109,7 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 	q := NewQueue(QueueOptions{
 		Workers:      1,
 		MaxAttempts:  4,
-		RetryBase:    2 * time.Millisecond,
+		retryBase:    2 * time.Millisecond,
 		StuckTimeout: time.Second,
 		Journal:      j,
 		Exec:         exec,

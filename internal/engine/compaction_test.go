@@ -664,7 +664,7 @@ func TestStateCountsMatchRecount(t *testing.T) {
 		}
 		return instantExec(ctx, spec, update)
 	}
-	q := NewQueue(QueueOptions{Workers: 1, Journal: j, Exec: exec, RetryBase: time.Millisecond})
+	q := NewQueue(QueueOptions{Workers: 1, Journal: j, Exec: exec, retryBase: time.Millisecond})
 	q.Start()
 	var ids []string
 	for n := 1; n <= 7; n++ {

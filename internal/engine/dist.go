@@ -35,11 +35,6 @@ type DistOptions struct {
 	// of the pending ones, so more units than workers lets the runs
 	// shrink as a campaign drains without costing one call per unit.
 	Units int
-	// ShadowSample/ShadowSeed forward the window audit's policy into
-	// every unit, so workers guard their compiled kernel exactly like the
-	// in-process path does (see docs/RESILIENCE.md).
-	ShadowSample float64
-	ShadowSeed   int64
 	// OnMerged, when set, receives each distributed campaign's merged
 	// fault.Result before it is summarized into a JobResult — a
 	// diagnostics hook, and the lever the e2e tests use to pin
@@ -109,14 +104,13 @@ func (r poolRunner) runCell(ctx context.Context, id string, d *designs.Design, c
 		open = false
 		gate.Unlock()
 	}()
-	h, err := r.pool.Register(id, cell, len(d.Faults), r.opts.Units,
-		r.opts.ShadowSample, r.opts.ShadowSeed, func(p Progress) {
-			gate.Lock()
-			defer gate.Unlock()
-			if open {
-				update(p)
-			}
-		})
+	h, err := r.pool.Register(id, cell, len(d.Faults), r.opts.Units, func(p Progress) {
+		gate.Lock()
+		defer gate.Unlock()
+		if open {
+			update(p)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +178,7 @@ func RunWorkUnit(ctx context.Context, workerID string, u api.WorkUnit,
 		return nil, fmt.Errorf("engine: unit %d of job %s has bad fault range [%d,%d)", u.Unit, u.JobID, u.FaultLo, u.FaultHi)
 	}
 	start := time.Now()
-	res, err := simulateUnit(ctx, cfg, d, u.Spec, u.FaultLo, u.FaultHi, u.ShadowSample, u.ShadowSeed, progress)
+	res, err := simulateUnit(ctx, cfg, d, u.Spec, u.FaultLo, u.FaultHi, progress)
 	if err != nil {
 		return nil, err
 	}

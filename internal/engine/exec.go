@@ -54,7 +54,7 @@ type cellRunner interface {
 type localRunner struct{ cfg ExecConfig }
 
 func (r localRunner) runCell(ctx context.Context, _ string, d *designs.Design, cell JobSpec, update func(Progress)) (*fault.Result, error) {
-	return simulateUnit(ctx, r.cfg, d, cell, 0, len(d.Faults), 0, 0, update)
+	return simulateUnit(ctx, r.cfg, d, cell, 0, len(d.Faults), update)
 }
 
 // One in-process cell is one Simulate call, which already spends every
@@ -143,7 +143,7 @@ func resolveVectors(d *designs.Design, src VectorSource) (fault.Vectors, error) 
 // the audit policy, the artifact key and the trace stamp cannot differ
 // between the two. The spec's Workers is accepted and ignored.
 func simulateUnit(ctx context.Context, cfg ExecConfig, d *designs.Design, spec JobSpec,
-	lo, hi int, shadowSample float64, shadowSeed int64, progress func(Progress)) (*fault.Result, error) {
+	lo, hi int, progress func(Progress)) (*fault.Result, error) {
 
 	vecs, err := resolveVectors(d, spec.Vectors)
 	if err != nil {
@@ -152,13 +152,11 @@ func simulateUnit(ctx context.Context, cfg ExecConfig, d *designs.Design, spec J
 	total := vecs.Len()
 	res, err := Simulate(d.Netlist, vecs, SimOptions{
 		SimOptions: fault.SimOptions{
-			Faults:       d.Faults[lo:hi],
-			NDetect:      specNDetect(spec),
-			SegmentLen:   spec.SegmentLen,
-			Ctx:          ctx,
-			Sink:         obs.WithTrace(cfg.Sink, spec.TraceID),
-			ShadowSample: shadowSample,
-			ShadowSeed:   shadowSeed,
+			Faults:     d.Faults[lo:hi],
+			NDetect:    specNDetect(spec),
+			SegmentLen: spec.SegmentLen,
+			Ctx:        ctx,
+			Sink:       obs.WithTrace(cfg.Sink, spec.TraceID),
 			Progress: func(cycles, detected, remaining int) {
 				if progress != nil {
 					progress(Progress{

@@ -235,7 +235,7 @@ func unitRange(i, n, total int) (lo, hi int) {
 // feed the stuck-job watchdog. The spec inside wire units carries the
 // owning job's stimulus description.
 func (p *LeasePool) Register(jobID string, spec api.JobSpec, totalFaults, units int,
-	shadowSample float64, shadowSeed int64, progress func(api.Progress)) (*DistHandle, error) {
+	progress func(api.Progress)) (*DistHandle, error) {
 
 	if totalFaults <= 0 {
 		return nil, fmt.Errorf("engine: distributed job %s with %d faults", jobID, totalFaults)
@@ -265,7 +265,6 @@ func (p *LeasePool) Register(jobID string, spec api.JobSpec, totalFaults, units 
 			wire: api.WorkUnit{
 				JobID: jobID, Unit: i, UnitEnd: i + 1, Units: units, Spec: spec,
 				FaultLo: lo, FaultHi: hi, TotalFaults: totalFaults,
-				ShadowSample: shadowSample, ShadowSeed: shadowSeed,
 			},
 			progress: api.Progress{Remaining: hi - lo},
 		})

@@ -91,7 +91,7 @@ func TestLeasePoolLifecycle(t *testing.T) {
 	defer p.Close()
 
 	pollIdle(t, p, "w2", "w3")
-	h, err := p.Register("job-1", poolSpec(), 10, 3, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 10, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestLeasePoolLifecycle(t *testing.T) {
 func TestLeaseExpiryRequeues(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: 30 * time.Millisecond, RetryBase: 2 * time.Millisecond, RetryMax: 4 * time.Millisecond})
 	defer p.Close()
-	h, err := p.Register("job-1", poolSpec(), 4, 1, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 func TestLeaseBadResultRequeues(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: time.Second, UnitAttempts: 5, RetryBase: 2 * time.Millisecond, RetryMax: 4 * time.Millisecond})
 	defer p.Close()
-	h, err := p.Register("job-1", poolSpec(), 6, 1, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 6, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestLeaseBadResultRequeues(t *testing.T) {
 func TestLeaseAttemptsExhaustFailJob(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: time.Second, UnitAttempts: 2, RetryBase: 2 * time.Millisecond, RetryMax: 4 * time.Millisecond})
 	defer p.Close()
-	h, err := p.Register("job-1", poolSpec(), 4, 1, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestLeaseAttemptsExhaustFailJob(t *testing.T) {
 // cancelled executor withdraws its job so stray workers get lease_gone.
 func TestLeasePoolCloseAndCancel(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: time.Second})
-	h, err := p.Register("job-1", poolSpec(), 4, 2, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestLeasePoolCloseAndCancel(t *testing.T) {
 
 	p2 := NewLeasePool(PoolOptions{TTL: time.Second})
 	defer p2.Close()
-	h2, err := p2.Register("job-2", poolSpec(), 4, 1, 0, 0, nil)
+	h2, err := p2.Register("job-2", poolSpec(), 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestHeartbeatAggregatesProgress(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: time.Second})
 	defer p.Close()
 	pollIdle(t, p, "w2")
-	_, err := p.Register("job-1", poolSpec(), 10, 2, 0, 0, func(pr api.Progress) {
+	_, err := p.Register("job-1", poolSpec(), 10, 2, func(pr api.Progress) {
 		mu.Lock()
 		last = pr
 		mu.Unlock()
@@ -336,7 +336,7 @@ func isCode(err error, code string) bool {
 // lease_gone, so the stale heartbeat and upload land nowhere.
 func TestStaleLeaseAcrossPoolsRejected(t *testing.T) {
 	p1 := NewLeasePool(PoolOptions{TTL: time.Second})
-	if _, err := p1.Register("job-1", poolSpec(), 8, 2, 0, 0, nil); err != nil {
+	if _, err := p1.Register("job-1", poolSpec(), 8, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	stale := acquireNow(t, p1, "w1")
@@ -344,11 +344,11 @@ func TestStaleLeaseAcrossPoolsRejected(t *testing.T) {
 
 	p2 := NewLeasePool(PoolOptions{TTL: time.Second})
 	defer p2.Close()
-	h2, err := p2.Register("job-2", poolSpec(), 8, 2, 0, 0, nil)
+	h2, err := p2.Register("job-2", poolSpec(), 8, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Register("job-1", poolSpec(), 8, 2, 0, 0, nil); err != nil {
+	if _, err := p2.Register("job-1", poolSpec(), 8, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	fresh := acquireNow(t, p2, "w2")
@@ -380,7 +380,7 @@ func TestStaleLeaseAcrossPoolsRejected(t *testing.T) {
 func TestLeaseCallsCheckHolder(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: time.Second})
 	defer p.Close()
-	h, err := p.Register("job-1", poolSpec(), 4, 1, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func checkIdentity(t *testing.T, h *DistHandle) {
 func TestRangeLeaseSingleWorker(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: time.Second})
 	defer p.Close()
-	h, err := p.Register("job-1", poolSpec(), 10, 3, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 10, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestRangeLeaseGuidedRuns(t *testing.T) {
 	p := NewLeasePool(PoolOptions{TTL: time.Second})
 	defer p.Close()
 	pollIdle(t, p, "w2")
-	h, err := p.Register("job-1", poolSpec(), 16, 8, 0, 0, nil)
+	h, err := p.Register("job-1", poolSpec(), 16, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestRangeLeaseRequeuesEveryUnit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewLeasePool(PoolOptions{TTL: tc.ttl, RetryBase: 2 * time.Millisecond, RetryMax: 4 * time.Millisecond})
 			defer p.Close()
-			h, err := p.Register("job-1", poolSpec(), 12, 4, 0, 0, nil)
+			h, err := p.Register("job-1", poolSpec(), 12, 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -592,7 +592,7 @@ func TestLeaseLiveWorkersExpireAfterTTL(t *testing.T) {
 	defer p.Close()
 	pollIdle(t, p, "w2")
 	clock.Store(int64(30 * time.Second))
-	if _, err := p.Register("job-1", poolSpec(), 16, 8, 0, 0, nil); err != nil {
+	if _, err := p.Register("job-1", poolSpec(), 16, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	l := acquireNow(t, p, "w1")
@@ -616,7 +616,7 @@ func TestRangeLeaseHeartbeatAggregates(t *testing.T) {
 		p := NewLeasePool(PoolOptions{TTL: time.Second})
 		defer p.Close()
 		pollIdle(t, p, idle...)
-		if _, err := p.Register("job-1", poolSpec(), 9, 3, 0, 0, func(pr api.Progress) {
+		if _, err := p.Register("job-1", poolSpec(), 9, 3, func(pr api.Progress) {
 			mu.Lock()
 			last = pr
 			mu.Unlock()

@@ -50,7 +50,7 @@ func TestServedPathsRunPaperProgram(t *testing.T) {
 
 	// A leased unit: a slice of the fault list through simulateUnit.
 	lo, hi := 100, 400
-	unit, err := simulateUnit(context.Background(), ExecConfig{}, d, spec, lo, hi, 0, 0, nil)
+	unit, err := simulateUnit(context.Background(), ExecConfig{}, d, spec, lo, hi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,22 +80,9 @@ type QueueOptions struct {
 	// Sink receives queue lifecycle events (job state transitions).
 	Sink obs.Sink
 
-	// RetryBase is the first retry's backoff ceiling; each further
-	// attempt doubles it up to RetryMax, with jitter drawn from the
-	// upper half of the window (default 50ms, capped at 5s).
-	RetryBase time.Duration
-	// RetryMax caps the exponential backoff (default 5s).
-	RetryMax time.Duration
 	// JobTimeout bounds every job's wall time unless the spec's own
 	// DeadlineSec is tighter. Zero means no queue-wide deadline.
 	JobTimeout time.Duration
-	// BreakerThreshold is the number of consecutive terminal job
-	// failures that trips the circuit breaker (default 5). Zero keeps
-	// the default; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long workers pause after the breaker trips
-	// (default 30s).
-	BreakerCooldown time.Duration
 	// StuckTimeout enables the watchdog: a running job that publishes no
 	// progress for this long is cancelled and retried. Zero disables.
 	StuckTimeout time.Duration
@@ -123,6 +110,15 @@ type QueueOptions struct {
 
 	// now overrides the clock in tests.
 	now func() time.Time
+	// retryBase overrides, in tests, the first retry's backoff ceiling
+	// (default 50ms); each further attempt doubles it up to
+	// queueRetryMax, with jitter drawn from the upper half of the window.
+	retryBase time.Duration
+	// breakerThreshold and breakerCooldown override, in tests, the
+	// consecutive terminal failures that trip the circuit breaker
+	// (default 5) and how long workers then pause (default 30s).
+	breakerThreshold int
+	breakerCooldown  time.Duration
 	// traceID overrides trace-ID minting in tests (golden determinism);
 	// default obs.NewTraceID.
 	traceID func() string
@@ -211,17 +207,14 @@ func NewQueue(opts QueueOptions) *Queue {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 2
 	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 50 * time.Millisecond
+	if opts.retryBase <= 0 {
+		opts.retryBase = 50 * time.Millisecond
 	}
-	if opts.RetryMax <= 0 {
-		opts.RetryMax = 5 * time.Second
+	if opts.breakerThreshold <= 0 {
+		opts.breakerThreshold = 5
 	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 30 * time.Second
+	if opts.breakerCooldown <= 0 {
+		opts.breakerCooldown = 30 * time.Second
 	}
 	if opts.now == nil {
 		opts.now = time.Now
@@ -746,10 +739,13 @@ func (q *Queue) run(id string) {
 	}
 }
 
+// queueRetryMax caps a job retry's exponential backoff.
+const queueRetryMax = 5 * time.Second
+
 // scheduleRetryLocked arms the backoff timer for a requeued job. Caller
 // holds q.mu.
 func (q *Queue) scheduleRetryLocked(id string, attempts int) {
-	delay := backoff(q.opts.RetryBase, q.opts.RetryMax, attempts, q.rng)
+	delay := backoff(q.opts.retryBase, queueRetryMax, attempts, q.rng)
 	ctrQueueRetries.Add(1)
 	obs.Emit(q.opts.Sink, obs.Event{
 		Type: obs.EventPhase,
@@ -795,24 +791,21 @@ func (q *Queue) requeue(id string) {
 	select {
 	case q.work <- id:
 	default:
-		q.timers[id] = time.AfterFunc(q.opts.RetryBase, func() { q.requeue(id) })
+		q.timers[id] = time.AfterFunc(q.opts.retryBase, func() { q.requeue(id) })
 	}
 }
 
 // failStreakLocked advances the consecutive-failure count and trips the
-// circuit breaker at the threshold: workers pause for BreakerCooldown so
+// circuit breaker at the threshold: workers pause for the cooldown so
 // a poisoned environment (bad core build, failing disk) stops burning
 // the backlog. Caller holds q.mu.
 func (q *Queue) failStreakLocked() {
-	if q.opts.BreakerThreshold < 0 {
-		return
-	}
 	q.failStreak++
-	if q.failStreak < q.opts.BreakerThreshold {
+	if q.failStreak < q.opts.breakerThreshold {
 		return
 	}
 	q.failStreak = 0
-	q.breakerOpen = q.opts.now().Add(q.opts.BreakerCooldown)
+	q.breakerOpen = q.opts.now().Add(q.opts.breakerCooldown)
 	ctrBreakerTrips.Add(1)
 	gaugeBreaker.Set(1)
 	obs.Emit(q.opts.Sink, obs.Event{
@@ -820,7 +813,7 @@ func (q *Queue) failStreakLocked() {
 		Name: "queue",
 		Fields: map[string]any{
 			"event":       "breaker_tripped",
-			"cooldown_ms": q.opts.BreakerCooldown.Milliseconds(),
+			"cooldown_ms": q.opts.breakerCooldown.Milliseconds(),
 		},
 	})
 }

@@ -17,7 +17,7 @@ func TestQueueBackoffRetryTransient(t *testing.T) {
 	q := NewQueue(QueueOptions{
 		Workers:     1,
 		MaxAttempts: 3,
-		RetryBase:   2 * time.Millisecond,
+		retryBase:   2 * time.Millisecond,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			if calls.Add(1) == 1 {
 				return nil, fmt.Errorf("%w: simulated flaky environment", ErrTransient)
@@ -46,7 +46,7 @@ func TestQueueTransientBudgetExhausted(t *testing.T) {
 	q := NewQueue(QueueOptions{
 		Workers:     1,
 		MaxAttempts: 2,
-		RetryBase:   2 * time.Millisecond,
+		retryBase:   2 * time.Millisecond,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			return nil, fmt.Errorf("%w: still flaky", ErrTransient)
 		},
@@ -70,46 +70,67 @@ func TestQueueTransientBudgetExhausted(t *testing.T) {
 	_ = q.Drain(context.Background())
 }
 
-// TestQueueJobDeadline: a job's DeadlineSec cancels the executor's
-// context and fails the job terminally — rerunning a timed-out spec
-// would only time out again.
+// TestQueueJobDeadline: a job's deadline — the queue-wide JobTimeout,
+// unless the spec's DeadlineSec is tighter — cancels the executor's
+// context and fails the job terminally: rerunning a timed-out spec
+// would only time out again. Each case's looser bound is 30 s, past
+// the test's 10 s wait, so a job that fails in time ran under the
+// tighter one, and the context's deadline is no later than it.
 func TestQueueJobDeadline(t *testing.T) {
-	ddlBefore := counter("queue.deadline_exceeded")
-	q := NewQueue(QueueOptions{
-		Workers: 1,
-		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
-			<-ctx.Done()
-			return nil, fmt.Errorf("%w: context closed", ErrInterrupted)
-		},
-	})
-	q.Start()
-	spec := specN(1)
-	spec.DeadlineSec = 0.02
-	j, err := q.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		got, _ := q.Get(j.ID)
-		if got.State == JobFailed {
+	const tight = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		jobTimeout  time.Duration
+		deadlineSec float64
+	}{
+		{"spec deadline alone", 0, tight.Seconds()},
+		{"queue bound alone", tight, 0},
+		{"tighter spec deadline wins", 30 * time.Second, tight.Seconds()},
+		{"looser spec deadline does not extend the queue bound", tight, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ddlBefore := counter("queue.deadline_exceeded")
+			var left atomic.Int64 // the executor's time to its deadline, as it starts
+			q := NewQueue(QueueOptions{
+				Workers:    1,
+				JobTimeout: tc.jobTimeout,
+				Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
+					if dl, ok := ctx.Deadline(); ok {
+						left.Store(int64(time.Until(dl)))
+					}
+					<-ctx.Done()
+					return nil, fmt.Errorf("%w: context closed", ErrInterrupted)
+				},
+			})
+			q.Start()
+			defer func() {
+				// A job that outlives the test's wait is cancelled here.
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				_ = q.Drain(ctx)
+			}()
+			left.Store(int64(time.Hour)) // stays so if the executor has no deadline
+			spec := specN(1)
+			spec.DeadlineSec = tc.deadlineSec
+			j, err := q.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := waitState(t, q, j.ID, JobFailed)
 			if !strings.Contains(got.Error, "deadline exceeded") {
 				t.Fatalf("error %q, want deadline exceeded", got.Error)
 			}
 			if got.Attempts != 1 {
 				t.Fatalf("deadline-failed job used %d attempts, want 1 (no retry)", got.Attempts)
 			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", got.State)
-		}
-		time.Sleep(2 * time.Millisecond)
+			if d := time.Duration(left.Load()); d > tight {
+				t.Fatalf("executor started %v before its deadline, want at most %v", d, tight)
+			}
+			if d := counter("queue.deadline_exceeded") - ddlBefore; d != 1 {
+				t.Fatalf("queue.deadline_exceeded advanced by %d, want 1", d)
+			}
+		})
 	}
-	if d := counter("queue.deadline_exceeded") - ddlBefore; d != 1 {
-		t.Fatalf("queue.deadline_exceeded advanced by %d, want 1", d)
-	}
-	_ = q.Drain(context.Background())
 }
 
 // TestQueueBreakerTrips: enough consecutive terminal failures open the
@@ -120,8 +141,8 @@ func TestQueueBreakerTrips(t *testing.T) {
 	q := NewQueue(QueueOptions{
 		Workers:          1,
 		MaxAttempts:      1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  60 * time.Millisecond,
+		breakerThreshold: 2,
+		breakerCooldown:  60 * time.Millisecond,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			if spec.Vectors.Count < 100 {
 				return nil, fmt.Errorf("engine: permanent failure %d", spec.Vectors.Count)
@@ -167,7 +188,7 @@ func TestQueueWatchdogCancelsStuck(t *testing.T) {
 	q := NewQueue(QueueOptions{
 		Workers:      1,
 		MaxAttempts:  2,
-		RetryBase:    2 * time.Millisecond,
+		retryBase:    2 * time.Millisecond,
 		StuckTimeout: 25 * time.Millisecond,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			if calls.Add(1) == 1 {
@@ -202,7 +223,7 @@ func TestQueueChaosCancelRetried(t *testing.T) {
 	q := NewQueue(QueueOptions{
 		Workers:     1,
 		MaxAttempts: 2,
-		RetryBase:   2 * time.Millisecond,
+		retryBase:   2 * time.Millisecond,
 		Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("%w: context closed", ErrInterrupted)

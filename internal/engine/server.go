@@ -27,9 +27,6 @@ type ServerOptions struct {
 	// shed with 503 + Retry-After instead of queueing without bound.
 	// Zero disables shedding.
 	MaxInflight int
-	// RetryAfter is the Retry-After hint on shed and queue-full
-	// responses (default 5s).
-	RetryAfter time.Duration
 	// Pool enables the distributed-campaign lease endpoints: workers
 	// pull work units from it and upload detection bitmaps back. Nil
 	// runs a jobs-only (single-process) server.
@@ -38,6 +35,10 @@ type ServerOptions struct {
 	// stream. Wire the same broker into QueueOptions.Events and
 	// PoolOptions.Events so all three publish into one sequence.
 	Events *JobEventBroker
+
+	// retryAfter overrides, in tests, the Retry-After hint on shed and
+	// queue-full responses (default 5s).
+	retryAfter time.Duration
 }
 
 // Server exposes a Queue (and optionally a LeasePool) over the
@@ -84,8 +85,8 @@ type Server struct {
 // NewServerWith wraps a queue in the HTTP API with the given
 // degradation options.
 func NewServerWith(q *Queue, opts ServerOptions) *Server {
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = 5 * time.Second
+	if opts.retryAfter <= 0 {
+		opts.retryAfter = 5 * time.Second
 	}
 	s := &Server{q: q, pool: opts.Pool, opts: opts}
 	if opts.MaxInflight > 0 {
@@ -182,7 +183,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) retryAfter(w http.ResponseWriter) {
-	secs := int(s.opts.RetryAfter / time.Second)
+	secs := int(s.opts.retryAfter / time.Second)
 	if secs < 1 {
 		secs = 1
 	}

@@ -123,7 +123,7 @@ func TestServerShedsLoad(t *testing.T) {
 	q := NewQueue(QueueOptions{Exec: func(ctx context.Context, spec JobSpec, update func(Progress)) (*JobResult, error) {
 		return &JobResult{}, nil
 	}})
-	srv := httptest.NewServer(NewServerWith(q, ServerOptions{MaxInflight: 1, RetryAfter: 2 * time.Second}))
+	srv := httptest.NewServer(NewServerWith(q, ServerOptions{MaxInflight: 1, retryAfter: 2 * time.Second}))
 	defer srv.Close()
 
 	shedBefore := counter("sbstd.shed")

@@ -478,7 +478,7 @@ func TestServerLeaseEndpoints(t *testing.T) {
 		t.Fatalf("lease acquire with no work = %d, want 204", resp.StatusCode)
 	}
 
-	h, err := pool.Register("job-7", poolSpec(), 8, 1, 0, 0, nil)
+	h, err := pool.Register("job-7", poolSpec(), 8, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

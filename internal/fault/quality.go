@@ -20,8 +20,6 @@ type QualityOptions struct {
 	PathPairs int
 	// Seed drives the bridge/path sampling.
 	Seed int64
-	// Progress forwards the stuck-at pass's progress callback.
-	Progress func(cycles, detected, remaining int)
 	// Sink, when non-nil, receives a "quality" span with one child span
 	// per graded fault model (stuck_at, transition, bridging,
 	// path_delay), each ending with its timing and coverage counters.
@@ -52,7 +50,7 @@ func Quality(n *logic.Netlist, vecs VectorSeq, opts QualityOptions) (*QualityRep
 	defer root.End()
 
 	sub := root.Child("stuck_at")
-	sa, err := Simulate(n, vecs, SimOptions{NDetect: opts.NDetect, Progress: opts.Progress, Sink: opts.Sink})
+	sa, err := Simulate(n, vecs, SimOptions{NDetect: opts.NDetect, Sink: opts.Sink})
 	if err != nil {
 		return nil, err
 	}

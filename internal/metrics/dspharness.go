@@ -24,10 +24,14 @@ type Config struct {
 	OGoodRuns int
 	// Seed makes the engine deterministic.
 	Seed int64
-	// CThreshold and OThreshold are the coverage thresholds
-	// (paper defaults: Cθ = 0.70, Oθ = 0.50).
-	CThreshold, OThreshold float64
 }
+
+// The paper's coverage thresholds: a built table's cell covers its
+// component mode when C ≥ Cθ and O ≥ Oθ.
+const (
+	cThreshold = 0.70
+	oThreshold = 0.50
+)
 
 func (c Config) withDefaults() Config {
 	if c.CTrials == 0 {
@@ -35,12 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OGoodRuns == 0 {
 		c.OGoodRuns = 100
-	}
-	if c.CThreshold == 0 {
-		c.CThreshold = 0.70
-	}
-	if c.OThreshold == 0 {
-		c.OThreshold = 0.50
 	}
 	return c
 }

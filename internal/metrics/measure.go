@@ -229,8 +229,8 @@ func (e *Engine) BuildTable() *Table {
 		Rows:       rows,
 		Cols:       StandardColumns(),
 		Cells:      make([][]Cell, len(rows)),
-		CThreshold: e.cfg.CThreshold,
-		OThreshold: e.cfg.OThreshold,
+		CThreshold: cThreshold,
+		OThreshold: oThreshold,
 	}
 	// Rows share nothing — each seeds its own generators from cfg.Seed —
 	// so workers take them one at a time and write their own slot.

@@ -138,7 +138,6 @@ func CharacterizeIntervals(prog *selftest.Program, cfg IntervalConfig) (*Interva
 	stream = append(stream, selftest.Expand(prog, selftest.ExpandOptions{
 		Iterations: cfg.Iterations,
 		Seed1:      cfg.Seed1,
-		Seed2:      cfg.Seed2,
 	})...)
 
 	n := cfg.Intervals

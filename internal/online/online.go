@@ -29,9 +29,9 @@ type Config struct {
 	Iterations int
 	// MISRWidth selects the signature width (default 16).
 	MISRWidth int
-	// Seed1/Seed2 fix the burst's LFSR data (defaults are fine; they
-	// must simply match between characterization and field).
-	Seed1, Seed2 uint64
+	// Seed1 fixes the burst's LFSR data (the default is fine; it must
+	// simply match between characterization and field).
+	Seed1 uint64
 }
 
 // Selftest is a characterized periodic self-test: a fixed vector burst
@@ -62,7 +62,6 @@ func New(prog *selftest.Program, cfg Config) (*Selftest, error) {
 	expanded := selftest.Expand(prog, selftest.ExpandOptions{
 		Iterations: cfg.Iterations,
 		Seed1:      cfg.Seed1,
-		Seed2:      cfg.Seed2,
 	})
 	s.vecs = append(s.vecs, expanded...)
 	// Pipeline drain so the last results reach the output port.

@@ -10,11 +10,12 @@ import (
 
 // SignatureOptions configure MISR response compaction.
 type SignatureOptions struct {
-	// MISRWidth selects the signature register width (default 16).
-	MISRWidth int
 	// Fault, when non-nil, injects one stuck-at fault into the machine,
 	// producing a faulty signature.
 	Fault *fault.Fault
+	// misrWidth overrides, in tests, the signature register width
+	// (default 16).
+	misrWidth int
 }
 
 // Signature runs the vector stream on the netlist from the reset state
@@ -23,7 +24,7 @@ type SignatureOptions struct {
 // self-test iff its signature equals the golden one recorded at
 // characterization time.
 func Signature(n *logic.Netlist, vecs fault.VectorSeq, opts SignatureOptions) (uint64, error) {
-	width := opts.MISRWidth
+	width := opts.misrWidth
 	if width == 0 {
 		width = 16
 	}

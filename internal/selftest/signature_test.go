@@ -92,11 +92,11 @@ func TestSignatureMISRWidths(t *testing.T) {
 	}
 	vecs := Expand(signatureProgram(), ExpandOptions{Iterations: 3})
 	for _, w := range []int{8, 16, 32} {
-		if _, err := Signature(core.Netlist, vecs, SignatureOptions{MISRWidth: w}); err != nil {
+		if _, err := Signature(core.Netlist, vecs, SignatureOptions{misrWidth: w}); err != nil {
 			t.Errorf("width %d: %v", w, err)
 		}
 	}
-	if _, err := Signature(core.Netlist, vecs, SignatureOptions{MISRWidth: 23}); err == nil {
+	if _, err := Signature(core.Netlist, vecs, SignatureOptions{misrWidth: 23}); err == nil {
 		t.Error("unsupported width should error")
 	}
 }

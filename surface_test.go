@@ -56,6 +56,13 @@ type packageSurface struct {
 	// methods of exported types that no non-test Go file of the module or
 	// of bench/ references (see unreferencedNames).
 	Unreferenced []string `json:"unreferenced,omitempty"`
+	// Knobs counts the package's knobs (see measureKnobs), KnobNames
+	// lists them, and Unset and Unread list those that no non-test file
+	// of the module or of bench/ sets, or reads.
+	Knobs     int      `json:"knobs"`
+	KnobNames []string `json:"knob_names,omitempty"`
+	Unset     []string `json:"unset,omitempty"`
+	Unread    []string `json:"unread,omitempty"`
 }
 
 // surfaceLedger is testdata/surface.json: the module's packages, keyed
@@ -65,23 +72,26 @@ type surfaceLedger struct {
 	Packages map[string]packageSurface `json:"packages"`
 }
 
-// TestSurfaceLedger recounts the non-test lines, exported identifiers
-// and unreferenced exports of every package and compares them with the
-// committed ledger, so a change that grows or shrinks a package shows
-// it in the ledger's diff. After a deliberate change, rewrite the
-// ledger with
+// TestSurfaceLedger recounts the non-test lines, exported identifiers,
+// unreferenced exports and knobs of every package and compares them
+// with the committed ledger, so a change that grows or shrinks a
+// package shows it in the ledger's diff. After a deliberate change,
+// rewrite the ledger with
 //
 //	go test -run TestSurfaceLedger -update .
 //
 // It also fails when an unreferenced export outside logictest has no
-// entry in surfaceExceptions, or when an exception names an export that
-// is referenced or gone.
+// entry in surfaceExceptions, or a knob that no non-test file sets or
+// none reads has none in knobExceptions, and when an exception names
+// an export that is referenced, or a knob that is set and read, or
+// either one gone.
 func TestSurfaceLedger(t *testing.T) {
 	got, err := measureSurface(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkExceptions(t, got)
+	checkKnobExceptions(t, got)
 	data, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +122,16 @@ func TestSurfaceLedger(t *testing.T) {
 		if !reflect.DeepEqual(g.Unreferenced, w.Unreferenced) {
 			diffs = append(diffs, fmt.Sprintf("%s: unreferenced %v → %v", dir, w.Unreferenced, g.Unreferenced))
 		}
+		if !reflect.DeepEqual(g.KnobNames, w.KnobNames) {
+			gone, added := listDiff(w.KnobNames, g.KnobNames)
+			diffs = append(diffs, fmt.Sprintf("%s: knobs %d → %d, gone %v, added %v", dir, w.Knobs, g.Knobs, gone, added))
+		}
+		if !reflect.DeepEqual(g.Unset, w.Unset) || !reflect.DeepEqual(g.Unread, w.Unread) {
+			diffs = append(diffs, fmt.Sprintf("%s: unset %v → %v, unread %v → %v", dir, w.Unset, g.Unset, w.Unread, g.Unread))
+		}
 	}
-	t.Errorf("the surface moved from %s (rerun with -update if that is intended):\n%s\ntotal: lines %d → %d, exported %d → %d",
-		surfacePath, strings.Join(diffs, "\n"), want.Total.Lines, got.Total.Lines, want.Total.Exported, got.Total.Exported)
+	t.Errorf("the surface moved from %s (rerun with -update if that is intended):\n%s\ntotal: lines %d → %d, exported %d → %d, knobs %d → %d",
+		surfacePath, strings.Join(diffs, "\n"), want.Total.Lines, got.Total.Lines, want.Total.Exported, got.Total.Exported, want.Total.Knobs, got.Total.Knobs)
 }
 
 // checkExceptions holds the ledger's unreferenced lists to
@@ -139,6 +156,26 @@ func checkExceptions(t *testing.T, ledger *surfaceLedger) {
 			t.Errorf("surfaceExceptions names %s, which is referenced or gone: drop the entry", key)
 		}
 	}
+}
+
+// listDiff returns the names of sorted list a missing from b, and of
+// b missing from a.
+func listDiff(a, b []string) (gone, added []string) {
+	in := func(list []string, name string) bool {
+		i := sort.SearchStrings(list, name)
+		return i < len(list) && list[i] == name
+	}
+	for _, name := range a {
+		if !in(b, name) {
+			gone = append(gone, name)
+		}
+	}
+	for _, name := range b {
+		if !in(a, name) {
+			added = append(added, name)
+		}
+	}
+	return gone, added
 }
 
 func sortedKeys(a, b map[string]packageSurface) []string {
@@ -227,18 +264,25 @@ func measureSurface(root string) (*surfaceLedger, error) {
 	if err != nil {
 		return nil, err
 	}
-	unref, err := unreferencedNames(root, fset, pkgs)
+	imp, err := checkModule(root, fset, pkgs)
 	if err != nil {
 		return nil, err
 	}
-	for dir, names := range unref {
+	for dir, names := range unreferencedNames(imp) {
 		p := ledger.Packages[dir]
 		p.Unreferenced = names
+		ledger.Packages[dir] = p
+	}
+	for dir, k := range measureKnobs(imp) {
+		p := ledger.Packages[dir]
+		p.Knobs = len(k.names)
+		p.KnobNames, p.Unset, p.Unread = k.names, k.unset, k.unread
 		ledger.Packages[dir] = p
 	}
 	for _, p := range ledger.Packages {
 		ledger.Total.Lines += p.Lines
 		ledger.Total.Exported += p.Exported
+		ledger.Total.Knobs += p.Knobs
 	}
 	return ledger, nil
 }
@@ -313,23 +357,8 @@ func exportedReceiver(expr ast.Expr) bool {
 	}
 }
 
-// unreferencedNames type-checks every package, bench/ included, and
-// returns per ledgered directory the sorted exported names that no
-// non-test file references. A name counts as referenced when any
-// non-test file uses it, its own package's included, other than in the
-// receiver of one of its own methods. What is counted:
-//
-//   - exported top-level constants, variables, functions and types,
-//     except constants of a type the module declares (enum members,
-//     which are reached by value, not by name);
-//   - exported methods of exported named types, as "Type.Method",
-//     except a method that lets its type implement an interface with a
-//     method of that name, declared in the module, in a package it
-//     imports or inline (String, Error, ServeHTTP and the like are
-//     called through the interface).
-//
-// Fields are not counted: encoding/json reaches them by reflection.
-func unreferencedNames(root string, fset *token.FileSet, pkgs map[string]*sourcePackage) (map[string][]string, error) {
+// checkModule type-checks every package, bench/ included.
+func checkModule(root string, fset *token.FileSet, pkgs map[string]*sourcePackage) (*moduleImporter, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -371,7 +400,27 @@ func unreferencedNames(root string, fset *token.FileSet, pkgs map[string]*source
 			return nil, err
 		}
 	}
+	return imp, nil
+}
 
+// unreferencedNames returns per ledgered directory the sorted exported
+// names that no non-test file references. A name counts as referenced
+// when any non-test file uses it, its own package's included, other
+// than in the receiver of one of its own methods. What is counted:
+//
+//   - exported top-level constants, variables, functions and types,
+//     except constants of a type the module declares (enum members,
+//     which are reached by value, not by name);
+//   - exported methods of exported named types, as "Type.Method",
+//     except a method that lets its type implement an interface with a
+//     method of that name, declared in the module, in a package it
+//     imports or inline (String, Error, ServeHTTP and the like are
+//     called through the interface).
+//
+// Fields are not counted here: encoding/json reaches them by
+// reflection. The knob pass (knob_test.go) counts the option fields.
+func unreferencedNames(imp *moduleImporter) map[string][]string {
+	byPath := imp.byPath
 	used := map[types.Object]bool{}
 	ifaces := map[string][]*types.Interface{} // by method name
 	addIface := func(typ types.Type) {
@@ -470,7 +519,7 @@ func unreferencedNames(root string, fset *token.FileSet, pkgs map[string]*source
 			out[sp.dir] = names
 		}
 	}
-	return out, nil
+	return out
 }
 
 // receiverIdents returns the identifiers in the receivers of the
@@ -515,6 +564,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	var errs []string
 	conf := types.Config{Importer: m, Error: func(err error) { errs = append(errs, err.Error()) }}
 	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 		Types: map[ast.Expr]types.TypeAndValue{},
 	}
